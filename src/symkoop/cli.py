@@ -203,14 +203,8 @@ def cmd_transport(args):
     if element_label is None:
         raise ConfigurationError("transport needs --element")
     g = group.element(element_label)
-    dict_spec = _resolve(args, config, "dictionary")
-    dictionary = (
-        dictionaries.dictionary_from_spec(_parse_json_flag(dict_spec, "--dictionary"),
-                                          dim=group.dim)
-        if dict_spec else op.dictionary
-    )
     seed = int(_resolve(args, config, "seed", 0))
-    rep = dictionaries.induced_representation(dictionary, g, seed=seed)
+    rep = dictionaries.induced_representation(op.dictionary, g, seed=seed)
     target = _resolve(args, config, "target_label") or f"{op.set_label}:{element_label}"
     transported = equivariant.transport_case1(op, rep, target_label=target)
     payload = koopman.operator_to_dict(transported)
@@ -367,7 +361,6 @@ def build_parser():
     p.add_argument("--operator")
     p.add_argument("--group")
     p.add_argument("--element")
-    p.add_argument("--dictionary", help="override the operator's dictionary spec")
     p.add_argument("--target-label", dest="target_label")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_transport)
@@ -414,13 +407,7 @@ def main(argv=None):
         where = f" (step {err.step_index})" if err.step_index is not None else ""
         print(f"error: numerical divergence{where}: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (ConfigurationError, InputError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SymkoopError as err:
+    except (SymkoopError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -27,13 +27,20 @@ CLOSURE_TOL = 1e-8
 
 
 class Dictionary:
-    """Base class: subclasses set kind, dim, size, labels and implement
-    ``evaluate``; ``evaluate_matrix`` maps column-states to column-features."""
+    """Base class: subclasses set kind, dim, size, labels and implement the
+    batched ``_evaluate``, which maps a dim x M block of column-states to the
+    size x M block of their features. Both public entry points validate the
+    shape and go through it."""
 
     kind = "abstract"
 
     def evaluate(self, x):
-        raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise InputError(
+                f"state shape {x.shape} does not match dictionary dim {self.dim}"
+            )
+        return self._evaluate(x[:, None])[:, 0]
 
     def evaluate_matrix(self, X):
         X = np.asarray(X, dtype=float)
@@ -41,18 +48,10 @@ class Dictionary:
             raise InputError(
                 f"expected a {self.dim} x M state matrix, got shape {X.shape}"
             )
-        out = np.empty((self.size, X.shape[1]))
-        for k in range(X.shape[1]):
-            out[:, k] = self.evaluate(X[:, k])
-        return out
+        return self._evaluate(X)
 
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise InputError(
-                f"state shape {x.shape} does not match dictionary dim {self.dim}"
-            )
-        return x
+    def _evaluate(self, X):
+        raise NotImplementedError
 
     def to_spec(self):
         raise NotImplementedError
@@ -73,15 +72,7 @@ class IdentityDictionary(Dictionary):
         self.size = self.dim
         self.labels = tuple(f"x{i + 1}" for i in range(dim))
 
-    def evaluate(self, x):
-        return self._check(x).copy()
-
-    def evaluate_matrix(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] != self.dim:
-            raise InputError(
-                f"expected a {self.dim} x M state matrix, got shape {X.shape}"
-            )
+    def _evaluate(self, X):
         return X.copy()
 
     def to_spec(self):
@@ -123,21 +114,7 @@ class MonomialDictionary(Dictionary):
         self.labels = tuple(_monomial_label(e) for e in exponents)
         self._index_of = {e: k for k, e in enumerate(exponents)}
 
-    def evaluate(self, x):
-        x = self._check(x)
-        out = np.ones(self.size)
-        for k, exps in enumerate(self.exponents):
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    out[k] *= x[i]
-        return out
-
-    def evaluate_matrix(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] != self.dim:
-            raise InputError(
-                f"expected a {self.dim} x M state matrix, got shape {X.shape}"
-            )
+    def _evaluate(self, X):
         out = np.ones((self.size, X.shape[1]))
         for k, exps in enumerate(self.exponents):
             for i, e in enumerate(exps):
@@ -171,9 +148,8 @@ class CustomDictionary(Dictionary):
         if len(self.labels) != self.size:
             raise InputError("labels and observables must have equal length")
 
-    def evaluate(self, x):
-        x = self._check(x)
-        return np.array([float(f(x)) for f in self.observables])
+    def _evaluate(self, X):
+        return np.array([[float(f(x)) for x in X.T] for f in self.observables])
 
     def to_spec(self):
         # callables are not serializable; the spec records shape only
@@ -199,13 +175,8 @@ class TransformedDictionary(Dictionary):
         self.size = base.size
         self.labels = tuple(f"{lbl}.{element_label}" for lbl in base.labels)
 
-    def evaluate(self, x):
-        x = self._check(x)
-        return self.base.evaluate(self.gamma.T @ x)
-
-    def evaluate_matrix(self, X):
-        X = np.asarray(X, dtype=float)
-        return self.base.evaluate_matrix(self.gamma.T @ X)
+    def _evaluate(self, X):
+        return self.base._evaluate(self.gamma.T @ X)
 
     def to_spec(self):
         return {

@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError, NumericalDivergenceError
 
+TIME_GRID_TOL = 1e-9  # relative departure of a CSV time from t0 + k*dt
+
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
@@ -274,6 +276,7 @@ def merge_snapshots(*pairs_list):
 # ---------------------------------------------------------------------------
 # trajectory CSV format: header "t,x1,...,xn", time column k*dt, values
 # written as shortest round-trip decimals so load(save(x)) == x exactly.
+# Loading rejects NaN/Inf values and times off the grid t0 + k*dt.
 
 def save_trajectory(traj, path):
     with open(path, "w") as fh:
@@ -290,7 +293,7 @@ def load_trajectory(path):
     if not lines or not lines[0].startswith("t,"):
         raise ConfigurationError(f"{path}:1: expected header 't,x1,...,xn'")
     dim = len(lines[0].split(",")) - 1
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -303,9 +306,24 @@ def load_trajectory(path):
             rows.append([float(v) for v in parts])
         except ValueError as err:
             raise ConfigurationError(f"{path}:{lineno}: {err}") from err
+        linenos.append(lineno)
     if len(rows) < 2:
         raise ConfigurationError(
             f"{path}: need at least 2 data rows to recover the sample interval"
         )
     data = np.array(rows)
-    return Trajectory(dim=dim, dt=float(data[1, 0] - data[0, 0]), states=data[:, 1:])
+    bad = ~np.all(np.isfinite(data), axis=1)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ConfigurationError(f"{path}:{linenos[k]}: non-finite value (NaN or Inf)")
+    t = data[:, 0]
+    dt = float(t[1] - t[0])
+    drift = np.abs(t - (t[0] + np.arange(len(t)) * dt))
+    off_grid = drift > TIME_GRID_TOL * np.maximum(1.0, np.abs(t))
+    if np.any(off_grid):
+        k = int(np.argmax(off_grid))
+        raise ConfigurationError(
+            f"{path}:{linenos[k]}: time {float(t[k])!r} is off the uniform grid "
+            f"t0 + k*dt (dt={dt!r} from the first two rows)"
+        )
+    return Trajectory(dim=dim, dt=dt, states=data[:, 1:])

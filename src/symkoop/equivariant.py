@@ -25,6 +25,8 @@ from .dynamics import step
 from .errors import InputError, IsotropyRequiredError, SymkoopError
 from .koopman import KoopmanApprox, eigenvalue_hausdorff
 
+_BLOCK = 256  # transformed samples compared per step in data_stabilizer_labels
+
 
 @dataclass(frozen=True)
 class InvariantSetRegistry:
@@ -273,14 +275,21 @@ def data_stabilizer_labels(group, states, tol=1e-8):
     """Labels of the elements mapping a sample cloud into itself: g
     qualifies when every transformed sample lands within
     tol * (1 + |x|) of some sample. This is the setwise-stabilizer
-    evidence ``verify_commutation`` asks for."""
+    evidence ``verify_commutation`` asks for.
+
+    Distances are taken for _BLOCK transformed samples at a time, so memory
+    grows as _BLOCK * N * dim, not N * N * dim."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
+
+    def lands_in_cloud(mapped):
+        dist = np.linalg.norm(mapped[:, None, :] - states[None, :, :], axis=2)
+        return np.all(dist.min(axis=1) <= tol * (1.0 + np.linalg.norm(mapped, axis=1)))
+
     labels = []
     for g in group.elements:
         mapped = states @ g.matrix.T
-        dist = np.linalg.norm(mapped[:, None, :] - states[None, :, :], axis=2)
-        nearest = dist.min(axis=1)
-        if np.all(nearest <= tol * (1.0 + np.linalg.norm(mapped, axis=1))):
+        if all(lands_in_cloud(mapped[start:start + _BLOCK])
+               for start in range(0, len(mapped), _BLOCK)):
             labels.append(g.label)
     return tuple(labels)
 

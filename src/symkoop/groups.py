@@ -116,11 +116,11 @@ class EquivarianceReport:
         }
 
 
-def _find_match(matrices, m):
-    for i, known in enumerate(matrices):
-        if np.max(np.abs(known - m)) <= MATRIX_MATCH_TOL:
-            return i
-    return None
+def _find_match(stack, m):
+    """Index of the first matrix of the (n, dim, dim) stack within
+    MATRIX_MATCH_TOL of m in max norm, or None."""
+    hits = np.flatnonzero(np.max(np.abs(stack - m), axis=(1, 2)) <= MATRIX_MATCH_TOL)
+    return int(hits[0]) if hits.size else None
 
 
 def generate_group(generators, max_order=64, dim=None):
@@ -148,12 +148,13 @@ def generate_group(generators, max_order=64, dim=None):
 
     eye = np.eye(dim)
     elements = [GroupElement("e", eye)]
-    matrices = [eye]
+    stack = eye[None]
     for g in generators:
-        if _find_match(matrices, g.matrix) is None:
+        k = _find_match(stack, g.matrix)
+        if k is None:
             elements.append(g)
-            matrices.append(g.matrix)
-        elif np.max(np.abs(g.matrix - eye)) <= MATRIX_MATCH_TOL:
+            stack = np.concatenate([stack, g.matrix[None]])
+        elif k == 0:
             # a generator equal to the identity keeps the canonical slot
             elements[0] = GroupElement(g.label, eye)
 
@@ -164,8 +165,8 @@ def generate_group(generators, max_order=64, dim=None):
         for i in frontier:
             for j in range(len(elements)):
                 for a, b in ((i, j), (j, i)):
-                    prod = elements[a].matrix @ elements[b].matrix
-                    if _find_match(matrices, prod) is None:
+                    prod = stack[a] @ stack[b]
+                    if _find_match(stack, prod) is None:
                         if len(elements) >= max_order:
                             raise NonFiniteGroupError(
                                 f"closure exceeded max_order={max_order}; "
@@ -174,15 +175,15 @@ def generate_group(generators, max_order=64, dim=None):
                             )
                         label = f"{elements[a].label}*{elements[b].label}"
                         elements.append(GroupElement(label, prod))
-                        matrices.append(elements[-1].matrix)
+                        stack = np.concatenate([stack, prod[None]])
                         new_frontier.append(len(elements) - 1)
         frontier = new_frontier
 
     order = len(elements)
     cayley = np.empty((order, order), dtype=int)
     for i in range(order):
-        for j in range(order):
-            k = _find_match(matrices, elements[i].matrix @ elements[j].matrix)
+        for j, prod in enumerate(stack[i] @ stack):
+            k = _find_match(stack, prod)
             if k is None:
                 raise SymkoopError("closure fixed point lost during table build")
             cayley[i, j] = k
@@ -201,21 +202,17 @@ def generate_group(generators, max_order=64, dim=None):
 
 def check_axioms(group):
     """Exhaustively verify closure, identity, inverses, and associativity
-    on the Cayley table. Returns a dict report with per-axiom booleans."""
+    on the Cayley table. Returns a dict report with per-axiom booleans;
+    associativity is only evaluated on a closed table."""
     n = group.order
     cayley = group.cayley
     closure = bool(np.all((cayley >= 0) & (cayley < n)))
     identity = bool(
         np.all(cayley[0] == np.arange(n)) and np.all(cayley[:, 0] == np.arange(n))
     )
-    inverses = all(np.any(cayley[i] == 0) for i in range(n))
-    assoc = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if cayley[cayley[i, j], k] != cayley[i, cayley[j, k]]:
-                    assoc = False
-                    break
+    inverses = bool(np.all(np.any(cayley == 0, axis=1)))
+    # [i, j, k] entries: cayley[cayley] is (g_i g_j) g_k, cayley[:, cayley] g_i (g_j g_k)
+    assoc = closure and bool(np.array_equal(cayley[cayley], cayley[:, cayley]))
     ok = closure and identity and inverses and assoc
     return {
         "order": n,
@@ -319,7 +316,9 @@ def isotropy_set(group, traj, tol=1e-8):
 def conjugate_isotropy(group, report, g):
     """Isotropy of the transformed trajectory, computed algebraically as
     the conjugate subgroup {g h g^-1 : h in members} via the Cayley table."""
-    gi = _element_index(group, g)
+    gi = _find_match(np.array([h.matrix for h in group.elements]), g.matrix)
+    if gi is None:
+        raise InputError(f"element {g.label!r} not found in group")
     gi_inv = group.inverse_index(gi)
     members = sorted(
         group.multiply(group.multiply(gi, j), gi_inv) for j in report.member_indices
@@ -333,13 +332,6 @@ def conjugate_isotropy(group, report, g):
         is_subgroup=is_subgroup,
         tolerance=report.tolerance,
     )
-
-
-def _element_index(group, g):
-    for i, h in enumerate(group.elements):
-        if np.max(np.abs(h.matrix - g.matrix)) <= MATRIX_MATCH_TOL:
-            return i
-    raise InputError(f"element {g.label!r} not found in group")
 
 
 # ---------------------------------------------------------------------------

@@ -64,18 +64,30 @@ def fit_edmd(Yp, Yf, rank_tol=DEFAULT_RANK_TOL, *, dictionary, set_label="fit"):
         )
     if Yp.shape[1] < 1:
         raise InputError("need at least one snapshot pair")
+    if not (np.all(np.isfinite(Yp)) and np.all(np.isfinite(Yf))):
+        raise InputError("lifted snapshot data contains NaN or Inf")
     if not np.any(Yp):
         raise DegenerateDataError("Yp is all zero; no operator is identifiable")
     if rank_tol <= 0:
         raise InputError("rank_tol must be positive")
 
-    U, s, Vt = np.linalg.svd(Yp, full_matrices=False)
-    rank = int(np.sum(s >= rank_tol * s[0]))
-    pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
-    K = Yf @ pinv
+    # overflow shows up as a non-finite K or residual, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            U, s, Vt = np.linalg.svd(Yp, full_matrices=False)
+        except np.linalg.LinAlgError as err:
+            raise DegenerateDataError(f"SVD of the lifted data failed: {err}") from err
+        rank = int(np.sum(s >= rank_tol * s[0]))
+        pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
+        K = Yf @ pinv
 
-    Yf_norm = np.linalg.norm(Yf)
-    residual = float(np.linalg.norm(K @ Yp - Yf) / Yf_norm) if Yf_norm > 0 else 0.0
+        Yf_norm = np.linalg.norm(Yf)
+        residual = float(np.linalg.norm(K @ Yp - Yf) / Yf_norm) if Yf_norm > 0 else 0.0
+    if not (np.all(np.isfinite(K)) and np.isfinite(residual)):
+        raise DegenerateDataError(
+            "fit produced a non-finite operator or residual; the lifted data "
+            "is too large in magnitude to fit in double precision"
+        )
     return KoopmanApprox(
         matrix=K,
         dictionary=dictionary,
@@ -175,6 +187,8 @@ def operator_from_dict(data):
             f"operator matrix shape {matrix.shape} does not match dictionary "
             f"size {dictionary.size}"
         )
+    if not np.all(np.isfinite(matrix)):
+        raise InputError("operator matrix contains NaN or Inf")
     return KoopmanApprox(
         matrix=matrix,
         dictionary=dictionary,

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from symkoop import cli, scenarios
 from symkoop.scenarios import CheckResult
@@ -110,6 +111,27 @@ def test_fit_rejects_short_and_malformed_csv(tmp_path, capsys):
 
     assert run(["fit", "--traj", str(tmp_path / "missing.csv"),
                 "--out", str(tmp_path / "z.json")]) == cli.EXIT_CONFIG
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("rows, where", [
+    ("0.0,1.0,2.0\n0.1,nan,2.0\n0.2,1.0,2.0\n", ":3"),
+    ("0.0,1e308,-1e308\n0.1,1.5e308,1e308\n0.2,-1e308,1.7e308\n"
+     "0.3,1.2e308,-1.1e308\n", ""),
+    ("0.0,1.0,2.0\n0.1,0.9,2.0\n0.25,0.8,2.0\n0.3,0.7,2.0\n", ":4"),
+], ids=["nan", "near-overflow", "non-uniform-time"])
+def test_fit_rejects_bad_data_with_one_line_error(tmp_path, capsys, rows, where):
+    csv = tmp_path / "traj.csv"
+    csv.write_text("t,x1,x2\n" + rows)
+    out = tmp_path / "op.json"
+    assert run(["fit", "--traj", str(csv), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert where in one_line_error(capsys)
+    assert not out.exists()
 
 
 def make_group_file(tmp_path, name="toggle_switch"):
@@ -237,6 +259,19 @@ def test_spectrum_command(tmp_path, capsys):
     assert len(payload["eigenvalues"]) == 2
 
 
+def test_spectrum_rejects_nan_operator(tmp_path, capsys):
+    op_path = fit_toggle_operator(tmp_path)
+    payload = json.loads(op_path.read_text())
+    payload["K"][0][0] = float("nan")
+    op_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    out = tmp_path / "spectrum.json"
+    assert run(["spectrum", "--operator", str(op_path), "--out", str(out)]) \
+        == cli.EXIT_CONFIG
+    one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_group_check_command(tmp_path, capsys):
     group_path = make_group_file(tmp_path, "hamiltonian")
     assert run(["group", "check", "--group", str(group_path)]) == 0
@@ -257,6 +292,28 @@ def test_verify_list_and_single_check(capsys):
     assert run(["verify", "--checks", "group_axioms:lorenz"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] group_axioms:lorenz" in out
+
+
+def test_check_names_are_pinned():
+    assert scenarios.check_names() == [
+        "group_axioms:lorenz",
+        "group_axioms:toggle_switch",
+        "group_axioms:hamiltonian",
+        "equivariance:lorenz",
+        "equivariance:toggle_switch",
+        "equivariance:hamiltonian",
+        "conjugation_exact:lorenz",
+        "conjugation_exact:toggle_switch",
+        "conjugation_exact:hamiltonian",
+        "conjugation_statistical:toggle_switch",
+        "conjugation_statistical:hamiltonian",
+        "spectrum_invariance:lorenz",
+        "spectrum_invariance:toggle_switch",
+        "spectrum_invariance:hamiltonian",
+        "commutation_symmetric:toggle_switch",
+        "invariant_set_image:toggle_switch",
+        "invariant_set_image:hamiltonian",
+    ]
 
 
 def test_verify_empty_check_list_warns(capsys):

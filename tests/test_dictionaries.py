@@ -56,6 +56,25 @@ def test_monomial_constant_leads():
     assert len(set(d.exponents)) == d.size
 
 
+@pytest.mark.parametrize("dictionary", [
+    IdentityDictionary(2),
+    MonomialDictionary(2, 3),
+    CustomDictionary(2, [lambda x: math.sin(x[0]) * x[1], lambda x: x[0] ** 3]),
+    TransformedDictionary(MonomialDictionary(2, 3), rotation(0.3).matrix, "rot"),
+], ids=["identity", "monomial", "custom", "transformed"])
+def test_evaluate_is_one_column_of_evaluate_matrix(dictionary):
+    x = np.array([0.7, -1.3])
+    assert np.array_equal(
+        dictionary.evaluate(x), dictionary.evaluate_matrix(x[:, None])[:, 0]
+    )
+
+
+def test_transformed_evaluate_matrix_checks_shape():
+    t = TransformedDictionary(MonomialDictionary(2, 2), SWAP.matrix, "swap")
+    with pytest.raises(InputError):
+        t.evaluate_matrix(np.ones((3, 4)))
+
+
 def test_lift_identity_is_bitwise_copy():
     pairs = snapshots(simulate(make_system("toggle_switch"), [2.0, 1.0], 0.05, 10))
     Yp, Yf = lift(IdentityDictionary(2), pairs)

@@ -31,6 +31,7 @@ from symkoop import (
     verify_conjugation,
     verify_invariant_set_image,
 )
+from symkoop.equivariant import _BLOCK
 from symkoop.koopman import KoopmanApprox
 from symkoop.scenarios import builtin_registry, membership_predicates
 
@@ -335,6 +336,17 @@ def test_commutation_refuses_outside_isotropy():
     rep = induced_representation(d, swap)
     with pytest.raises(IsotropyRequiredError):
         verify_commutation(op, rep, stabilizers)
+
+
+def test_stabilizer_checks_every_block():
+    group = builtin_group("toggle_switch")
+    half = np.random.default_rng(3).uniform(0.0, 4.0, size=(_BLOCK, 2))
+    cloud = np.vstack([half, half[:, ::-1]])
+    assert data_stabilizer_labels(group, cloud) == ("e", "swap")
+    # one more sample, alone in the last block, whose swap image is missing
+    lopsided = np.vstack([cloud, [[3.0, 1.0]]])
+    assert len(lopsided) == 2 * _BLOCK + 1
+    assert data_stabilizer_labels(group, lopsided) == ("e",)
 
 
 def test_commutator_large_across_lorenz_wings():

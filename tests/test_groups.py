@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from symkoop import (
     simulate,
     transform_trajectory,
 )
+from symkoop.groups import MATRIX_MATCH_TOL
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 NEG = np.array([[-1.0, 0.0], [0.0, -1.0]])
@@ -214,6 +218,32 @@ def test_axioms_hold_for_builtin_groups():
     for name in ("lorenz", "toggle_switch", "hamiltonian"):
         report = check_axioms(builtin_group(name))
         assert report["ok"], report
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_dihedral_group_table_matches_products(n):
+    # rotation by 2 pi / n has irrational entries, so elements are told
+    # apart only up to MATRIX_MATCH_TOL
+    c, s = math.cos(2 * math.pi / n), math.sin(2 * math.pi / n)
+    group = generate_group([
+        GroupElement("rot", np.array([[c, -s], [s, c]])),
+        GroupElement("ref", np.array([[1.0, 0.0], [0.0, -1.0]])),
+    ])
+    assert group.order == 2 * n
+    assert check_axioms(group)["ok"]
+    for i, a in enumerate(group.elements):
+        for j, b in enumerate(group.elements):
+            product = group.elements[group.multiply(i, j)].matrix
+            assert np.max(np.abs(product - a.matrix @ b.matrix)) <= MATRIX_MATCH_TOL
+
+
+def test_check_axioms_reports_out_of_range_entry():
+    group = builtin_group("hamiltonian")
+    cayley = group.cayley.copy()
+    cayley[1, 2] = group.order
+    report = check_axioms(dataclasses.replace(group, cayley=cayley))
+    assert report["closure"] is False
+    assert report["ok"] is False
 
 
 def test_group_json_roundtrip(tmp_path):
