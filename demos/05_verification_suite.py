@@ -27,3 +27,6 @@ report = check_equivariance(
 label, defect, passed = report.entries[0]
 print(f"\nnegative control: declaring {label!r} a Lorenz symmetry gives a "
       f"one-step defect of {defect:.3f} (passed: {passed})")
+
+# a failed check fails the script, so it can serve as a smoke test
+raise SystemExit(0 if all(r.passed for r in results) else 1)

@@ -110,8 +110,10 @@ def cmd_simulate(args):
     if not starts and not args.emit_phase_portrait:
         raise ConfigurationError("simulate needs --x0 (repeatable) or --random-starts")
 
-    for i, x0 in enumerate(starts):
-        traj = dynamics.simulate(system, x0, dt, steps, discard)
+    # all starts in one block: one RK4 loop, bit for bit the per-start results
+    trajs = dynamics.simulate(system, np.array(starts), dt, steps, discard) \
+        if starts else []
+    for i, traj in enumerate(trajs):
         path = outdir / f"{name}_traj{i:02d}.csv"
         dynamics.save_trajectory(traj, path)
         final = traj.states[-1]
@@ -137,28 +139,30 @@ def _emit_phase_portrait(system, dt, path):
     regions of the phase portrait. No rendering happens in-process."""
     rng = np.random.default_rng(0)
     name = system.name
-    runs = []
     if name == "toggle_switch":
-        for x0 in scenarios.sample_box(name, 14, rng):
-            runs.append((x0, 400, 0))
-        runs.append((np.array([0.5, 0.5]), 400, 0))   # separatrix segment
-        runs.append((np.array([2.5, 2.5]), 400, 0))
+        starts = np.vstack([
+            scenarios.sample_box(name, 14, rng),
+            [[0.5, 0.5], [2.5, 2.5]],   # separatrix segments
+        ])
+        steps, discard = 400, 0
     elif name == "lorenz":
-        runs.append((np.array([1.0, 1.0, 1.05]), 5000, 500))
-        runs.append((np.array([-1.0, -1.0, 1.05]), 5000, 500))
+        starts = np.array([[1.0, 1.0, 1.05], [-1.0, -1.0, 1.05]])
+        steps, discard = 5000, 500
     elif name == "hamiltonian":
-        for x0 in ([2.0, 0.0], [2.6, 0.0], [3.3, 0.0], [3.9, 0.0]):
-            base = np.array(x0)
-            for g in groups.builtin_group(name).elements:
-                runs.append((g.matrix @ base, 1200, 0))
+        starts = np.array([
+            g.matrix @ np.array(x0)
+            for x0 in ([2.0, 0.0], [2.6, 0.0], [3.3, 0.0], [3.9, 0.0])
+            for g in groups.builtin_group(name).elements
+        ])
+        steps, discard = 1200, 0
     else:
         raise ConfigurationError(f"no phase portrait recipe for {name!r}")
+    trajs = dynamics.simulate(system, starts, dt, steps, discard)
     with open(path, "w") as fh:
         fh.write(
             "traj_id,t," + ",".join(f"x{i + 1}" for i in range(system.dim)) + "\n"
         )
-        for tid, (x0, steps, discard) in enumerate(runs):
-            traj = dynamics.simulate(system, x0, dt, steps, discard)
+        for tid, traj in enumerate(trajs):
             for k in range(traj.n_states):
                 row = [str(tid), repr(k * dt)]
                 row += [repr(float(v)) for v in traj.states[k]]
@@ -404,10 +408,14 @@ def main(argv=None):
               "dictionary spans a group-invariant space", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalDivergenceError as err:
-        where = f" (step {err.step_index})" if err.step_index is not None else ""
+        where = [f"{what} {index}" for what, index in
+                 (("start", err.start_index), ("step", err.step_index))
+                 if index is not None]
+        where = f" ({', '.join(where)})" if where else ""
         print(f"error: numerical divergence{where}: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (SymkoopError, OSError, json.JSONDecodeError) as err:
+    except (SymkoopError, OSError, json.JSONDecodeError,
+            np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

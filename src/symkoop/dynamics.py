@@ -165,87 +165,123 @@ def make_system(name, params=None):
 
 # ---------------------------------------------------------------------------
 # evaluation and integration
+#
+# Every function taking a state also takes a block of states, one per row
+# (N, dim), as in Trajectory.states. Fields and maps are called on the state
+# (dim,) or on the block's transpose (dim, N), so the row index x[i] of a
+# field is a coordinate either way; a field must return the shape it was
+# given. A single state stays on the (dim,) path, where the built-in fields
+# work on scalars and cost about a quarter of a (dim, 1) column.
 
 def _check_state(system, x):
     x = np.asarray(x, dtype=float)
-    if x.shape != (system.dim,):
+    if x.shape[-1:] != (system.dim,) or x.ndim > 2:
         raise InputError(
-            f"state has shape {x.shape}, system {system.name!r} expects ({system.dim},)"
+            f"state has shape {x.shape}, system {system.name!r} expects "
+            f"({system.dim},) or (N, {system.dim})"
         )
     return x
 
 
+def _check_dt(system, dt):
+    if system.kind == CONTINUOUS and dt <= 0:
+        raise InputError(f"dt must be positive, got {dt}")
+
+
+def _advance(system, y, dt):
+    """One sample interval on y, a state (dim,) or states as columns
+    (dim, N): the map once, or one classical RK4 step of the field."""
+    f, p = system.field, system.params
+    k1 = np.asarray(f(y, p), dtype=float)
+    if k1.shape != y.shape:
+        what = "map" if system.kind == DISCRETE else "field"
+        raise InputError(
+            f"{what} of {system.name!r} returned shape {k1.shape}, "
+            f"expected {y.shape}"
+        )
+    if system.kind == DISCRETE:
+        return k1
+    k2 = f(y + (0.5 * dt) * k1, p)
+    k3 = f(y + (0.5 * dt) * k2, p)
+    k4 = f(y + dt * k3, p)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _divergence(system, y, batch, step_index=None, total=None):
+    """The error for a non-finite y (a state, or states as columns); from a
+    block it names the first start whose state is non-finite."""
+    start = int(np.argmin(np.isfinite(y).all(axis=0))) if batch else None
+    where = f" at step {step_index} of {total}" if step_index is not None else ""
+    where += f" from start {start}" if batch else ""
+    return NumericalDivergenceError(
+        f"non-finite state from {system.name!r}{where}",
+        step_index=step_index, start_index=start,
+    )
+
+
 def vector_field(system, x):
-    """Evaluate the continuous-time field f(x) with the system's parameters."""
+    """Evaluate the continuous-time field f(x) with the system's parameters,
+    on a state (dim,) or on each row of a block (N, dim)."""
     if system.kind != CONTINUOUS:
         raise InputError(f"system {system.name!r} is not continuous-time")
     x = _check_state(system, x)
-    out = np.asarray(system.field(x, system.params), dtype=float)
-    if out.shape != x.shape:
+    out = np.asarray(system.field(x.T, system.params), dtype=float)
+    if out.shape != x.T.shape:
         raise InputError(
-            f"field of {system.name!r} returned shape {out.shape}, expected {x.shape}"
+            f"field of {system.name!r} returned shape {out.shape}, expected {x.T.shape}"
         )
-    return out
+    return out.T
 
 
 def step(system, x, dt):
-    """Advance one sample interval.
+    """Advance a state (dim,) or each row of a block (N, dim) by one sample
+    interval.
 
     Continuous systems take one classical RK4 step of size ``dt``; discrete
     systems apply their map once and ignore ``dt``. RK4 commutes exactly
     with any linear symmetry of an equivariant field, so this discretization
-    preserves the group structure the rest of the toolkit relies on.
+    preserves the group structure the rest of the toolkit relies on. Each
+    row of a block gets bit for bit the result of stepping it alone.
     """
     x = _check_state(system, x)
-    if system.kind == DISCRETE:
-        out = np.asarray(system.field(x, system.params), dtype=float)
-        if out.shape != x.shape:
-            raise InputError(
-                f"map of {system.name!r} returned shape {out.shape}, expected {x.shape}"
-            )
-    else:
-        if dt <= 0:
-            raise InputError(f"dt must be positive, got {dt}")
-        f, p = system.field, system.params
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = np.asarray(f(x, p), dtype=float)
-            if k1.shape != x.shape:
-                raise InputError(
-                    f"field of {system.name!r} returned shape {k1.shape}, "
-                    f"expected {x.shape}"
-                )
-            k2 = f(x + (0.5 * dt) * k1, p)
-            k3 = f(x + (0.5 * dt) * k2, p)
-            k4 = f(x + dt * k3, p)
-            out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise NumericalDivergenceError(
-            f"non-finite state produced by {system.name!r} step"
-        )
-    return out
+    _check_dt(system, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _advance(system, x.T, dt)
+    if not np.isfinite(out).all():
+        raise _divergence(system, out, batch=x.ndim == 2)
+    return out.T
 
 
 def simulate(system, x0, dt, n_steps, discard=0):
     """Integrate ``n_steps + discard`` steps and drop the first ``discard``
-    states (transient removal). Returns a Trajectory of n_steps + 1 states.
+    states (transient removal).
+
+    ``x0`` of shape (dim,) gives one Trajectory of n_steps + 1 states;
+    ``x0`` of shape (N, dim) integrates all N starts together and gives a
+    list of N such Trajectories, each bit for bit the one its start would
+    give alone. A divergence names the first step with a non-finite state
+    and, for a block, the first start that holds one.
     """
     x0 = _check_state(system, x0)
     if n_steps < 1:
         raise InputError("n_steps must be a positive integer")
     if discard < 0:
         raise InputError("discard must be nonnegative")
+    _check_dt(system, dt)
+    batch = x0.ndim == 2
     total = n_steps + discard
-    states = np.empty((total + 1, system.dim))
-    states[0] = x0
-    for k in range(total):
-        try:
-            states[k + 1] = step(system, states[k], dt)
-        except NumericalDivergenceError as err:
-            raise NumericalDivergenceError(
-                f"{system.name!r} diverged at step {k + 1} of {total}",
-                step_index=k + 1,
-            ) from err
-    return Trajectory(dim=system.dim, dt=float(dt), states=states[discard:])
+    states = np.empty(x0.shape[:-1] + (total + 1, system.dim))
+    states[..., 0, :] = x0
+    y = x0[0] if x0.shape == (1, system.dim) else x0.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(total):
+            y = _advance(system, y, dt)
+            if not np.isfinite(y).all():
+                raise _divergence(system, y, batch, step_index=k + 1, total=total)
+            states[..., k + 1, :] = y.T
+    if not batch:
+        return Trajectory(dim=system.dim, dt=float(dt), states=states[discard:])
+    return [Trajectory(dim=system.dim, dt=float(dt), states=s[discard:]) for s in states]
 
 
 def snapshots(traj):

@@ -333,21 +333,29 @@ class InvariantImageReport:
 
 
 def verify_invariant_set_image(system, g, samples, dt, horizon, membership):
-    """Push samples of M_i through g and integrate; report the fraction
-    whose entire forward orbit satisfies the M_j membership predicate."""
+    """Push samples of M_i (rows) through g and integrate; report the
+    fraction whose entire forward orbit satisfies the M_j membership
+    predicate.
+
+    The samples are stepped as one block, and a sample is dropped from it
+    as soon as it leaves the set, so it is never stepped again (an orbit
+    that leaves and would later diverge raises nothing). ``membership``
+    takes states as columns, a (dim, N) block, and returns a boolean mask
+    of shape (N,).
+    """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    failed = []
-    for idx, x in enumerate(samples):
-        y = g.matrix @ x
-        ok = bool(membership(y))
-        for _ in range(horizon):
-            if not ok:
-                break
-            y = step(system, y, dt)
-            ok = bool(membership(y))
-        if not ok:
-            failed.append(idx)
     n = len(samples)
+    active = np.arange(n)
+    y = samples @ g.matrix.T
+    for k in range(horizon + 1):
+        keep = np.asarray(membership(y.T), dtype=bool)
+        if keep.shape != active.shape:
+            raise InputError("membership must return one boolean per state (column)")
+        active, y = active[keep], y[keep]
+        if k == horizon or not active.size:
+            break
+        y = step(system, y, dt)
+    failed = np.setdiff1d(np.arange(n), active).tolist()
     return InvariantImageReport(
         fraction=(n - len(failed)) / n,
         n_samples=n,

@@ -16,13 +16,15 @@ class ConfigurationError(SymkoopError):
 class NumericalDivergenceError(SymkoopError):
     """Integration produced a non-finite state.
 
-    ``step_index`` is the index of the offending step when known
-    (set by ``simulate``), else None.
+    ``step_index`` is the index of the offending step when known (set by
+    ``simulate``), else None. ``start_index`` is the first diverging start
+    (row) when a block of states was integrated, else None.
     """
 
-    def __init__(self, message, step_index=None):
+    def __init__(self, message, step_index=None, start_index=None):
         super().__init__(message)
         self.step_index = step_index
+        self.start_index = start_index
 
 
 class NonFiniteGroupError(SymkoopError):

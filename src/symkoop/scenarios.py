@@ -71,7 +71,8 @@ def draw_base_state(name, rng):
 
 
 def membership_predicates(name):
-    """Invariant-set membership tests keyed by registry label."""
+    """Invariant-set membership tests keyed by registry label. Each takes
+    states as columns, a (dim, N) block, and returns a boolean mask (N,)."""
     if name == "toggle_switch":
         return {
             "right": lambda x: x[0] > x[1],
@@ -80,10 +81,10 @@ def membership_predicates(name):
     if name == "hamiltonian":
         inside = lambda x: x[0] * x[0] + x[1] * x[1] < 18.0
         return {
-            "IS-1": lambda x: x[0] > abs(x[1]) and inside(x),
-            "IS-2": lambda x: x[1] > abs(x[0]) and inside(x),
-            "IS-3": lambda x: -x[0] > abs(x[1]) and inside(x),
-            "IS-4": lambda x: -x[1] > abs(x[0]) and inside(x),
+            "IS-1": lambda x: (x[0] > np.abs(x[1])) & inside(x),
+            "IS-2": lambda x: (x[1] > np.abs(x[0])) & inside(x),
+            "IS-3": lambda x: (-x[0] > np.abs(x[1])) & inside(x),
+            "IS-4": lambda x: (-x[1] > np.abs(x[0])) & inside(x),
         }
     raise ConfigurationError(f"no membership predicates for {name!r}")
 
@@ -199,19 +200,22 @@ def check_conjugation_exact(name, tol=EXACT_TIER_TOL):
     )
 
 
-def stat_tier_fit(name, rng, mirror=None):
-    """Fit an identity-dictionary operator on a fresh seeded trajectory of
-    the base set (or of its mirror image under ``mirror``)."""
+def stat_tier_fits(name, rngs, mirror=None):
+    """Fit identity-dictionary operators on fresh seeded trajectories of the
+    base set (or of its mirror image under ``mirror``), one start drawn from
+    each generator in ``rngs``; all starts are integrated as one block."""
     system = dynamics.make_system(name)
     dt, n_steps, _ = _STAT_TIER_RUNS[name]
-    x0 = draw_base_state(name, rng)
+    x0 = np.array([draw_base_state(name, rng) for rng in rngs])
     if mirror is not None:
-        x0 = mirror.matrix @ x0
-    traj = dynamics.simulate(system, x0, dt, n_steps)
-    return koopman.fit_trajectory(
-        traj, dictionaries.IdentityDictionary(system.dim),
-        set_label="stat-tier",
-    )
+        x0 = x0 @ mirror.matrix.T
+    return [
+        koopman.fit_trajectory(
+            traj, dictionaries.IdentityDictionary(system.dim),
+            set_label="stat-tier",
+        )
+        for traj in dynamics.simulate(system, x0, dt, n_steps)
+    ]
 
 
 def seed_spread(name, n_seeds=10, base_seed=2024):
@@ -221,15 +225,13 @@ def seed_spread(name, n_seeds=10, base_seed=2024):
     the base fit's eigenvalues and those of ``n_seeds`` refits from fresh
     initial conditions in the same invariant set.
     """
-    base = stat_tier_fit(name, np.random.default_rng(base_seed))
+    rngs = [np.random.default_rng(s) for s in [base_seed, *range(100, 100 + n_seeds)]]
+    base, *others = stat_tier_fits(name, rngs)
     ev = np.linalg.eigvals(base.matrix)
-    spread = 0.0
-    for k in range(n_seeds):
-        other = stat_tier_fit(name, np.random.default_rng(100 + k))
-        spread = max(
-            spread, koopman.eigenvalue_hausdorff(np.linalg.eigvals(other.matrix), ev)
-        )
-    return spread
+    return max(
+        (koopman.eigenvalue_hausdorff(np.linalg.eigvals(o.matrix), ev) for o in others),
+        default=0.0,
+    )
 
 
 def check_conjugation_statistical(name, base_seed=2024, indep_seed=999):
@@ -238,8 +240,8 @@ def check_conjugation_statistical(name, base_seed=2024, indep_seed=999):
     _, _, mirror_label = _STAT_TIER_RUNS[name]
     group = groups.builtin_group(name)
     mirror = group.element(mirror_label)
-    base = stat_tier_fit(name, np.random.default_rng(base_seed))
-    indep = stat_tier_fit(name, np.random.default_rng(indep_seed), mirror=mirror)
+    (base,) = stat_tier_fits(name, [np.random.default_rng(base_seed)])
+    (indep,) = stat_tier_fits(name, [np.random.default_rng(indep_seed)], mirror=mirror)
     rep = dictionaries.induced_representation(base.dictionary, mirror)
     tol = 3.0 * STAT_TIER_SPREAD[name]
     report = equivariant.verify_conjugation(
@@ -302,8 +304,8 @@ def check_commutation_symmetric(name="toggle_switch", tol=COMMUTATION_TOL):
 
 def check_invariant_set_image(name, n_samples=20, horizon=None, seed=5):
     """Invariance-of-image check: g maps invariant sets to invariant sets.
-    of the base set are transformed by each registry element and integrated;
-    every forward orbit must stay in the image set."""
+    Seeded samples of the base set are transformed by each registry element
+    and integrated; every forward orbit must stay in the image set."""
     system = dynamics.make_system(name)
     group = groups.builtin_group(name)
     registry = builtin_registry(name)

@@ -272,6 +272,43 @@ def test_spectrum_rejects_nan_operator(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spectrum_eigensolver_failure_is_one_line_error(tmp_path, capsys, monkeypatch):
+    op_path = fit_toggle_operator(tmp_path)
+
+    def failing_spectrum(op):
+        raise np.linalg.LinAlgError("left eigenpair 0 defect 1.0e+00 exceeds 1e-8 * ||K||")
+
+    monkeypatch.setattr(cli.koopman, "spectrum", failing_spectrum)
+    capsys.readouterr()
+    out = tmp_path / "spectrum.json"
+    assert run(["spectrum", "--operator", str(op_path), "--out", str(out)]) \
+        == cli.EXIT_CONFIG
+    assert "eigenpair" in one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_simulate_block_divergence_names_start_and_step(tmp_path, capsys):
+    code = run(["simulate", "--system", "lorenz", "--x0", "1,1,1.05",
+                "--x0", "2e6,2e6,2e6", "--dt", "1.0", "--steps", "50",
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_DIVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical divergence (start 1, step 2): ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_several_starts_match_single_runs(tmp_path):
+    starts = ["3.2,0.3", "-1,2.5", "0.1,0.1"]
+    both = tmp_path / "both"
+    argv = ["simulate", "--system", "hamiltonian", "--steps", "40", "--discard", "3"]
+    assert run(argv + [f"--x0={x}" for x in starts] + ["--out", str(both)]) == 0
+    for i, x in enumerate(starts):
+        alone = tmp_path / f"alone{i}"
+        assert run(argv + [f"--x0={x}", "--out", str(alone)]) == 0
+        assert (both / f"hamiltonian_traj{i:02d}.csv").read_bytes() == \
+            (alone / "hamiltonian_traj00.csv").read_bytes()
+
+
 def test_group_check_command(tmp_path, capsys):
     group_path = make_group_file(tmp_path, "hamiltonian")
     assert run(["group", "check", "--group", str(group_path)]) == 0
