@@ -34,6 +34,7 @@ from .equivariant import (
     GlobalKoopman,
     InvariantSetRegistry,
     assemble_global,
+    check_registry,
     commutator_norm,
     data_stabilizer_labels,
     global_predict,

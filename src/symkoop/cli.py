@@ -18,7 +18,6 @@ from . import dictionaries, dynamics, equivariant, groups, koopman, scenarios
 from .errors import (
     ConfigurationError,
     DictionaryNotClosedError,
-    InputError,
     NumericalDivergenceError,
     SymkoopError,
 )
@@ -232,17 +231,13 @@ def cmd_assemble(args):
         _require_readable(_resolve(args, config, "group"), "group JSON")
     )
     seed = int(_resolve(args, config, "seed", 0))
-    reps = {}
-    for label, element_label in registry.mapping.items():
-        try:
-            g = group.element(element_label)
-        except InputError as err:
-            raise ConfigurationError(
-                f"registry maps {label!r} through unknown element {element_label!r}"
-            ) from err
-        reps[label] = dictionaries.induced_representation(
-            base.dictionary, g, seed=seed
+    equivariant.check_registry(registry, group)
+    reps = {
+        label: dictionaries.induced_representation(
+            base.dictionary, group.element(element_label), seed=seed
         )
+        for label, element_label in registry.mapping.items()
+    }
     gk = equivariant.assemble_global(registry, base, reps)
     payload = equivariant.global_to_dict(gk)
     payload["config"] = {

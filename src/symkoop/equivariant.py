@@ -25,7 +25,7 @@ from .dynamics import step
 from .errors import InputError, IsotropyRequiredError, SymkoopError
 from .koopman import KoopmanApprox, eigenvalue_hausdorff
 
-_BLOCK = 256  # transformed samples compared per step in data_stabilizer_labels
+_BLOCK = 1 << 14  # candidate pairs compared per step in data_stabilizer_labels
 
 
 @dataclass(frozen=True)
@@ -271,27 +271,132 @@ def commutator_norm(op, rep):
     return float(np.linalg.norm(K @ R - R @ K) / np.linalg.norm(K))
 
 
+def _sort_direction(dim):
+    """The fixed unit vector whose projection sorts a cloud in
+    data_stabilizer_labels: a seeded Gaussian draw, so that coordinate-
+    aligned or symmetric clouds (lattices, mirror pairs) rarely tie on it."""
+    u = np.random.default_rng(0).standard_normal(dim)
+    return u / np.linalg.norm(u)
+
+
 def data_stabilizer_labels(group, states, tol=1e-8):
     """Labels of the elements mapping a sample cloud into itself: g
-    qualifies when every transformed sample lands within
-    tol * (1 + |x|) of some sample. This is the setwise-stabilizer
+    qualifies when every transformed sample gx lands within
+    tol * (1 + |gx|) of some sample. This is the setwise-stabilizer
     evidence ``verify_commutation`` asks for.
 
-    Distances are taken for _BLOCK transformed samples at a time, so memory
-    grows as _BLOCK * N * dim, not N * N * dim."""
+    The cloud is sorted once by its projection on a fixed unit direction
+    u. Since |u.gx - u.y| <= |gx - y|, every sample within the tolerance
+    of gx has its key inside a window of twice the tolerance (plus rounding
+    slack) around u.gx, found by binary search; the exact distance test
+    runs on those candidate pairs only, and an empty window rejects g at
+    once. Cost per element: O(N log N) plus the candidate pairs, which is
+    near-linear for a cloud spread along u and falls back to O(N^2) pairs
+    only when most samples share one key. Candidate pairs are expanded
+    _BLOCK at a time, so memory stays O((N + _BLOCK) * dim) however wide
+    the windows are.
+
+    Raises InputError for an empty cloud (it would vacuously pass every
+    element), a non-finite sample, or a dimension other than ``group.dim``.
+    """
     states = np.atleast_2d(np.asarray(states, dtype=float))
+    if states.ndim != 2 or states.shape[1] != group.dim:
+        raise InputError(
+            f"sample cloud shape {states.shape} does not match group dim {group.dim}"
+        )
+    if not len(states):
+        raise InputError("empty sample cloud: no evidence for any stabilizer")
+    if not np.all(np.isfinite(states)):
+        raise InputError("sample cloud holds NaN or Inf")
+
+    u = _sort_direction(group.dim)
+    keys = states @ u
+    order = np.argsort(keys, kind="stable")
+    cloud, keys = states[order], keys[order]
+    slack = 4 * group.dim * np.finfo(float).eps  # relative rounding of a key
 
     def lands_in_cloud(mapped):
-        dist = np.linalg.norm(mapped[:, None, :] - states[None, :, :], axis=2)
-        return np.all(dist.min(axis=1) <= tol * (1.0 + np.linalg.norm(mapped, axis=1)))
+        scale = 1.0 + np.linalg.norm(mapped, axis=1)
 
-    labels = []
-    for g in group.elements:
-        mapped = states @ g.matrix.T
-        if all(lands_in_cloud(mapped[start:start + _BLOCK])
-               for start in range(0, len(mapped), _BLOCK)):
-            labels.append(g.label)
-    return tuple(labels)
+        def close(row, cand):
+            dist = np.linalg.norm(mapped[row] - cloud[cand], axis=1)
+            return dist <= tol * scale[row]
+
+        at, half = mapped @ u, 2 * (tol + slack) * scale
+        lo = np.searchsorted(keys, at - half, side="left")
+        counts = np.searchsorted(keys, at + half, side="right") - lo
+        if np.any(counts == 0):
+            return False
+        # the first candidate settles a lone or duplicated sample; the other
+        # rows try the rest of their windows, where pair p belongs to row
+        # rows[r] with ends[r - 1] <= p < ends[r]
+        rows = np.flatnonzero(~close(np.arange(len(mapped)), lo))
+        if not rows.size:
+            return True
+        lo, counts = lo[rows] + 1, counts[rows] - 1
+        if np.any(counts == 0):
+            return False
+        ends = np.cumsum(counts)
+        found = np.zeros(len(rows), dtype=bool)
+        for start in range(0, ends[-1], _BLOCK):
+            stop = min(start + _BLOCK, ends[-1])
+            pair = np.arange(start, stop)
+            r = np.searchsorted(ends, pair, side="right")
+            found[r[close(rows[r], lo[r] + pair - (ends[r] - counts[r]))]] = True
+            if not found[:np.searchsorted(ends, stop, side="right")].all():
+                return False  # a row whose window is used up without a match
+        return True
+
+    return tuple(g.label for g in group.elements
+                 if lands_in_cloud(states @ g.matrix.T))
+
+
+def check_registry(registry, group):
+    """Reject a registry that would assemble one invariant set twice.
+
+    Every non-base label must name an element of ``group`` other than the
+    identity, and no two labels may share one. When the registry carries
+    samples of the base set M, orbit-stabilizer sharpens this: g_a M = g_b M
+    whenever g_a^-1 g_b lies in the data stabilizer of those samples, so
+    two labels whose elements share a coset of it are rejected too (the
+    base label counts as the identity). Raises InputError naming the first
+    offending pair in registry order.
+    """
+    indices = [(registry.base_label, 0)]
+    for label in registry.labels:
+        if label == registry.base_label:
+            continue
+        element = registry.mapping[label]
+        try:
+            indices.append((label, group.index_of(element)))
+        except InputError:
+            raise InputError(
+                f"registry maps {label!r} through unknown element {element!r}"
+            ) from None
+    samples = (registry.samples or {}).get(registry.base_label)
+    stabilizer = {0} if samples is None else {
+        group.index_of(lbl) for lbl in data_stabilizer_labels(group, samples)
+    }
+    for n, (label, i) in enumerate(indices):
+        for other, j in indices[:n]:
+            h = group.multiply(group.inverse_index(j), i)
+            if h not in stabilizer:
+                continue
+            if i == 0:  # always caught against the base label, checked first
+                raise InputError(
+                    f"registry maps {label!r} through the identity, onto the "
+                    f"base set {other!r}"
+                )
+            if i == j:
+                raise InputError(
+                    f"registry maps {other!r} and {label!r} through the same "
+                    f"element {group.elements[i].label!r}"
+                )
+            raise InputError(
+                f"registry labels {other!r} and {label!r} name the same set: "
+                f"their elements differ by {group.elements[h].label!r}, which "
+                "stabilizes the base samples"
+            )
 
 
 def verify_commutation(op, rep, stabilizer_labels):

@@ -116,11 +116,14 @@ class EquivarianceReport:
         }
 
 
-def _find_match(stack, m):
-    """Index of the first matrix of the (n, dim, dim) stack within
-    MATRIX_MATCH_TOL of m in max norm, or None."""
-    hits = np.flatnonzero(np.max(np.abs(stack - m), axis=(1, 2)) <= MATRIX_MATCH_TOL)
-    return int(hits[0]) if hits.size else None
+def _first_matches(stack, ms):
+    """For each matrix of ms (k, dim, dim), the index of the first matrix of
+    the (n, dim, dim) stack within MATRIX_MATCH_TOL of it in max norm, or -1.
+    One numpy expression over k * n * dim^2 entries."""
+    if not len(stack):
+        return np.full(len(ms), -1)
+    close = np.max(np.abs(stack[None] - ms[:, None]), axis=(2, 3)) <= MATRIX_MATCH_TOL
+    return np.where(close.any(axis=1), close.argmax(axis=1), -1)
 
 
 def generate_group(generators, max_order=64, dim=None):
@@ -150,43 +153,49 @@ def generate_group(generators, max_order=64, dim=None):
     elements = [GroupElement("e", eye)]
     stack = eye[None]
     for g in generators:
-        k = _find_match(stack, g.matrix)
-        if k is None:
+        k = _first_matches(stack, g.matrix[None])[0]
+        if k < 0:
             elements.append(g)
             stack = np.concatenate([stack, g.matrix[None]])
         elif k == 0:
             # a generator equal to the identity keeps the canonical slot
             elements[0] = GroupElement(g.label, eye)
 
-    # breadth-first closure under products
+    # Breadth-first closure under products. Each frontier element i is
+    # multiplied with the n elements known when its row starts, in the order
+    # g_i g_0, g_0 g_i, g_i g_1, g_1 g_i, ...; those 2n products are matched
+    # against the n known elements in one call, and only a miss is matched
+    # again, against the elements this row has appended before it. This is
+    # the sequential discovery order, so labels and matrices do not depend
+    # on the batching.
     frontier = list(range(len(elements)))
     while frontier:
         new_frontier = []
         for i in frontier:
-            for j in range(len(elements)):
-                for a, b in ((i, j), (j, i)):
-                    prod = stack[a] @ stack[b]
-                    if _find_match(stack, prod) is None:
-                        if len(elements) >= max_order:
-                            raise NonFiniteGroupError(
-                                f"closure exceeded max_order={max_order}; "
-                                "generators may not generate a finite group "
-                                "at this matching tolerance"
-                            )
-                        label = f"{elements[a].label}*{elements[b].label}"
-                        elements.append(GroupElement(label, prod))
-                        stack = np.concatenate([stack, prod[None]])
-                        new_frontier.append(len(elements) - 1)
+            n = len(elements)
+            prods = np.empty((2 * n, dim, dim))
+            prods[0::2] = stack[i] @ stack
+            prods[1::2] = stack @ stack[i]
+            for m in np.flatnonzero(_first_matches(stack, prods) < 0):
+                prod = prods[m].copy()
+                if _first_matches(stack[n:], prod[None])[0] >= 0:
+                    continue
+                if len(elements) >= max_order:
+                    raise NonFiniteGroupError(
+                        f"closure exceeded max_order={max_order}; "
+                        "generators may not generate a finite group "
+                        "at this matching tolerance"
+                    )
+                a, b = (i, m // 2) if m % 2 == 0 else (m // 2, i)
+                label = f"{elements[a].label}*{elements[b].label}"
+                elements.append(GroupElement(label, prod))
+                stack = np.concatenate([stack, prod[None]])
+                new_frontier.append(len(elements) - 1)
         frontier = new_frontier
 
-    order = len(elements)
-    cayley = np.empty((order, order), dtype=int)
-    for i in range(order):
-        for j, prod in enumerate(stack[i] @ stack):
-            k = _find_match(stack, prod)
-            if k is None:
-                raise SymkoopError("closure fixed point lost during table build")
-            cayley[i, j] = k
+    cayley = np.array([_first_matches(stack, g @ stack) for g in stack])
+    if np.any(cayley < 0):
+        raise SymkoopError("closure fixed point lost during table build")
 
     group = FiniteMatrixGroup(
         elements=tuple(elements),
@@ -314,8 +323,9 @@ def isotropy_set(group, traj, tol=1e-8):
 def conjugate_isotropy(group, report, g):
     """Isotropy of the transformed trajectory, computed algebraically as
     the conjugate subgroup {g h g^-1 : h in members} via the Cayley table."""
-    gi = _find_match(np.array([h.matrix for h in group.elements]), g.matrix)
-    if gi is None:
+    gi = int(_first_matches(np.array([h.matrix for h in group.elements]),
+                            g.matrix[None])[0])
+    if gi < 0:
         raise InputError(f"element {g.label!r} not found in group")
     gi_inv = group.inverse_index(gi)
     members = sorted(

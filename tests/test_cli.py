@@ -250,6 +250,32 @@ def test_assemble_registry_with_unknown_element(tmp_path):
                 "--out", str(tmp_path / "g.json")]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("labels, mapping, message", [
+    (("right", "left", "left-again"), {"left": "swap", "left-again": "swap"},
+     "same element 'swap'"),
+    (("right", "left"), {"left": "e"}, "through the identity"),
+], ids=["shared-element", "non-base-identity"])
+def test_assemble_rejects_registry_with_duplicate_set(tmp_path, capsys, labels,
+                                                      mapping, message):
+    from symkoop import save_registry
+    from symkoop.equivariant import InvariantSetRegistry
+
+    op_path = fit_toggle_operator(tmp_path)
+    group_path = make_group_file(tmp_path)
+    reg_path = tmp_path / "registry.json"
+    save_registry(
+        InvariantSetRegistry(labels=labels, base_label="right", mapping=mapping),
+        reg_path,
+    )
+    capsys.readouterr()
+    out = tmp_path / "g.json"
+    assert run(["assemble", "--registry", str(reg_path), "--base-operator",
+                str(op_path), "--group", str(group_path),
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_spectrum_command(tmp_path, capsys):
     op_path = fit_toggle_operator(tmp_path)
     out = tmp_path / "spec.json"

@@ -10,6 +10,7 @@ from symkoop import (
     MonomialDictionary,
     assemble_global,
     builtin_group,
+    check_registry,
     commutator_norm,
     data_stabilizer_labels,
     fit_snapshots,
@@ -347,6 +348,36 @@ def test_stabilizer_checks_every_block():
     lopsided = np.vstack([cloud, [[3.0, 1.0]]])
     assert len(lopsided) == 2 * _BLOCK + 1
     assert data_stabilizer_labels(group, lopsided) == ("e",)
+
+
+@pytest.mark.parametrize("cloud", [
+    np.empty((0, 2)),
+    np.array([[1.0, 2.0], [np.nan, 2.0]]),
+    np.ones((4, 3)),
+], ids=["empty", "nan", "wrong-dim"])
+def test_stabilizer_rejects_bad_cloud(cloud):
+    # an empty cloud would vacuously pass every element, a NaN would fail
+    # every one, and a wrong width cannot be acted on
+    with pytest.raises(InputError):
+        data_stabilizer_labels(builtin_group("toggle_switch"), cloud)
+
+
+def test_check_registry_rejects_labels_sharing_a_stabilizer_coset():
+    group = builtin_group("hamiltonian")
+    base = np.array([[3.0, 0.2], [2.8, -0.1], [3.3, 0.4]])
+    mapping = {"IS-2": "negate", "IS-3": "swap*negate"}
+    registry = InvariantSetRegistry(labels=("IS-1", "IS-2", "IS-3"),
+                                    base_label="IS-1", mapping=mapping)
+    check_registry(registry, group)  # distinct elements, no samples: fine
+    check_registry(InvariantSetRegistry(
+        labels=registry.labels, base_label="IS-1", mapping=mapping,
+        samples={"IS-1": base}), group)  # the samples are not swap-symmetric
+    symmetric = InvariantSetRegistry(
+        labels=registry.labels, base_label="IS-1", mapping=mapping,
+        samples={"IS-1": np.vstack([base, base[:, ::-1]])})
+    # negate^-1 (swap*negate) = swap fixes the base set, so IS-2 = IS-3
+    with pytest.raises(InputError, match="'IS-2' and 'IS-3'.*'swap'"):
+        check_registry(symmetric, group)
 
 
 def test_commutator_large_across_lorenz_wings():

@@ -1,0 +1,202 @@
+"""Element matching: the sort-window stabilizer must return exactly what the
+all-pairs comparison returns, and the batched group closure must discover
+exactly the elements, labels, matrices and Cayley table of the sequential
+one-product-at-a-time closure. Both references are kept here."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symkoop import GroupElement, builtin_group, data_stabilizer_labels, generate_group
+from symkoop.equivariant import _BLOCK, _sort_direction
+from symkoop.groups import MATRIX_MATCH_TOL
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# references
+
+def all_pairs_stabilizer(group, states, tol=1e-8):
+    """Every transformed sample against every sample."""
+    labels = []
+    for g in group.elements:
+        mapped = states @ g.matrix.T
+        dist = np.linalg.norm(mapped[:, None, :] - states[None, :, :], axis=2)
+        scale = 1.0 + np.linalg.norm(mapped, axis=1)
+        if np.all(dist.min(axis=1) <= tol * scale):
+            labels.append(g.label)
+    return tuple(labels)
+
+
+def sequential_closure(generators):
+    """Breadth-first closure matching one product at a time; returns the
+    labels, the (order, dim, dim) matrices and the Cayley table."""
+
+    def find(stack, m):
+        hits = np.flatnonzero(
+            np.max(np.abs(stack - m), axis=(1, 2)) <= MATRIX_MATCH_TOL)
+        return int(hits[0]) if hits.size else None
+
+    eye = np.eye(generators[0].dim)
+    labels, stack = ["e"], eye[None]
+    for g in generators:
+        k = find(stack, g.matrix)
+        if k is None:
+            labels.append(g.label)
+            stack = np.concatenate([stack, g.matrix[None]])
+        elif k == 0:
+            labels[0] = g.label
+    frontier = list(range(len(labels)))
+    while frontier:
+        new_frontier = []
+        for i in frontier:
+            for j in range(len(labels)):
+                for a, b in ((i, j), (j, i)):
+                    prod = stack[a] @ stack[b]
+                    if find(stack, prod) is None:
+                        labels.append(f"{labels[a]}*{labels[b]}")
+                        stack = np.concatenate([stack, prod[None]])
+                        new_frontier.append(len(labels) - 1)
+        frontier = new_frontier
+    cayley = np.array([[find(stack, stack[i] @ stack[j]) for j in range(len(stack))]
+                       for i in range(len(stack))])
+    return labels, stack, cayley
+
+
+# ---------------------------------------------------------------------------
+# groups
+
+def rotation(n):
+    c, s = np.cos(2 * np.pi / n), np.sin(2 * np.pi / n)
+    return np.array([[c, -s], [s, c]])
+
+
+def octahedral():
+    return [
+        GroupElement("cycle", np.array([[0.0, 0, 1], [1, 0, 0], [0, 1, 0]])),
+        GroupElement("swap", np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])),
+        GroupElement("flip", np.diag([-1.0, 1, 1])),
+    ]
+
+
+def dihedral(n):
+    return [GroupElement("r", rotation(n)), GroupElement("s", np.diag([1.0, -1.0]))]
+
+
+GENERATOR_SETS = {"octahedral": octahedral(), "C8": [GroupElement("r", rotation(8))]}
+GENERATOR_SETS.update({f"D{n}": dihedral(n) for n in range(2, 13)})
+
+
+def assert_same_group(generators):
+    group = generate_group(generators)
+    labels, stack, cayley = sequential_closure(generators)
+    assert group.labels() == labels
+    assert np.array_equal(np.array([g.matrix for g in group.elements]), stack)
+    assert np.array_equal(group.cayley, cayley)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_closure_matches_sequential_closure(name):
+    assert_same_group(GENERATOR_SETS[name])
+
+
+@PROPERTY
+@given(data=st.data())
+def test_closure_matches_sequential_closure_for_reordered_generators(data):
+    """Generators shuffled, an identity generator and a repeated generator
+    inserted anywhere, and everything conjugated by a random rotation so
+    that matches are inexact."""
+    gens = list(GENERATOR_SETS[data.draw(st.sampled_from(sorted(GENERATOR_SETS)))])
+    gens = data.draw(st.permutations(gens))
+    dim = gens[0].dim
+    if data.draw(st.booleans()):
+        gens.insert(data.draw(st.integers(0, len(gens))), GroupElement("id", np.eye(dim)))
+    if data.draw(st.booleans()):
+        again = data.draw(st.sampled_from(gens))
+        gens.insert(data.draw(st.integers(0, len(gens))),
+                    GroupElement(again.label + "'", again.matrix.copy()))
+    if data.draw(st.booleans()):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        gens = [GroupElement(g.label, q @ g.matrix @ q.T) for g in gens]
+    assert_same_group(gens)
+
+
+# ---------------------------------------------------------------------------
+# stabilizer
+
+STABILIZER_GROUPS = {
+    "toggle_switch": builtin_group("toggle_switch"),
+    "hamiltonian": builtin_group("hamiltonian"),
+    "lorenz": builtin_group("lorenz"),
+    "D6": generate_group(dihedral(6)),
+    "octahedral": generate_group(octahedral()),
+}
+
+
+def tied_copies(rng, states, scale):
+    """Copies of samples moved orthogonally to the sort direction, so their
+    sort keys tie with the originals' up to rounding."""
+    u = _sort_direction(states.shape[1])
+    step = rng.standard_normal(states.shape) * scale
+    return states + step - np.outer(step @ u, u)
+
+
+@PROPERTY
+@given(
+    name=st.sampled_from(sorted(STABILIZER_GROUPS)),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    exponent=st.floats(-3.0, 3.0),
+    images=st.integers(0, 4),
+    duplicates=st.integers(0, 3),
+    ties=st.integers(0, 4),
+    nudge=st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0]),
+)
+def test_stabilizer_matches_all_pairs(name, seed, n, exponent, images, duplicates,
+                                      ties, nudge):
+    group = STABILIZER_GROUPS[name]
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exponent
+    states = rng.uniform(-scale, scale, size=(n, group.dim))
+    states = np.vstack([states, states[rng.integers(0, n, duplicates)]])
+    states = np.vstack([states, tied_copies(rng, states[:ties], scale)])
+    # close the cloud under some elements so that they may stabilize it
+    for k in rng.choice(group.order, size=min(images, group.order), replace=False):
+        states = np.vstack([states, states @ group.elements[k].matrix.T])
+    if nudge:
+        # move one sample by about nudge * tol (1 + |x|): close to the boundary
+        # of the match test for whichever element maps a sample onto it
+        i = rng.integers(0, len(states))
+        direction = rng.standard_normal(group.dim)
+        direction /= np.linalg.norm(direction)
+        states[i] += nudge * 1e-8 * (1.0 + np.linalg.norm(states[i])) * direction
+    assert data_stabilizer_labels(group, states) == all_pairs_stabilizer(group, states)
+
+
+def test_stabilizer_matches_all_pairs_when_windows_span_chunks():
+    """Half of the cloud ties on the sort key, so each window on that half
+    holds the whole half and the candidate pairs fill several chunks."""
+    group = builtin_group("toggle_switch")
+    rng = np.random.default_rng(5)
+    line = tied_copies(rng, np.tile([[2.0, 1.0]], (200, 1)), 1.0)
+    cloud = np.vstack([line, line[:, ::-1]])
+    assert len(line) ** 2 > 2 * _BLOCK  # the line's windows fill several chunks
+    assert data_stabilizer_labels(group, cloud) == ("e", "swap")
+    assert data_stabilizer_labels(group, cloud[1:]) == ("e",)
+    assert all_pairs_stabilizer(group, cloud[1:]) == ("e",)
+
+
+@pytest.mark.parametrize("nudge, expected", [(0.999, ("e", "swap")), (1.001, ("e",))])
+def test_stabilizer_window_keeps_a_match_displaced_along_the_sort_key(nudge, expected):
+    group = builtin_group("toggle_switch")
+    x = np.array([2.0, 1.0])
+    image = x[::-1]
+    # the whole displacement shows in the sort key, so only a window at least
+    # as wide as the match tolerance finds the partner
+    partner = image + nudge * 1e-8 * (1.0 + np.linalg.norm(image)) * _sort_direction(2)
+    cloud = np.array([x, partner])
+    assert all_pairs_stabilizer(group, cloud) == expected
+    assert data_stabilizer_labels(group, cloud) == expected
