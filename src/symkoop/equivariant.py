@@ -23,9 +23,8 @@ import numpy as np
 from .dictionaries import TransformedDictionary
 from .dynamics import step
 from .errors import InputError, IsotropyRequiredError, SymkoopError
-from .koopman import KoopmanApprox, eigenvalue_hausdorff
-
-_BLOCK = 1 << 14  # candidate pairs compared per step in data_stabilizer_labels
+from .groups import _window_matches
+from .koopman import KoopmanApprox, eigenvalue_hausdorff, predict
 
 
 @dataclass(frozen=True)
@@ -165,6 +164,10 @@ def assemble_global(registry, base, reps, fitted_overrides=None):
     registry element; those blocks are produced by conjugation transport.
     ``fitted_overrides`` may supply data-fitted operators for labels whose
     blocks should not be transported (partially symmetric partitions).
+
+    Raises InputError when a transported label's representation is not of
+    its registry element, or two transported labels share one element
+    (``check_registry`` also needs the group to catch the identity).
     """
     if base.set_label != registry.base_label:
         raise InputError(
@@ -173,6 +176,7 @@ def assemble_global(registry, base, reps, fitted_overrides=None):
         )
     fitted_overrides = fitted_overrides or {}
     blocks = []
+    transported = {}  # element label -> the first label mapped through it
     for label in registry.labels:
         if label == registry.base_label:
             blocks.append((label, base))
@@ -181,6 +185,18 @@ def assemble_global(registry, base, reps, fitted_overrides=None):
         else:
             if label not in reps:
                 raise InputError(f"no feature representation supplied for {label!r}")
+            element = registry.mapping[label]
+            if reps[label].label != element:
+                raise InputError(
+                    f"representation for {label!r} is of {reps[label].label!r}, "
+                    f"not of its registry element {element!r}"
+                )
+            if element in transported:
+                raise InputError(
+                    f"registry maps {transported[element]!r} and {label!r} "
+                    f"through the same element {element!r}"
+                )
+            transported[element] = label
             blocks.append((label, transport_case1(base, reps[label], label)))
     return GlobalKoopman(blocks=tuple(blocks))
 
@@ -189,23 +205,16 @@ def global_predict(gk, label, x0, steps, full=False):
     """Evolve a state's features under the global operator.
 
     The start vector is Psi_label(x0) embedded in the stacked feature space
-    with zeros elsewhere, and the global matrix is applied blockwise (never
-    as a dense multiply), so off-block components stay exactly zero and the
-    labeled slice reproduces block-local prediction bit for bit. With
-    ``full=True`` the whole stacked vectors are returned instead of the
-    labeled slice.
+    with zeros elsewhere. The global operator is block-diagonal, so the
+    labeled slice is ``koopman.predict`` on that block, bit for bit, and
+    the rest stays exactly zero; ``full=True`` returns the stacked vectors.
     """
-    if steps < 0:
-        raise InputError("steps must be nonnegative")
-    op = gk.block(label)
-    vectors = [np.zeros(o.size) for _, o in gk.blocks]
-    vectors[gk.labels.index(label)] = op.dictionary.evaluate(x0)
-    out = np.empty((steps + 1, gk.total_size))
-    out[0] = np.concatenate(vectors)
-    for k in range(steps):
-        vectors = [o.matrix @ v for (_, o), v in zip(gk.blocks, vectors)]
-        out[k + 1] = np.concatenate(vectors)
-    return out if full else out[:, gk.block_slice(label)]
+    local = predict(gk.block(label), x0, steps)
+    if not full:
+        return local
+    out = np.zeros((len(local), gk.total_size))
+    out[:, gk.block_slice(label)] = local
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,30 +280,15 @@ def commutator_norm(op, rep):
     return float(np.linalg.norm(K @ R - R @ K) / np.linalg.norm(K))
 
 
-def _sort_direction(dim):
-    """The fixed unit vector whose projection sorts a cloud in
-    data_stabilizer_labels: a seeded Gaussian draw, so that coordinate-
-    aligned or symmetric clouds (lattices, mirror pairs) rarely tie on it."""
-    u = np.random.default_rng(0).standard_normal(dim)
-    return u / np.linalg.norm(u)
-
-
 def data_stabilizer_labels(group, states, tol=1e-8):
     """Labels of the elements mapping a sample cloud into itself: g
     qualifies when every transformed sample gx lands within
     tol * (1 + |gx|) of some sample. This is the setwise-stabilizer
     evidence ``verify_commutation`` asks for.
 
-    The cloud is sorted once by its projection on a fixed unit direction
-    u. Since |u.gx - u.y| <= |gx - y|, every sample within the tolerance
-    of gx has its key inside a window of twice the tolerance (plus rounding
-    slack) around u.gx, found by binary search; the exact distance test
-    runs on those candidate pairs only, and an empty window rejects g at
-    once. Cost per element: O(N log N) plus the candidate pairs, which is
-    near-linear for a cloud spread along u and falls back to O(N^2) pairs
-    only when most samples share one key. Candidate pairs are expanded
-    _BLOCK at a time, so memory stays O((N + _BLOCK) * dim) however wide
-    the windows are.
+    Each element's images are matched by ``groups._window_matches`` with
+    radius tol * (1 + |gx|): near-linear in N unless most samples tie on
+    its sort key, in O((N + _BLOCK) * dim) memory.
 
     Raises InputError for an empty cloud (it would vacuously pass every
     element), a non-finite sample, or a dimension other than ``group.dim``.
@@ -309,43 +303,11 @@ def data_stabilizer_labels(group, states, tol=1e-8):
     if not np.all(np.isfinite(states)):
         raise InputError("sample cloud holds NaN or Inf")
 
-    u = _sort_direction(group.dim)
-    keys = states @ u
-    order = np.argsort(keys, kind="stable")
-    cloud, keys = states[order], keys[order]
-    slack = 4 * group.dim * np.finfo(float).eps  # relative rounding of a key
-
     def lands_in_cloud(mapped):
-        scale = 1.0 + np.linalg.norm(mapped, axis=1)
-
-        def close(row, cand):
-            dist = np.linalg.norm(mapped[row] - cloud[cand], axis=1)
-            return dist <= tol * scale[row]
-
-        at, half = mapped @ u, 2 * (tol + slack) * scale
-        lo = np.searchsorted(keys, at - half, side="left")
-        counts = np.searchsorted(keys, at + half, side="right") - lo
-        if np.any(counts == 0):
-            return False
-        # the first candidate settles a lone or duplicated sample; the other
-        # rows try the rest of their windows, where pair p belongs to row
-        # rows[r] with ends[r - 1] <= p < ends[r]
-        rows = np.flatnonzero(~close(np.arange(len(mapped)), lo))
-        if not rows.size:
-            return True
-        lo, counts = lo[rows] + 1, counts[rows] - 1
-        if np.any(counts == 0):
-            return False
-        ends = np.cumsum(counts)
-        found = np.zeros(len(rows), dtype=bool)
-        for start in range(0, ends[-1], _BLOCK):
-            stop = min(start + _BLOCK, ends[-1])
-            pair = np.arange(start, stop)
-            r = np.searchsorted(ends, pair, side="right")
-            found[r[close(rows[r], lo[r] + pair - (ends[r] - counts[r]))]] = True
-            if not found[:np.searchsorted(ends, stop, side="right")].all():
-                return False  # a row whose window is used up without a match
-        return True
+        radius = tol * (1.0 + np.linalg.norm(mapped, axis=1))
+        hits = _window_matches(states, mapped, radius, lambda diff, rows:
+                               np.linalg.norm(diff, axis=1) <= radius[rows])
+        return np.all(hits >= 0)
 
     return tuple(g.label for g in group.elements
                  if lands_in_cloud(states @ g.matrix.T))

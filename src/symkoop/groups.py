@@ -6,6 +6,7 @@ product indices. Group elements act on states by matrix multiplication and
 on scalar observables by ``(g * f)(x) = f(g^-1 x)``.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -116,14 +117,63 @@ class EquivarianceReport:
         }
 
 
+_BLOCK = 1 << 14  # candidate pairs tested per step in _window_matches
+
+
+@functools.cache
+def _sort_direction(k):
+    """The unit vector that sorts points in _window_matches: a seeded Gaussian
+    draw, so symmetric point sets rarely tie on it. Cached, so read-only."""
+    u = np.random.default_rng(0).standard_normal(k)
+    u /= np.linalg.norm(u)
+    u.flags.writeable = False
+    return u
+
+
+def _window_matches(points, queries, radius, close):
+    """For each query row (m, k), the lowest index i of a point row (n, k)
+    that ``close(queries[rows] - points[i], rows)`` accepts, or -1; ``close``
+    may accept only pairs within ``radius`` (scalar or per query) in 2-norm.
+
+    As |u.q - u.p| <= |q - p| for the unit vector u, binary search on the
+    sorted keys u.p finds all points a query can accept; those pairs are
+    tested _BLOCK at a time. Cost: O((n + m) log n) plus the pairs (about m
+    if the points spread along u, n * m if all tie), in O((n + m + _BLOCK) k)
+    memory.
+    """
+    n, k = points.shape
+    u = _sort_direction(k)
+    keys = points @ u
+    order = np.argsort(keys)  # ties need no order: a window holds all of them
+    keys = keys[order]
+    # rounding of both keys (|p| <= |q| + radius) and of the caller's distance
+    slack = 4 * k * np.finfo(float).eps
+    at = queries @ u
+    half = radius + slack * (1.0 + radius + np.linalg.norm(queries, axis=1))
+    lo = np.searchsorted(keys, at - half, side="left")
+    counts = np.searchsorted(keys, at + half, side="right") - lo
+    # pair p belongs to query rows[p], with ends[r - 1] <= p < ends[r]
+    ends = np.cumsum(counts)
+    best = np.full(len(queries), n)
+    for start in range(0, ends[-1], _BLOCK):
+        pair = np.arange(start, min(start + _BLOCK, ends[-1]))
+        rows = np.searchsorted(ends, pair, side="right")
+        cand = order[lo[rows] + pair - (ends[rows] - counts[rows])]
+        ok = close(queries[rows] - points[cand], rows)
+        np.minimum.at(best, rows[ok], cand[ok])
+    return np.where(best < n, best, -1)
+
+
 def _first_matches(stack, ms):
-    """For each matrix of ms (k, dim, dim), the index of the first matrix of
-    the (n, dim, dim) stack within MATRIX_MATCH_TOL of it in max norm, or -1.
-    One numpy expression over k * n * dim^2 entries."""
-    if not len(stack):
-        return np.full(len(ms), -1)
-    close = np.max(np.abs(stack[None] - ms[:, None]), axis=(2, 3)) <= MATRIX_MATCH_TOL
-    return np.where(close.any(axis=1), close.argmax(axis=1), -1)
+    """For each matrix of ms (..., dim, dim), in C order, the index of the
+    first matrix of the (n, dim, dim) stack within MATRIX_MATCH_TOL of it in
+    max norm (so within dim * MATRIX_MATCH_TOL in 2-norm), or -1."""
+    dim = ms.shape[-1]
+    return _window_matches(
+        stack.reshape(-1, dim * dim), ms.reshape(-1, dim * dim),
+        dim * MATRIX_MATCH_TOL,
+        lambda diff, rows: np.max(np.abs(diff), axis=1) <= MATRIX_MATCH_TOL,
+    )
 
 
 def generate_group(generators, max_order=64, dim=None):
@@ -135,17 +185,9 @@ def generate_group(generators, max_order=64, dim=None):
     ``max_order`` elements, and InputError on dimension mismatches.
     """
     generators = list(generators)
-    if not generators:
-        if dim is None:
-            raise InputError("empty generator set requires an explicit dim")
-        identity = GroupElement("e", np.eye(dim))
-        return FiniteMatrixGroup(
-            elements=(identity,),
-            cayley=np.zeros((1, 1), dtype=int),
-            dim=dim,
-        )
-
-    dim = generators[0].dim
+    if not generators and dim is None:
+        raise InputError("empty generator set requires an explicit dim")
+    dim = generators[0].dim if generators else dim
     if any(g.dim != dim for g in generators):
         raise InputError("generators must share one dimension")
 
@@ -193,9 +235,8 @@ def generate_group(generators, max_order=64, dim=None):
                 new_frontier.append(len(elements) - 1)
         frontier = new_frontier
 
-    cayley = np.array([_first_matches(stack, g @ stack) for g in stack])
-    if np.any(cayley < 0):
-        raise SymkoopError("closure fixed point lost during table build")
+    products = stack[:, None] @ stack[None]  # [i, j] = g_i g_j
+    cayley = _first_matches(stack, products).reshape(len(stack), -1)
 
     group = FiniteMatrixGroup(
         elements=tuple(elements),
@@ -220,8 +261,8 @@ def check_axioms(group):
         np.all(cayley[0] == np.arange(n)) and np.all(cayley[:, 0] == np.arange(n))
     )
     inverses = bool(np.all(np.any(cayley == 0, axis=1)))
-    # [i, j, k] entries: cayley[cayley] is (g_i g_j) g_k, cayley[:, cayley] g_i (g_j g_k)
-    assoc = closure and bool(np.array_equal(cayley[cayley], cayley[:, cayley]))
+    # row i at a time, in O(n^2) memory: [j, k] is (g_i g_j) g_k vs g_i (g_j g_k)
+    assoc = closure and all(np.array_equal(cayley[row], row[cayley]) for row in cayley)
     ok = closure and identity and inverses and assoc
     return {
         "order": n,
@@ -301,6 +342,16 @@ def check_equivariance(system, group, dt, samples, tol=1e-12):
     return EquivarianceReport(entries=tuple(entries), tolerance=tol)
 
 
+def _isotropy_report(group, members, tol):
+    member_set = set(members)
+    is_subgroup = all(
+        group.multiply(i, j) in member_set for i in members for j in members
+    )
+    return IsotropyReport(
+        member_indices=tuple(members), is_subgroup=is_subgroup, tolerance=tol
+    )
+
+
 def isotropy_set(group, traj, tol=1e-8):
     """Elements fixing every sampled state of the trajectory, membership
     decided by the relative test |g x_t - x_t| <= tol (1 + |x_t|)."""
@@ -311,13 +362,7 @@ def isotropy_set(group, traj, tol=1e-8):
         residual = np.linalg.norm(states @ g.matrix.T - states, axis=1)
         if np.all(residual <= tol * norms):
             members.append(i)
-    member_set = set(members)
-    is_subgroup = all(
-        group.multiply(i, j) in member_set for i in members for j in members
-    )
-    return IsotropyReport(
-        member_indices=tuple(members), is_subgroup=is_subgroup, tolerance=tol
-    )
+    return _isotropy_report(group, members, tol)
 
 
 def conjugate_isotropy(group, report, g):
@@ -331,15 +376,7 @@ def conjugate_isotropy(group, report, g):
     members = sorted(
         group.multiply(group.multiply(gi, j), gi_inv) for j in report.member_indices
     )
-    member_set = set(members)
-    is_subgroup = all(
-        group.multiply(i, j) in member_set for i in members for j in members
-    )
-    return IsotropyReport(
-        member_indices=tuple(members),
-        is_subgroup=is_subgroup,
-        tolerance=report.tolerance,
-    )
+    return _isotropy_report(group, members, report.tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from symkoop import (
     verify_conjugation,
     verify_invariant_set_image,
 )
-from symkoop.equivariant import _BLOCK
+from symkoop.groups import _BLOCK
 from symkoop.koopman import KoopmanApprox
 from symkoop.scenarios import builtin_registry, membership_predicates
 
@@ -244,6 +244,22 @@ def test_assemble_validates_inputs():
 
     with pytest.raises(InputError):
         assemble_global(registry, relabel(base, "elsewhere"), reps)
+
+
+@pytest.mark.parametrize("case", ["other-element", "shared-element"])
+def test_assemble_checks_reps_against_registry(case):
+    registry, base, reps = toggle_global()
+    if case == "other-element":
+        identity = builtin_group("toggle_switch").identity
+        reps = {"left": induced_representation(IdentityDictionary(2), identity)}
+    else:
+        registry = InvariantSetRegistry(
+            labels=("right", "left", "left2"), base_label="right",
+            mapping={"left": "swap", "left2": "swap"},
+        )
+        reps = {"left": reps["left"], "left2": reps["left"]}
+    with pytest.raises(InputError, match="element"):
+        assemble_global(registry, base, reps)
 
 
 def test_assemble_accepts_fitted_override():

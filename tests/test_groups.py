@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from symkoop import (
+    FiniteMatrixGroup,
     GroupElement,
     InputError,
     NonFiniteGroupError,
@@ -244,6 +246,26 @@ def test_check_axioms_reports_out_of_range_entry():
     report = check_axioms(dataclasses.replace(group, cayley=cayley))
     assert report["closure"] is False
     assert report["ok"] is False
+
+
+def test_check_axioms_checks_associativity_in_quadratic_memory():
+    n = 150
+    angles = 2 * np.pi * np.arange(n) / n
+    elements = tuple(
+        GroupElement(f"r{i}", np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]))
+        for i, a in enumerate(angles)
+    )
+    i = np.arange(n)
+    group = FiniteMatrixGroup(elements=elements, cayley=(i[:, None] + i) % n, dim=2)
+    tracemalloc.start()
+    try:
+        report = check_axioms(group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["ok"]
+    # comparing whole tables builds two n^3 int64 arrays, 2 * n^3 * 8 bytes
+    assert peak < 2 * n**3 * 8 / 20
 
 
 def test_group_json_roundtrip(tmp_path):

@@ -1,7 +1,8 @@
-"""Element matching: the sort-window stabilizer must return exactly what the
-all-pairs comparison returns, and the batched group closure must discover
-exactly the elements, labels, matrices and Cayley table of the sequential
-one-product-at-a-time closure. Both references are kept here."""
+"""Element matching: the sort-window matcher must return exactly what the
+all-pairs comparisons return, for group elements and for the stabilizer,
+and the batched group closure must discover exactly the elements, labels,
+matrices and Cayley table of the sequential one-product-at-a-time closure.
+The references are kept here."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symkoop import GroupElement, builtin_group, data_stabilizer_labels, generate_group
-from symkoop.equivariant import _BLOCK, _sort_direction
-from symkoop.groups import MATRIX_MATCH_TOL
+from symkoop.groups import _BLOCK, MATRIX_MATCH_TOL, _first_matches, _sort_direction
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -28,6 +28,12 @@ def all_pairs_stabilizer(group, states, tol=1e-8):
         if np.all(dist.min(axis=1) <= tol * scale):
             labels.append(g.label)
     return tuple(labels)
+
+
+def broadcast_first_matches(stack, ms):
+    """Every query against every matrix, in max norm; the first hit or -1."""
+    close = np.max(np.abs(stack[None] - ms[:, None]), axis=(2, 3)) <= MATRIX_MATCH_TOL
+    return np.array([row.argmax() if row.any() else -1 for row in close])
 
 
 def sequential_closure(generators):
@@ -63,6 +69,47 @@ def sequential_closure(generators):
     cayley = np.array([[find(stack, stack[i] @ stack[j]) for j in range(len(stack))]
                        for i in range(len(stack))])
     return labels, stack, cayley
+
+
+# ---------------------------------------------------------------------------
+# element matching
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    n=st.integers(0, 12),
+    duplicates=st.integers(0, 3),
+    queries=st.integers(1, 12),
+    nudge=st.sampled_from([0.0, 0.999, 1.001, 2.0]),
+)
+def test_first_matches_equals_broadcast_reference(seed, dim, n, duplicates, queries,
+                                                  nudge):
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(-1.0, 1.0, size=(n, dim, dim))
+    if n:
+        stack = np.concatenate([stack, stack[rng.integers(0, n, duplicates)]])
+        # copies of stack matrices, each entry moved by nudge * tol or left alone
+        picks = stack[rng.integers(0, len(stack), queries)]
+        signs = rng.integers(-1, 2, size=picks.shape)
+        ms = picks + nudge * MATRIX_MATCH_TOL * signs
+    else:
+        ms = rng.uniform(-1.0, 1.0, size=(queries, dim, dim))
+    assert np.array_equal(_first_matches(stack, ms), broadcast_first_matches(stack, ms))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("nudge, hit", [(0.999, 0), (1.001, -1)])
+def test_first_matches_window_keeps_a_match_displaced_along_the_sort_key(dim, nudge,
+                                                                          hit):
+    q, _ = np.linalg.qr(np.random.default_rng(dim).standard_normal((dim, dim)))
+    # every entry moves by nudge * tol towards the sort direction, so the key
+    # moves by nudge * tol * |u|_1, more than the tolerance itself: only a
+    # window as wide as the 2-norm bound dim * tol keeps the partner
+    u = _sort_direction(dim * dim).reshape(dim, dim)
+    partner = q + nudge * MATRIX_MATCH_TOL * np.sign(u)
+    assert _first_matches(partner[None], q[None])[0] == hit
+    assert broadcast_first_matches(partner[None], q[None])[0] == hit
 
 
 # ---------------------------------------------------------------------------
