@@ -47,6 +47,7 @@ from .equivariant import (
     verify_commutation,
     verify_conjugation,
     verify_invariant_set_image,
+    verify_invariant_set_images,
 )
 from .errors import (
     ConfigurationError,

@@ -21,8 +21,13 @@ from typing import Optional
 import numpy as np
 
 from .dictionaries import TransformedDictionary
-from .dynamics import step
-from .errors import InputError, IsotropyRequiredError, SymkoopError
+from .dynamics import _advance, _check_dt, _check_state
+from .errors import (
+    InputError,
+    IsotropyRequiredError,
+    NumericalDivergenceError,
+    SymkoopError,
+)
 from .groups import _window_matches
 from .koopman import KoopmanApprox, eigenvalue_hausdorff, predict
 
@@ -400,35 +405,67 @@ class InvariantImageReport:
 
 
 def verify_invariant_set_image(system, g, samples, dt, horizon, membership):
-    """Push samples of M_i (rows) through g and integrate; report the
-    fraction whose entire forward orbit satisfies the M_j membership
+    """``verify_invariant_set_images`` for the single image (g, membership)."""
+    return verify_invariant_set_images(system, [(g, membership)], samples, dt, horizon)[0]
+
+
+def verify_invariant_set_images(system, images, samples, dt, horizon):
+    """Push samples of M_i (rows) through each element g of ``images``, a
+    sequence of (g, membership) pairs, and integrate; report per image the
+    fraction whose entire forward orbit satisfies that image's membership
     predicate.
 
-    The samples are stepped as one block, and a sample is dropped from it
-    as soon as it leaves the set, so it is never stepped again (an orbit
-    that leaves and would later diverge raises nothing). ``membership``
-    takes states as columns, a (dim, N) block, and returns a boolean mask
-    of shape (N,).
+    All images are stepped as one block of columns, image by image in
+    sample order, and a column is dropped as soon as it leaves its set, so
+    it is never stepped again (an orbit that leaves and would later diverge
+    raises nothing). The drops keep the order, so each image's columns stay
+    one contiguous slice. ``membership`` takes states as columns, a
+    (dim, N) block, and returns a boolean mask of shape (N,). A divergence
+    names the step, the sample and the image's element.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    samples = np.atleast_2d(_check_state(system, samples))
+    _check_dt(system, dt)
     n = len(samples)
-    active = np.arange(n)
-    y = samples @ g.matrix.T
-    for k in range(horizon + 1):
-        keep = np.asarray(membership(y.T), dtype=bool)
-        if keep.shape != active.shape:
-            raise InputError("membership must return one boolean per state (column)")
-        active, y = active[keep], y[keep]
-        if k == horizon or not active.size:
-            break
-        y = step(system, y, dt)
-    failed = np.setdiff1d(np.arange(n), active).tolist()
-    return InvariantImageReport(
-        fraction=(n - len(failed)) / n,
-        n_samples=n,
-        horizon=horizon,
-        failed_indices=tuple(failed),
-    )
+    edges = n * np.arange(len(images) + 1)
+    y = np.concatenate([g.matrix @ samples.T for g, _ in images], axis=1)
+    active = np.arange(edges[-1])  # column c holds sample c % n of image c // n
+    bounds = edges
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(horizon + 1):
+            keep = np.empty(active.size, dtype=bool)
+            for (_, membership), a, b in zip(images, bounds, bounds[1:]):
+                if a == b:
+                    continue
+                inside = np.asarray(membership(y[:, a:b]), dtype=bool)
+                if inside.shape != (b - a,):
+                    raise InputError(
+                        "membership must return one boolean per state (column)")
+                keep[a:b] = inside
+            if not keep.all():
+                active, y = active[keep], y[:, keep]
+                bounds = np.searchsorted(active, edges)
+            if k == horizon or not active.size:
+                break
+            y = _advance(system, y, dt)
+            if not np.isfinite(y).all():
+                column = int(np.argmin(np.isfinite(y).all(axis=0)))
+                image, start = divmod(int(active[column]), n)
+                raise NumericalDivergenceError(
+                    f"non-finite state from {system.name!r} at step {k + 1} of "
+                    f"{horizon} from start {start} under element "
+                    f"{images[image][0].label!r}",
+                    step_index=k + 1, start_index=start,
+                )
+    reports = []
+    for a, b in zip(edges, edges[1:]):
+        failed = np.setdiff1d(np.arange(a, b), active) - a
+        reports.append(InvariantImageReport(
+            fraction=(n - len(failed)) / n,
+            n_samples=n,
+            horizon=horizon,
+            failed_indices=tuple(failed.tolist()),
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

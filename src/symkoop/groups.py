@@ -280,8 +280,8 @@ def builtin_group(system_name):
 
     if system_name not in BUILTIN_SYMMETRY_GENERATORS:
         raise InputError(f"no built-in symmetry group for {system_name!r}")
-    gens = [
-        GroupElement(label, matrix)
+    gens = [  # copies: a caller may make this group's matrices read-only
+        GroupElement(label, np.array(matrix))
         for label, matrix in BUILTIN_SYMMETRY_GENERATORS[system_name]
     ]
     return generate_group(gens)

@@ -7,8 +7,15 @@ seeded data: group axioms, one-step equivariance, exact-tier conjugation
 similarity invariance of spectra, commutation on symmetric data, and
 invariance of transformed sets. The CLI ``verify`` command runs these; the
 acceptance test suite asserts them with pinned tolerances.
+
+Within one ``run_verification`` call each built-in group and each
+exact-tier trajectory is built once, made read-only and shared by the
+checks; the memo is dropped when the call returns or raises, so nothing
+carries over to the next run. A check called on its own builds its inputs
+fresh.
 """
 
+import contextvars
 import functools
 from dataclasses import dataclass
 
@@ -114,9 +121,36 @@ def builtin_registry(name):
     raise ConfigurationError(f"no registry for {name!r}")
 
 
+# (kind, system) -> shared input, a dict only while run_verification runs;
+# a context variable, so runs in other threads or tasks keep their own
+_run_memo = contextvars.ContextVar("symkoop_run_memo", default=None)
+
+
+def _shared(kind, name, build, arrays):
+    """build(name), or within a run the one copy shared by its checks, whose
+    arrays(value) are made read-only."""
+    memo = _run_memo.get()
+    if memo is None:
+        return build(name)
+    if (kind, name) not in memo:
+        value = build(name)
+        for array in arrays(value):
+            array.flags.writeable = False
+        memo[(kind, name)] = value
+    return memo[(kind, name)]
+
+
+def _group(name):
+    return _shared("group", name, groups.builtin_group,
+                   lambda group: [g.matrix for g in group.elements] + [group.cayley])
+
+
 def exact_tier_trajectory(name):
-    x0, dt, n = _EXACT_TIER_RUNS[name]
-    return dynamics.simulate(dynamics.make_system(name), x0, dt, n)
+    def build(name):
+        x0, dt, n = _EXACT_TIER_RUNS[name]
+        return dynamics.simulate(dynamics.make_system(name), x0, dt, n)
+
+    return _shared("exact_tier", name, build, lambda traj: [traj.states])
 
 
 def base_dictionaries(name):
@@ -147,7 +181,7 @@ class CheckResult:
 
 
 def check_group_axioms(name):
-    group = groups.builtin_group(name)
+    group = _group(name)
     report = groups.check_axioms(group)
     return CheckResult(
         name=f"group_axioms:{name}",
@@ -159,7 +193,7 @@ def check_group_axioms(name):
 
 def check_equivariance(name, n_samples=1000, tol=EQUIVARIANCE_TOL, seed=0):
     system = dynamics.make_system(name)
-    group = groups.builtin_group(name)
+    group = _group(name)
     samples = sample_box(name, n_samples, np.random.default_rng(seed))
     report = groups.check_equivariance(
         system, group, dynamics.DEFAULT_DT[name], samples, tol=tol
@@ -176,7 +210,7 @@ def check_equivariance(name, n_samples=1000, tol=EQUIVARIANCE_TOL, seed=0):
 def check_conjugation_exact(name, tol=EXACT_TIER_TOL):
     """Fit on a trajectory, refit on its exactly transformed snapshots, and
     compare against conjugation by the induced representation."""
-    group = groups.builtin_group(name)
+    group = _group(name)
     pairs = dynamics.snapshots(exact_tier_trajectory(name))
     worst = 0.0
     for dict_name, dictionary in base_dictionaries(name).items():
@@ -238,7 +272,7 @@ def check_conjugation_statistical(name, base_seed=2024, indep_seed=999):
     """Transported operator vs an operator fitted on independent data from
     the mirrored set, judged against 3x the frozen seed-to-seed spread."""
     _, _, mirror_label = _STAT_TIER_RUNS[name]
-    group = groups.builtin_group(name)
+    group = _group(name)
     mirror = group.element(mirror_label)
     (base,) = stat_tier_fits(name, [np.random.default_rng(base_seed)])
     (indep,) = stat_tier_fits(name, [np.random.default_rng(indep_seed)], mirror=mirror)
@@ -257,7 +291,7 @@ def check_conjugation_statistical(name, base_seed=2024, indep_seed=999):
 
 
 def check_spectrum_invariance(name, tol=SPECTRUM_TOL):
-    group = groups.builtin_group(name)
+    group = _group(name)
     pairs = dynamics.snapshots(exact_tier_trajectory(name))
     worst = 0.0
     for dictionary in base_dictionaries(name).values():
@@ -283,7 +317,7 @@ def check_spectrum_invariance(name, tol=SPECTRUM_TOL):
 def check_commutation_symmetric(name="toggle_switch", tol=COMMUTATION_TOL):
     """Fit on a trajectory united with its mirror image; the swap element
     stabilizes that data set, so K must commute with its representation."""
-    group = groups.builtin_group(name)
+    group = _group(name)
     _, _, mirror_label = _STAT_TIER_RUNS[name]
     mirror = group.element(mirror_label)
     traj = exact_tier_trajectory(name)
@@ -307,7 +341,7 @@ def check_invariant_set_image(name, n_samples=20, horizon=None, seed=5):
     Seeded samples of the base set are transformed by each registry element
     and integrated; every forward orbit must stay in the image set."""
     system = dynamics.make_system(name)
-    group = groups.builtin_group(name)
+    group = _group(name)
     registry = builtin_registry(name)
     predicates = membership_predicates(name)
     if horizon is None:
@@ -315,13 +349,13 @@ def check_invariant_set_image(name, n_samples=20, horizon=None, seed=5):
     rng = np.random.default_rng(seed)
     samples = np.array([draw_base_state(name, rng) for _ in range(n_samples)])
     dt = _STAT_TIER_RUNS[name][0]
-    fractions = {}
-    for label, element_label in registry.mapping.items():
-        report = equivariant.verify_invariant_set_image(
-            system, group.element(element_label), samples, dt, horizon,
-            predicates[label],
-        )
-        fractions[label] = report.fraction
+    reports = equivariant.verify_invariant_set_images(
+        system,
+        [(group.element(element), predicates[label])
+         for label, element in registry.mapping.items()],
+        samples, dt, horizon,
+    )
+    fractions = {label: r.fraction for label, r in zip(registry.mapping, reports)}
     passed = all(f == 1.0 for f in fractions.values())
     return CheckResult(
         name=f"invariant_set_image:{name}",
@@ -364,8 +398,13 @@ def check_names():
 
 
 def run_verification(names=None):
-    """Run the selected checks (all by default) and collect the results."""
+    """Run the selected checks (all by default) and collect the results;
+    the checks share one memo of groups and exact-tier trajectories."""
     selected = ALL_CHECKS if names is None else [
         (n, fn) for n, fn in ALL_CHECKS if n in set(names)
     ]
-    return [fn() for _, fn in selected]
+    token = _run_memo.set({})
+    try:
+        return [fn() for _, fn in selected]
+    finally:
+        _run_memo.reset(token)

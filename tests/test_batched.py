@@ -1,6 +1,7 @@
 """Block integration: stepping and simulating (N, dim) blocks of states must
 give bit for bit what each state gives alone, and the invariant-set image
-check must decide every sample as a one-sample-at-a-time loop would."""
+check, for one image or several stacked in one block, must decide every
+sample as a one-sample-at-a-time loop would."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from symkoop import (
+    InputError,
     NumericalDivergenceError,
     builtin_group,
     make_system,
@@ -16,6 +18,7 @@ from symkoop import (
     step,
     vector_field,
     verify_invariant_set_image,
+    verify_invariant_set_images,
 )
 from symkoop.dynamics import DEFAULT_DT
 from symkoop.scenarios import sample_box
@@ -167,3 +170,71 @@ def test_membership_must_return_one_flag_per_state():
     with pytest.raises(ValueError):
         verify_invariant_set_image(
             system, g, np.array([[3.0, 1.0], [2.5, 0.5]]), 0.05, 5, lambda x: True)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       horizon=st.integers(0, 60),
+       images=st.lists(st.tuples(st.integers(0, 3), st.floats(1.0, 20.0)),
+                       min_size=2, max_size=4))
+def test_stacked_images_match_per_sample_reference(name, seed, n, horizon, images):
+    # discs of different radii make the images drop columns at different
+    # steps, so the slices of the stacked block shrink unevenly
+    system, dt = make_system(name), DEFAULT_DT[name]
+    group = builtin_group(name)
+    images = [(group.elements[e % group.order], disc(r)) for e, r in images]
+    samples = sample_box(name, n, np.random.default_rng(seed))
+    reports = verify_invariant_set_images(system, images, samples, dt, horizon)
+    assert len(reports) == len(images)
+    for (g, membership), report in zip(images, reports):
+        expected = per_sample_failed(system, g, samples, dt, horizon, membership)
+        assert report.failed_indices == expected
+        assert report.fraction == (n - len(expected)) / n
+
+
+def drops_first_sample_once():
+    """A membership that rejects sample 0 at the first call only."""
+    calls = []
+
+    def membership(x):
+        inside = np.ones(x.shape[1], dtype=bool)
+        inside[0] = bool(calls)
+        calls.append(x.shape[1])
+        return inside
+
+    return membership
+
+
+def test_image_divergence_names_sample_step_and_element():
+    # sample 0 leaves at step 0; sample 2 diverges at step 2 (sample 1 only
+    # at step 4), while the block then holds it at position 1
+    system = make_system("lorenz")
+    samples = np.array([[1.0, 1.0, 1.05], [1.0, 1.0, 1.05], [2e6, 2e6, 2e6]])
+    g = builtin_group("lorenz").identity
+    with pytest.raises(NumericalDivergenceError, match="'e'") as info:
+        verify_invariant_set_image(system, g, samples, 1.0, 50, drops_first_sample_once())
+    assert (info.value.start_index, info.value.step_index) == (2, 2)
+    assert "step 2 of 50 from start 2" in str(info.value)
+
+
+def test_stacked_divergence_names_the_image_it_happens_in():
+    # the first image keeps samples 0 and 1 only; sample 2 diverges in the
+    # second image, at the last column of the block
+    system = make_system("lorenz")
+    group = builtin_group("lorenz")
+    samples = np.array([[1.0, 1.0, 1.05], [-1.0, 1.0, 1.05], [2e6, 2e6, 2e6]])
+    images = [(group.identity, lambda x: np.abs(x[0]) < 100.0),
+              (group.element("rot_pi_z"), lambda x: np.ones(x.shape[1], dtype=bool))]
+    with pytest.raises(NumericalDivergenceError, match="'rot_pi_z'") as info:
+        verify_invariant_set_images(system, images, samples, 1.0, 50)
+    assert (info.value.start_index, info.value.step_index) == (2, 2)
+
+
+def test_stacked_membership_shape_is_checked_per_image():
+    system = make_system("toggle_switch")
+    group = builtin_group("toggle_switch")
+    images = [(group.identity, lambda x: x[0] > x[1]), (group.element("swap"), lambda x: True)]
+    with pytest.raises(InputError, match="one boolean per state"):
+        verify_invariant_set_images(
+            system, images, np.array([[3.0, 1.0], [2.5, 0.5]]), 0.05, 5)
