@@ -159,7 +159,15 @@ def make_system(name, params=None):
             raise ConfigurationError(
                 f"unknown parameter {key!r} for system {name!r}"
             )
-        merged[key] = float(value)
+        try:
+            merged[key] = float(value)
+        except (TypeError, ValueError):
+            merged[key] = np.nan
+        if not np.isfinite(merged[key]):
+            raise ConfigurationError(
+                f"parameter {key!r} for system {name!r} must be a finite "
+                f"number, got {value!r}"
+            )
     return SystemDef(name=name, dim=dim, params=merged, field=field)
 
 
@@ -180,10 +188,14 @@ def _check_state(system, x):
             f"state has shape {x.shape}, system {system.name!r} expects "
             f"({system.dim},) or (N, {system.dim})"
         )
+    if not np.isfinite(x).all():
+        raise InputError(f"state of {system.name!r} contains NaN or Inf")
     return x
 
 
 def _check_dt(system, dt):
+    if not np.isfinite(dt):
+        raise InputError(f"dt must be finite, got {dt}")
     if system.kind == CONTINUOUS and dt <= 0:
         raise InputError(f"dt must be positive, got {dt}")
 

@@ -134,6 +134,35 @@ def test_fit_rejects_bad_data_with_one_line_error(tmp_path, capsys, rows, where)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rank_tol", ["nan", "inf", "2", "0", "-1"])
+def test_fit_rejects_unusable_rank_tol(tmp_path, capsys, rank_tol):
+    # nan, inf and 2 used to keep rank 0 and write an all-zero operator
+    csv = tmp_path / "traj.csv"
+    csv.write_text("t,x1,x2\n0.0,1.0,2.0\n0.1,0.9,2.1\n0.2,0.7,2.3\n")
+    out = tmp_path / "op.json"
+    assert run(["fit", "--traj", str(csv), "--rank-tol", rank_tol,
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "rank_tol" in one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dt", "nan"],
+    ["--dt", "inf"],
+    ["--x0", "nan,0.5"],
+    ["--params", '{"alpha1": NaN}'],
+    ["--params", '{"alpha1": "x"}'],
+], ids=["dt-nan", "dt-inf", "x0-nan", "param-nan", "param-text"])
+def test_simulate_rejects_non_finite_input(tmp_path, capsys, flags):
+    # bad input, not a numerical divergence (exit 3)
+    x0 = [] if "--x0" in flags else ["--x0", "1,1"]
+    code = run(["simulate", "--system", "toggle_switch", "--steps", "5",
+                *x0, *flags, "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    one_line_error(capsys)
+    assert not list(tmp_path.iterdir())
+
+
 def make_group_file(tmp_path, name="toggle_switch"):
     from symkoop import builtin_group, save_group
 

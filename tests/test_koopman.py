@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symkoop import (
     DegenerateDataError,
@@ -22,7 +26,23 @@ from symkoop import (
     snapshots,
     spectrum,
 )
-from symkoop.koopman import KoopmanApprox, operator_from_dict, operator_to_dict, spectrum_to_list
+from symkoop.koopman import (
+    _FIT_CHUNK,
+    DEFAULT_RANK_TOL,
+    KoopmanApprox,
+    operator_from_dict,
+    operator_to_dict,
+    spectrum_to_list,
+)
+
+
+def svd_pinv_fit(Yp, Yf, rank_tol=DEFAULT_RANK_TOL):
+    """Reference fit: K = Yf pinv(Yp) through a truncated SVD of the whole
+    of Yp, with the M x K pseudo-inverse built in full. Returns K and the
+    retained rank."""
+    U, s, Vt = np.linalg.svd(Yp, full_matrices=False)
+    rank = int(np.sum(s >= rank_tol * s[0]))
+    return Yf @ ((Vt[:rank].T / s[:rank]) @ U[:, :rank].T), rank
 
 
 def op_from_matrix(K):
@@ -84,6 +104,78 @@ def test_least_squares_optimality_under_perturbation():
         delta = rng.normal(size=(3, 3))
         delta *= 1e-3 / np.linalg.norm(delta)
         assert np.linalg.norm((op.matrix + delta) @ Yp - Yf) >= base - 1e-12
+
+
+@st.composite
+def lifted_data(draw):
+    """(Yp, Yf) with K <= 12 features, M snapshots around the chunk edges,
+    condition number <= 1e3 on the distinct rows, scale 1e-3 to 1e3, and
+    rows repeated to make Yp rank-deficient."""
+    k = draw(st.integers(1, 12))
+    m = draw(st.sampled_from([1, max(k - 1, 1), _FIT_CHUNK - 1, _FIT_CHUNK,
+                              _FIT_CHUNK + 1, 3 * _FIT_CHUNK + 5, None]))
+    if m is None:
+        m = draw(st.integers(1, 4 * _FIT_CHUNK))
+    distinct = draw(st.integers(1, k))
+    cond = 10.0 ** draw(st.floats(0.0, 3.0))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    noise = draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = min(distinct, m)
+    U = np.linalg.qr(rng.normal(size=(distinct, r)))[0]
+    V = np.linalg.qr(rng.normal(size=(m, r)))[0]
+    base = (U * np.logspace(0.0, -np.log10(cond), r)) @ V.T
+    rows = np.concatenate([np.arange(distinct), rng.integers(0, distinct, k - distinct)])
+    Yp = scale * base[rng.permutation(rows)]
+    Yf = rng.normal(size=(k, k)) @ Yp + noise * scale * rng.normal(size=(k, m))
+    return Yp, Yf
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_data())
+def test_fit_matches_svd_pseudo_inverse_reference(data):
+    Yp, Yf = data
+    op = fit_edmd(Yp, Yf, dictionary=IdentityDictionary(Yp.shape[0]))
+    K_ref, rank = svd_pinv_fit(Yp, Yf)
+    assert op.rank_used == rank
+    assert np.linalg.norm(op.matrix - K_ref) <= 1e-10 * np.linalg.norm(K_ref)
+    direct = np.linalg.norm(op.matrix @ Yp - Yf) / np.linalg.norm(Yf)
+    if direct > 1e-12:
+        assert op.fit_residual == pytest.approx(direct, rel=1e-12)
+
+
+def fit_peak_bytes(m, k=20):
+    """Peak traced allocation of one fit on k x m data, and Yp.nbytes."""
+    rng = np.random.default_rng(7)
+    Yp = rng.normal(size=(k, m))
+    Yf = rng.normal(size=(k, m))
+    tracemalloc.start()
+    try:
+        fit_edmd(Yp, Yf, dictionary=IdentityDictionary(k))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, Yp.nbytes
+
+
+def test_fit_memory_does_not_grow_with_snapshots():
+    peak, nbytes = fit_peak_bytes(100_000)
+    # a full-size V^T, pseudo-inverse or K @ Yp would each take Yp.nbytes
+    assert peak < nbytes / 4
+    # and no M-sized scratch at all (a K x M finiteness mask is nbytes / 8)
+    assert peak < 1.5 * fit_peak_bytes(25_000)[0]
+
+
+@pytest.mark.parametrize("rank_tol", [np.nan, np.inf, 2.0, 0.0, -1.0])
+def test_fit_rejects_unusable_rank_tol(rank_tol):
+    with pytest.raises(InputError, match="rank_tol"):
+        fit_edmd(np.eye(2), np.eye(2), rank_tol, dictionary=IdentityDictionary(2))
+
+
+def test_fit_rank_tol_one_keeps_the_top_singular_value():
+    op = fit_edmd(np.diag([2.0, 1.0]), np.eye(2), 1.0, dictionary=IdentityDictionary(2))
+    assert op.rank_used == 1
+    np.testing.assert_allclose(op.matrix, [[0.5, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
 def test_pseudo_inverse_consistency():
