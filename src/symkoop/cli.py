@@ -162,10 +162,7 @@ def _emit_phase_portrait(system, dt, path):
             "traj_id,t," + ",".join(f"x{i + 1}" for i in range(system.dim)) + "\n"
         )
         for tid, traj in enumerate(trajs):
-            for k in range(traj.n_states):
-                row = [str(tid), repr(k * dt)]
-                row += [repr(float(v)) for v in traj.states[k]]
-                fh.write(",".join(row) + "\n")
+            fh.write(dynamics.trajectory_csv_rows(traj, prefix=f"{tid},"))
     print(f"wrote phase portrait data to {path}")
 
 

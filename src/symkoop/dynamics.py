@@ -15,7 +15,7 @@ Runge-Kutta scheme so that snapshot spacing is exactly uniform.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class SystemDef:
     name: str
     dim: int
     params: dict
-    field: Callable[[np.ndarray, dict], np.ndarray]
+    field: Callable[[Sequence, dict], Sequence]
     kind: str = CONTINUOUS
 
 
@@ -73,12 +73,10 @@ class SnapshotPairs:
 
 def lorenz_field(x, params):
     sigma, rho, beta = params["sigma"], params["rho"], params["beta"]
-    return np.array(
-        [
-            sigma * (x[1] - x[0]),
-            x[0] * (rho - x[2]) - x[1],
-            x[0] * x[1] - beta * x[2],
-        ]
+    return (
+        sigma * (x[1] - x[0]),
+        x[0] * (rho - x[2]) - x[1],
+        x[0] * x[1] - beta * x[2],
     )
 
 
@@ -86,17 +84,15 @@ def toggle_switch_field(x, params):
     a1, a2 = params["alpha1"], params["alpha2"]
     k1, k2 = params["kappa1"], params["kappa2"]
     beta, theta = params["beta"], params["theta"]
-    return np.array(
-        [
-            a1 / (1.0 + x[1] ** beta) - k1 * x[0],
-            a2 / (1.0 + x[0] ** theta) - k2 * x[1],
-        ]
+    return (
+        a1 / (1.0 + x[1] ** beta) - k1 * x[0],
+        a2 / (1.0 + x[0] ** theta) - k2 * x[1],
     )
 
 
 def hamiltonian_field(x, params):
     q, p = x[0], x[1]
-    return np.array([p * p * p - 9.0 * p, q * q * q - 9.0 * q])
+    return (p * p * p - 9.0 * p, q * q * q - 9.0 * q)
 
 
 def hamiltonian_energy(q, p):
@@ -175,11 +171,19 @@ def make_system(name, params=None):
 # evaluation and integration
 #
 # Every function taking a state also takes a block of states, one per row
-# (N, dim), as in Trajectory.states. Fields and maps are called on the state
-# (dim,) or on the block's transpose (dim, N), so the row index x[i] of a
-# field is a coordinate either way; a field must return the shape it was
-# given. A single state stays on the (dim,) path, where the built-in fields
-# work on scalars and cost about a quarter of a (dim, 1) column.
+# (N, dim), as in Trajectory.states. A field or map is called with the
+# coordinates x[i] of what it steps and returns its dim coordinates, as a
+# tuple or an array. One state, of shape (dim,) or a block of one row, is
+# stepped on a tuple of np.float64 scalars, so no array is built per RK4
+# stage; a block of N > 1 states is stepped as columns (dim, N), whose x[i]
+# are (N,) rows. Both paths do the same operations in the same order, so a
+# row of a block gets bit for bit what stepping it alone gives. The scalars
+# must stay np.float64, not Python floats: under np.errstate, numpy gives
+# NaN or Inf where Python raises or, for a negative base to a fractional
+# power, returns a complex number.
+
+STATE_CHUNK = 256  # one-state simulate stores and checks its rows this many at a time
+
 
 def _check_state(system, x):
     x = np.asarray(x, dtype=float)
@@ -200,23 +204,46 @@ def _check_dt(system, dt):
         raise InputError(f"dt must be positive, got {dt}")
 
 
-def _advance(system, y, dt):
-    """One sample interval on y, a state (dim,) or states as columns
-    (dim, N): the map once, or one classical RK4 step of the field."""
-    f, p = system.field, system.params
-    k1 = np.asarray(f(y, p), dtype=float)
-    if k1.shape != y.shape:
+def _field_output(system, k, shape):
+    """A field's or map's output k as a float array of ``shape``."""
+    k = np.asarray(k, dtype=float)
+    if k.shape != shape:
         what = "map" if system.kind == DISCRETE else "field"
         raise InputError(
-            f"{what} of {system.name!r} returned shape {k1.shape}, "
-            f"expected {y.shape}"
+            f"{what} of {system.name!r} returned shape {k.shape}, expected {shape}"
         )
+    return k
+
+
+def _advance(system, y, dt):
+    """One sample interval on states as columns y (dim, N): the map once,
+    or one classical RK4 step of the field."""
+    f, p = system.field, system.params
+    k1 = _field_output(system, f(y, p), y.shape)
     if system.kind == DISCRETE:
         return k1
-    k2 = f(y + (0.5 * dt) * k1, p)
-    k3 = f(y + (0.5 * dt) * k2, p)
-    k4 = f(y + dt * k3, p)
+    k2 = np.asarray(f(y + (0.5 * dt) * k1, p))
+    k3 = np.asarray(f(y + (0.5 * dt) * k2, p))
+    k4 = np.asarray(f(y + dt * k3, p))
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _advance_state(system, y, dt):
+    """``_advance`` on one state y, a tuple of np.float64 coordinates: the
+    same formula coordinate by coordinate, so bit for bit its result."""
+    f, p = system.field, system.params
+    k1 = f(y, p)
+    if system.kind == DISCRETE:
+        return tuple(_field_output(system, k1, (len(y),)))
+    if type(k1) is not tuple or len(k1) != len(y):
+        k1 = tuple(_field_output(system, k1, (len(y),)))
+    h = 0.5 * dt
+    k2 = f(tuple([a + h * b for a, b in zip(y, k1)]), p)
+    k3 = f(tuple([a + h * b for a, b in zip(y, k2)]), p)
+    k4 = f(tuple([a + dt * b for a, b in zip(y, k3)]), p)
+    s = dt / 6.0
+    return tuple([a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
 
 
 def _divergence(system, y, batch, step_index=None, total=None):
@@ -237,12 +264,7 @@ def vector_field(system, x):
     if system.kind != CONTINUOUS:
         raise InputError(f"system {system.name!r} is not continuous-time")
     x = _check_state(system, x)
-    out = np.asarray(system.field(x.T, system.params), dtype=float)
-    if out.shape != x.T.shape:
-        raise InputError(
-            f"field of {system.name!r} returned shape {out.shape}, expected {x.T.shape}"
-        )
-    return out.T
+    return _field_output(system, system.field(x.T, system.params), x.T.shape).T
 
 
 def step(system, x, dt):
@@ -258,10 +280,32 @@ def step(system, x, dt):
     x = _check_state(system, x)
     _check_dt(system, dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _advance(system, x.T, dt)
+        if x.size == system.dim:
+            out = np.array(_advance_state(system, tuple(x.ravel()), dt)).reshape(x.shape)
+        else:
+            out = _advance(system, x.T, dt).T
     if not np.isfinite(out).all():
-        raise _divergence(system, out, batch=x.ndim == 2)
-    return out.T
+        raise _divergence(system, out.T, batch=x.ndim == 2)
+    return out
+
+
+def _simulate_state(system, rows, dt, batch):
+    """Fill rows[1:] (total, dim) by stepping the state rows[0]. The rows
+    are stored and checked STATE_CHUNK at a time; a divergence names the
+    first non-finite step."""
+    total = len(rows) - 1
+    y = tuple(rows[0])
+    for start in range(1, total + 1, STATE_CHUNK):
+        stop = min(start + STATE_CHUNK, total + 1)
+        chunk = []
+        for _ in range(start, stop):
+            y = _advance_state(system, y, dt)
+            chunk.append(y)
+        rows[start:stop] = chunk
+        finite = np.isfinite(rows[start:stop]).all(axis=1)
+        if not finite.all():
+            k = start + int(np.argmin(finite))
+            raise _divergence(system, rows[k], batch, step_index=k, total=total)
 
 
 def simulate(system, x0, dt, n_steps, discard=0):
@@ -284,13 +328,16 @@ def simulate(system, x0, dt, n_steps, discard=0):
     total = n_steps + discard
     states = np.empty(x0.shape[:-1] + (total + 1, system.dim))
     states[..., 0, :] = x0
-    y = x0[0] if x0.shape == (1, system.dim) else x0.T
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(total):
-            y = _advance(system, y, dt)
-            if not np.isfinite(y).all():
-                raise _divergence(system, y, batch, step_index=k + 1, total=total)
-            states[..., k + 1, :] = y.T
+        if x0.size == system.dim:
+            _simulate_state(system, states.reshape(total + 1, system.dim), dt, batch)
+        else:
+            y = x0.T
+            for k in range(total):
+                y = _advance(system, y, dt)
+                if not np.isfinite(y).all():
+                    raise _divergence(system, y, batch, step_index=k + 1, total=total)
+                states[:, k + 1, :] = y.T
     if not batch:
         return Trajectory(dim=system.dim, dt=float(dt), states=states[discard:])
     return [Trajectory(dim=system.dim, dt=float(dt), states=s[discard:]) for s in states]
@@ -326,13 +373,19 @@ def merge_snapshots(*pairs_list):
 # written as shortest round-trip decimals so load(save(x)) == x exactly.
 # Loading rejects NaN/Inf values and times off the grid t0 + k*dt.
 
+def trajectory_csv_rows(traj, prefix=""):
+    """The CSV rows "<prefix>t,x1,...,xn" of ``traj``, one per state, as
+    one string: t = k*dt and every value in shortest round-trip form."""
+    dt = float(traj.dt)
+    states = np.asarray(traj.states, dtype=float).tolist()
+    return "".join([f"{prefix}{k * dt!r},{','.join(map(repr, row))}\n"
+                    for k, row in enumerate(states)])
+
+
 def save_trajectory(traj, path):
+    header = "t," + ",".join(f"x{i + 1}" for i in range(traj.dim)) + "\n"
     with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"x{i + 1}" for i in range(traj.dim)) + "\n")
-        for k in range(traj.n_states):
-            row = [repr(float(k * traj.dt))]
-            row += [repr(float(v)) for v in traj.states[k]]
-            fh.write(",".join(row) + "\n")
+        fh.write(header + trajectory_csv_rows(traj))
 
 
 def load_trajectory(path):
@@ -341,7 +394,7 @@ def load_trajectory(path):
     if not lines or not lines[0].startswith("t,"):
         raise ConfigurationError(f"{path}:1: expected header 't,x1,...,xn'")
     dim = len(lines[0].split(",")) - 1
-    rows, linenos = [], []
+    values, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -351,15 +404,15 @@ def load_trajectory(path):
                 f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}"
             )
         try:
-            rows.append([float(v) for v in parts])
+            values.extend(map(float, parts))
         except ValueError as err:
             raise ConfigurationError(f"{path}:{lineno}: {err}") from err
         linenos.append(lineno)
-    if len(rows) < 2:
+    if len(linenos) < 2:
         raise ConfigurationError(
             f"{path}: need at least 2 data rows to recover the sample interval"
         )
-    data = np.array(rows)
+    data = np.array(values).reshape(-1, dim + 1)
     bad = ~np.all(np.isfinite(data), axis=1)
     if np.any(bad):
         k = int(np.argmax(bad))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -45,6 +46,26 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
                 "--dt", "1.0", "--steps", "50", "--out", str(tmp_path)])
     assert code == cli.EXIT_DIVERGENCE
     assert "step" in capsys.readouterr().err
+
+
+# sha256 of `symkoop simulate` output. They pin the integrator's bits and
+# the writer's bytes; both fields use only + - *, so the digests do not
+# depend on the platform's libm.
+@pytest.mark.parametrize("argv, name, digest", [
+    (["--system", "hamiltonian", "--x0", "2.8,0.4", "--steps", "2000"],
+     "hamiltonian_traj00.csv",
+     "ed9f56d32d5f83794ffa0f33f4a4b7e8c7b3ab451ccdebe778fa4f2242fb4b0f"),
+    (["--system", "lorenz", "--x0", "1,1,1.05", "--steps", "2000"],
+     "lorenz_traj00.csv",
+     "cc811e367f4ae8bf726b39053fd7df8ebe12cf6e2eba5edf0e903e74c27c6c6c"),
+    (["--system", "hamiltonian", "--emit-phase-portrait", "portrait.csv"],
+     "portrait.csv",
+     "c7da0ccd22b3d4b1dfe7f7f9eb2ea4d6ee2aad29f7cbe68d634476f386c9b370"),
+], ids=["hamiltonian", "lorenz", "hamiltonian-portrait"])
+def test_simulate_output_matches_golden_digest(tmp_path, monkeypatch, argv, name, digest):
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", *argv, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_simulate_bad_config_exit_code(tmp_path, capsys):

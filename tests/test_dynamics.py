@@ -16,13 +16,13 @@ from symkoop import (
     step,
     vector_field,
 )
-from symkoop.dynamics import DISCRETE
+from symkoop.dynamics import DISCRETE, STATE_CHUNK
 
 
 def decay_system():
     return SystemDef(
         name="decay", dim=1, params={},
-        field=lambda x, p: -x,
+        field=lambda x, p: (-x[0],),
     )
 
 
@@ -67,6 +67,10 @@ def test_misshapen_field_output_rejected():
         vector_field(broken, [1.0, 2.0, 3.0])
     with pytest.raises(InputError):
         step(broken, [1.0, 2.0, 3.0], 0.1)
+    two_coordinates = SystemDef("broken", 3, {}, lambda x, p: (x[0], x[1]))
+    for x in ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]):
+        with pytest.raises(InputError):
+            simulate(two_coordinates, x, 0.1, 3)
 
 
 def test_step_fixed_point_of_zero_field():
@@ -94,7 +98,7 @@ def test_step_halving_richardson():
 
 
 def test_step_discrete_map_ignores_dt():
-    double = SystemDef("double", 1, {}, lambda x, p: 2.0 * x, kind=DISCRETE)
+    double = SystemDef("double", 1, {}, lambda x, p: (2.0 * x[0],), kind=DISCRETE)
     assert step(double, np.array([3.0]), 123.0) == pytest.approx(6.0)
 
 
@@ -190,6 +194,33 @@ def test_lorenz_divergence_detected():
         simulate(system, [2e6, 2e6, 2e6], 1.0, 50)
     assert info.value.step_index is not None
     assert info.value.step_index >= 1
+
+
+@pytest.mark.parametrize("x", [[1.0, -0.5], [[1.0, -0.5]], [[3.0, 1.0], [1.0, -0.5]]],
+                         ids=["state", "one-row-block", "block"])
+def test_fractional_power_of_negative_coordinate_diverges_at_step_one(x):
+    # numpy gives NaN for (-0.5)**2.5 where a Python float gives a complex
+    # number, so a state must be stepped on np.float64 scalars
+    system = make_system("toggle_switch", {"beta": 2.5})
+    start = None if np.ndim(x) == 1 else len(x) - 1
+    with pytest.raises(NumericalDivergenceError) as info:
+        step(system, x, 0.01)
+    assert info.value.start_index == start
+    with pytest.raises(NumericalDivergenceError) as info:
+        simulate(system, x, 0.01, 5)
+    assert (info.value.start_index, info.value.step_index) == (start, 1)
+
+
+@pytest.mark.parametrize("x0, first", [(1.0, 1024), (0.75, 1025)])
+def test_divergence_names_first_step_across_stored_chunks(x0, first):
+    # x -> 2x overflows first at step 1024 from 1.0 and 1025 from 0.75: the
+    # last row of one chunk of stored rows and the first of the next
+    assert 1024 % STATE_CHUNK == 0
+    double = SystemDef("double", 1, {}, lambda x, p: (2.0 * x[0],), kind=DISCRETE)
+    for starts, start in (([x0], None), ([[x0]], 0), ([[0.0], [x0]], 1)):
+        with pytest.raises(NumericalDivergenceError) as info:
+            simulate(double, starts, 0.1, 2000)
+        assert (info.value.start_index, info.value.step_index) == (start, first)
 
 
 def test_trajectory_csv_roundtrip_exact(tmp_path):
