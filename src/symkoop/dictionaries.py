@@ -113,13 +113,26 @@ class MonomialDictionary(Dictionary):
         self.size = len(exponents)
         self.labels = tuple(_monomial_label(e) for e in exponents)
         self._index_of = {e: k for k, e in enumerate(exponents)}
+        # each monomial is its graded-lex parent (one power fewer of its
+        # last variable) times that variable; None stands for the factor 1
+        self._products = []
+        for k, e in enumerate(exponents):
+            if any(e):
+                i = max(v for v in range(dim) if e[v])
+                parent = e[:i] + (e[i] - 1,) + e[i + 1:]
+                self._products.append((k, self._index_of.get(parent), i))
 
     def _evaluate(self, X):
-        out = np.ones((self.size, X.shape[1]))
-        for k, exps in enumerate(self.exponents):
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    out[k] *= X[i]
+        # one row product per monomial, x1^a1 * ... * xd^ad multiplied out
+        # left to right, so each row is bit for bit the per-factor loop's
+        out = np.empty((self.size, X.shape[1]))
+        if self.include_constant:
+            out[0] = 1.0
+        for k, parent, i in self._products:
+            if parent is None:
+                out[k] = X[i]
+            else:
+                np.multiply(out[parent], X[i], out=out[k])
         return out
 
     def to_spec(self):

@@ -281,7 +281,8 @@ def step(system, x, dt):
     _check_dt(system, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         if x.size == system.dim:
-            out = np.array(_advance_state(system, tuple(x.ravel()), dt)).reshape(x.shape)
+            y = _advance_state(system, tuple(x.ravel()), dt)
+            out = _field_output(system, y, (system.dim,)).reshape(x.shape)
         else:
             out = _advance(system, x.T, dt).T
     if not np.isfinite(out).all():
@@ -301,6 +302,9 @@ def _simulate_state(system, rows, dt, batch):
         for _ in range(start, stop):
             y = _advance_state(system, y, dt)
             chunk.append(y)
+        # a field that returns arrays makes every later state one of arrays,
+        # so the chunk's last state shows it
+        _field_output(system, y, (system.dim,))
         rows[start:stop] = chunk
         finite = np.isfinite(rows[start:stop]).all(axis=1)
         if not finite.all():

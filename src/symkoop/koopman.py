@@ -6,7 +6,8 @@ truncated. It is computed from the R factor of a blocked (TSQR-style) QR of
 the stacked data [Yp; Yf]^T, one chunk of snapshot columns at a time, so
 the memory the fit needs beyond its inputs does not grow with the number of
 snapshots; the truncation uses the singular values of the leading K columns
-of R, which are those of Yp.
+of R, which are those of Yp. fit_snapshots and fit_trajectory lift each
+chunk as the fit reaches it, so they never hold the K x M lifted data.
 
 The matrix advances feature vectors, Psi(x_{k+1}) ~ K Psi(x_k), so
 observables (and therefore eigenfunctions) evolve through row vectors:
@@ -19,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionaries import Dictionary, dictionary_from_spec, lift
-from .dynamics import snapshots
+from .dictionaries import Dictionary, dictionary_from_spec
 from .errors import DegenerateDataError, InputError
 
 DEFAULT_RANK_TOL = 1e-12
@@ -79,27 +79,75 @@ def fit_edmd(Yp, Yf, rank_tol=DEFAULT_RANK_TOL, *, dictionary, set_label="fit"):
         raise InputError(
             f"Yp and Yf must be equal-shape 2-D matrices, got {Yp.shape} and {Yf.shape}"
         )
-    if Yp.shape[1] < 1:
+    return _fit_chunks(
+        lambda a, b: (Yp[:, a:b], Yf[:, a:b]), Yp.shape[0], Yp.shape[1],
+        rank_tol, dictionary, set_label,
+    )
+
+
+def fit_snapshots(pairs, dictionary, rank_tol=DEFAULT_RANK_TOL, set_label="fit"):
+    """``fit_edmd`` of the lifted pairs, lifting [Xp_c | Xf_c] one chunk of
+    columns at a time, so no K x M matrix is built."""
+    if pairs.dim != dictionary.dim:
+        raise InputError("snapshot dimension does not match dictionary")
+    if pairs.Xp.shape != pairs.Xf.shape:
+        raise InputError(
+            f"Xp and Xf must have equal shapes, got {pairs.Xp.shape} and {pairs.Xf.shape}"
+        )
+
+    def chunk(a, b):
+        X = np.concatenate([pairs.Xp[:, a:b], pairs.Xf[:, a:b]], axis=1)
+        Y = dictionary.evaluate_matrix(X)
+        return Y[:, :b - a], Y[:, b - a:]
+
+    return _fit_chunks(chunk, dictionary.size, pairs.n_pairs, rank_tol,
+                       dictionary, set_label)
+
+
+def fit_trajectory(traj, dictionary, rank_tol=DEFAULT_RANK_TOL, set_label="fit"):
+    """``fit_snapshots(snapshots(traj), ...)`` without the pair matrices:
+    each chunk lifts states[a : b + 1] once and takes Yp_c and Yf_c as its
+    two shifted column views."""
+    if traj.n_states < 2:
+        raise InputError("need at least 2 states to form snapshot pairs")
+    if traj.dim != dictionary.dim:
+        raise InputError("snapshot dimension does not match dictionary")
+
+    def chunk(a, b):
+        Y = dictionary.evaluate_matrix(traj.states[a:b + 1].T)
+        return Y[:, :-1], Y[:, 1:]
+
+    return _fit_chunks(chunk, dictionary.size, traj.n_states - 1, rank_tol,
+                       dictionary, set_label)
+
+
+def _fit_chunks(chunk, n, m, rank_tol, dictionary, set_label):
+    """The fit of ``fit_edmd`` on data given as chunks: chunk(a, b) returns
+    the columns a:b of Yp and Yf (n x (b - a) each), for b - a at most
+    _FIT_CHUNK. It is called twice per chunk, once in the QR pass and once
+    in the residual pass, and each input check runs on every chunk."""
+    if m < 1:
         raise InputError("need at least one snapshot pair")
-    # min and max carry any NaN or Inf, without an M x K mask
-    if not np.isfinite([Yp.min(), Yp.max(), Yf.min(), Yf.max()]).all():
-        raise InputError("lifted snapshot data contains NaN or Inf")
-    if not np.any(Yp):
-        raise DegenerateDataError("Yp is all zero; no operator is identifiable")
     if not 0 < rank_tol <= 1:  # also rejects NaN
         raise InputError(f"rank_tol must be in (0, 1], got {rank_tol}")
-
-    n, m = Yp.shape
-    chunks = [slice(a, a + _FIT_CHUNK) for a in range(0, m, _FIT_CHUNK)]
-    # overflow shows up as a non-finite K or residual, rejected below
+    bounds = [(a, min(a + _FIT_CHUNK, m)) for a in range(0, m, _FIT_CHUNK)]
+    # overflow in the lift shows up as Inf, rejected per chunk, and overflow
+    # in the fit as a non-finite K or residual, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             R = np.empty((0, 2 * n))
-            for c in chunks:
+            identifiable = False
+            for a, b in bounds:
+                block = np.concatenate(chunk(a, b))
+                # min and max carry any NaN or Inf, without a mask
+                if not np.isfinite([block.min(), block.max()]).all():
+                    raise InputError("lifted snapshot data contains NaN or Inf")
+                identifiable = identifiable or bool(np.any(block[:n]))
                 # [R; [Yp_c; Yf_c]^T] built as a transpose, so it is already
                 # column-major for LAPACK (about 15% faster than a C copy)
-                block = np.concatenate([Yp[:, c], Yf[:, c]])
                 R = np.linalg.qr(np.concatenate([R.T, block], axis=1).T, mode="r")
+            if not identifiable:
+                raise DegenerateDataError("Yp is all zero; no operator is identifiable")
             U, s, Vt = np.linalg.svd(R[:, :n], full_matrices=False)
         except np.linalg.LinAlgError as err:
             raise DegenerateDataError(f"factoring the lifted data failed: {err}") from err
@@ -107,9 +155,12 @@ def fit_edmd(Yp, Yf, rank_tol=DEFAULT_RANK_TOL, *, dictionary, set_label="fit"):
         K = ((R[:, n:].T @ U[:, :rank]) / s[:rank]) @ Vt[:rank]
 
         res_sq = Yf_sq = 0.0
-        for c in chunks:
-            res_sq += np.linalg.norm(K @ Yp[:, c] - Yf[:, c]) ** 2
-            Yf_sq += np.linalg.norm(Yf[:, c]) ** 2
+        for a, b in bounds:
+            block = np.concatenate(chunk(a, b))
+            r = K @ block[:n]
+            r -= block[n:]  # in place: one K x chunk temporary fewer
+            res_sq += np.linalg.norm(r) ** 2
+            Yf_sq += np.linalg.norm(block[n:]) ** 2
         residual = float(np.sqrt(res_sq / Yf_sq)) if Yf_sq > 0 else 0.0
     if not (np.all(np.isfinite(K)) and np.isfinite(residual)):
         raise DegenerateDataError(
@@ -123,16 +174,6 @@ def fit_edmd(Yp, Yf, rank_tol=DEFAULT_RANK_TOL, *, dictionary, set_label="fit"):
         fit_residual=residual,
         rank_used=rank,
     )
-
-
-def fit_snapshots(pairs, dictionary, rank_tol=DEFAULT_RANK_TOL, set_label="fit"):
-    """Lift snapshot pairs with the dictionary and fit."""
-    Yp, Yf = lift(dictionary, pairs)
-    return fit_edmd(Yp, Yf, rank_tol, dictionary=dictionary, set_label=set_label)
-
-
-def fit_trajectory(traj, dictionary, rank_tol=DEFAULT_RANK_TOL, set_label="fit"):
-    return fit_snapshots(snapshots(traj), dictionary, rank_tol, set_label=set_label)
 
 
 def predict(op, x0, steps):

@@ -155,6 +155,24 @@ def test_fit_rejects_bad_data_with_one_line_error(tmp_path, capsys, rows, where)
     assert not out.exists()
 
 
+def test_fit_rejects_lift_overflow_in_a_later_chunk(tmp_path, capsys):
+    # degree-6 monomials overflow at one state near 1e60, in the third
+    # chunk of columns of the fit
+    from symkoop import save_trajectory
+    from symkoop.dynamics import Trajectory
+    from symkoop.koopman import _FIT_CHUNK
+
+    states = np.random.default_rng(9).uniform(-1.0, 1.0, size=(4000, 2))
+    states[2 * _FIT_CHUNK + 10, 0] = 1e60
+    csv = tmp_path / "traj.csv"
+    save_trajectory(Trajectory(dim=2, dt=0.1, states=states), csv)
+    out = tmp_path / "op.json"
+    assert run(["fit", "--traj", str(csv), "--out", str(out), "--dictionary",
+                '{"kind": "monomial", "max_degree": 6}']) == cli.EXIT_CONFIG
+    assert "lifted snapshot data contains NaN or Inf" in one_line_error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rank_tol", ["nan", "inf", "2", "0", "-1"])
 def test_fit_rejects_unusable_rank_tol(tmp_path, capsys, rank_tol):
     # nan, inf and 2 used to keep rank 0 and write an all-zero operator

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symkoop import (
     ConfigurationError,
@@ -54,6 +56,34 @@ def test_monomial_constant_leads():
     # every multi-index with degree <= 2, exactly once
     assert d.size == math.comb(3 + 2, 2)
     assert len(set(d.exponents)) == d.size
+
+
+def per_factor_monomials(d, X):
+    """Reference lift: each monomial multiplied out one factor at a time,
+    x1 first, starting from 1."""
+    out = np.ones((d.size, X.shape[1]))
+    for k, exps in enumerate(d.exponents):
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                out[k] *= X[i]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    degree=st.integers(1, 6),
+    constant=st.booleans(),
+    scale=st.sampled_from([1e-3, 1.0, 1e3, 1e60]),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_monomial_lift_equals_per_factor_products(dim, degree, constant, scale, n, seed):
+    d = MonomialDictionary(dim, degree, include_constant=constant)
+    X = scale * np.random.default_rng(seed).normal(size=(dim, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(d.evaluate_matrix(X), per_factor_monomials(d, X),
+                              equal_nan=True)
 
 
 @pytest.mark.parametrize("dictionary", [

@@ -71,6 +71,14 @@ def test_misshapen_field_output_rejected():
     for x in ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]):
         with pytest.raises(InputError):
             simulate(two_coordinates, x, 0.1, 3)
+    # the right number of coordinates, each an array
+    arrays = SystemDef("broken", 2, {}, lambda x, p: (np.zeros(3), np.zeros(3)))
+    shape = r"returned shape \(2, 3\), expected \(2,\)"
+    for x in ([1.0, 2.0], [[1.0, 2.0]]):
+        with pytest.raises(InputError, match=shape):
+            step(arrays, x, 0.1)
+        with pytest.raises(InputError, match=shape):
+            simulate(arrays, x, 0.1, 3)
 
 
 def test_step_fixed_point_of_zero_field():

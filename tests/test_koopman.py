@@ -10,6 +10,8 @@ from symkoop import (
     IdentityDictionary,
     InputError,
     MonomialDictionary,
+    SnapshotPairs,
+    Trajectory,
     builtin_group,
     eigenfunction_eval,
     eigenvalue_hausdorff,
@@ -164,6 +166,87 @@ def test_fit_memory_does_not_grow_with_snapshots():
     assert peak < nbytes / 4
     # and no M-sized scratch at all (a K x M finiteness mask is nbytes / 8)
     assert peak < 1.5 * fit_peak_bytes(25_000)[0]
+
+
+@pytest.mark.parametrize("m", [_FIT_CHUNK - 1, _FIT_CHUNK, _FIT_CHUNK + 1,
+                               3 * _FIT_CHUNK + 5])
+@pytest.mark.parametrize("dictionary", [IdentityDictionary(3), MonomialDictionary(3, 4)],
+                         ids=["identity", "monomial"])
+def test_streamed_fits_equal_the_matrix_fit_bitwise(m, dictionary):
+    traj = simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, m)
+    pairs = snapshots(traj)
+    ref = fit_edmd(*lift(dictionary, pairs), dictionary=dictionary)
+    for op in (fit_snapshots(pairs, dictionary), fit_trajectory(traj, dictionary)):
+        assert np.array_equal(op.matrix, ref.matrix)
+        assert op.fit_residual == ref.fit_residual
+        assert op.rank_used == ref.rank_used
+
+
+def trajectory_fit_peak_bytes(n_states):
+    """Peak traced allocation of fit_trajectory with degree-4 monomials in
+    dim 2 (K = 15), and the bytes of one K x M lifted matrix."""
+    states = np.random.default_rng(8).uniform(-1.0, 1.0, size=(n_states, 2))
+    traj = Trajectory(dim=2, dt=0.1, states=states)
+    dictionary = MonomialDictionary(2, 4)
+    tracemalloc.start()
+    try:
+        fit_trajectory(traj, dictionary)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, dictionary.size * (n_states - 1) * 8
+
+
+def test_trajectory_fit_memory_does_not_grow_with_snapshots():
+    peak, nbytes = trajectory_fit_peak_bytes(100_000)
+    # lifting Yp or Yf whole, or the pair matrices Xp and Xf, would show here
+    assert peak < nbytes / 4
+    assert peak < 1.5 * trajectory_fit_peak_bytes(25_000)[0]
+
+
+def third_chunk_overflow_trajectory():
+    """A 4000-state trajectory whose degree-6 lift is finite except for one
+    state, near 1e60, in the third chunk of columns."""
+    states = np.random.default_rng(9).uniform(-1.0, 1.0, size=(4000, 2))
+    states[2 * _FIT_CHUNK + 10, 0] = 1e60
+    return Trajectory(dim=2, dt=0.1, states=states)
+
+
+# the two fits that lift chunk by chunk, both given a trajectory
+STREAMED_FITS = pytest.mark.parametrize("fit", [
+    lambda traj, d: fit_snapshots(snapshots(traj), d),
+    fit_trajectory,
+], ids=["snapshots", "trajectory"])
+
+
+@STREAMED_FITS
+def test_lift_overflow_in_a_later_chunk_is_rejected(fit):
+    with pytest.raises(InputError, match="lifted snapshot data contains NaN or Inf"):
+        fit(third_chunk_overflow_trajectory(), MonomialDictionary(2, 6))
+
+
+@STREAMED_FITS
+def test_zero_first_chunk_fits_and_all_zero_data_is_degenerate(fit):
+    states = np.zeros((3 * _FIT_CHUNK, 2))
+    rng = np.random.default_rng(10)
+    states[_FIT_CHUNK + 1:] = rng.normal(size=(2 * _FIT_CHUNK - 1, 2))
+    op = fit(Trajectory(dim=2, dt=0.1, states=states), IdentityDictionary(2))
+    assert op.rank_used == 2
+    zeros = Trajectory(dim=2, dt=0.1, states=np.zeros_like(states))
+    with pytest.raises(DegenerateDataError, match="all zero"):
+        fit(zeros, IdentityDictionary(2))
+
+
+@pytest.mark.parametrize("fit", [
+    lambda d: fit_snapshots(
+        SnapshotPairs(dim=2, Xp=np.ones((3, 10)), Xf=np.ones((3, 10))), d),
+    lambda d: fit_snapshots(
+        SnapshotPairs(dim=2, Xp=np.ones((2, 10)), Xf=np.ones((2, 9))), d),
+    lambda d: fit_trajectory(Trajectory(dim=2, dt=0.1, states=np.ones((10, 3))), d),
+], ids=["pairs-of-wrong-dim", "pairs-of-unequal-length", "trajectory-of-wrong-dim"])
+def test_streamed_fits_reject_misshapen_data(fit):
+    with pytest.raises(InputError):
+        fit(MonomialDictionary(2, 3))
 
 
 @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, 2.0, 0.0, -1.0])
