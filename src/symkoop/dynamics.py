@@ -84,9 +84,10 @@ def toggle_switch_field(x, params):
     a1, a2 = params["alpha1"], params["alpha2"]
     k1, k2 = params["kappa1"], params["kappa2"]
     beta, theta = params["beta"], params["theta"]
+    # np.power, not **: see "evaluation and integration" below
     return (
-        a1 / (1.0 + x[1] ** beta) - k1 * x[0],
-        a2 / (1.0 + x[0] ** theta) - k2 * x[1],
+        a1 / (1.0 + np.power(x[1], beta)) - k1 * x[0],
+        a2 / (1.0 + np.power(x[0], theta)) - k2 * x[1],
     )
 
 
@@ -180,7 +181,10 @@ def make_system(name, params=None):
 # row of a block gets bit for bit what stepping it alone gives. The scalars
 # must stay np.float64, not Python floats: under np.errstate, numpy gives
 # NaN or Inf where Python raises or, for a negative base to a fractional
-# power, returns a complex number.
+# power, returns a complex number. A field raising to a power must call
+# np.power: ``**`` on an np.float64 scalar calls the C library's pow, which
+# can differ in the last bit from numpy's own power loop that ``**`` on an
+# array runs, while np.power runs that loop on scalars and arrays alike.
 
 STATE_CHUNK = 256  # one-state simulate stores and checks its rows this many at a time
 

@@ -53,6 +53,21 @@ def test_block_step_equals_per_row_step(name, data):
         assert np.array_equal(vector_field(system, row), f)
 
 
+def test_toggle_block_step_equals_per_row_step_where_pow_differs():
+    # states where the C library's pow and numpy's power loop round
+    # x ** 2.0 apart; the toggle field must raise to its powers alike on
+    # one state and on a block
+    system = make_system("toggle_switch")
+    block = np.array([[float.fromhex(a), float.fromhex(b)] for a, b in (
+        ("0x1.0cd9b78fe28cap+0", "0x1.226706badf105p+1"),
+        ("0x1.e2aa4375f9b00p-2", "0x1.52a60c16d1e46p+1"),
+        ("0x1.f025185bd08c0p-4", "0x1.14ef180097a84p+0"),
+    )])
+    stepped = step(system, block, DEFAULT_DT["toggle_switch"])
+    for row, out in zip(block, stepped):
+        assert np.array_equal(step(system, row, DEFAULT_DT["toggle_switch"]), out)
+
+
 @pytest.mark.parametrize("name", SYSTEMS)
 @PROPERTY
 @given(data=st.data())
