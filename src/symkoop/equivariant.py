@@ -15,6 +15,7 @@ applied blockwise so cross-set entries are exactly zero.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +31,8 @@ from .errors import (
 )
 from .groups import _window_matches
 from .koopman import KoopmanApprox, eigenvalue_hausdorff, predict
+
+_IMAGE_WINDOW_FLOATS = 2 ** 15  # the image check buffers at most this many coordinates per window
 
 
 @dataclass(frozen=True)
@@ -411,51 +414,70 @@ def verify_invariant_set_image(system, g, samples, dt, horizon, membership):
 
 def verify_invariant_set_images(system, images, samples, dt, horizon):
     """Push samples of M_i (rows) through each element g of ``images``, a
-    sequence of (g, membership) pairs, and integrate; report per image the
-    fraction whose entire forward orbit satisfies that image's membership
-    predicate.
+    sequence of (g, membership) pairs, and integrate for ``horizon`` steps;
+    report per image the fraction whose entire forward orbit satisfies that
+    image's membership predicate.
 
     All images are stepped as one block of columns, image by image in
-    sample order, and a column is dropped as soon as it leaves its set, so
-    it is never stepped again (an orbit that leaves and would later diverge
-    raises nothing). The drops keep the order, so each image's columns stay
-    one contiguous slice. ``membership`` takes states as columns, a
-    (dim, N) block, and returns a boolean mask of shape (N,). A divergence
-    names the step, the sample and the image's element.
+    sample order. After step 0 the block is stepped a window of steps at a
+    time (at most _IMAGE_WINDOW_FLOATS coordinates, at least one step),
+    and each predicate is called once per window on its image's columns of
+    every step of the window. A column is dropped at the end of the window
+    in which it leaves its set, so it is stepped at most to that window's
+    end, and an orbit that leaves and later diverges raises nothing: a
+    divergence counts only at or before the step the column leaves. The
+    drops keep the order, so each image's columns stay one contiguous
+    slice.
+
+    ``membership`` takes states as columns, a (dim, N) block, and returns a
+    boolean mask of shape (N,). The block may hold several steps of each
+    column, and states after a column has left or gone non-finite, so the
+    predicate must judge each column on its own. A divergence names the
+    first step, at that step the first sample in image order, and the
+    image's element.
     """
     samples = np.atleast_2d(_check_state(system, samples))
     _check_dt(system, dt)
+    if not isinstance(horizon, numbers.Integral) or horizon < 0:
+        raise InputError(f"horizon must be a nonnegative integer, got {horizon!r}")
+    if len(images) == 0:
+        raise InputError("need at least one (element, membership) image")
     n = len(samples)
+    if n == 0:
+        raise InputError("need at least one sample")
     edges = n * np.arange(len(images) + 1)
     y = np.concatenate([g.matrix @ samples.T for g, _ in images], axis=1)
     active = np.arange(edges[-1])  # column c holds sample c % n of image c // n
-    bounds = edges
+    keep = _memberships(images, y[None], edges)[0]
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(horizon + 1):
-            keep = np.empty(active.size, dtype=bool)
-            for (_, membership), a, b in zip(images, bounds, bounds[1:]):
-                if a == b:
-                    continue
-                inside = np.asarray(membership(y[:, a:b]), dtype=bool)
-                if inside.shape != (b - a,):
-                    raise InputError(
-                        "membership must return one boolean per state (column)")
-                keep[a:b] = inside
+        while True:
             if not keep.all():
                 active, y = active[keep], y[:, keep]
-                bounds = np.searchsorted(active, edges)
             if k == horizon or not active.size:
                 break
-            y = _advance(system, y, dt)
-            if not np.isfinite(y).all():
-                column = int(np.argmin(np.isfinite(y).all(axis=0)))
+            bounds = np.searchsorted(active, edges)
+            w = min(horizon - k, max(1, _IMAGE_WINDOW_FLOATS // y.size))
+            states = np.empty((w,) + y.shape)
+            for s in range(w):
+                states[s] = y = _advance(system, y, dt)
+            # per column, the window step it first goes non-finite and the
+            # one it first leaves at; w where it does neither
+            bad = np.logical_and.accumulate(np.isfinite(states).all(axis=1)).sum(axis=0)
+            out = np.logical_and.accumulate(_memberships(images, states, bounds)).sum(axis=0)
+            raises_at = np.where(bad <= out, bad, w)
+            column = int(np.argmin(raises_at))
+            if raises_at[column] < w:
+                step_index = k + 1 + int(raises_at[column])
                 image, start = divmod(int(active[column]), n)
                 raise NumericalDivergenceError(
-                    f"non-finite state from {system.name!r} at step {k + 1} of "
-                    f"{horizon} from start {start} under element "
+                    f"non-finite state from {system.name!r} at step {step_index} "
+                    f"of {horizon} from start {start} under element "
                     f"{images[image][0].label!r}",
-                    step_index=k + 1, start_index=start,
+                    step_index=step_index, start_index=start,
                 )
+            keep = out == w
+            k += w
     reports = []
     for a, b in zip(edges, edges[1:]):
         failed = np.setdiff1d(np.arange(a, b), active) - a
@@ -466,6 +488,23 @@ def verify_invariant_set_images(system, images, samples, dt, horizon):
             failed_indices=tuple(failed.tolist()),
         ))
     return reports
+
+
+def _memberships(images, states, bounds):
+    """Each image's predicate on its columns bounds[i]:bounds[i + 1] of the
+    window ``states`` (w, dim, cols), called once on all w steps as one
+    (dim, w * c) block; the flags as a (w, cols) mask."""
+    w, dim, cols = states.shape
+    inside = np.empty((w, cols), dtype=bool)
+    for (_, membership), a, b in zip(images, bounds, bounds[1:]):
+        if a == b:
+            continue
+        block = states[:, :, a:b].transpose(1, 0, 2).reshape(dim, w * (b - a))
+        flags = np.asarray(membership(block), dtype=bool)
+        if flags.shape != (w * (b - a),):
+            raise InputError("membership must return one boolean per state (column)")
+        inside[:, a:b] = flags.reshape(w, b - a)
+    return inside
 
 
 # ---------------------------------------------------------------------------

@@ -211,10 +211,11 @@ def check_conjugation_exact(name, tol=EXACT_TIER_TOL):
     """Fit on a trajectory, refit on its exactly transformed snapshots, and
     compare against conjugation by the induced representation."""
     group = _group(name)
-    pairs = dynamics.snapshots(exact_tier_trajectory(name))
+    traj = exact_tier_trajectory(name)
+    pairs = dynamics.snapshots(traj)
     worst = 0.0
-    for dict_name, dictionary in base_dictionaries(name).items():
-        base = koopman.fit_snapshots(pairs, dictionary, set_label="base")
+    for dictionary in base_dictionaries(name).values():
+        base = koopman.fit_trajectory(traj, dictionary, set_label="base")
         for g in group.elements[1:]:
             rep = dictionaries.induced_representation(dictionary, g)
             mirrored = koopman.fit_snapshots(
@@ -292,10 +293,10 @@ def check_conjugation_statistical(name, base_seed=2024, indep_seed=999):
 
 def check_spectrum_invariance(name, tol=SPECTRUM_TOL):
     group = _group(name)
-    pairs = dynamics.snapshots(exact_tier_trajectory(name))
+    traj = exact_tier_trajectory(name)
     worst = 0.0
     for dictionary in base_dictionaries(name).values():
-        op = koopman.fit_snapshots(pairs, dictionary, set_label="base")
+        op = koopman.fit_trajectory(traj, dictionary, set_label="base")
         ev = np.linalg.eigvals(op.matrix)
         for g in group.elements:
             rep = dictionaries.induced_representation(dictionary, g)

@@ -1,7 +1,11 @@
 """Block integration: stepping and simulating (N, dim) blocks of states must
 give bit for bit what each state gives alone, and the invariant-set image
-check, for one image or several stacked in one block, must decide every
-sample as a one-sample-at-a-time loop would."""
+check, for one image or several stacked in one block and stepped a window
+of steps at a time, must decide every sample as a one-sample-at-a-time loop
+would."""
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +14,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from symkoop import (
+    GroupElement,
     InputError,
     NumericalDivergenceError,
+    SystemDef,
     builtin_group,
     make_system,
     simulate,
@@ -20,7 +26,8 @@ from symkoop import (
     verify_invariant_set_image,
     verify_invariant_set_images,
 )
-from symkoop.dynamics import DEFAULT_DT
+from symkoop import equivariant
+from symkoop.dynamics import DEFAULT_DT, DISCRETE
 from symkoop.scenarios import sample_box
 
 SYSTEMS = ("lorenz", "toggle_switch", "hamiltonian")
@@ -253,3 +260,114 @@ def test_stacked_membership_shape_is_checked_per_image():
     with pytest.raises(InputError, match="one boolean per state"):
         verify_invariant_set_images(
             system, images, np.array([[3.0, 1.0], [2.5, 0.5]]), 0.05, 5)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+@PROPERTY
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       images=st.lists(st.tuples(st.integers(0, 3), st.floats(1.0, 20.0)),
+                       min_size=1, max_size=3))
+def test_windowed_images_match_per_sample_reference_at_window_edges(
+        name, data, seed, n, images):
+    # a small coordinate budget makes windows of W steps, W taken from the
+    # budget as the check takes it; horizons end just before, at and just
+    # after a window's end, and a few windows on
+    system, dt = make_system(name), DEFAULT_DT[name]
+    group = builtin_group(name)
+    images = [(group.elements[e % group.order], disc(r)) for e, r in images]
+    samples = sample_box(name, n, np.random.default_rng(seed))
+    stepped = sum(int(np.count_nonzero(m(g.matrix @ samples.T))) for g, m in images)
+    size = system.dim * max(stepped, 1)
+    budget = data.draw(st.integers(1, 6 * size), label="budget")
+    with mock.patch.object(equivariant, "_IMAGE_WINDOW_FLOATS", budget):
+        W = max(1, equivariant._IMAGE_WINDOW_FLOATS // size)
+        horizon = data.draw(st.sampled_from([W - 1, W, W + 1, 3 * W + 2]), label="horizon")
+        reports = verify_invariant_set_images(system, images, samples, dt, horizon)
+    for (g, membership), report in zip(images, reports):
+        expected = per_sample_failed(system, g, samples, dt, horizon, membership)
+        assert report.failed_indices == expected
+        assert report.fraction == (n - len(expected)) / n
+
+
+def blowup():
+    """x -> 1e160 x: from 1 the orbit is 1e160 at step 1 and inf at step 2;
+    from 1e-200 it is 1e-40, 1e120, then inf at step 3."""
+    return SystemDef("blowup", 1, {}, lambda x, p: (x[0] * 1e160,), DISCRETE)
+
+
+IDENTITY_1D = GroupElement("e", np.eye(1))
+
+
+def below(bound):
+    return lambda x: np.abs(x[0]) < bound
+
+
+def test_orbit_that_leaves_then_diverges_within_a_window_raises_nothing():
+    # sample 1 leaves |x| < 1e100 at step 1 and overflows at step 2, in the
+    # same window; only a divergence at or before the exit step counts
+    samples = np.array([[1e-200], [1.0]])
+    report = verify_invariant_set_image(
+        blowup(), IDENTITY_1D, samples, 1.0, 50, below(1e100))
+    assert report.failed_indices == (0, 1)
+    # with |x| < 1e300 sample 1 leaves at the step it overflows, which counts
+    with pytest.raises(NumericalDivergenceError) as info:
+        verify_invariant_set_image(blowup(), IDENTITY_1D, samples, 1.0, 50, below(1e300))
+    assert (info.value.start_index, info.value.step_index) == (1, 2)
+
+
+def test_window_divergence_names_the_earliest_step_not_the_lowest_column():
+    # sample 0 overflows at step 3, sample 1 at step 2, both inside one window
+    samples = np.array([[1e-200], [1.0]])
+    with pytest.raises(NumericalDivergenceError) as info:
+        verify_invariant_set_image(
+            blowup(), IDENTITY_1D, samples, 1.0, 50, lambda x: np.ones(x.shape[1], bool))
+    assert (info.value.start_index, info.value.step_index) == (1, 2)
+    assert "at step 2 of 50 from start 1 under element 'e'" in str(info.value)
+
+
+def image_check_peak_bytes(horizon):
+    system = make_system("hamiltonian")
+    samples = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2000, 2))
+    tracemalloc.start()
+    try:
+        verify_invariant_set_image(
+            system, builtin_group("hamiltonian").identity, samples,
+            DEFAULT_DT["hamiltonian"], horizon, lambda x: np.ones(x.shape[1], bool))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_image_check_memory_does_not_grow_with_the_horizon():
+    # every sample stays inside, so all 1000 steps (32 MB) are buffered
+    # unless the check works a window at a time; the first run warms up, and
+    # the slack covers the previous window's per-column results
+    image_check_peak_bytes(1)
+    assert image_check_peak_bytes(1000) < 1.1 * image_check_peak_bytes(10)
+
+
+@pytest.mark.parametrize("horizon", [-1, 2.5])
+def test_image_check_rejects_a_horizon_that_is_not_a_nonnegative_integer(horizon):
+    group = builtin_group("hamiltonian")
+    with pytest.raises(InputError, match="horizon must be a nonnegative integer") as info:
+        verify_invariant_set_image(
+            make_system("hamiltonian"), group.identity, np.array([[1.0, 0.5]]),
+            0.05, horizon, lambda x: np.zeros(x.shape[1], bool))
+    assert "\n" not in str(info.value)
+
+
+def test_image_check_rejects_an_empty_image_list():
+    with pytest.raises(InputError, match="at least one") as info:
+        verify_invariant_set_images(
+            make_system("hamiltonian"), [], np.array([[1.0, 0.5]]), 0.05, 5)
+    assert "\n" not in str(info.value)
+
+
+def test_image_check_rejects_zero_samples():
+    group = builtin_group("hamiltonian")
+    with pytest.raises(InputError, match="at least one sample") as info:
+        verify_invariant_set_image(
+            make_system("hamiltonian"), group.identity, np.empty((0, 2)), 0.05, 5,
+            lambda x: np.ones(x.shape[1], bool))
+    assert "\n" not in str(info.value)
