@@ -9,6 +9,7 @@ resolved configuration for provenance.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,6 +48,25 @@ def _resolve(args, config, key, default=None):
     if value is not None:
         return value
     return config.get(key, default)
+
+
+def _resolve_number(args, config, key, default, integer=False, minimum=None):
+    """The numeric option ``key`` (flag > config file > default) as an int
+    when ``integer``, else a float. A value that is not a finite number, not
+    a whole number when ``integer``, or below ``minimum`` raises a
+    ConfigurationError naming the key."""
+    value = _resolve(args, config, key, default)
+    kind = "an integer" if integer else "a finite number"
+    if minimum is not None:
+        kind += f" >= {minimum}"
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        number = math.nan
+    if not math.isfinite(number) or (integer and not number.is_integer()) \
+            or (minimum is not None and number < minimum):
+        raise ConfigurationError(f"{key} must be {kind}, got {value!r}")
+    return int(value) if integer else number
 
 
 def _parse_json_flag(text, what):
@@ -95,15 +115,16 @@ def cmd_simulate(args):
         raise ConfigurationError("simulate needs --system")
     params = _parse_json_flag(_resolve(args, config, "params"), "--params")
     system = dynamics.make_system(name, params)
-    dt = float(_resolve(args, config, "dt", dynamics.DEFAULT_DT[name]))
-    steps = int(_resolve(args, config, "steps", 500))
-    discard = int(_resolve(args, config, "discard", 0))
-    seed = int(_resolve(args, config, "seed", 0))
+    dt = _resolve_number(args, config, "dt", dynamics.DEFAULT_DT[name])
+    steps = _resolve_number(args, config, "steps", 500, integer=True, minimum=1)
+    discard = _resolve_number(args, config, "discard", 0, integer=True, minimum=0)
+    seed = _resolve_number(args, config, "seed", 0, integer=True, minimum=0)
+    n_random = _resolve_number(args, config, "random_starts", 0, integer=True,
+                               minimum=0)
     outdir = Path(_resolve(args, config, "out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
 
     starts = [_parse_state(text, system.dim) for text in (args.x0 or [])]
-    n_random = int(_resolve(args, config, "random_starts", 0))
     if n_random:
         starts.extend(scenarios.sample_box(name, n_random, np.random.default_rng(seed)))
     if not starts and not args.emit_phase_portrait:
@@ -162,19 +183,19 @@ def _emit_phase_portrait(system, dt, path):
             "traj_id,t," + ",".join(f"x{i + 1}" for i in range(system.dim)) + "\n"
         )
         for tid, traj in enumerate(trajs):
-            fh.write(dynamics.trajectory_csv_rows(traj, prefix=f"{tid},"))
+            dynamics.write_trajectory_rows(fh, traj, prefix=f"{tid},")
     print(f"wrote phase portrait data to {path}")
 
 
 def cmd_fit(args):
     config = _load_config(args.config)
     traj_path = _require_readable(_resolve(args, config, "traj"), "trajectory CSV")
+    rank_tol = _resolve_number(args, config, "rank_tol", koopman.DEFAULT_RANK_TOL)
     traj = dynamics.load_trajectory(traj_path)
     dict_spec = _parse_json_flag(
         _resolve(args, config, "dictionary"), "--dictionary"
     ) or {"kind": "identity"}
     dictionary = dictionaries.dictionary_from_spec(dict_spec, dim=traj.dim)
-    rank_tol = float(_resolve(args, config, "rank_tol", koopman.DEFAULT_RANK_TOL))
     set_label = _resolve(args, config, "set_label", "fit")
     op = koopman.fit_trajectory(traj, dictionary, rank_tol, set_label=set_label)
     payload = koopman.operator_to_dict(op)
@@ -203,7 +224,7 @@ def cmd_transport(args):
     if element_label is None:
         raise ConfigurationError("transport needs --element")
     g = group.element(element_label)
-    seed = int(_resolve(args, config, "seed", 0))
+    seed = _resolve_number(args, config, "seed", 0, integer=True, minimum=0)
     rep = dictionaries.induced_representation(op.dictionary, g, seed=seed)
     target = _resolve(args, config, "target_label") or f"{op.set_label}:{element_label}"
     transported = equivariant.transport_case1(op, rep, target_label=target)
@@ -227,7 +248,7 @@ def cmd_assemble(args):
     group = groups.load_group(
         _require_readable(_resolve(args, config, "group"), "group JSON")
     )
-    seed = int(_resolve(args, config, "seed", 0))
+    seed = _resolve_number(args, config, "seed", 0, integer=True, minimum=0)
     equivariant.check_registry(registry, group)
     reps = {
         label: dictionaries.induced_representation(

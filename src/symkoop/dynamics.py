@@ -14,6 +14,7 @@ All trajectories are produced by a fixed-step classical 4th-order
 Runge-Kutta scheme so that snapshot spacing is exactly uniform.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -380,59 +381,128 @@ def merge_snapshots(*pairs_list):
 # trajectory CSV format: header "t,x1,...,xn", time column k*dt, values
 # written as shortest round-trip decimals so load(save(x)) == x exactly.
 # Loading rejects NaN/Inf values and times off the grid t0 + k*dt.
+#
+# Both directions stream: the writer formats _CSV_BLOCK rows at a time, and
+# the loader parses _CSV_BLOCK lines at a time into float blocks, so neither
+# holds the whole file's text or a Python object for each of its values.
 
-def trajectory_csv_rows(traj, prefix=""):
-    """The CSV rows "<prefix>t,x1,...,xn" of ``traj``, one per state, as
-    one string: t = k*dt and every value in shortest round-trip form."""
+_CSV_BLOCK = 1024  # rows written, or lines parsed, at a time
+
+
+def write_trajectory_rows(fh, traj, prefix=""):
+    """Write the CSV rows "<prefix>t,x1,...,xn" of ``traj``, one per state,
+    to the text file ``fh``: t = k*dt and every value in shortest round-trip
+    form (``repr``)."""
     dt = float(traj.dt)
-    states = np.asarray(traj.states, dtype=float).tolist()
-    return "".join([f"{prefix}{k * dt!r},{','.join(map(repr, row))}\n"
-                    for k, row in enumerate(states)])
+    states = np.asarray(traj.states, dtype=float)
+    n, dim = states.shape
+    row = prefix.replace("%", "%%") + "%r," * dim + "%r\n"
+    block = np.empty((min(n, _CSV_BLOCK), dim + 1))
+    for a in range(0, n, _CSV_BLOCK):
+        rows = block[:min(_CSV_BLOCK, n - a)]
+        rows[:, 0] = np.arange(a, a + len(rows)) * dt
+        rows[:, 1:] = states[a:a + len(rows)]
+        fh.write(row * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def save_trajectory(traj, path):
-    header = "t," + ",".join(f"x{i + 1}" for i in range(traj.dim)) + "\n"
     with open(path, "w") as fh:
-        fh.write(header + trajectory_csv_rows(traj))
+        fh.write("t," + ",".join(f"x{i + 1}" for i in range(traj.dim)) + "\n")
+        write_trajectory_rows(fh, traj)
 
 
-def load_trajectory(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("t,"):
-        raise ConfigurationError(f"{path}:1: expected header 't,x1,...,xn'")
-    dim = len(lines[0].split(",")) - 1
-    values, linenos = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+def _line_blocks(fh):
+    """The lines of the text file ``fh``, _CSV_BLOCK file lines at a time,
+    split and so numbered as ``fh.read().splitlines()`` would split them."""
+    while True:
+        block = "".join(itertools.islice(fh, _CSV_BLOCK))
+        if not block:
+            return
+        yield block.splitlines()
+
+
+def _parse_lines(path, lines, lineno, width, blank):
+    """Parse CSV lines, the first being line ``lineno``, into a (rows, width)
+    float array; blank lines are skipped and their numbers appended to
+    ``blank``. The first line with the wrong number of fields or a value
+    ``float`` rejects raises, naming that line."""
+    if all(line.count(",") == width - 1 for line in lines):
+        try:
+            values = np.fromiter(map(float, ",".join(lines).split(",")), float)
+            return values.reshape(len(lines), width)
+        except ValueError:
+            pass
+    # a blank or a bad line: go line by line to skip or name it
+    values = []
+    for lineno, line in enumerate(lines, start=lineno):
         if not line.strip():
+            blank.append(lineno)
             continue
         parts = line.split(",")
-        if len(parts) != dim + 1:
+        if len(parts) != width:
             raise ConfigurationError(
-                f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}"
+                f"{path}:{lineno}: expected {width} fields, got {len(parts)}"
             )
         try:
             values.extend(map(float, parts))
         except ValueError as err:
             raise ConfigurationError(f"{path}:{lineno}: {err}") from err
-        linenos.append(lineno)
-    if len(linenos) < 2:
+    return np.array(values, dtype=float).reshape(-1, width)
+
+
+def _row_lineno(k, blank):
+    """The line number of data row k, given the ascending numbers of the
+    blank lines (the header is line 1)."""
+    lineno = k + 2
+    for b in blank:
+        if b > lineno:
+            break
+        lineno += 1
+    return lineno
+
+
+def load_trajectory(path):
+    """Read a trajectory CSV. A line with the wrong number of fields or an
+    unparsable value anywhere is reported first, then too few rows, then
+    the first NaN or Inf, then the first time off the grid; each error
+    names its line."""
+    blocks, blank, bad, n = [], [], None, 0
+    with open(path) as fh:
+        line_blocks = _line_blocks(fh)
+        first = next(line_blocks, [])
+        if not first or not first[0].startswith("t,"):
+            raise ConfigurationError(f"{path}:1: expected header 't,x1,...,xn'")
+        width = len(first[0].split(","))
+        lineno = 2
+        for lines in itertools.chain([first[1:]], line_blocks):
+            data = _parse_lines(path, lines, lineno, width, blank)
+            lineno += len(lines)
+            finite = np.isfinite(data).all(axis=1)
+            if bad is None and not finite.all():
+                bad = n + int(np.argmin(finite))
+            blocks.append(data)
+            n += len(data)
+    if n < 2:
         raise ConfigurationError(
             f"{path}: need at least 2 data rows to recover the sample interval"
         )
-    data = np.array(values).reshape(-1, dim + 1)
-    bad = ~np.all(np.isfinite(data), axis=1)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise ConfigurationError(f"{path}:{linenos[k]}: non-finite value (NaN or Inf)")
-    t = data[:, 0]
-    dt = float(t[1] - t[0])
-    drift = np.abs(t - (t[0] + np.arange(len(t)) * dt))
-    off_grid = drift > TIME_GRID_TOL * np.maximum(1.0, np.abs(t))
-    if np.any(off_grid):
-        k = int(np.argmax(off_grid))
+    if bad is not None:
         raise ConfigurationError(
-            f"{path}:{linenos[k]}: time {float(t[k])!r} is off the uniform grid "
-            f"t0 + k*dt (dt={dt!r} from the first two rows)"
+            f"{path}:{_row_lineno(bad, blank)}: non-finite value (NaN or Inf)"
         )
-    return Trajectory(dim=dim, dt=dt, states=data[:, 1:])
+    t0, t1 = np.concatenate([data[:2, 0] for data in blocks])[:2]
+    dt = float(t1 - t0)
+    states, row = np.empty((n, width - 1)), 0
+    for data in blocks:
+        t = data[:, 0]
+        drift = np.abs(t - (t0 + np.arange(row, row + len(t)) * dt))
+        off_grid = drift > TIME_GRID_TOL * np.maximum(1.0, np.abs(t))
+        if np.any(off_grid):
+            j = int(np.argmax(off_grid))
+            raise ConfigurationError(
+                f"{path}:{_row_lineno(row + j, blank)}: time {float(t[j])!r} is off "
+                f"the uniform grid t0 + k*dt (dt={dt!r} from the first two rows)"
+            )
+        states[row:row + len(t)] = data[:, 1:]
+        row += len(t)
+    return Trajectory(dim=width - 1, dt=dt, states=states)

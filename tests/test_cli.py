@@ -261,6 +261,62 @@ def test_transport_unknown_element(tmp_path, capsys):
         == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, flags, config, key", [
+    ("simulate", ["--random-starts", "-3"], {}, "random_starts"),
+    ("simulate", ["--seed", "-1", "--random-starts", "2"], {}, "seed"),
+    ("simulate", ["--steps", "0"], {}, "steps"),
+    ("simulate", [], {"steps": "x"}, "steps"),
+    ("simulate", [], {"dt": "fast"}, "dt"),
+    ("simulate", [], {"dt": float("nan")}, "dt"),
+    ("simulate", [], {"steps": None}, "steps"),
+    ("simulate", [], {"steps": 2.7}, "steps"),
+    ("simulate", [], {"steps": True}, "steps"),
+    ("simulate", [], {"discard": -1}, "discard"),
+    ("simulate", ["--random-starts", "1"], {"seed": "7"}, "seed"),
+    ("simulate", [], {"random_starts": 2.5}, "random_starts"),
+    ("simulate", [], {"random_starts": 10**400}, "random_starts"),
+    ("fit", [], {"rank_tol": "x"}, "rank_tol"),
+    ("fit", [], {"rank_tol": [1e-10]}, "rank_tol"),
+    ("transport", ["--seed", "-1"], {}, "seed"),
+    ("transport", [], {"seed": 1.5}, "seed"),
+    ("assemble", ["--seed", "-2"], {}, "seed"),
+    ("assemble", [], {"seed": "0"}, "seed"),
+])
+def test_bad_numeric_option_is_one_config_error_naming_the_key(
+        tmp_path, capsys, command, flags, config, key):
+    from symkoop import save_registry
+    from symkoop.scenarios import builtin_registry
+
+    op_path = fit_toggle_operator(tmp_path)
+    reg_path = tmp_path / "registry.json"
+    save_registry(builtin_registry("toggle_switch"), reg_path)
+    inputs = {
+        "simulate": ["--system", "toggle_switch", "--x0", "1,1"],
+        "fit": ["--traj", str(tmp_path / "right.csv")],
+        "transport": ["--operator", str(op_path), "--element", "swap",
+                      "--group", str(make_group_file(tmp_path))],
+        "assemble": ["--registry", str(reg_path), "--base-operator", str(op_path),
+                     "--group", str(make_group_file(tmp_path))],
+    }[command]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, *inputs, *flags, "--config", str(cfg),
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"error: {key} must be " in one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_whole_floats_and_ints_are_accepted_numeric_options(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"steps": 3.0, "dt": 1, "seed": 2.0}))
+    assert run(["simulate", "--system", "hamiltonian", "--x0", "3,0",
+                "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "hamiltonian_traj00.csv").read_text().splitlines()
+    assert rows[1:] == ["0.0,3.0,0.0", "1.0,3.0,0.0", "2.0,3.0,0.0", "3.0,3.0,0.0"]
+
+
 def test_assemble_toggle_registry(tmp_path, capsys):
     from symkoop import save_registry
     from symkoop.scenarios import builtin_registry
