@@ -52,10 +52,16 @@ def _resolve(args, config, key, default=None):
 
 def _resolve_number(args, config, key, default, integer=False, minimum=None):
     """The numeric option ``key`` (flag > config file > default) as an int
-    when ``integer``, else a float. A value that is not a finite number, not
-    a whole number when ``integer``, or below ``minimum`` raises a
-    ConfigurationError naming the key."""
+    when ``integer``, else a float. A flag's text is read with ``int`` or
+    ``float``; a config value must already be a JSON number. A value that is
+    not a finite number, not a whole number when ``integer``, or below
+    ``minimum`` raises a ConfigurationError naming the key."""
     value = _resolve(args, config, key, default)
+    if getattr(args, key, None) is not None:
+        try:
+            value = (int if integer else float)(value)
+        except ValueError:
+            pass  # the text stays a string, which is refused below
     kind = "an integer" if integer else "a finite number"
     if minimum is not None:
         kind += f" >= {minimum}"
@@ -356,11 +362,11 @@ def build_parser():
     p.add_argument("--system", choices=dynamics.system_names())
     p.add_argument("--params", help="JSON parameter overrides")
     p.add_argument("--x0", action="append", help="initial state 'a,b,...' (repeatable)")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--discard", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--random-starts", dest="random_starts", type=int)
+    p.add_argument("--dt")
+    p.add_argument("--steps")
+    p.add_argument("--discard")
+    p.add_argument("--seed")
+    p.add_argument("--random-starts", dest="random_starts")
     p.add_argument("--emit-phase-portrait", dest="emit_phase_portrait",
                    help="write plot-ready portrait CSV to this path")
     p.set_defaults(fn=cmd_simulate)
@@ -369,7 +375,7 @@ def build_parser():
     common(p)
     p.add_argument("--traj")
     p.add_argument("--dictionary", help='e.g. {"kind": "monomial", "max_degree": 2}')
-    p.add_argument("--rank-tol", dest="rank_tol", type=float)
+    p.add_argument("--rank-tol", dest="rank_tol")
     p.add_argument("--set-label", dest="set_label")
     p.set_defaults(fn=cmd_fit)
 
@@ -379,7 +385,7 @@ def build_parser():
     p.add_argument("--group")
     p.add_argument("--element")
     p.add_argument("--target-label", dest="target_label")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.set_defaults(fn=cmd_transport)
 
     p = sub.add_parser("assemble", help="build the global block-diagonal operator")
@@ -387,7 +393,7 @@ def build_parser():
     p.add_argument("--registry")
     p.add_argument("--base-operator", dest="base_operator")
     p.add_argument("--group")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.set_defaults(fn=cmd_assemble)
 
     p = sub.add_parser("spectrum", help="eigenvalues and eigenfunction coefficients")

@@ -176,16 +176,21 @@ def make_system(name, params=None):
 # (N, dim), as in Trajectory.states. A field or map is called with the
 # coordinates x[i] of what it steps and returns its dim coordinates, as a
 # tuple or an array. One state, of shape (dim,) or a block of one row, is
-# stepped on a tuple of np.float64 scalars, so no array is built per RK4
-# stage; a block of N > 1 states is stepped as columns (dim, N), whose x[i]
-# are (N,) rows. Both paths do the same operations in the same order, so a
-# row of a block gets bit for bit what stepping it alone gives. The scalars
-# must stay np.float64, not Python floats: under np.errstate, numpy gives
-# NaN or Inf where Python raises or, for a negative base to a fractional
-# power, returns a complex number. A field raising to a power must call
-# np.power: ``**`` on an np.float64 scalar calls the C library's pow, which
+# stepped on a tuple of Python floats, so no array is built per RK4 stage
+# and no numpy scalar per operation; a block of N > 1 states is stepped as
+# columns (dim, N), whose x[i] are (N,) rows. Both paths do the same
+# operations in the same order, and Python's + - * / on floats are the same
+# IEEE double operations as numpy's, so a row of a block gets bit for bit
+# what stepping it alone gives. Python's rules part from numpy's in three
+# places: 1/0 and an overflowing ``**`` raise, and a negative base to a
+# fractional power gives a complex number, where numpy under np.errstate
+# gives Inf or NaN. So a run of one-state steps that raises an
+# ArithmeticError or ends on a complex coordinate is rerun from its start on
+# np.float64 scalars, which follow numpy's rules. A field raising to a power
+# must call np.power: ``**`` on a scalar calls the C library's pow, which
 # can differ in the last bit from numpy's own power loop that ``**`` on an
-# array runs, while np.power runs that loop on scalars and arrays alike.
+# array runs, while np.power runs that loop on scalars and arrays alike
+# (and gives numpy's NaN, not a complex number, on a Python float).
 
 STATE_CHUNK = 256  # one-state simulate stores and checks its rows this many at a time
 
@@ -233,22 +238,51 @@ def _advance(system, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _advance_state(system, y, dt):
-    """``_advance`` on one state y, a tuple of np.float64 coordinates: the
-    same formula coordinate by coordinate, so bit for bit its result."""
-    f, p = system.field, system.params
-    k1 = f(y, p)
+def _advance_state(system, y, dt, n):
+    """``_advance`` n times from one state y, a tuple of its coordinates:
+    the list of the n states after y, as tuples. Each coordinate gets the
+    same operations in the same order as a column of a block, so on
+    np.float64 scalars each state is bit for bit the block's, and on Python
+    floats too unless a step raises or turns complex (see
+    ``_advance_floats``). The field, its parameters, dt/2 and dt/6 are
+    looked up once for all n steps."""
+    f, p, dim = system.field, system.params, len(y)
+    states = []
     if system.kind == DISCRETE:
-        return tuple(_field_output(system, k1, (len(y),)))
-    if type(k1) is not tuple or len(k1) != len(y):
-        k1 = tuple(_field_output(system, k1, (len(y),)))
-    h = 0.5 * dt
-    k2 = f(tuple([a + h * b for a, b in zip(y, k1)]), p)
-    k3 = f(tuple([a + h * b for a, b in zip(y, k2)]), p)
-    k4 = f(tuple([a + dt * b for a, b in zip(y, k3)]), p)
-    s = dt / 6.0
-    return tuple([a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+        scalar = type(y[0])
+        for _ in range(n):
+            y = tuple(map(scalar, _field_output(system, f(y, p), (dim,))))
+            states.append(y)
+        return states
+    h, s = 0.5 * dt, dt / 6.0
+    for _ in range(n):
+        k1 = f(y, p)
+        if type(k1) is not tuple or len(k1) != dim:
+            k1 = tuple(_field_output(system, k1, (dim,)))
+        k2 = f(tuple([a + h * b for a, b in zip(y, k1)]), p)
+        k3 = f(tuple([a + h * b for a, b in zip(y, k2)]), p)
+        k4 = f(tuple([a + dt * b for a, b in zip(y, k3)]), p)
+        y = tuple([a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+        states.append(y)
+    return states
+
+
+def _advance_floats(system, y, dt, n):
+    """``_advance_state`` from y, a tuple of Python floats. Where Python's
+    float rules part from numpy's (1/0 and ``**`` overflow raise, a negative
+    base to a fractional power is complex), the n steps are rerun from y with
+    each Python float made an np.float64, so the states, or the error, are
+    numpy's."""
+    try:
+        states = _advance_state(system, y, dt, n)
+        # a complex coordinate stays complex, so the last state shows it
+        if not any(isinstance(v, complex) for v in states[-1]):
+            return states
+    except ArithmeticError:
+        pass
+    y = tuple([np.float64(v) if type(v) is float else v for v in y])
+    return _advance_state(system, y, dt, n)
 
 
 def _divergence(system, y, batch, step_index=None, total=None):
@@ -286,7 +320,7 @@ def step(system, x, dt):
     _check_dt(system, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         if x.size == system.dim:
-            y = _advance_state(system, tuple(x.ravel()), dt)
+            y, = _advance_floats(system, tuple(x.ravel().tolist()), dt, 1)
             out = _field_output(system, y, (system.dim,)).reshape(x.shape)
         else:
             out = _advance(system, x.T, dt).T
@@ -300,13 +334,11 @@ def _simulate_state(system, rows, dt, batch):
     are stored and checked STATE_CHUNK at a time; a divergence names the
     first non-finite step."""
     total = len(rows) - 1
-    y = tuple(rows[0])
+    y = tuple(rows[0].tolist())
     for start in range(1, total + 1, STATE_CHUNK):
         stop = min(start + STATE_CHUNK, total + 1)
-        chunk = []
-        for _ in range(start, stop):
-            y = _advance_state(system, y, dt)
-            chunk.append(y)
+        chunk = _advance_floats(system, y, dt, stop - start)
+        y = chunk[-1]
         # a field that returns arrays makes every later state one of arrays,
         # so the chunk's last state shows it
         _field_output(system, y, (system.dim,))
@@ -461,12 +493,25 @@ def _row_lineno(k, blank):
     return lineno
 
 
+def _off_grid(t, row, t0, dt):
+    """(row index, time) of the first time in t, the times of the data rows
+    from ``row`` on, that is off the grid t0 + k*dt; None if there is none."""
+    drift = np.abs(t - (t0 + np.arange(row, row + len(t)) * dt))
+    off_grid = drift > TIME_GRID_TOL * np.maximum(1.0, np.abs(t))
+    if np.any(off_grid):
+        j = int(np.argmax(off_grid))
+        return row + j, float(t[j])
+    return None
+
+
 def load_trajectory(path):
     """Read a trajectory CSV. A line with the wrong number of fields or an
     unparsable value anywhere is reported first, then too few rows, then
     the first NaN or Inf, then the first time off the grid; each error
-    names its line."""
-    blocks, blank, bad, n = [], [], None, 0
+    names its line. Each block's times are checked against the grid as it
+    is parsed, and only its state columns are kept."""
+    states, blank, head, n = [], [], [], 0
+    bad = off = None
     with open(path) as fh:
         line_blocks = _line_blocks(fh)
         first = next(line_blocks, [])
@@ -480,7 +525,14 @@ def load_trajectory(path):
             finite = np.isfinite(data).all(axis=1)
             if bad is None and not finite.all():
                 bad = n + int(np.argmin(finite))
-            blocks.append(data)
+            # the grid t0 + k*dt comes from the first two times, which may
+            # lie in different blocks; the first row, t0 itself, is on it
+            times = data[:, 0]
+            if len(head) < 2:
+                head += times[:2 - len(head)].tolist()
+            if off is None and len(head) == 2:
+                off = _off_grid(times, n, head[0], head[1] - head[0])
+            states.append(data[:, 1:].copy())
             n += len(data)
     if n < 2:
         raise ConfigurationError(
@@ -490,19 +542,10 @@ def load_trajectory(path):
         raise ConfigurationError(
             f"{path}:{_row_lineno(bad, blank)}: non-finite value (NaN or Inf)"
         )
-    t0, t1 = np.concatenate([data[:2, 0] for data in blocks])[:2]
-    dt = float(t1 - t0)
-    states, row = np.empty((n, width - 1)), 0
-    for data in blocks:
-        t = data[:, 0]
-        drift = np.abs(t - (t0 + np.arange(row, row + len(t)) * dt))
-        off_grid = drift > TIME_GRID_TOL * np.maximum(1.0, np.abs(t))
-        if np.any(off_grid):
-            j = int(np.argmax(off_grid))
-            raise ConfigurationError(
-                f"{path}:{_row_lineno(row + j, blank)}: time {float(t[j])!r} is off "
-                f"the uniform grid t0 + k*dt (dt={dt!r} from the first two rows)"
-            )
-        states[row:row + len(t)] = data[:, 1:]
-        row += len(t)
-    return Trajectory(dim=width - 1, dt=dt, states=states)
+    dt = head[1] - head[0]
+    if off is not None:
+        raise ConfigurationError(
+            f"{path}:{_row_lineno(off[0], blank)}: time {off[1]!r} is off "
+            f"the uniform grid t0 + k*dt (dt={dt!r} from the first two rows)"
+        )
+    return Trajectory(dim=width - 1, dt=dt, states=np.concatenate(states))

@@ -281,6 +281,16 @@ def test_transport_unknown_element(tmp_path, capsys):
     ("transport", [], {"seed": 1.5}, "seed"),
     ("assemble", ["--seed", "-2"], {}, "seed"),
     ("assemble", [], {"seed": "0"}, "seed"),
+    ("simulate", ["--steps", "x"], {}, "steps"),
+    ("simulate", ["--steps", "3.0"], {}, "steps"),
+    ("simulate", ["--dt", "fast"], {}, "dt"),
+    ("simulate", ["--dt", "inf"], {}, "dt"),
+    ("simulate", ["--discard", "1.5"], {}, "discard"),
+    ("simulate", ["--seed", "x", "--random-starts", "2"], {}, "seed"),
+    ("simulate", ["--random-starts", "two"], {}, "random_starts"),
+    ("fit", ["--rank-tol", "tiny"], {}, "rank_tol"),
+    ("transport", ["--seed", "s"], {}, "seed"),
+    ("assemble", ["--seed", "0x1"], {}, "seed"),
 ])
 def test_bad_numeric_option_is_one_config_error_naming_the_key(
         tmp_path, capsys, command, flags, config, key):
@@ -315,6 +325,13 @@ def test_whole_floats_and_ints_are_accepted_numeric_options(tmp_path):
                 "--config", str(cfg), "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "hamiltonian_traj00.csv").read_text().splitlines()
     assert rows[1:] == ["0.0,3.0,0.0", "1.0,3.0,0.0", "2.0,3.0,0.0", "3.0,3.0,0.0"]
+
+
+def test_numeric_flags_are_read_as_numbers(tmp_path):
+    assert run(["simulate", "--system", "hamiltonian", "--x0", "3,0", "--steps", "3",
+                "--dt", "1e-3", "--discard", "1", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "hamiltonian_traj00.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0.0", "0.001", "0.002", "0.003"]
 
 
 def test_assemble_toggle_registry(tmp_path, capsys):

@@ -231,6 +231,52 @@ def test_divergence_names_first_step_across_stored_chunks(x0, first):
         assert (info.value.start_index, info.value.step_index) == (start, first)
 
 
+def stepped(fn):
+    """fn()'s result, or the type and step index of the divergence it raises."""
+    try:
+        return fn()
+    except NumericalDivergenceError as err:
+        return type(err), err.step_index
+
+
+# Fields where Python floats raise or turn complex while numpy, under
+# np.errstate, gives Inf or NaN; a state must get numpy's result alone too.
+@pytest.mark.parametrize("field, x0, expected", [
+    # 1/0: ZeroDivisionError on Python floats; numpy's 1/(1 + Inf) is 0
+    (lambda x, p: (1.0 / (1.0 + 1.0 / x[0]),), 0.0, 0.0),
+    # an overflowing **: OverflowError; numpy's Inf * 0 is NaN
+    (lambda x, p: (x[0] ** 2.0 * 0.0 + 1.0,), 1e200, NumericalDivergenceError),
+    # a negative base to a fractional power: complex; numpy's is NaN
+    (lambda x, p: ((x[0] - 5.0) ** 0.5,), 1.0, NumericalDivergenceError),
+], ids=["divide-by-zero", "pow-overflow", "pow-complex"])
+def test_one_state_follows_numpy_where_python_floats_raise(field, x0, expected):
+    system = SystemDef("rerun", 1, {}, field)
+    with np.errstate(divide="ignore"):
+        alone = stepped(lambda: step(system, [x0], 0.1))
+        row = stepped(lambda: step(system, [[x0], [x0]], 0.1)[0])
+        trajs = [stepped(lambda: simulate(system, x, 0.1, 300))
+                 for x in ([x0], [[x0], [x0]])]
+    if expected is NumericalDivergenceError:
+        assert alone == row == (expected, None)
+        assert trajs[0] == trajs[1] == (expected, 1)
+    else:
+        assert np.array_equal(alone, row) and alone.tolist() == [expected]
+        assert np.array_equal(trajs[0].states, trajs[1][0].states)
+
+
+def test_rerun_starts_from_the_chunk_that_raised():
+    # x -> x - 1 passes 1/0 at x = 1 (step 299 to 300; numpy's 0 * 0 is 0),
+    # then 0 * (1/0) at x = 0 is NaN at step 301, in the second stored chunk
+    assert STATE_CHUNK < 300
+    down = SystemDef("down", 1, {}, lambda x, p: (
+        x[0] - 1.0 + 0.0 * (1.0 / (1.0 + 1.0 / (x[0] - 1.0))),), kind=DISCRETE)
+    for starts, start in (([300.0], None), ([[300.0], [300.0]], 0)):
+        with np.errstate(divide="ignore"), \
+                pytest.raises(NumericalDivergenceError) as info:
+            simulate(down, starts, 1.0, 400)
+        assert (info.value.start_index, info.value.step_index) == (start, 301)
+
+
 def test_trajectory_csv_roundtrip_exact(tmp_path):
     traj = simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, 25)
     path = tmp_path / "traj.csv"

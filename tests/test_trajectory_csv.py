@@ -236,6 +236,11 @@ def test_loader_matches_reference_on_generated_faults(tmp_path, faults, newline,
     "", "\n", "x,y\n0,1\n", "t,x1\n", "t,x1\n0.0,1.0\n", "t,x1\n\n0.0,1.0\n\n",
     "t,x1\n0.0,1.0\n" + "\n" * (2 * B) + "0.5,2.0",
     "t,x1\n" + "\n" * (B - 1) + "0.0,1.0\n" + "\n" * B + "0.5,2.0\n1.0,3.0\n",
+    # the first two data rows in different blocks, then a time off the grid
+    # (or a NaN first time) that is known only once the second row is read
+    "t,x1\n0.0,1.0\n" + "\n" * (B - 2) + "0.5,2.0\n1.1,3.0\n",
+    "t,x1\n0.0,1.0\n" + "\n" * (B - 2) + "0.5,2.0\n" + "\n" * B + "1.5,3.0\n",
+    "t,x1\nnan,1.0\n" + "\n" * (B - 2) + "0.5,2.0\n1.0,3.0\n",
 ])
 def test_short_files_match_reference(tmp_path, text):
     path = tmp_path / "short.csv"
@@ -260,6 +265,7 @@ def test_save_and_load_memory_stay_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(loaded.states, states)
-    # the whole-file code peaked at 53 MB and 18 x states.nbytes
+    # the whole-file code peaked at 53 MB and 18 x states.nbytes, a loader
+    # keeping every parsed (rows, dim + 1) block at 2.6 x
     assert save_peak < 2_000_000, save_peak
-    assert load_peak < 4 * loaded.states.nbytes, (load_peak, loaded.states.nbytes)
+    assert load_peak < 2.5 * loaded.states.nbytes, (load_peak, loaded.states.nbytes)
