@@ -318,7 +318,7 @@ def step(system, x, dt):
     """
     x = _check_state(system, x)
     _check_dt(system, dt)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if x.size == system.dim:
             y, = _advance_floats(system, tuple(x.ravel().tolist()), dt, 1)
             out = _field_output(system, y, (system.dim,)).reshape(x.shape)
@@ -369,7 +369,7 @@ def simulate(system, x0, dt, n_steps, discard=0):
     total = n_steps + discard
     states = np.empty(x0.shape[:-1] + (total + 1, system.dim))
     states[..., 0, :] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if x0.size == system.dim:
             _simulate_state(system, states.reshape(total + 1, system.dim), dt, batch)
         else:

@@ -450,7 +450,7 @@ def verify_invariant_set_images(system, images, samples, dt, horizon):
     active = np.arange(edges[-1])  # column c holds sample c % n of image c // n
     keep = _memberships(images, y[None], edges)[0]
     k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while True:
             if not keep.all():
                 active, y = active[keep], y[:, keep]

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from symkoop import (
     ConfigurationError,
+    GroupElement,
     InputError,
     NumericalDivergenceError,
     SystemDef,
@@ -15,6 +18,7 @@ from symkoop import (
     snapshots,
     step,
     vector_field,
+    verify_invariant_set_images,
 )
 from symkoop.dynamics import DISCRETE, STATE_CHUNK
 
@@ -251,17 +255,33 @@ def stepped(fn):
 ], ids=["divide-by-zero", "pow-overflow", "pow-complex"])
 def test_one_state_follows_numpy_where_python_floats_raise(field, x0, expected):
     system = SystemDef("rerun", 1, {}, field)
-    with np.errstate(divide="ignore"):
-        alone = stepped(lambda: step(system, [x0], 0.1))
-        row = stepped(lambda: step(system, [[x0], [x0]], 0.1)[0])
-        trajs = [stepped(lambda: simulate(system, x, 0.1, 300))
-                 for x in ([x0], [[x0], [x0]])]
+    alone = stepped(lambda: step(system, [x0], 0.1))
+    row = stepped(lambda: step(system, [[x0], [x0]], 0.1)[0])
+    trajs = [stepped(lambda: simulate(system, x, 0.1, 300))
+             for x in ([x0], [[x0], [x0]])]
     if expected is NumericalDivergenceError:
         assert alone == row == (expected, None)
         assert trajs[0] == trajs[1] == (expected, 1)
     else:
         assert np.array_equal(alone, row) and alone.tolist() == [expected]
         assert np.array_equal(trajs[0].states, trajs[1][0].states)
+
+
+def test_division_by_zero_in_a_field_warns_nothing():
+    # numpy's 1/0 is Inf and 1/(1 + Inf) is 0: the state stays at 0, and
+    # the steppers' np.errstate keeps numpy from warning on the way
+    system = SystemDef("inv", 1, {}, lambda x, p: (1.0 / (1.0 + 1.0 / x[0]),))
+    at_rest = lambda x: x[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert step(system, [0.0], 0.1).tolist() == [0.0]
+        assert step(system, [[0.0], [0.0]], 0.1).tolist() == [[0.0], [0.0]]
+        assert simulate(system, [0.0], 0.1, 3).states.tolist() == [[0.0]] * 4
+        block = simulate(system, [[0.0], [0.0]], 0.1, 3)
+        assert [t.states.tolist() for t in block] == [[[0.0]] * 4] * 2
+        report, = verify_invariant_set_images(
+            system, [(GroupElement("e", np.eye(1)), at_rest)], np.zeros((2, 1)), 0.1, 3)
+        assert report.fraction == 1.0
 
 
 def test_rerun_starts_from_the_chunk_that_raised():
@@ -271,8 +291,7 @@ def test_rerun_starts_from_the_chunk_that_raised():
     down = SystemDef("down", 1, {}, lambda x, p: (
         x[0] - 1.0 + 0.0 * (1.0 / (1.0 + 1.0 / (x[0] - 1.0))),), kind=DISCRETE)
     for starts, start in (([300.0], None), ([[300.0], [300.0]], 0)):
-        with np.errstate(divide="ignore"), \
-                pytest.raises(NumericalDivergenceError) as info:
+        with pytest.raises(NumericalDivergenceError) as info:
             simulate(down, starts, 1.0, 400)
         assert (info.value.start_index, info.value.step_index) == (start, 301)
 

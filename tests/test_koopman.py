@@ -27,6 +27,8 @@ from symkoop import (
     simulate,
     snapshots,
     spectrum,
+    transform_snapshots,
+    verify_conjugation,
 )
 from symkoop.koopman import (
     _FIT_CHUNK,
@@ -36,6 +38,7 @@ from symkoop.koopman import (
     operator_to_dict,
     spectrum_to_list,
 )
+from symkoop.scenarios import EXACT_TIER_TOL, draw_base_state
 
 
 def svd_pinv_fit(Yp, Yf, rank_tol=DEFAULT_RANK_TOL):
@@ -45,6 +48,29 @@ def svd_pinv_fit(Yp, Yf, rank_tol=DEFAULT_RANK_TOL):
     U, s, Vt = np.linalg.svd(Yp, full_matrices=False)
     rank = int(np.sum(s >= rank_tol * s[0]))
     return Yf @ ((Vt[:rank].T / s[:rank]) @ U[:, :rank].T), rank
+
+
+def full_r_fit(Yp, Yf, rank_tol=DEFAULT_RANK_TOL):
+    """Reference: the chunked fit carrying the whole 2K x 2K factor
+    R = [[R_p, R_f], [0, R_22]] from chunk to chunk. Returns K, the retained
+    rank and the relative residual."""
+    n, m = Yp.shape
+    bounds = [(a, min(a + _FIT_CHUNK, m)) for a in range(0, m, _FIT_CHUNK)]
+    R = np.empty((0, 2 * n))
+    for a, b in bounds:
+        block = np.concatenate([Yp[:, a:b], Yf[:, a:b]])
+        R = np.linalg.qr(np.concatenate([R.T, block], axis=1).T, mode="r")
+    U, s, Vt = np.linalg.svd(R[:, :n], full_matrices=False)
+    rank = int(np.sum(s >= rank_tol * s[0]))
+    K = ((R[:, n:].T @ U[:, :rank]) / s[:rank]) @ Vt[:rank]
+    res_sq = Yf_sq = 0.0
+    for a, b in bounds:
+        block = np.concatenate([Yp[:, a:b], Yf[:, a:b]])
+        r = K @ block[:n]
+        r -= block[n:]
+        res_sq += np.linalg.norm(r) ** 2
+        Yf_sq += np.linalg.norm(block[n:]) ** 2
+    return K, rank, float(np.sqrt(res_sq / Yf_sq)) if Yf_sq > 0 else 0.0
 
 
 def op_from_matrix(K):
@@ -144,6 +170,66 @@ def test_fit_matches_svd_pseudo_inverse_reference(data):
     direct = np.linalg.norm(op.matrix @ Yp - Yf) / np.linalg.norm(Yf)
     if direct > 1e-12:
         assert op.fit_residual == pytest.approx(direct, rel=1e-12)
+    # carrying only R's top K rows between chunks moves K by rounding only,
+    # and a one-chunk fit not at all
+    K_full, rank_full, residual_full = full_r_fit(Yp, Yf)
+    assert op.rank_used == rank_full
+    if Yp.shape[1] <= _FIT_CHUNK:
+        assert np.array_equal(op.matrix, K_full)
+        assert op.fit_residual == residual_full
+    else:
+        assert np.linalg.norm(op.matrix - K_full) <= 1e-10 * np.linalg.norm(K_full)
+
+
+@pytest.mark.parametrize("m", [300, 1000, _FIT_CHUNK])
+@pytest.mark.parametrize("dictionary", [IdentityDictionary(3), MonomialDictionary(3, 2),
+                                        MonomialDictionary(3, 4), MonomialDictionary(3, 6)],
+                         ids=["identity", "monomial2", "monomial4", "monomial6"])
+def test_one_chunk_fits_equal_the_full_factor_fit_bitwise(m, dictionary):
+    Yp, Yf = lift(dictionary, snapshots(
+        simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, m)))
+    K, rank, residual = full_r_fit(Yp, Yf)
+    op = fit_edmd(Yp, Yf, dictionary=dictionary)
+    assert np.array_equal(op.matrix, K)
+    assert (op.rank_used, op.fit_residual) == (rank, residual)
+
+
+@pytest.mark.parametrize("k, m", [(38, 65), (84, 130)])
+def test_one_chunk_fit_of_fewer_than_2k_snapshots_equals_the_full_factor_fit(k, m):
+    # R has m rows, more than K: the SVD must see them all (the rows below
+    # K are zero in the Yp columns but round differently if dropped)
+    rng = np.random.default_rng(0)
+    Yp, Yf = rng.normal(size=(k, m)), rng.normal(size=(k, m))
+    K, rank, residual = full_r_fit(Yp, Yf)
+    op = fit_edmd(Yp, Yf, dictionary=IdentityDictionary(k))
+    assert np.array_equal(op.matrix, K)
+    assert (op.rank_used, op.fit_residual) == (rank, residual)
+
+
+def test_fits_on_exactly_transformed_data_are_conjugate():
+    # 20 Hamiltonian IS-1 trajectories, one chunk each, and 3077 Lorenz
+    # pairs, four chunks with Yp's condition number about 1e12: the fit on
+    # g-transformed data is R(g) K R(g)^-1 within the exact tier
+    system, g = make_system("hamiltonian"), builtin_group("hamiltonian").element("swap")
+    dictionary = MonomialDictionary(2, 2)
+    rep = induced_representation(dictionary, g)
+    rng = np.random.default_rng(11)
+    x0 = np.array([draw_base_state("hamiltonian", rng) for _ in range(20)])
+    worst = 0.0
+    for traj in simulate(system, x0, 0.001, 400):
+        mirrored = fit_snapshots(transform_snapshots(snapshots(traj), g), dictionary)
+        report = verify_conjugation(fit_trajectory(traj, dictionary), mirrored, rep)
+        worst = max(worst, report.frobenius_error)
+    assert worst <= EXACT_TIER_TOL
+
+    g = builtin_group("lorenz").element("rot_pi_z")
+    dictionary = MonomialDictionary(3, 6)
+    traj = simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, 3077)
+    assert traj.n_states - 1 > 3 * _FIT_CHUNK
+    mirrored = fit_snapshots(transform_snapshots(snapshots(traj), g), dictionary)
+    report = verify_conjugation(fit_trajectory(traj, dictionary), mirrored,
+                                induced_representation(dictionary, g))
+    assert report.frobenius_error <= EXACT_TIER_TOL
 
 
 def fit_peak_bytes(m, k=20):
@@ -335,6 +421,52 @@ def test_spectrum_is_deterministic_and_normalized():
         assert w[nz].real >= 0
         defect = np.linalg.norm(w @ K - a.eigenvalues[i] * w)
         assert defect <= 1e-8 * np.linalg.norm(K)
+
+
+def loop_spectrum(K):
+    """Reference: spectrum's normalisation and sign rule one eigenvector at
+    a time. Returns the eigenvalues and the rows w."""
+    lam, W = np.linalg.eig(K.T)
+    order = np.lexsort((lam.imag, -lam.real, -np.abs(lam)))
+    W = W[:, order]
+    coeffs = np.empty(K.shape, dtype=complex)
+    for i in range(len(K)):
+        w = W[:, i] / np.linalg.norm(W[:, i])
+        nz = np.nonzero(np.abs(w) > 1e-12 * np.max(np.abs(w)))[0][0]
+        if w[nz].real < 0 or (w[nz].real == 0 and w[nz].imag < 0):
+            w = -w
+        coeffs[i] = w
+    return lam[order], coeffs
+
+
+def test_spectrum_matches_the_per_eigenvector_loop():
+    rng = np.random.default_rng(4)
+    traj = simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, 1000)
+    mats = [fit_trajectory(traj, MonomialDictionary(3, 6)).matrix,
+            rng.normal(size=(30, 30)), rng.normal(size=(1, 1)),
+            np.diag([-1.0, 2.0, -0.5]), np.zeros((3, 3)),
+            np.array([[0.0, -1.0], [1.0, 0.0]])]
+    for K in mats:
+        spec = spectrum(op_from_matrix(K))
+        lam, coeffs = loop_spectrum(K)
+        assert np.array_equal(spec.eigenvalues, lam)
+        # the norms are summed in another order: a few ulps on unit vectors
+        np.testing.assert_allclose(spec.coefficients, coeffs, rtol=0, atol=1e-15)
+
+
+def test_spectrum_defect_error_names_the_first_failing_pair(monkeypatch):
+    # eig of diag(1, 2, 3) with the vectors of 2 and 1 (sorted pairs 1 and
+    # 2) spoiled: the error names pair 1
+    eig = np.linalg.eig
+
+    def spoiled(a):
+        lam, W = eig(a)
+        W[:, lam < 2.5] += 0.5
+        return lam, W
+
+    monkeypatch.setattr(np.linalg, "eig", spoiled)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^left eigenpair 1 defect "):
+        spectrum(op_from_matrix(np.diag([1.0, 2.0, 3.0])))
 
 
 def test_spectrum_similarity_invariance_for_builtin_fits():
