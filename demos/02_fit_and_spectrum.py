@@ -1,9 +1,10 @@
 """Fit finite Koopman approximations by least squares and inspect them.
 
-A trajectory is split into snapshot pairs, lifted through a dictionary of
-observables, and the operator K = Yf pinv(Yp) minimizing ||K Yp - Yf||_F is
-fitted. With the identity dictionary this is plain DMD; richer monomial
-dictionaries capture more of the nonlinearity at the price of a larger K.
+The consecutive states of a trajectory form snapshot pairs. They are lifted
+through a dictionary of observables, and the operator K = Yf pinv(Yp)
+minimizing ||K Yp - Yf||_F is fitted. With the identity dictionary this is
+plain DMD; richer monomial dictionaries capture more of the nonlinearity at
+the price of a larger K.
 """
 
 import numpy as np
@@ -12,20 +13,18 @@ from symkoop import (
     IdentityDictionary,
     MonomialDictionary,
     eigenfunction_eval,
-    fit_snapshots,
+    fit_trajectory,
     make_system,
     predict,
     simulate,
-    snapshots,
     spectrum,
 )
 
 system = make_system("toggle_switch")
 traj = simulate(system, [3.5, 1.2], dt=0.05, n_steps=100)
-pairs = snapshots(traj)
 
 for dictionary in (IdentityDictionary(2), MonomialDictionary(2, 2)):
-    op = fit_snapshots(pairs, dictionary, set_label="right")
+    op = fit_trajectory(traj, dictionary, set_label="right")
     print(f"\n{dictionary.kind} dictionary, K is {op.size}x{op.size}: "
           f"residual {op.fit_residual:.3e}, rank {op.rank_used}")
     spec = spectrum(op)

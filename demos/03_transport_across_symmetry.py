@@ -14,12 +14,11 @@ import numpy as np
 from symkoop import (
     IdentityDictionary,
     builtin_group,
-    fit_snapshots,
+    fit_trajectory,
     induced_representation,
     make_system,
     simulate,
-    snapshots,
-    transform_snapshots,
+    transform_trajectory,
     transport_case1,
     transport_case2,
     verify_conjugation,
@@ -30,8 +29,8 @@ group = builtin_group("toggle_switch")
 swap = group.element("swap")
 dictionary = IdentityDictionary(2)
 
-pairs_right = snapshots(simulate(system, [3.5, 1.2], dt=0.05, n_steps=100))
-k_right = fit_snapshots(pairs_right, dictionary, set_label="right")
+traj_right = simulate(system, [3.5, 1.2], dt=0.05, n_steps=100)
+k_right = fit_trajectory(traj_right, dictionary, set_label="right")
 print("K_right (fitted from right-region data):")
 print(np.round(k_right.matrix, 4))
 
@@ -40,17 +39,17 @@ k_left = transport_case1(k_right, rep, target_label="left")
 print("\nK_left = R K_right R^-1 (no left-region data used):")
 print(np.round(k_left.matrix, 4))
 
-# exact tier: refit on the mirrored copy of the same snapshots
-k_left_mirror = fit_snapshots(
-    transform_snapshots(pairs_right, swap), dictionary, set_label="left"
+# exact tier: refit on the mirrored copy of the same trajectory
+k_left_mirror = fit_trajectory(
+    transform_trajectory(traj_right, swap), dictionary, set_label="left"
 )
 exact = verify_conjugation(k_right, k_left_mirror, rep, frobenius_tol=1e-10)
 print(f"\nrefit on exactly mirrored data: relative Frobenius error "
       f"{exact.frobenius_error:.2e} (passed: {exact.passed})")
 
 # statistical tier: an independent trajectory of the left region
-pairs_left = snapshots(simulate(system, [0.8, 3.1], dt=0.05, n_steps=100))
-k_left_indep = fit_snapshots(pairs_left, dictionary, set_label="left")
+traj_left = simulate(system, [0.8, 3.1], dt=0.05, n_steps=100)
+k_left_indep = fit_trajectory(traj_left, dictionary, set_label="left")
 stat = verify_conjugation(k_right, k_left_indep, rep,
                           frobenius_tol=None, hausdorff_tol=0.14)
 print(f"independent left-region fit: eigenvalue Hausdorff distance "

@@ -14,13 +14,12 @@ from symkoop import (
     IdentityDictionary,
     assemble_global,
     builtin_group,
-    fit_snapshots,
+    fit_trajectory,
     global_predict,
     induced_representation,
     make_system,
     predict,
     simulate,
-    snapshots,
 )
 from symkoop.scenarios import builtin_registry
 
@@ -29,8 +28,8 @@ group = builtin_group("hamiltonian")
 registry = builtin_registry("hamiltonian")
 dictionary = IdentityDictionary(2)
 
-base = fit_snapshots(
-    snapshots(simulate(system, [3.2, 0.3], dt=1e-3, n_steps=400)),
+base = fit_trajectory(
+    simulate(system, [3.2, 0.3], dt=1e-3, n_steps=400),
     dictionary, set_label="IS-1",
 )
 reps = {

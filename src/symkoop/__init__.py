@@ -23,7 +23,6 @@ from .dynamics import (
     hamiltonian_energy,
     load_trajectory,
     make_system,
-    merge_snapshots,
     save_trajectory,
     simulate,
     snapshots,
@@ -82,7 +81,6 @@ from .koopman import (
     eigenfunction_eval,
     eigenvalue_hausdorff,
     fit_edmd,
-    fit_snapshots,
     fit_trajectory,
     load_operator,
     predict,

@@ -145,7 +145,9 @@ class MonomialDictionary(Dictionary):
 
 
 class CustomDictionary(Dictionary):
-    """User-supplied scalar observables."""
+    """User-supplied scalar observables. Each is called once on the whole
+    dim x N block of column-states and returns its N real values, shape
+    (N,): ``lambda x: np.sin(x[0]) * x[1]``. Anything else is an InputError."""
 
     kind = "custom"
 
@@ -162,7 +164,14 @@ class CustomDictionary(Dictionary):
             raise InputError("labels and observables must have equal length")
 
     def _evaluate(self, X):
-        return np.array([[float(f(x)) for x in X.T] for f in self.observables])
+        out = np.empty((self.size, X.shape[1]))
+        for row, f, label in zip(out, self.observables, self.labels):
+            values = np.asarray(f(X))
+            if values.shape != row.shape or values.dtype.kind == "c":
+                raise InputError(f"observable {label!r} returned {values.dtype} of shape "
+                                 f"{values.shape}, expected real values of shape {row.shape}")
+            row[:] = values
+        return out
 
     def to_spec(self):
         # callables are not serializable; the spec records shape only

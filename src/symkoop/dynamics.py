@@ -394,21 +394,6 @@ def snapshots(traj):
     return SnapshotPairs(dim=traj.dim, Xp=Xp, Xf=Xf)
 
 
-def merge_snapshots(*pairs_list):
-    """Concatenate snapshot pairs column-wise (e.g. a trajectory and its
-    symmetry image, or several trajectories of one invariant set)."""
-    if not pairs_list:
-        raise InputError("nothing to merge")
-    dims = {p.dim for p in pairs_list}
-    if len(dims) != 1:
-        raise InputError(f"mixed snapshot dimensions: {sorted(dims)}")
-    return SnapshotPairs(
-        dim=dims.pop(),
-        Xp=np.concatenate([p.Xp for p in pairs_list], axis=1),
-        Xf=np.concatenate([p.Xf for p in pairs_list], axis=1),
-    )
-
-
 # ---------------------------------------------------------------------------
 # trajectory CSV format: header "t,x1,...,xn", time column k*dt, values
 # written as shortest round-trip decimals so load(save(x)) == x exactly.

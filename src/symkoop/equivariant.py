@@ -165,13 +165,11 @@ def transport_case2(op, g, target_label=None):
     return new_op, transformed
 
 
-def assemble_global(registry, base, reps, fitted_overrides=None):
+def assemble_global(registry, base, reps):
     """Build the global block-diagonal operator in registry label order.
 
     ``reps`` maps each non-base label to the FeatureRepresentation of its
     registry element; those blocks are produced by conjugation transport.
-    ``fitted_overrides`` may supply data-fitted operators for labels whose
-    blocks should not be transported (partially symmetric partitions).
 
     Raises InputError when a transported label's representation is not of
     its registry element, or two transported labels share one element
@@ -182,14 +180,11 @@ def assemble_global(registry, base, reps, fitted_overrides=None):
             f"base operator is labeled {base.set_label!r}, registry expects "
             f"{registry.base_label!r}"
         )
-    fitted_overrides = fitted_overrides or {}
     blocks = []
     transported = {}  # element label -> the first label mapped through it
     for label in registry.labels:
         if label == registry.base_label:
             blocks.append((label, base))
-        elif label in fitted_overrides:
-            blocks.append((label, fitted_overrides[label]))
         else:
             if label not in reps:
                 raise InputError(f"no feature representation supplied for {label!r}")

@@ -7,8 +7,9 @@ the stacked data [Yp; Yf]^T, one chunk of snapshot columns at a time. Only
 the K x 2K block [R_p, R_f] of R, the part the fit reads, is carried from
 chunk to chunk, so the memory the fit needs beyond its inputs does not grow
 with the number of snapshots; the truncation uses the singular values of
-R_p, which are those of Yp. fit_snapshots and fit_trajectory lift each
-chunk as the fit reaches it, so they never hold the K x M lifted data.
+R_p, which are those of Yp. fit_trajectory takes one trajectory or a
+sequence of them and lifts each chunk of their snapshot pairs as the fit
+reaches it, so it never holds the K x M lifted data.
 
 The matrix advances feature vectors, Psi(x_{k+1}) ~ K Psi(x_k), so
 observables (and therefore eigenfunctions) evolve through row vectors:
@@ -16,12 +17,13 @@ eigenfunctions are built from left eigenvectors, phi(x) = w^T Psi(x).
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dictionaries import Dictionary, dictionary_from_spec
+from .dynamics import TIME_GRID_TOL, Trajectory
 from .errors import DegenerateDataError, InputError
 
 DEFAULT_RANK_TOL = 1e-12
@@ -88,39 +90,46 @@ def fit_edmd(Yp, Yf, rank_tol=DEFAULT_RANK_TOL, *, dictionary, set_label="fit"):
     )
 
 
-def fit_snapshots(pairs, dictionary, rank_tol=DEFAULT_RANK_TOL, set_label="fit"):
-    """``fit_edmd`` of the lifted pairs, lifting [Xp_c | Xf_c] one chunk of
-    columns at a time, so no K x M matrix is built."""
-    if pairs.dim != dictionary.dim:
-        raise InputError("snapshot dimension does not match dictionary")
-    if pairs.Xp.shape != pairs.Xf.shape:
-        raise InputError(
-            f"Xp and Xf must have equal shapes, got {pairs.Xp.shape} and {pairs.Xf.shape}"
-        )
-
-    def chunk(a, b):
-        X = np.concatenate([pairs.Xp[:, a:b], pairs.Xf[:, a:b]], axis=1)
-        Y = dictionary.evaluate_matrix(X)
-        return Y[:, :b - a], Y[:, b - a:]
-
-    return _fit_chunks(chunk, dictionary.size, pairs.n_pairs, rank_tol,
-                       dictionary, set_label)
-
-
-def fit_trajectory(traj, dictionary, rank_tol=DEFAULT_RANK_TOL, set_label="fit"):
-    """``fit_snapshots(snapshots(traj), ...)`` without the pair matrices:
-    each chunk lifts states[a : b + 1] once and takes Yp_c and Yf_c as its
-    two shifted column views."""
-    if traj.n_states < 2:
+def fit_trajectory(trajs, dictionary, rank_tol=DEFAULT_RANK_TOL, set_label="fit"):
+    """``fit_edmd`` of the lifted snapshot pairs of one trajectory or of a
+    sequence of them (one dim, sample intervals equal within TIME_GRID_TOL
+    relative), without building the pair or lifted matrices. The pairs are
+    indexed as one column-stacked run; none joins the last state of one
+    trajectory to the first of the next. A chunk inside one trajectory lifts
+    states[a : b + 1] once and takes Yp_c and Yf_c as its two shifted views;
+    only a chunk across a boundary concatenates its pieces. So K, rank_used
+    and fit_residual are bit for bit those of fit_edmd on the stacked lifts."""
+    trajs = [trajs] if isinstance(trajs, Trajectory) else list(trajs)
+    if not trajs:
+        raise InputError("need at least one trajectory to fit")
+    if min(t.n_states for t in trajs) < 2:
         raise InputError("need at least 2 states to form snapshot pairs")
-    if traj.dim != dictionary.dim:
+    dims = {t.dim for t in trajs}
+    if len(dims) != 1:
+        raise InputError(f"trajectories of mixed dimensions: {sorted(dims)}")
+    if dims.pop() != dictionary.dim:
         raise InputError("snapshot dimension does not match dictionary")
+    dts = [t.dt for t in trajs]
+    if max(dts) - min(dts) > TIME_GRID_TOL * abs(dts[0]):
+        raise InputError(f"trajectories of different sample intervals: {min(dts)!r} "
+                         f"to {max(dts)!r}")
+    # pairs ends[k]:ends[k + 1] of the stacked run are those of trajs[k]
+    ends = np.cumsum([0] + [t.n_states - 1 for t in trajs])
 
     def chunk(a, b):
-        Y = dictionary.evaluate_matrix(traj.states[a:b + 1].T)
-        return Y[:, :-1], Y[:, 1:]
+        lifts = []
+        k = int(np.searchsorted(ends, a, side="right")) - 1
+        while ends[k] < b:
+            s = ends[k]
+            lifts.append(dictionary.evaluate_matrix(
+                trajs[k].states[max(a, s) - s:min(b, ends[k + 1]) - s + 1].T))
+            k += 1
+        if len(lifts) == 1:
+            return lifts[0][:, :-1], lifts[0][:, 1:]
+        return (np.concatenate([Y[:, :-1] for Y in lifts], axis=1),
+                np.concatenate([Y[:, 1:] for Y in lifts], axis=1))
 
-    return _fit_chunks(chunk, dictionary.size, traj.n_states - 1, rank_tol,
+    return _fit_chunks(chunk, dictionary.size, int(ends[-1]), rank_tol,
                        dictionary, set_label)
 
 
@@ -214,7 +223,7 @@ def spectrum(op):
     """
     lam, W = np.linalg.eig(op.matrix.T)  # columns: K^T w = lam w, i.e. w^T K = lam w^T
     order = np.lexsort((lam.imag, -lam.real, -np.abs(lam)))
-    lam = lam[order]
+    lam = lam[order].astype(complex, copy=False)  # complex even when all are real
     W = W.T[order]  # row i: the i-th left eigenvector; real when every lam is
     coeffs = (W / np.linalg.norm(W, axis=1, keepdims=True)).astype(complex, copy=False)
     mag = np.abs(coeffs)
@@ -310,7 +319,3 @@ def spectrum_from_list(entries):
         [np.array(e["w_re"]) + 1j * np.array(e["w_im"]) for e in entries]
     )
     return Spectrum(eigenvalues=eigenvalues, coefficients=coefficients)
-
-
-def relabel(op, set_label):
-    return replace(op, set_label=set_label)

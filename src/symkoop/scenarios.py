@@ -208,18 +208,17 @@ def check_equivariance(name, n_samples=1000, tol=EQUIVARIANCE_TOL, seed=0):
 
 
 def check_conjugation_exact(name, tol=EXACT_TIER_TOL):
-    """Fit on a trajectory, refit on its exactly transformed snapshots, and
+    """Fit on a trajectory, refit on its exactly transformed copy, and
     compare against conjugation by the induced representation."""
     group = _group(name)
     traj = exact_tier_trajectory(name)
-    pairs = dynamics.snapshots(traj)
     worst = 0.0
     for dictionary in base_dictionaries(name).values():
         base = koopman.fit_trajectory(traj, dictionary, set_label="base")
         for g in group.elements[1:]:
             rep = dictionaries.induced_representation(dictionary, g)
-            mirrored = koopman.fit_snapshots(
-                groups.transform_snapshots(pairs, g), dictionary,
+            mirrored = koopman.fit_trajectory(
+                groups.transform_trajectory(traj, g), dictionary,
                 set_label=f"image:{g.label}",
             )
             report = equivariant.verify_conjugation(
@@ -322,11 +321,11 @@ def check_commutation_symmetric(name="toggle_switch", tol=COMMUTATION_TOL):
     _, _, mirror_label = _STAT_TIER_RUNS[name]
     mirror = group.element(mirror_label)
     traj = exact_tier_trajectory(name)
-    pairs = dynamics.snapshots(traj)
-    union = dynamics.merge_snapshots(pairs, groups.transform_snapshots(pairs, mirror))
+    union = [traj, groups.transform_trajectory(traj, mirror)]
     dictionary = dictionaries.IdentityDictionary(group.dim)
-    op = koopman.fit_snapshots(union, dictionary, set_label="union")
-    stabilizers = equivariant.data_stabilizer_labels(group, union.Xp.T)
+    op = koopman.fit_trajectory(union, dictionary, set_label="union")
+    stabilizers = equivariant.data_stabilizer_labels(
+        group, np.vstack([t.states[:-1] for t in union]))
     rep = dictionaries.induced_representation(dictionary, mirror)
     norm = equivariant.verify_commutation(op, rep, stabilizers)
     return CheckResult(

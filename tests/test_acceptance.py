@@ -23,7 +23,7 @@ from symkoop import (
     check_axioms,
     conjugate_isotropy,
     fit_edmd,
-    fit_snapshots,
+    fit_trajectory,
     generate_group,
     global_predict,
     hamiltonian_energy,
@@ -32,7 +32,6 @@ from symkoop import (
     make_system,
     predict,
     simulate,
-    snapshots,
     transform_trajectory,
     transport_case1,
 )
@@ -103,9 +102,9 @@ def test_criterion_03_statistical_conjugation_tier():
 
 def test_criterion_04_structural_reproduction():
     # toggle switch: conjugating by the swap permutes entries exactly
-    pairs = snapshots(scenarios.exact_tier_trajectory("toggle_switch"))
     d2 = IdentityDictionary(2)
-    k_right = fit_snapshots(pairs, d2, set_label="right")
+    k_right = fit_trajectory(scenarios.exact_tier_trajectory("toggle_switch"), d2,
+                             set_label="right")
     swap = builtin_group("toggle_switch").element("swap")
     k_left = transport_case1(
         k_right, induced_representation(d2, swap), target_label="left"
@@ -120,9 +119,9 @@ def test_criterion_04_structural_reproduction():
 
     # Lorenz: conjugating by the half-turn negates exactly the entries
     # coupling (x, y) with z, indices (1,3),(2,3),(3,1),(3,2) one-based
-    pairs3 = snapshots(scenarios.exact_tier_trajectory("lorenz"))
     d3 = IdentityDictionary(3)
-    k_blue = fit_snapshots(pairs3, d3, set_label="blue")
+    k_blue = fit_trajectory(scenarios.exact_tier_trajectory("lorenz"), d3,
+                            set_label="blue")
     half_turn = builtin_group("lorenz").elements[1]
     k_magenta = transport_case1(
         k_blue, induced_representation(d3, half_turn), target_label="magenta"
@@ -144,8 +143,8 @@ def _assembled_global(name):
     group = builtin_group(name)
     registry = scenarios.builtin_registry(name)
     d = IdentityDictionary(group.dim)
-    pairs = snapshots(scenarios.exact_tier_trajectory(name))
-    base = fit_snapshots(pairs, d, set_label=registry.base_label)
+    base = fit_trajectory(scenarios.exact_tier_trajectory(name), d,
+                          set_label=registry.base_label)
     reps = {
         label: induced_representation(d, group.element(element))
         for label, element in registry.mapping.items()

@@ -89,7 +89,7 @@ def test_monomial_lift_equals_per_factor_products(dim, degree, constant, scale, 
 @pytest.mark.parametrize("dictionary", [
     IdentityDictionary(2),
     MonomialDictionary(2, 3),
-    CustomDictionary(2, [lambda x: math.sin(x[0]) * x[1], lambda x: x[0] ** 3]),
+    CustomDictionary(2, [lambda x: np.sin(x[0]) * x[1], lambda x: x[0] ** 3]),
     TransformedDictionary(MonomialDictionary(2, 3), rotation(0.3).matrix, "rot"),
 ], ids=["identity", "monomial", "custom", "transformed"])
 def test_evaluate_is_one_column_of_evaluate_matrix(dictionary):
@@ -97,6 +97,34 @@ def test_evaluate_is_one_column_of_evaluate_matrix(dictionary):
     assert np.array_equal(
         dictionary.evaluate(x), dictionary.evaluate_matrix(x[:, None])[:, 0]
     )
+
+
+def test_custom_observables_are_called_once_on_the_whole_block():
+    calls = []
+
+    def psi(x):
+        calls.append(x.shape)
+        return np.sin(x[0]) * x[1]
+
+    d = CustomDictionary(2, [psi, lambda x: x[0] ** 3])
+    X = np.random.default_rng(5).normal(size=(2, 7))
+    Y = d.evaluate_matrix(X)
+    assert calls == [(2, 7)]
+    assert np.array_equal(Y, np.vstack([np.sin(X[0]) * X[1], X[0] ** 3]))
+
+
+@pytest.mark.parametrize("observable, returned", [
+    (lambda x: 1.0, "float64 of shape ()"),
+    (lambda x: x, "float64 of shape (2, 4)"),
+    (lambda x: x[0][:-1], "float64 of shape (3,)"),
+    (lambda x: x[0] + 1j, "complex128 of shape (4,)"),
+], ids=["scalar", "block", "short", "complex"])
+def test_custom_observable_returning_other_than_n_reals_is_an_input_error(observable, returned):
+    d = CustomDictionary(2, [lambda x: x[0], observable], labels=["x1", "odd"])
+    with pytest.raises(InputError, match=r"^observable 'odd' returned ") as info:
+        d.evaluate_matrix(np.ones((2, 4)))
+    assert returned in str(info.value)
+    assert "\n" not in str(info.value)
 
 
 def test_transformed_evaluate_matrix_checks_shape():

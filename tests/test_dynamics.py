@@ -12,7 +12,6 @@ from symkoop import (
     hamiltonian_energy,
     load_trajectory,
     make_system,
-    merge_snapshots,
     save_trajectory,
     simulate,
     snapshots,
@@ -186,18 +185,6 @@ def test_snapshots_reintegration_roundtrip():
     pairs = snapshots(traj)
     for k in range(pairs.n_pairs):
         assert np.array_equal(pairs.Xf[:, k], step(system, pairs.Xp[:, k], 0.05))
-
-
-def test_merge_snapshots():
-    system = make_system("toggle_switch")
-    p1 = snapshots(simulate(system, [2.0, 1.0], 0.05, 5))
-    p2 = snapshots(simulate(system, [3.0, 0.5], 0.05, 7))
-    merged = merge_snapshots(p1, p2)
-    assert merged.n_pairs == 12
-    assert np.array_equal(merged.Xp[:, :5], p1.Xp)
-    assert np.array_equal(merged.Xf[:, 5:], p2.Xf)
-    with pytest.raises(InputError):
-        merge_snapshots()
 
 
 def test_lorenz_divergence_detected():

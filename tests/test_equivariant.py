@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,19 +15,18 @@ from symkoop import (
     check_registry,
     commutator_norm,
     data_stabilizer_labels,
-    fit_snapshots,
+    fit_trajectory,
     global_predict,
     induced_representation,
     load_global,
     load_registry,
     make_system,
-    merge_snapshots,
     predict,
     save_global,
     save_registry,
     simulate,
     snapshots,
-    transform_snapshots,
+    transform_trajectory,
     transport_case1,
     transport_case2,
     verify_commutation,
@@ -98,8 +99,8 @@ def test_transport_reproduces_hamiltonian_swap_block():
 def test_transport_round_trip():
     group = builtin_group("hamiltonian")
     d = MonomialDictionary(2, 2)
-    pairs = snapshots(simulate(make_system("hamiltonian"), [3.2, 0.3], 1e-3, 150))
-    op = fit_snapshots(pairs, d, set_label="IS-1")
+    traj = simulate(make_system("hamiltonian"), [3.2, 0.3], 1e-3, 150)
+    op = fit_trajectory(traj, d, set_label="IS-1")
     for i, g in enumerate(group.elements):
         rep = induced_representation(d, g)
         rep_inv = induced_representation(d, group.elements[group.inverse_index(i)])
@@ -110,8 +111,8 @@ def test_transport_round_trip():
 def test_transport_composition_follows_group_product():
     group = builtin_group("hamiltonian")
     d = MonomialDictionary(2, 2)
-    pairs = snapshots(simulate(make_system("hamiltonian"), [3.2, 0.3], 1e-3, 150))
-    op = fit_snapshots(pairs, d, set_label="IS-1")
+    traj = simulate(make_system("hamiltonian"), [3.2, 0.3], 1e-3, 150)
+    op = fit_trajectory(traj, d, set_label="IS-1")
     reps = [induced_representation(d, g) for g in group.elements]
     for i in range(group.order):
         for j in range(group.order):
@@ -141,8 +142,8 @@ def test_case2_consistent_with_case1():
     group = builtin_group("toggle_switch")
     g = group.element("swap")
     d = MonomialDictionary(2, 2)
-    pairs = snapshots(simulate(system, [3.5, 1.2], 0.05, 100))
-    op = fit_snapshots(pairs, d, set_label="right")
+    traj = simulate(system, [3.5, 1.2], 0.05, 100)
+    op = fit_trajectory(traj, d, set_label="right")
     rep = induced_representation(d, g)
 
     case1 = transport_case1(op, rep, target_label="left")
@@ -167,7 +168,7 @@ def test_case2_one_step_residual_matches_fit():
     d = MonomialDictionary(2, 2)
     traj = simulate(system, [3.5, 1.2], 0.05, 100)
     pairs = snapshots(traj)
-    op = fit_snapshots(pairs, d, set_label="right")
+    op = fit_trajectory(traj, d, set_label="right")
     case2_op, case2_dict = transport_case2(op, g, target_label="left")
     # transformed data x' = g x with the transformed dictionary reproduces
     # exactly the original lifted data, hence the original residual
@@ -186,8 +187,7 @@ def toggle_global():
     registry = builtin_registry("toggle_switch")
     group = builtin_group("toggle_switch")
     d = IdentityDictionary(2)
-    pairs = snapshots(simulate(system, [3.5, 1.2], 0.05, 100))
-    base = fit_snapshots(pairs, d, set_label="right")
+    base = fit_trajectory(simulate(system, [3.5, 1.2], 0.05, 100), d, set_label="right")
     reps = {
         label: induced_representation(d, group.element(element))
         for label, element in registry.mapping.items()
@@ -220,8 +220,7 @@ def test_assemble_hamiltonian_four_blocks():
     registry = builtin_registry("hamiltonian")
     group = builtin_group("hamiltonian")
     d = IdentityDictionary(2)
-    pairs = snapshots(simulate(system, [3.2, 0.3], 1e-3, 200))
-    base = fit_snapshots(pairs, d, set_label="IS-1")
+    base = fit_trajectory(simulate(system, [3.2, 0.3], 1e-3, 200), d, set_label="IS-1")
     reps = {
         label: induced_representation(d, group.element(element))
         for label, element in registry.mapping.items()
@@ -240,10 +239,8 @@ def test_assemble_validates_inputs():
     registry, base, reps = toggle_global()
     with pytest.raises(InputError):
         assemble_global(registry, base, {})  # missing representation
-    from symkoop.koopman import relabel
-
     with pytest.raises(InputError):
-        assemble_global(registry, relabel(base, "elsewhere"), reps)
+        assemble_global(registry, replace(base, set_label="elsewhere"), reps)
 
 
 @pytest.mark.parametrize("case", ["other-element", "shared-element"])
@@ -260,13 +257,6 @@ def test_assemble_checks_reps_against_registry(case):
         reps = {"left": reps["left"], "left2": reps["left"]}
     with pytest.raises(InputError, match="element"):
         assemble_global(registry, base, reps)
-
-
-def test_assemble_accepts_fitted_override():
-    registry, base, reps = toggle_global()
-    override = wrap(K_LEFT, "left")
-    gk = assemble_global(registry, base, {}, fitted_overrides={"left": override})
-    assert not gk.block("left").is_transported
 
 
 def test_global_predict_matches_block_predict_bitwise():
@@ -305,12 +295,12 @@ def test_verify_conjugation_exact_mirror_all_systems():
         x0 = {"lorenz": [1.0, 1.0, 1.05], "toggle_switch": [3.5, 1.2],
               "hamiltonian": [3.4, 0.2]}[name]
         dt = {"lorenz": 0.01, "toggle_switch": 0.05, "hamiltonian": 1e-3}[name]
-        pairs = snapshots(simulate(system, x0, dt, 150))
+        traj = simulate(system, x0, dt, 150)
         for d in (IdentityDictionary(system.dim), MonomialDictionary(system.dim, 2)):
-            base = fit_snapshots(pairs, d, set_label="base")
+            base = fit_trajectory(traj, d, set_label="base")
             for g in group.elements[1:]:
-                mirrored = fit_snapshots(
-                    transform_snapshots(pairs, g), d, set_label="image"
+                mirrored = fit_trajectory(
+                    transform_trajectory(traj, g), d, set_label="image"
                 )
                 rep = induced_representation(d, g)
                 report = verify_conjugation(base, mirrored, rep, frobenius_tol=1e-10)
@@ -332,10 +322,10 @@ def test_commutation_on_symmetric_union_data():
     group = builtin_group("toggle_switch")
     swap = group.element("swap")
     d = IdentityDictionary(2)
-    pairs = snapshots(simulate(system, [3.5, 1.2], 0.05, 100))
-    union = merge_snapshots(pairs, transform_snapshots(pairs, swap))
-    op = fit_snapshots(union, d, set_label="union")
-    stabilizers = data_stabilizer_labels(group, union.Xp.T)
+    traj = simulate(system, [3.5, 1.2], 0.05, 100)
+    union = [traj, transform_trajectory(traj, swap)]
+    op = fit_trajectory(union, d, set_label="union")
+    stabilizers = data_stabilizer_labels(group, np.vstack([t.states[:-1] for t in union]))
     assert "swap" in stabilizers
     rep = induced_representation(d, swap)
     assert verify_commutation(op, rep, stabilizers) <= 1e-8
@@ -346,9 +336,9 @@ def test_commutation_refuses_outside_isotropy():
     group = builtin_group("toggle_switch")
     swap = group.element("swap")
     d = IdentityDictionary(2)
-    pairs = snapshots(simulate(system, [3.5, 1.2], 0.05, 100))
-    op = fit_snapshots(pairs, d, set_label="right")
-    stabilizers = data_stabilizer_labels(group, pairs.Xp.T)
+    traj = simulate(system, [3.5, 1.2], 0.05, 100)
+    op = fit_trajectory(traj, d, set_label="right")
+    stabilizers = data_stabilizer_labels(group, traj.states[:-1])
     assert stabilizers == ("e",)  # one branch is not swap-invariant
     rep = induced_representation(d, swap)
     with pytest.raises(IsotropyRequiredError):
@@ -402,8 +392,8 @@ def test_commutator_large_across_lorenz_wings():
     system = make_system("lorenz")
     group = builtin_group("lorenz")
     d = IdentityDictionary(3)
-    pairs = snapshots(simulate(system, [8.0, 8.5, 27.0], 0.01, 120))
-    op = fit_snapshots(pairs, d, set_label="one-wing")
+    op = fit_trajectory(simulate(system, [8.0, 8.5, 27.0], 0.01, 120), d,
+                        set_label="one-wing")
     rep = induced_representation(d, group.elements[1])
     assert commutator_norm(op, rep) > 0.1
 

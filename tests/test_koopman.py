@@ -10,13 +10,11 @@ from symkoop import (
     IdentityDictionary,
     InputError,
     MonomialDictionary,
-    SnapshotPairs,
     Trajectory,
     builtin_group,
     eigenfunction_eval,
     eigenvalue_hausdorff,
     fit_edmd,
-    fit_snapshots,
     fit_trajectory,
     induced_representation,
     lift,
@@ -27,7 +25,7 @@ from symkoop import (
     simulate,
     snapshots,
     spectrum,
-    transform_snapshots,
+    transform_trajectory,
     verify_conjugation,
 )
 from symkoop.koopman import (
@@ -217,7 +215,7 @@ def test_fits_on_exactly_transformed_data_are_conjugate():
     x0 = np.array([draw_base_state("hamiltonian", rng) for _ in range(20)])
     worst = 0.0
     for traj in simulate(system, x0, 0.001, 400):
-        mirrored = fit_snapshots(transform_snapshots(snapshots(traj), g), dictionary)
+        mirrored = fit_trajectory(transform_trajectory(traj, g), dictionary)
         report = verify_conjugation(fit_trajectory(traj, dictionary), mirrored, rep)
         worst = max(worst, report.frobenius_error)
     assert worst <= EXACT_TIER_TOL
@@ -226,7 +224,7 @@ def test_fits_on_exactly_transformed_data_are_conjugate():
     dictionary = MonomialDictionary(3, 6)
     traj = simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, 3077)
     assert traj.n_states - 1 > 3 * _FIT_CHUNK
-    mirrored = fit_snapshots(transform_snapshots(snapshots(traj), g), dictionary)
+    mirrored = fit_trajectory(transform_trajectory(traj, g), dictionary)
     report = verify_conjugation(fit_trajectory(traj, dictionary), mirrored,
                                 induced_representation(dictionary, g))
     assert report.frobenius_error <= EXACT_TIER_TOL
@@ -260,12 +258,107 @@ def test_fit_memory_does_not_grow_with_snapshots():
                          ids=["identity", "monomial"])
 def test_streamed_fits_equal_the_matrix_fit_bitwise(m, dictionary):
     traj = simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, m)
-    pairs = snapshots(traj)
-    ref = fit_edmd(*lift(dictionary, pairs), dictionary=dictionary)
-    for op in (fit_snapshots(pairs, dictionary), fit_trajectory(traj, dictionary)):
-        assert np.array_equal(op.matrix, ref.matrix)
-        assert op.fit_residual == ref.fit_residual
-        assert op.rank_used == ref.rank_used
+    ref = fit_edmd(*lift(dictionary, snapshots(traj)), dictionary=dictionary)
+    op = fit_trajectory(traj, dictionary)
+    assert np.array_equal(op.matrix, ref.matrix)
+    assert op.fit_residual == ref.fit_residual
+    assert op.rank_used == ref.rank_used
+
+
+def stacked_fit(trajs, dictionary):
+    """Reference: fit_edmd on the column-stacked lifts of each trajectory's
+    own snapshot pairs."""
+    lifts = [lift(dictionary, snapshots(t)) for t in trajs]
+    return fit_edmd(np.hstack([Yp for Yp, _ in lifts]), np.hstack([Yf for _, Yf in lifts]),
+                    dictionary=dictionary)
+
+
+def assert_same_fit(op, ref):
+    assert np.array_equal(op.matrix, ref.matrix)
+    assert op.fit_residual == ref.fit_residual
+    assert op.rank_used == ref.rank_used
+
+
+@st.composite
+def trajectory_sequences(draw):
+    """1-4 trajectories of 2-2100 uniform random states, often with pair
+    counts that put a trajectory boundary inside or at the edge of a chunk,
+    and an identity or monomial (degree 2-4) dictionary."""
+    dim = draw(st.integers(1, 3))
+    lengths = draw(st.lists(
+        st.one_of(st.sampled_from([2, 3, _FIT_CHUNK - 1, _FIT_CHUNK, _FIT_CHUNK + 1,
+                                   _FIT_CHUNK + 2, 2 * _FIT_CHUNK + 1]),
+                  st.integers(2, 2100)),
+        min_size=1, max_size=4))
+    degree = draw(st.sampled_from([None, 2, 3, 4]))
+    dictionary = (IdentityDictionary(dim) if degree is None
+                  else MonomialDictionary(dim, degree))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trajs = [Trajectory(dim=dim, dt=0.1, states=rng.uniform(-1.0, 1.0, size=(n, dim)))
+             for n in lengths]
+    return trajs, dictionary
+
+
+@settings(max_examples=40, deadline=None)
+@given(trajectory_sequences())
+def test_sequence_fit_equals_the_stacked_matrix_fit_bitwise(data):
+    trajs, dictionary = data
+    assert_same_fit(fit_trajectory(trajs, dictionary), stacked_fit(trajs, dictionary))
+
+
+@pytest.mark.parametrize("lengths", [(10,), (1023, 5), (1024, 1026, 3), (700, 700, 700),
+                                     (2, 2050)])
+@pytest.mark.parametrize("dictionary", [IdentityDictionary(3), MonomialDictionary(3, 4)],
+                         ids=["identity", "monomial"])
+def test_sequence_fit_of_lorenz_pieces_equals_the_stacked_matrix_fit(lengths, dictionary):
+    trajs = [simulate(make_system("lorenz"), [1.0 + k, 1.0, 1.05], 0.01, n - 1)
+             for k, n in enumerate(lengths)]
+    assert [t.n_states for t in trajs] == list(lengths)
+    assert_same_fit(fit_trajectory(trajs, dictionary), stacked_fit(trajs, dictionary))
+    if len(trajs) == 1:
+        assert_same_fit(fit_trajectory(trajs[0], dictionary), stacked_fit(trajs, dictionary))
+
+
+def test_sequence_fit_pairs_no_states_across_trajectories():
+    # two orbits of x -> A x from distant starts: every pair within an
+    # orbit obeys A exactly, a pair joining the two orbits would not
+    A = 0.99 * np.array([[np.cos(0.2), -np.sin(0.2)], [np.sin(0.2), np.cos(0.2)]])
+
+    def orbit(x0, n):
+        states = [np.asarray(x0, dtype=float)]
+        for _ in range(n - 1):
+            states.append(A @ states[-1])
+        return Trajectory(dim=2, dt=1.0, states=np.array(states))
+
+    trajs = [orbit([1.0, 0.0], 300), orbit([-40.0, 25.0], 900)]
+    op = fit_trajectory(trajs, IdentityDictionary(2))
+    assert np.max(np.abs(op.matrix - A)) <= 1e-12
+    assert op.fit_residual <= 1e-12
+
+
+@pytest.mark.parametrize("trajs, message", [
+    ([], "at least one trajectory"),
+    ([Trajectory(dim=2, dt=0.1, states=np.ones((5, 2))),
+      Trajectory(dim=2, dt=0.1, states=np.ones((1, 2)))], "at least 2 states"),
+    ([Trajectory(dim=2, dt=0.1, states=np.ones((5, 2))),
+      Trajectory(dim=3, dt=0.1, states=np.ones((5, 3)))], "mixed dimensions"),
+    ([Trajectory(dim=3, dt=0.1, states=np.ones((5, 3)))] * 2, "does not match dictionary"),
+    ([Trajectory(dim=2, dt=0.1, states=np.ones((5, 2))),
+      Trajectory(dim=2, dt=0.1 * (1 + 1e-8), states=np.ones((5, 2)))],
+     "different sample intervals"),
+], ids=["empty", "one-state", "mixed-dim", "dictionary-dim", "sample-interval"])
+def test_sequence_fit_rejects_unfittable_input(trajs, message):
+    with pytest.raises(InputError, match=message) as info:
+        fit_trajectory(trajs, MonomialDictionary(2, 2))
+    assert "\n" not in str(info.value)
+
+
+def test_sequence_fit_accepts_sample_intervals_within_the_time_grid_tolerance():
+    states = simulate(make_system("toggle_switch"), [2.5, 0.5], 0.05, 40).states
+    trajs = [Trajectory(dim=2, dt=0.05, states=states[:20]),
+             Trajectory(dim=2, dt=0.05 * (1 + 1e-10), states=states[20:])]
+    assert_same_fit(fit_trajectory(trajs, IdentityDictionary(2)),
+                    stacked_fit(trajs, IdentityDictionary(2)))
 
 
 def trajectory_fit_peak_bytes(n_states):
@@ -298,11 +391,18 @@ def third_chunk_overflow_trajectory():
     return Trajectory(dim=2, dt=0.1, states=states)
 
 
-# the two fits that lift chunk by chunk, both given a trajectory
+def split_at_1500(traj):
+    """The trajectory as two, cut at state 1500: the second chunk of pairs
+    crosses the boundary."""
+    return [Trajectory(dim=traj.dim, dt=traj.dt, states=traj.states[:1500]),
+            Trajectory(dim=traj.dim, dt=traj.dt, states=traj.states[1500:])]
+
+
+# the streamed fit given the states as one trajectory or as two
 STREAMED_FITS = pytest.mark.parametrize("fit", [
-    lambda traj, d: fit_snapshots(snapshots(traj), d),
+    lambda traj, d: fit_trajectory(split_at_1500(traj), d),
     fit_trajectory,
-], ids=["snapshots", "trajectory"])
+], ids=["two-trajectories", "trajectory"])
 
 
 @STREAMED_FITS
@@ -324,12 +424,8 @@ def test_zero_first_chunk_fits_and_all_zero_data_is_degenerate(fit):
 
 
 @pytest.mark.parametrize("fit", [
-    lambda d: fit_snapshots(
-        SnapshotPairs(dim=2, Xp=np.ones((3, 10)), Xf=np.ones((3, 10))), d),
-    lambda d: fit_snapshots(
-        SnapshotPairs(dim=2, Xp=np.ones((2, 10)), Xf=np.ones((2, 9))), d),
     lambda d: fit_trajectory(Trajectory(dim=2, dt=0.1, states=np.ones((10, 3))), d),
-], ids=["pairs-of-wrong-dim", "pairs-of-unequal-length", "trajectory-of-wrong-dim"])
+], ids=["trajectory-of-wrong-dim"])
 def test_streamed_fits_reject_misshapen_data(fit):
     with pytest.raises(InputError):
         fit(MonomialDictionary(2, 3))
@@ -357,9 +453,9 @@ def test_pseudo_inverse_consistency():
 
 
 def test_dmd_equals_degree_one_monomials_bitwise():
-    pairs = snapshots(simulate(make_system("toggle_switch"), [2.5, 0.5], 0.05, 60))
-    op_id = fit_snapshots(pairs, IdentityDictionary(2))
-    op_mono = fit_snapshots(pairs, MonomialDictionary(2, 1, include_constant=False))
+    traj = simulate(make_system("toggle_switch"), [2.5, 0.5], 0.05, 60)
+    op_id = fit_trajectory(traj, IdentityDictionary(2))
+    op_mono = fit_trajectory(traj, MonomialDictionary(2, 1, include_constant=False))
     assert np.array_equal(op_id.matrix, op_mono.matrix)
 
 
@@ -385,9 +481,8 @@ def test_predict_matches_linear_truth():
 
 def test_training_one_step_error_equals_fit_residual():
     traj = simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, 300, discard=200)
-    pairs = snapshots(traj)
-    op = fit_snapshots(pairs, IdentityDictionary(3))
-    Yp, Yf = lift(op.dictionary, pairs)
+    op = fit_trajectory(traj, IdentityDictionary(3))
+    Yp, Yf = lift(op.dictionary, snapshots(traj))
     assert np.linalg.norm(op.matrix @ Yp - Yf) / np.linalg.norm(Yf) == pytest.approx(
         op.fit_residual, rel=1e-12
     )
@@ -530,8 +625,8 @@ def test_eigenvalue_hausdorff():
 
 
 def test_operator_json_roundtrip(tmp_path):
-    pairs = snapshots(simulate(make_system("toggle_switch"), [2.5, 0.5], 0.05, 40))
-    op = fit_snapshots(pairs, MonomialDictionary(2, 2), set_label="right")
+    traj = simulate(make_system("toggle_switch"), [2.5, 0.5], 0.05, 40)
+    op = fit_trajectory(traj, MonomialDictionary(2, 2), set_label="right")
     path = tmp_path / "op.json"
     save_operator(op, path)
     loaded = load_operator(path)
@@ -555,3 +650,5 @@ def test_spectrum_export_roundtrip():
     back = spectrum_from_list(out)
     assert np.array_equal(back.eigenvalues, spec.eigenvalues)
     assert np.array_equal(back.coefficients, spec.coefficients)
+    # every eigenvalue is real here, and both sides are still complex
+    assert spec.eigenvalues.dtype == back.eigenvalues.dtype == np.complex128
