@@ -13,6 +13,7 @@ import numpy as np
 
 from symkoop import hamiltonian_energy, make_system, save_trajectory, simulate
 from symkoop.cli import _emit_phase_portrait
+from symkoop.dynamics import DEFAULT_DT
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -40,6 +41,5 @@ save_trajectory(traj, OUT / "hamiltonian_is1_orbit.csv")
 
 # Full portraits (many trajectories, one CSV each with a traj_id column).
 for name in ("lorenz", "toggle_switch", "hamiltonian"):
-    system = make_system(name)
-    dt = {"lorenz": 0.01, "toggle_switch": 0.01, "hamiltonian": 1e-3}[name]
-    _emit_phase_portrait(system, dt, OUT / f"{name}_portrait.csv")
+    _emit_phase_portrait(make_system(name), DEFAULT_DT[name],
+                         OUT / f"{name}_portrait.csv")

@@ -121,7 +121,8 @@ def cmd_simulate(args):
         raise ConfigurationError("simulate needs --system")
     params = _parse_json_flag(_resolve(args, config, "params"), "--params")
     system = dynamics.make_system(name, params)
-    dt = _resolve_number(args, config, "dt", dynamics.DEFAULT_DT[name])
+    record = dynamics.builtin_system(name)
+    dt = _resolve_number(args, config, "dt", record.dt)
     steps = _resolve_number(args, config, "steps", 500, integer=True, minimum=1)
     discard = _resolve_number(args, config, "discard", 0, integer=True, minimum=0)
     seed = _resolve_number(args, config, "seed", 0, integer=True, minimum=0)
@@ -147,11 +148,9 @@ def cmd_simulate(args):
             f"{path}: {steps} steps, dt={dt}, final state "
             + "(" + ", ".join(f"{v:.6g}" for v in final) + ")"
         )
-        if name == "hamiltonian":
-            drift = abs(
-                dynamics.hamiltonian_energy(*traj.states[-1])
-                - dynamics.hamiltonian_energy(*traj.states[0])
-            )
+        if record.conserved is not None:
+            drift = abs(record.conserved(*traj.states[-1])
+                        - record.conserved(*traj.states[0]))
             line += f", energy drift {drift:.3e}"
         print(line)
 
@@ -163,26 +162,8 @@ def cmd_simulate(args):
 def _emit_phase_portrait(system, dt, path):
     """Plot-ready CSV (traj_id,t,x1..xn): a fan of trajectories covering the
     regions of the phase portrait. No rendering happens in-process."""
-    rng = np.random.default_rng(0)
-    name = system.name
-    if name == "toggle_switch":
-        starts = np.vstack([
-            scenarios.sample_box(name, 14, rng),
-            [[0.5, 0.5], [2.5, 2.5]],   # separatrix segments
-        ])
-        steps, discard = 400, 0
-    elif name == "lorenz":
-        starts = np.array([[1.0, 1.0, 1.05], [-1.0, -1.0, 1.05]])
-        steps, discard = 5000, 500
-    elif name == "hamiltonian":
-        starts = np.array([
-            g.matrix @ np.array(x0)
-            for x0 in ([2.0, 0.0], [2.6, 0.0], [3.3, 0.0], [3.9, 0.0])
-            for g in groups.builtin_group(name).elements
-        ])
-        steps, discard = 1200, 0
-    else:
-        raise ConfigurationError(f"no phase portrait recipe for {name!r}")
+    draw_starts, steps, discard = scenarios.experiment(system.name).portrait
+    starts = draw_starts(np.random.default_rng(0))
     trajs = dynamics.simulate(system, starts, dt, steps, discard)
     with open(path, "w") as fh:
         fh.write(
@@ -433,8 +414,7 @@ def main(argv=None):
         where = f" ({', '.join(where)})" if where else ""
         print(f"error: numerical divergence{where}: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (SymkoopError, OSError, json.JSONDecodeError,
-            np.linalg.LinAlgError) as err:
+    except (SymkoopError, OSError, np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

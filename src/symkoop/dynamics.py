@@ -16,7 +16,7 @@ Runge-Kutta scheme so that snapshot spacing is exactly uniform.
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -107,12 +107,28 @@ def hamiltonian_energy(q, p):
     return 0.25 * p**4 - 4.5 * p**2 - 0.25 * q**4 + 4.5 * q**2
 
 
+@dataclass(frozen=True)
+class BuiltinSystem:
+    """What a built-in system is: its physics, the sample interval it is
+    simulated at by default, and the matrices generating its symmetry group."""
+
+    dim: int
+    params: dict  # default parameters
+    field: Callable[[Sequence, dict], Sequence]
+    dt: float
+    generators: tuple  # of (label, state-space matrix)
+    conserved: Optional[Callable] = None  # constant along orbits, of x[0], ..., x[dim-1]
+
+
 # Toggle-switch defaults: the repression strengths must exceed the pitchfork
 # threshold alpha = 2 (at kappa=1, beta=theta=2) for two stable equilibria
 # to exist; alpha = 4 puts them at (2 + sqrt(3), 2 - sqrt(3)) and mirror.
 _BUILTINS = {
-    "lorenz": (3, {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}, lorenz_field),
-    "toggle_switch": (
+    "lorenz": BuiltinSystem(
+        3, {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}, lorenz_field, 0.01,
+        (("rot_pi_z", np.diag([-1.0, -1.0, 1.0])),),
+    ),
+    "toggle_switch": BuiltinSystem(
         2,
         {
             "alpha1": 4.0,
@@ -122,38 +138,41 @@ _BUILTINS = {
             "beta": 2.0,
             "theta": 2.0,
         },
-        toggle_switch_field,
+        toggle_switch_field, 0.01,
+        (("swap", np.array([[0.0, 1.0], [1.0, 0.0]])),),
     ),
-    "hamiltonian": (2, {}, hamiltonian_field),
+    "hamiltonian": BuiltinSystem(
+        2, {}, hamiltonian_field, 0.001,
+        (
+            ("swap", np.array([[0.0, 1.0], [1.0, 0.0]])),
+            ("negate", np.array([[-1.0, 0.0], [0.0, -1.0]])),
+        ),
+        conserved=hamiltonian_energy,
+    ),
 }
 
-DEFAULT_DT = {"lorenz": 0.01, "toggle_switch": 0.01, "hamiltonian": 0.001}
-
-# State-space matrices generating each system's symmetry group.
-BUILTIN_SYMMETRY_GENERATORS = {
-    "lorenz": [("rot_pi_z", np.diag([-1.0, -1.0, 1.0]))],
-    "toggle_switch": [("swap", np.array([[0.0, 1.0], [1.0, 0.0]]))],
-    "hamiltonian": [
-        ("swap", np.array([[0.0, 1.0], [1.0, 0.0]])),
-        ("negate", np.array([[-1.0, 0.0], [0.0, -1.0]])),
-    ],
-}
+DEFAULT_DT = {name: system.dt for name, system in _BUILTINS.items()}
 
 
 def system_names():
     return sorted(_BUILTINS)
 
 
-def make_system(name, params=None):
-    """Build a built-in system, optionally overriding named parameters."""
+def builtin_system(name):
+    """The record of the built-in system ``name``."""
     if name not in _BUILTINS:
         raise ConfigurationError(
             f"unknown system {name!r}; available: {', '.join(system_names())}"
         )
-    dim, defaults, field = _BUILTINS[name]
-    merged = dict(defaults)
+    return _BUILTINS[name]
+
+
+def make_system(name, params=None):
+    """Build a built-in system, optionally overriding named parameters."""
+    record = builtin_system(name)
+    merged = dict(record.params)
     for key, value in (params or {}).items():
-        if key not in defaults:
+        if key not in record.params:
             raise ConfigurationError(
                 f"unknown parameter {key!r} for system {name!r}"
             )
@@ -166,7 +185,7 @@ def make_system(name, params=None):
                 f"parameter {key!r} for system {name!r} must be a finite "
                 f"number, got {value!r}"
             )
-    return SystemDef(name=name, dim=dim, params=merged, field=field)
+    return SystemDef(name=name, dim=record.dim, params=merged, field=record.field)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +499,12 @@ def _row_lineno(k, blank):
 
 def _off_grid(t, row, t0, dt):
     """(row index, time) of the first time in t, the times of the data rows
-    from ``row`` on, that is off the grid t0 + k*dt; None if there is none."""
-    drift = np.abs(t - (t0 + np.arange(row, row + len(t)) * dt))
-    off_grid = drift > TIME_GRID_TOL * np.maximum(1.0, np.abs(t))
+    from ``row`` on, that is off the grid t0 + k*dt; None if there is none.
+    An infinite or huge time makes the grid arithmetic overflow to Inf or
+    NaN quietly; such a time is caught as non-finite or off the grid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = np.abs(t - (t0 + np.arange(row, row + len(t)) * dt))
+        off_grid = drift > TIME_GRID_TOL * np.maximum(1.0, np.abs(t))
     if np.any(off_grid):
         j = int(np.argmax(off_grid))
         return row + j, float(t[j])

@@ -28,6 +28,7 @@ from .errors import (
     IsotropyRequiredError,
     NumericalDivergenceError,
     SymkoopError,
+    read_json,
 )
 from .groups import _window_matches
 from .koopman import KoopmanApprox, eigenvalue_hausdorff, predict
@@ -540,8 +541,7 @@ def save_registry(registry, path):
 
 
 def load_registry(path):
-    with open(path) as fh:
-        return registry_from_dict(json.load(fh))
+    return read_json(path, registry_from_dict)
 
 
 def global_to_dict(gk):
@@ -571,5 +571,4 @@ def save_global(gk, path):
 
 
 def load_global(path):
-    with open(path) as fh:
-        return global_from_dict(json.load(fh))
+    return read_json(path, global_from_dict)

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the strict reader of its
+JSON files, which turns a malformed file into one of them."""
+
+import json
 
 
 class SymkoopError(Exception):
@@ -51,3 +54,23 @@ class DegenerateDataError(SymkoopError):
 class IsotropyRequiredError(SymkoopError):
     """Commutation check requested for an element outside the isotropy
     subgroup of the fitted set; the check is only meaningful inside it."""
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def read_json(path, parse):
+    """``parse`` of the JSON object in the file at ``path``, which may hold
+    no NaN or Infinity; malformed content raises one ConfigurationError
+    naming the file."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh, parse_constant=_reject_constant)
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        return parse(data)
+    except KeyError as err:
+        raise ConfigurationError(f"{path}: missing key {err}") from err
+    except (TypeError, ValueError, AttributeError) as err:
+        raise ConfigurationError(f"{path}: {err}") from err

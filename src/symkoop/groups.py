@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, step
-from .errors import InputError, NonFiniteGroupError, SymkoopError
+from .dynamics import Trajectory, builtin_system, step
+from .errors import InputError, NonFiniteGroupError, SymkoopError, read_json
 
 MATRIX_MATCH_TOL = 1e-10  # max-norm tolerance for element identification
 ORTHOGONALITY_TOL = 1e-10
@@ -30,6 +30,8 @@ class GroupElement:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"element {self.label!r}: matrix must be square")
+        if not np.isfinite(m).all():
+            raise InputError(f"element {self.label!r}: matrix contains NaN or Inf")
         defect = np.max(np.abs(m.T @ m - np.eye(m.shape[0])))
         if defect > ORTHOGONALITY_TOL:
             raise InputError(
@@ -276,13 +278,9 @@ def check_axioms(group):
 
 def builtin_group(system_name):
     """The declared symmetry group of a built-in system."""
-    from .dynamics import BUILTIN_SYMMETRY_GENERATORS
-
-    if system_name not in BUILTIN_SYMMETRY_GENERATORS:
-        raise InputError(f"no built-in symmetry group for {system_name!r}")
     gens = [  # copies: a caller may make this group's matrices read-only
         GroupElement(label, np.array(matrix))
-        for label, matrix in BUILTIN_SYMMETRY_GENERATORS[system_name]
+        for label, matrix in builtin_system(system_name).generators
     ]
     return generate_group(gens)
 
@@ -407,5 +405,4 @@ def save_group(group, path):
 
 
 def load_group(path, max_order=64):
-    with open(path) as fh:
-        return group_from_dict(json.load(fh), max_order=max_order)
+    return read_json(path, lambda data: group_from_dict(data, max_order=max_order))

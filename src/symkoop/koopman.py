@@ -24,7 +24,7 @@ import numpy as np
 
 from .dictionaries import Dictionary, dictionary_from_spec
 from .dynamics import TIME_GRID_TOL, Trajectory
-from .errors import DegenerateDataError, InputError
+from .errors import DegenerateDataError, InputError, read_json
 
 DEFAULT_RANK_TOL = 1e-12
 _FIT_CHUNK = 1024  # snapshot columns per QR update; small blocks stay in cache
@@ -281,11 +281,14 @@ def operator_from_dict(data):
         )
     if not np.all(np.isfinite(matrix)):
         raise InputError("operator matrix contains NaN or Inf")
+    fit_residual = float(data["fit_residual"])
+    if not np.isfinite(fit_residual):
+        raise InputError(f"fit_residual must be finite, got {fit_residual}")
     return KoopmanApprox(
         matrix=matrix,
         dictionary=dictionary,
         set_label=data["set_label"],
-        fit_residual=float(data["fit_residual"]),
+        fit_residual=fit_residual,
         rank_used=int(data["rank_used"]),
         provenance=data.get("provenance"),
     )
@@ -297,8 +300,7 @@ def save_operator(op, path):
 
 
 def load_operator(path):
-    with open(path) as fh:
-        return operator_from_dict(json.load(fh))
+    return read_json(path, operator_from_dict)
 
 
 def spectrum_to_list(spec):

@@ -18,6 +18,7 @@ fresh.
 import contextvars
 import functools
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,96 +30,118 @@ EXACT_TIER_TOL = 1e-10
 SPECTRUM_TOL = 1e-8
 COMMUTATION_TOL = 1e-8
 
-# Seed-to-seed eigenvalue spread of reseeded same-set fits, measured once by
-# seed_spread() with the samplers and fit settings below, then frozen. The
-# statistical conjugation tier passes at 3x this spread.
-STAT_TIER_SPREAD = {
-    "toggle_switch": 0.045454100652963514,
-    "hamiltonian": 0.0037321276457658037,
+
+@dataclass(frozen=True)
+class Experiment:
+    """What the checks of a built-in system run on. ``sets`` maps each
+    invariant-set label, base first, to the element mapping the base set
+    onto it and the set's membership predicate, which takes states as
+    columns (dim, N) and returns a boolean mask (N,)."""
+
+    box: tuple  # (lo, hi) per coordinate: equivariance probes, random starts
+    draw: Callable  # rng -> a random initial condition in the base set
+    sets: dict  # label -> (element label, predicate, or None if there is none)
+    exact_run: tuple  # (x0, dt, n_steps), chosen for well-conditioned lifted data
+    portrait: tuple  # (rng -> starts, n_steps, discard) of the phase portrait
+    stat_run: Optional[tuple] = None  # (dt, n_steps, mirror element label)
+    spread: Optional[float] = None  # frozen seed_spread(); the stat tier passes at 3x
+    horizon: Optional[int] = None  # steps of the invariant-set image check
+    commutation: bool = False  # whether commutation_symmetric runs
+
+
+def _inside_separatrix(x):  # of the Hamiltonian flow: q^2 + p^2 < 18
+    return x[0] * x[0] + x[1] * x[1] < 18.0
+
+
+# The Lorenz sets are trajectory segments (the two wings of the attractor
+# are exchanged, not preserved, by the flow; the per-trajectory conjugation
+# result is what applies), the others are true invariant sets.
+_EXPERIMENTS = {
+    "lorenz": Experiment(
+        box=((-20.0, 20.0), (-25.0, 25.0), (0.0, 45.0)),
+        draw=lambda rng: np.array([1.0, 1.0, 1.05]) + rng.uniform(-0.5, 0.5, size=3),
+        sets={"blue": ("e", None), "magenta": ("rot_pi_z", None)},
+        exact_run=(np.array([1.0, 1.0, 1.05]), 0.01, 500),
+        portrait=(lambda rng: np.array([[1.0, 1.0, 1.05], [-1.0, -1.0, 1.05]]),
+                  5000, 500),
+    ),
+    "toggle_switch": Experiment(
+        box=((0.0, 4.0), (0.0, 4.0)),
+        # right region x1 > x2, inside the basin of (2 + sqrt 3, 2 - sqrt 3)
+        draw=lambda rng: np.array([rng.uniform(2.2, 3.6), rng.uniform(0.1, 1.2)]),
+        sets={"right": ("e", lambda x: x[0] > x[1]),
+              "left": ("swap", lambda x: x[1] > x[0])},
+        exact_run=(np.array([3.5, 1.2]), 0.05, 100),
+        # box samples, then two starts on the separatrix x1 = x2
+        portrait=(lambda rng: np.vstack([sample_box("toggle_switch", 14, rng),
+                                         [[0.5, 0.5], [2.5, 2.5]]]), 400, 0),
+        stat_run=(0.05, 100, "swap"),
+        spread=0.045454100652963514,
+        horizon=200,
+        commutation=True,
+    ),
+    "hamiltonian": Experiment(
+        box=((-4.0, 4.0), (-4.0, 4.0)),
+        # around the center (3, 0): sector q > |p| inside q^2 + p^2 < 18
+        draw=lambda rng: np.array([rng.uniform(2.4, 3.6), rng.uniform(-0.5, 0.5)]),
+        sets={
+            "IS-1": ("e", lambda x: (x[0] > np.abs(x[1])) & _inside_separatrix(x)),
+            "IS-2": ("swap", lambda x: (x[1] > np.abs(x[0])) & _inside_separatrix(x)),
+            "IS-3": ("negate", lambda x: (-x[0] > np.abs(x[1])) & _inside_separatrix(x)),
+            "IS-4": ("swap*negate",
+                     lambda x: (-x[1] > np.abs(x[0])) & _inside_separatrix(x)),
+        },
+        exact_run=(np.array([3.4, 0.2]), 0.001, 400),
+        # orbits around (3, 0) and their images under every group element
+        portrait=(lambda rng: np.array([
+            g.matrix @ np.array(x0)
+            for x0 in ([2.0, 0.0], [2.6, 0.0], [3.3, 0.0], [3.9, 0.0])
+            for g in groups.builtin_group("hamiltonian").elements
+        ]), 1200, 0),
+        stat_run=(0.001, 400, "swap"),
+        spread=0.0037321276457658037,
+        horizon=1000,
+    ),
 }
 
-# Per-system experiment constants: sampling boxes for equivariance probes,
-# the trajectory used by the exact tier (chosen for well-conditioned lifted
-# data), and initial-condition samplers for trajectories inside the base
-# invariant set.
-_BOXES = {
-    "lorenz": [(-20.0, 20.0), (-25.0, 25.0), (0.0, 45.0)],
-    "toggle_switch": [(0.0, 4.0), (0.0, 4.0)],
-    "hamiltonian": [(-4.0, 4.0), (-4.0, 4.0)],
-}
 
-_EXACT_TIER_RUNS = {
-    "lorenz": (np.array([1.0, 1.0, 1.05]), 0.01, 500),
-    "toggle_switch": (np.array([3.5, 1.2]), 0.05, 100),
-    "hamiltonian": (np.array([3.4, 0.2]), 0.001, 400),
-}
-
-_STAT_TIER_RUNS = {  # (dt, n_steps, mirror element)
-    "toggle_switch": (0.05, 100, "swap"),
-    "hamiltonian": (0.001, 400, "swap"),
-}
+def experiment(name, needs=()):
+    """The experiment of a built-in system, which must set the fields ``needs``."""
+    record = _EXPERIMENTS.get(name)
+    if record is None:
+        raise ConfigurationError(f"no experiment for system {name!r}")
+    for field in needs:
+        if getattr(record, field) is None:
+            raise ConfigurationError(f"system {name!r} has no {field}")
+    return record
 
 
 def sample_box(name, n, rng):
-    lo, hi = np.array(_BOXES[name]).T
+    lo, hi = np.array(experiment(name).box).T
     return rng.uniform(lo, hi, size=(n, len(lo)))
 
 
 def draw_base_state(name, rng):
     """A random initial condition inside the base invariant set."""
-    if name == "toggle_switch":
-        # right region x1 > x2, inside the basin of (2 + sqrt 3, 2 - sqrt 3)
-        return np.array([rng.uniform(2.2, 3.6), rng.uniform(0.1, 1.2)])
-    if name == "hamiltonian":
-        # around the center (3, 0): sector q > |p| inside q^2 + p^2 < 18
-        return np.array([rng.uniform(2.4, 3.6), rng.uniform(-0.5, 0.5)])
-    if name == "lorenz":
-        return np.array([1.0, 1.0, 1.05]) + rng.uniform(-0.5, 0.5, size=3)
-    raise ConfigurationError(f"no sampler for {name!r}")
+    return experiment(name).draw(rng)
 
 
 def membership_predicates(name):
-    """Invariant-set membership tests keyed by registry label. Each takes
-    states as columns, a (dim, N) block, and returns a boolean mask (N,)."""
-    if name == "toggle_switch":
-        return {
-            "right": lambda x: x[0] > x[1],
-            "left": lambda x: x[1] > x[0],
-        }
-    if name == "hamiltonian":
-        inside = lambda x: x[0] * x[0] + x[1] * x[1] < 18.0
-        return {
-            "IS-1": lambda x: (x[0] > np.abs(x[1])) & inside(x),
-            "IS-2": lambda x: (x[1] > np.abs(x[0])) & inside(x),
-            "IS-3": lambda x: (-x[0] > np.abs(x[1])) & inside(x),
-            "IS-4": lambda x: (-x[1] > np.abs(x[0])) & inside(x),
-        }
-    raise ConfigurationError(f"no membership predicates for {name!r}")
+    """Invariant-set membership tests keyed by registry label."""
+    predicates = {label: p for label, (_, p) in experiment(name).sets.items()}
+    if None in predicates.values():
+        raise ConfigurationError(f"no membership predicates for {name!r}")
+    return predicates
 
 
 def builtin_registry(name):
-    """Invariant-set registry for a built-in system.
-
-    The Lorenz entries are trajectory segments (the two wings of the
-    attractor are exchanged, not preserved, by the flow; the per-trajectory
-    conjugation result is what applies), the others are true invariant sets.
-    """
-    if name == "toggle_switch":
-        return equivariant.InvariantSetRegistry(
-            labels=("right", "left"), base_label="right",
-            mapping={"left": "swap"},
-        )
-    if name == "hamiltonian":
-        return equivariant.InvariantSetRegistry(
-            labels=("IS-1", "IS-2", "IS-3", "IS-4"), base_label="IS-1",
-            mapping={"IS-2": "swap", "IS-3": "negate", "IS-4": "swap*negate"},
-        )
-    if name == "lorenz":
-        return equivariant.InvariantSetRegistry(
-            labels=("blue", "magenta"), base_label="blue",
-            mapping={"magenta": "rot_pi_z"},
-        )
-    raise ConfigurationError(f"no registry for {name!r}")
+    """Invariant-set registry for a built-in system."""
+    sets = experiment(name).sets
+    base, *images = sets
+    return equivariant.InvariantSetRegistry(
+        labels=tuple(sets), base_label=base,
+        mapping={label: sets[label][0] for label in images},
+    )
 
 
 # (kind, system) -> shared input, a dict only while run_verification runs;
@@ -147,7 +170,7 @@ def _group(name):
 
 def exact_tier_trajectory(name):
     def build(name):
-        x0, dt, n = _EXACT_TIER_RUNS[name]
+        x0, dt, n = experiment(name).exact_run
         return dynamics.simulate(dynamics.make_system(name), x0, dt, n)
 
     return _shared("exact_tier", name, build, lambda traj: [traj.states])
@@ -196,7 +219,7 @@ def check_equivariance(name, n_samples=1000, tol=EQUIVARIANCE_TOL, seed=0):
     group = _group(name)
     samples = sample_box(name, n_samples, np.random.default_rng(seed))
     report = groups.check_equivariance(
-        system, group, dynamics.DEFAULT_DT[name], samples, tol=tol
+        system, group, dynamics.builtin_system(name).dt, samples, tol=tol
     )
     worst = max((d for _, d, _ in report.entries), default=0.0)
     return CheckResult(
@@ -239,7 +262,7 @@ def stat_tier_fits(name, rngs, mirror=None):
     base set (or of its mirror image under ``mirror``), one start drawn from
     each generator in ``rngs``; all starts are integrated as one block."""
     system = dynamics.make_system(name)
-    dt, n_steps, _ = _STAT_TIER_RUNS[name]
+    dt, n_steps, _ = experiment(name, needs=("stat_run",)).stat_run
     x0 = np.array([draw_base_state(name, rng) for rng in rngs])
     if mirror is not None:
         x0 = x0 @ mirror.matrix.T
@@ -255,9 +278,9 @@ def stat_tier_fits(name, rngs, mirror=None):
 def seed_spread(name, n_seeds=10, base_seed=2024):
     """Seed-to-seed eigenvalue Hausdorff spread of reseeded same-set fits.
 
-    This is the oracle behind STAT_TIER_SPREAD: the maximum distance between
-    the base fit's eigenvalues and those of ``n_seeds`` refits from fresh
-    initial conditions in the same invariant set.
+    This is the oracle behind the frozen ``Experiment.spread``: the maximum
+    distance between the base fit's eigenvalues and those of ``n_seeds``
+    refits from fresh initial conditions in the same invariant set.
     """
     rngs = [np.random.default_rng(s) for s in [base_seed, *range(100, 100 + n_seeds)]]
     base, *others = stat_tier_fits(name, rngs)
@@ -271,13 +294,12 @@ def seed_spread(name, n_seeds=10, base_seed=2024):
 def check_conjugation_statistical(name, base_seed=2024, indep_seed=999):
     """Transported operator vs an operator fitted on independent data from
     the mirrored set, judged against 3x the frozen seed-to-seed spread."""
-    _, _, mirror_label = _STAT_TIER_RUNS[name]
-    group = _group(name)
-    mirror = group.element(mirror_label)
+    record = experiment(name, needs=("stat_run", "spread"))
+    mirror = _group(name).element(record.stat_run[2])
     (base,) = stat_tier_fits(name, [np.random.default_rng(base_seed)])
     (indep,) = stat_tier_fits(name, [np.random.default_rng(indep_seed)], mirror=mirror)
     rep = dictionaries.induced_representation(base.dictionary, mirror)
-    tol = 3.0 * STAT_TIER_SPREAD[name]
+    tol = 3.0 * record.spread
     report = equivariant.verify_conjugation(
         base, indep, rep, frobenius_tol=None, hausdorff_tol=tol
     )
@@ -318,7 +340,7 @@ def check_commutation_symmetric(name="toggle_switch", tol=COMMUTATION_TOL):
     """Fit on a trajectory united with its mirror image; the swap element
     stabilizes that data set, so K must commute with its representation."""
     group = _group(name)
-    _, _, mirror_label = _STAT_TIER_RUNS[name]
+    mirror_label = experiment(name, needs=("stat_run",)).stat_run[2]
     mirror = group.element(mirror_label)
     traj = exact_tier_trajectory(name)
     union = [traj, groups.transform_trajectory(traj, mirror)]
@@ -340,15 +362,16 @@ def check_invariant_set_image(name, n_samples=20, horizon=None, seed=5):
     """Invariance-of-image check: g maps invariant sets to invariant sets.
     Seeded samples of the base set are transformed by each registry element
     and integrated; every forward orbit must stay in the image set."""
+    record = experiment(name, needs=("stat_run", "horizon"))
     system = dynamics.make_system(name)
     group = _group(name)
     registry = builtin_registry(name)
     predicates = membership_predicates(name)
     if horizon is None:
-        horizon = {"toggle_switch": 200, "hamiltonian": 1000}[name]
+        horizon = record.horizon
     rng = np.random.default_rng(seed)
     samples = np.array([draw_base_state(name, rng) for _ in range(n_samples)])
-    dt = _STAT_TIER_RUNS[name][0]
+    dt = record.stat_run[0]
     reports = equivariant.verify_invariant_set_images(
         system,
         [(group.element(element), predicates[label])
@@ -366,18 +389,16 @@ def check_invariant_set_image(name, n_samples=20, horizon=None, seed=5):
     )
 
 
-_SYSTEMS = ("lorenz", "toggle_switch", "hamiltonian")
-_STAT_SYSTEMS = ("toggle_switch", "hamiltonian")
-
-# (check kind, systems it runs on), in the order ``verify`` reports them
+# (check kind, the experiment field a system must set for the check to run
+# on it), in the order ``verify`` reports them; systems run in table order
 _CHECK_TABLE = (
-    ("group_axioms", _SYSTEMS),
-    ("equivariance", _SYSTEMS),
-    ("conjugation_exact", _SYSTEMS),
-    ("conjugation_statistical", _STAT_SYSTEMS),
-    ("spectrum_invariance", _SYSTEMS),
-    ("commutation_symmetric", ("toggle_switch",)),
-    ("invariant_set_image", _STAT_SYSTEMS),
+    ("group_axioms", None),
+    ("equivariance", None),
+    ("conjugation_exact", None),
+    ("conjugation_statistical", "stat_run"),
+    ("spectrum_invariance", None),
+    ("commutation_symmetric", "commutation"),
+    ("invariant_set_image", "horizon"),
 )
 
 
@@ -388,8 +409,9 @@ def _run_check(kind, name):
 
 ALL_CHECKS = [
     (f"{kind}:{name}", functools.partial(_run_check, kind, name))
-    for kind, names in _CHECK_TABLE
-    for name in names
+    for kind, needs in _CHECK_TABLE
+    for name, record in _EXPERIMENTS.items()
+    if needs is None or getattr(record, needs)
 ]
 
 

@@ -36,7 +36,6 @@ from symkoop import (
     transport_case1,
 )
 from symkoop import scenarios
-from symkoop.scenarios import STAT_TIER_SPREAD
 
 SYSTEMS = ("lorenz", "toggle_switch", "hamiltonian")
 
@@ -84,7 +83,7 @@ def test_criterion_03_statistical_conjugation_tier():
     ok = True
     details = []
     for name in ("toggle_switch", "hamiltonian"):
-        frozen = STAT_TIER_SPREAD[name]
+        frozen = scenarios.experiment(name).spread
         live = scenarios.seed_spread(name)
         # the frozen spread must still describe this experiment
         ok &= abs(live - frozen) <= 0.15 * frozen

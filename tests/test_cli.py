@@ -489,6 +489,65 @@ def test_group_check_command(tmp_path, capsys):
     assert run(["group", "check", "--group", str(bad)]) == cli.EXIT_CONFIG
 
 
+OPERATOR = {"set_label": "right", "K": [[1.0, 0.0], [0.0, 1.0]],
+            "dictionary": {"kind": "identity", "dim": 2},
+            "fit_residual": 0.0, "rank_used": 2}
+SWAP_GROUP = {"dim": 2, "generators": [{"label": "swap",
+                                        "matrix": [[0.0, 1.0], [1.0, 0.0]]}]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, text, message", [
+    ("group", json.dumps({"dim": 2, "generators": [{"matrix": [[0.0, 1.0]] * 2}]}),
+     "missing key 'label'"),
+    ("group", json.dumps({"dim": 2, "generators": [{"label": "swap",
+                                                    "matrix": [[0.0, 1.0], [1.0]]}]}),
+     "inhomogeneous"),
+    ("group", '{"dim": 2, "generators": [{"label": "g", '
+              '"matrix": [[NaN, 0.0], [0.0, 1.0]]}]}', "NaN is not a JSON number"),
+    ("group", json.dumps(SWAP_GROUP["generators"]), "expected a JSON object, got list"),
+    ("group", "{", "Expecting property name"),
+    ("spectrum", json.dumps({k: v for k, v in OPERATOR.items() if k != "K"}),
+     "missing key 'K'"),
+    ("spectrum", json.dumps(dict(OPERATOR, K=[[1.0, 0.0], [0.0]])), "inhomogeneous"),
+    ("spectrum", json.dumps(dict(OPERATOR, fit_residual="nan")), "fit_residual"),
+    ("spectrum", "[]", "expected a JSON object, got list"),
+    ("transport", json.dumps(dict(OPERATOR, fit_residual=float("nan"))),
+     "NaN is not a JSON number"),
+    ("assemble", json.dumps({"labels": ["right", "left"], "base": "right"}),
+     "missing key 'mapping'"),
+    ("assemble", json.dumps({"labels": ["right", "left"], "mapping": {"left": "swap"},
+                             "samples": {"right": [[float("inf"), 0.0]]}}),
+     "Infinity is not a JSON number"),
+    ("fit", "t,x1\n0,1\ninf,2\n3,4\n", ":3: non-finite value"),
+    ("fit", "t,x1\n0,1\n1e308,2\n-1e308,3\n", ":4: time -1e+308 is off"),
+], ids=["group-no-label", "group-ragged", "group-nan", "group-list", "group-truncated",
+        "operator-no-K", "operator-ragged", "operator-nan-residual-string",
+        "operator-list", "transport-nan-residual", "registry-no-mapping",
+        "registry-inf-sample", "fit-inf-time", "fit-huge-times"])
+def test_malformed_input_is_one_config_error_naming_the_file(
+        tmp_path, capsys, command, text, message):
+    bad = tmp_path / ("bad.csv" if command == "fit" else "bad.json")
+    bad.write_text(text)
+    op, group = tmp_path / "op.json", tmp_path / "group.json"
+    op.write_text(json.dumps(OPERATOR))
+    group.write_text(json.dumps(SWAP_GROUP))
+    out = tmp_path / "out.json"
+    argv = {
+        "group": ["group", "check", "--group", str(bad)],
+        "spectrum": ["spectrum", "--operator", str(bad)],
+        "transport": ["transport", "--operator", str(bad), "--group", str(group),
+                      "--element", "swap"],
+        "assemble": ["assemble", "--registry", str(bad), "--base-operator", str(op),
+                     "--group", str(group)],
+        "fit": ["fit", "--traj", str(bad)],
+    }[command]
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    err = one_line_error(capsys)
+    assert err.startswith(f"error: {bad}") and message in err, err
+    assert not out.exists()
+
+
 def test_verify_list_and_single_check(capsys):
     assert run(["verify", "--list"]) == 0
     names = capsys.readouterr().out.splitlines()

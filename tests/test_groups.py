@@ -66,6 +66,14 @@ def test_non_orthogonal_generator_rejected():
         GroupElement("shear", np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_generator_rejected(bad):
+    # NaN passes the orthogonality test (defect > tol is False for NaN), and
+    # would end in a misleading max_order error in generate_group
+    with pytest.raises(InputError, match="element 'bad': matrix contains NaN or Inf"):
+        GroupElement("bad", np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_infinite_group_hits_max_order():
     phi = 1.0  # irrational multiple of pi: rotation generates an infinite group
     rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])

@@ -4,6 +4,7 @@ around the block edges, on the error paths, and in memory."""
 
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,27 @@ def test_short_files_match_reference(tmp_path, text):
     path = tmp_path / "short.csv"
     path.write_text(text)
     assert outcome(load_trajectory, path) == outcome(reference_load, path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, expected", [
+    ("t,x1\n0,1\ninf,2\n3,4\n", ":3: non-finite value"),
+    ("t,x1\n0,1\n1e308,2\n-1e308,3\n", ":4: time -1e+308 is off"),
+    ("t,x1\n0,1\n1e308,2\n1.7e308,3\n", ":4: time 1.7e+308 is off"),
+    ("t,x1\n-1e308,1\n1e308,2\n3,3\n", ":3: time 1e+308 is off"),
+], ids=["inf-time", "huge-dt", "huge-times", "overflowing-dt"])
+def test_infinite_or_huge_times_give_the_one_error_without_warnings(
+        tmp_path, text, expected):
+    # the grid arithmetic t0 + k*dt overflows to Inf or NaN; that is quiet,
+    # and the error is the reference loader's
+    path = tmp_path / "times.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError) as info:
+        load_trajectory(path)
+    assert expected in str(info.value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert str(info.value) == outcome(reference_load, path)
 
 
 # ---------------------------------------------------------------------------

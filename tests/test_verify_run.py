@@ -24,7 +24,7 @@ def builds(monkeypatch):
 
     def counting_simulate(system, x0, dt, n_steps, discard=0):
         traj = simulate(system, x0, dt, n_steps, discard)
-        exact = scenarios._EXACT_TIER_RUNS[system.name]
+        exact = scenarios.experiment(system.name).exact_run
         if np.shape(x0) == exact[0].shape and np.array_equal(x0, exact[0]):
             made["exact_tier"].append((system.name, traj))
         return traj
@@ -67,8 +67,8 @@ def test_shared_inputs_are_read_only_and_private_to_the_run(builds):
     assert scenarios.exact_tier_trajectory("lorenz").states.flags.writeable
     assert scenarios.exact_tier_trajectory("lorenz") is not scenarios.exact_tier_trajectory("lorenz")
     assert all(g.matrix.flags.writeable for g in groups.builtin_group("hamiltonian").elements)
-    for generators in dynamics.BUILTIN_SYMMETRY_GENERATORS.values():
-        assert all(m.flags.writeable for _, m in generators)
+    for system in dynamics._BUILTINS.values():
+        assert all(m.flags.writeable for _, m in system.generators)
 
 
 def test_memo_is_dropped_when_a_check_raises(builds, monkeypatch):
