@@ -16,12 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dictionaries, dynamics, equivariant, groups, koopman, scenarios
-from .errors import (
-    ConfigurationError,
-    DictionaryNotClosedError,
-    NumericalDivergenceError,
-    SymkoopError,
-)
+from .errors import ConfigurationError, NumericalDivergenceError, SymkoopError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -211,8 +206,7 @@ def cmd_transport(args):
     if element_label is None:
         raise ConfigurationError("transport needs --element")
     g = group.element(element_label)
-    seed = _resolve_number(args, config, "seed", 0, integer=True, minimum=0)
-    rep = dictionaries.induced_representation(op.dictionary, g, seed=seed)
+    rep = dictionaries.induced_representation(op.dictionary, g)
     target = _resolve(args, config, "target_label") or f"{op.set_label}:{element_label}"
     transported = equivariant.transport_case1(op, rep, target_label=target)
     payload = koopman.operator_to_dict(transported)
@@ -220,7 +214,6 @@ def cmd_transport(args):
         "operator": str(_resolve(args, config, "operator")),
         "group": str(_resolve(args, config, "group")),
         "element": element_label,
-        "seed": seed,
     }
     _write_json(_resolve(args, config, "out", "transported.json"), payload)
     return EXIT_OK
@@ -235,21 +228,15 @@ def cmd_assemble(args):
     group = groups.load_group(
         _require_readable(_resolve(args, config, "group"), "group JSON")
     )
-    seed = _resolve_number(args, config, "seed", 0, integer=True, minimum=0)
     equivariant.check_registry(registry, group)
-    reps = {
-        label: dictionaries.induced_representation(
-            base.dictionary, group.element(element_label), seed=seed
-        )
-        for label, element_label in registry.mapping.items()
-    }
+    reps = {label: dictionaries.induced_representation(base.dictionary, group.element(e))
+            for label, e in registry.mapping.items()}
     gk = equivariant.assemble_global(registry, base, reps)
     payload = equivariant.global_to_dict(gk)
     payload["config"] = {
         "registry": str(_resolve(args, config, "registry")),
         "base_operator": str(_resolve(args, config, "base_operator")),
         "group": str(_resolve(args, config, "group")),
-        "seed": seed,
     }
     _write_json(_resolve(args, config, "out", "global.json"), payload)
     print(f"{'label':<12} {'size':>4} {'origin':<12} {'residual':>10}")
@@ -366,7 +353,6 @@ def build_parser():
     p.add_argument("--group")
     p.add_argument("--element")
     p.add_argument("--target-label", dest="target_label")
-    p.add_argument("--seed")
     p.set_defaults(fn=cmd_transport)
 
     p = sub.add_parser("assemble", help="build the global block-diagonal operator")
@@ -374,7 +360,6 @@ def build_parser():
     p.add_argument("--registry")
     p.add_argument("--base-operator", dest="base_operator")
     p.add_argument("--group")
-    p.add_argument("--seed")
     p.set_defaults(fn=cmd_assemble)
 
     p = sub.add_parser("spectrum", help="eigenvalues and eigenfunction coefficients")
@@ -403,10 +388,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DictionaryNotClosedError as err:
-        print(f"error: {err}\nhint: raise the monomial max_degree so the "
-              "dictionary spans a group-invariant space", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericalDivergenceError as err:
         where = [f"{what} {index}" for what, index in
                  (("start", err.start_index), ("step", err.step_index))

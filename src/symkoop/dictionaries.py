@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DictionaryNotClosedError, InputError
+from .groups import GroupElement
 
 CLOSURE_TOL = 1e-8
 
@@ -182,12 +183,13 @@ class CustomDictionary(Dictionary):
 class TransformedDictionary(Dictionary):
     """A dictionary composed with the inverse action of a group element:
     psi'_k(x) = psi_k(gamma^-1 x). This is the dictionary an operator keeps
-    when it is transported by reusing the same matrix on a mapped set."""
+    when it is transported by reusing the same matrix on a mapped set. gamma
+    must be orthogonal (a GroupElement checks it), so gamma^T is gamma^-1."""
 
     kind = "transformed"
 
     def __init__(self, base, gamma, element_label):
-        gamma = np.asarray(gamma, dtype=float)
+        gamma = GroupElement(element_label, gamma).matrix
         if gamma.shape != (base.dim, base.dim):
             raise InputError("gamma shape does not match base dictionary dim")
         self.base = base
@@ -226,10 +228,7 @@ def dictionary_from_spec(spec, dim=None):
         )
     if kind == "transformed":
         base = dictionary_from_spec(spec["base"], dim=d)
-        return TransformedDictionary(
-            base, np.array(spec["matrix"], dtype=float),
-            spec.get("element_label", "g"),
-        )
+        return TransformedDictionary(base, spec["matrix"], spec.get("element_label", "g"))
     if kind == "custom":
         raise ConfigurationError(
             "custom dictionaries hold callables and cannot be rebuilt from JSON"
@@ -249,8 +248,9 @@ def lift(dictionary, pairs):
 
 @dataclass(frozen=True)
 class FeatureRepresentation:
-    """K x K matrix R with Psi(gamma x) = R Psi(x), plus the max-norm defect
-    of that identity measured on an out-of-sample probe cloud."""
+    """K x K matrix R with Psi(gamma x) = R Psi(x), plus its residual: 0.0 when
+    R is exact, else (custom dictionaries) the max-norm defect of that
+    identity on an out-of-sample probe cloud."""
 
     label: str
     matrix: np.ndarray
@@ -276,51 +276,57 @@ class FeatureRepresentation:
 
 
 def _is_signed_permutation(m):
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
     nonzero = m != 0.0
-    if not (np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1)):
-        return False
-    return bool(np.all(np.abs(m[nonzero]) == 1.0))
+    return bool(np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1)
+                and np.all(np.abs(m[nonzero]) == 1.0))
 
 
-def _signed_perm_monomial_rep(dictionary, g):
-    """Exact representation for a signed-permutation gamma on a monomial
-    dictionary: each monomial maps to a single monomial with sign
-    (product of the per-variable signs raised to the exponents)."""
-    gamma = g.matrix
-    col = [int(np.argmax(np.abs(gamma[i]))) for i in range(g.dim)]
-    sign = [gamma[i, col[i]] for i in range(g.dim)]
+def _exact_representation(dictionary, M):
+    """R with Psi(M x) = R Psi(x) for a linear map M: M itself for identity
+    dictionaries, each monomial expanded in the linear forms of M, and for a
+    wrapper of matrix T its base's R at T^T M T. None for a custom
+    dictionary, which has no closed form."""
+    if dictionary.kind == "identity":
+        return M.copy()
+    if dictionary.kind == "transformed":  # psi(T^T M x) = psi(T^T M T T^T x)
+        T = dictionary.gamma
+        return _exact_representation(dictionary.base, T.T @ M @ T)
+    if dictionary.kind != "monomial":
+        return None
+    # psi_k(M x) is its parent's row times the linear form M[i] . x, on sparse
+    # rows {exponents: coefficient}. Exact zeros of M are skipped, so a signed
+    # permutation yields exactly one +-1.0 per row.
+    forms = [[(j, c) for j, c in enumerate(row) if c != 0.0] for row in M.tolist()]
+    one = {(0,) * dictionary.dim: 1.0}
+    rows = [one] if dictionary.include_constant else []
+    for k, parent, i in dictionary._products:
+        row = {}
+        for e, a in (one if parent is None else rows[parent]).items():
+            for j, c in forms[i]:
+                e_j = e[:j] + (e[j] + 1,) + e[j + 1:]
+                row[e_j] = row.get(e_j, 0.0) + a * c
+        rows.append(row)
     R = np.zeros((dictionary.size, dictionary.size))
-    for k, exps in enumerate(dictionary.exponents):
-        s = 1.0
-        target = [0] * g.dim
-        for i, e in enumerate(exps):
-            if e:
-                target[col[i]] += e
-                if sign[i] < 0 and e % 2 == 1:
-                    s = -s
-        R[k, dictionary._index_of[tuple(target)]] = s
+    for k, row in enumerate(rows):
+        for e, v in row.items():
+            R[k, dictionary._index_of[e]] = v
     return R
 
 
 def induced_representation(dictionary, g, probe_count=None, tol=CLOSURE_TOL, seed=0):
     """Compute the feature-space representation R of a group element.
 
-    Exact paths: identity dictionaries (R = gamma) and monomial dictionaries
-    under signed-permutation elements (multi-index bookkeeping). Otherwise R
-    is identified by least squares on a seeded probe cloud in [-1, 1]^dim
-    and validated out-of-sample; a defect above ``tol`` (relative to the
-    probe feature norms) raises DictionaryNotClosedError.
+    R is exact, with residual 0.0, for identity, monomial and transformed
+    dictionaries (``_exact_representation``). Only a custom dictionary, or a
+    transformed wrapper of one, has R identified by least squares on a
+    seeded probe cloud in [-1, 1]^dim and validated out-of-sample; a defect
+    above ``tol`` (relative to the probe feature norms) raises
+    DictionaryNotClosedError.
     """
     if dictionary.dim != g.dim:
         raise InputError("dictionary and element dimensions differ")
-
-    if dictionary.kind == "identity":
-        return FeatureRepresentation(label=g.label, matrix=g.matrix.copy(),
-                                     residual=0.0)
-    if dictionary.kind == "monomial" and _is_signed_permutation(g.matrix):
-        R = _signed_perm_monomial_rep(dictionary, g)
+    R = _exact_representation(dictionary, g.matrix)
+    if R is not None:
         return FeatureRepresentation(label=g.label, matrix=R, residual=0.0)
 
     K = dictionary.size

@@ -526,13 +526,17 @@ def registry_from_dict(data):
         samples = {
             label: np.array(states, dtype=float) for label, states in samples.items()
         }
-    labels = tuple(data["labels"])
-    return InvariantSetRegistry(
-        labels=labels,
-        base_label=data.get("base", labels[0] if labels else ""),
-        mapping=dict(data["mapping"]),
-        samples=samples,
-    )
+    labels, mapping = data["labels"], data["mapping"]
+    if not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
+        raise TypeError(f"labels must be a list of strings, got {labels!r}")
+    base = data.get("base", labels[0] if labels else "")
+    if not isinstance(base, str):
+        raise TypeError(f"base must be a string, got {base!r}")
+    if not (isinstance(mapping, dict)
+            and all(isinstance(v, str) for v in (*mapping, *mapping.values()))):
+        raise TypeError(f"mapping must map strings to strings, got {mapping!r}")
+    return InvariantSetRegistry(labels=tuple(labels), base_label=base,
+                                mapping=dict(mapping), samples=samples)
 
 
 def save_registry(registry, path):

@@ -284,12 +284,17 @@ def operator_from_dict(data):
     fit_residual = float(data["fit_residual"])
     if not np.isfinite(fit_residual):
         raise InputError(f"fit_residual must be finite, got {fit_residual}")
+    set_label, rank_used = data["set_label"], data["rank_used"]
+    if not isinstance(set_label, str):
+        raise TypeError(f"set_label must be a string, got {set_label!r}")
+    if type(rank_used) is not int:
+        raise TypeError(f"rank_used must be an integer, got {rank_used!r}")
     return KoopmanApprox(
         matrix=matrix,
         dictionary=dictionary,
-        set_label=data["set_label"],
+        set_label=set_label,
         fit_residual=fit_residual,
-        rank_used=int(data["rank_used"]),
+        rank_used=rank_used,
         provenance=data.get("provenance"),
     )
 

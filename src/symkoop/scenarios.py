@@ -336,8 +336,8 @@ def check_spectrum_invariance(name, tol=SPECTRUM_TOL):
     )
 
 
-def check_commutation_symmetric(name="toggle_switch", tol=COMMUTATION_TOL):
-    """Fit on a trajectory united with its mirror image; the swap element
+def check_commutation_symmetric(name, tol=COMMUTATION_TOL):
+    """Fit on a trajectory united with its mirror image; the mirror element
     stabilizes that data set, so K must commute with its representation."""
     group = _group(name)
     mirror_label = experiment(name, needs=("stat_run",)).stat_run[2]
@@ -354,7 +354,7 @@ def check_commutation_symmetric(name="toggle_switch", tol=COMMUTATION_TOL):
         name=f"commutation_symmetric:{name}",
         passed=norm <= tol,
         metrics={"commutator_norm": norm, "tol": tol, "stabilizers": list(stabilizers)},
-        detail=f"relative commutator norm {norm:.3e} on swap-invariant data",
+        detail=f"relative commutator norm {norm:.3e} on {mirror_label}-invariant data",
     )
 
 

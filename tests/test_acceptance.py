@@ -191,7 +191,7 @@ def test_criterion_06_spectrum_invariance():
 
 
 def test_criterion_07_commutation_on_symmetric_data():
-    result = scenarios.check_commutation_symmetric(tol=1e-8)
+    result = scenarios.check_commutation_symmetric("toggle_switch", tol=1e-8)
     _criterion(
         7,
         "operator fitted on trajectory united with its mirror commutes "
@@ -280,17 +280,21 @@ def test_criterion_10_hamiltonian_energy_drift():
 def test_criterion_11_induced_representation_suite():
     ok = True
     worst_hom = 0.0
-    # homomorphism defect over all element pairs, exact and numerical paths
-    groups_to_try = [builtin_group(name) for name in SYSTEMS]
+    # homomorphism defect over all element pairs: exact path for degree-2
+    # monomials, probe-cloud path for a custom dictionary spanning them
+    cases = [(builtin_group(name), MonomialDictionary(builtin_group(name).dim, 2))
+             for name in SYSTEMS]
     phi = math.pi / 4.0
     c8 = generate_group(
         [GroupElement("r8", np.array([[math.cos(phi), -math.sin(phi)],
                                       [math.sin(phi), math.cos(phi)]]))],
         max_order=16,
     )
-    groups_to_try.append(c8)
-    for group in groups_to_try:
-        d = MonomialDictionary(group.dim, 2)
+    monomials = MonomialDictionary(2, 2)
+    cases.append((c8, CustomDictionary(2, [
+        lambda x, k=k: monomials.evaluate_matrix(x)[k] for k in range(monomials.size)
+    ])))
+    for group, d in cases:
         reps = [induced_representation(d, g, seed=3) for g in group.elements]
         for i in range(group.order):
             for j in range(group.order):

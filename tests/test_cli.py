@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -277,10 +278,10 @@ def test_transport_unknown_element(tmp_path, capsys):
     ("simulate", [], {"random_starts": 10**400}, "random_starts"),
     ("fit", [], {"rank_tol": "x"}, "rank_tol"),
     ("fit", [], {"rank_tol": [1e-10]}, "rank_tol"),
-    ("transport", ["--seed", "-1"], {}, "seed"),
-    ("transport", [], {"seed": 1.5}, "seed"),
-    ("assemble", ["--seed", "-2"], {}, "seed"),
-    ("assemble", [], {"seed": "0"}, "seed"),
+    ("simulate", [], {"seed": -1}, "seed"),
+    ("simulate", [], {"discard": 0.5}, "discard"),
+    ("fit", [], {"rank_tol": None}, "rank_tol"),
+    ("fit", [], {"rank_tol": float("inf")}, "rank_tol"),
     ("simulate", ["--steps", "x"], {}, "steps"),
     ("simulate", ["--steps", "3.0"], {}, "steps"),
     ("simulate", ["--dt", "fast"], {}, "dt"),
@@ -289,24 +290,15 @@ def test_transport_unknown_element(tmp_path, capsys):
     ("simulate", ["--seed", "x", "--random-starts", "2"], {}, "seed"),
     ("simulate", ["--random-starts", "two"], {}, "random_starts"),
     ("fit", ["--rank-tol", "tiny"], {}, "rank_tol"),
-    ("transport", ["--seed", "s"], {}, "seed"),
-    ("assemble", ["--seed", "0x1"], {}, "seed"),
+    ("simulate", ["--seed", "1.5"], {}, "seed"),
+    ("simulate", ["--discard", "x"], {}, "discard"),
 ])
 def test_bad_numeric_option_is_one_config_error_naming_the_key(
         tmp_path, capsys, command, flags, config, key):
-    from symkoop import save_registry
-    from symkoop.scenarios import builtin_registry
-
-    op_path = fit_toggle_operator(tmp_path)
-    reg_path = tmp_path / "registry.json"
-    save_registry(builtin_registry("toggle_switch"), reg_path)
+    fit_toggle_operator(tmp_path)
     inputs = {
         "simulate": ["--system", "toggle_switch", "--x0", "1,1"],
         "fit": ["--traj", str(tmp_path / "right.csv")],
-        "transport": ["--operator", str(op_path), "--element", "swap",
-                      "--group", str(make_group_file(tmp_path))],
-        "assemble": ["--registry", str(reg_path), "--base-operator", str(op_path),
-                     "--group", str(make_group_file(tmp_path))],
     }[command]
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
@@ -349,8 +341,46 @@ def test_assemble_toggle_registry(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["labels"] == ["right", "left"]
     assert payload["total_size"] == 4
+    assert sorted(payload["config"]) == ["base_operator", "group", "registry"]
     table = capsys.readouterr().out
     assert "fitted" in table and "transported" in table
+
+
+@pytest.mark.parametrize("command", ["transport", "assemble"])
+def test_transport_and_assemble_take_no_seed(tmp_path, capsys, command):
+    # every dictionary the CLI loads has an exact representation, so there
+    # is no probe cloud to seed
+    with pytest.raises(SystemExit) as info:
+        run([command, "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_transport_under_a_rotation_is_exact_and_records_no_seed(tmp_path):
+    from symkoop import GroupElement, generate_group, save_group
+
+    c, s = math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0)
+    group_path = tmp_path / "c3.json"
+    save_group(generate_group([GroupElement("rot", np.array([[c, -s], [s, c]]))]),
+               group_path)
+    op_path = fit_toggle_operator(tmp_path, '{"kind": "monomial", "max_degree": 3}')
+    out = tmp_path / "rotated.json"
+    assert run(["transport", "--operator", str(op_path), "--group", str(group_path),
+                "--element", "rot", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["provenance"]["rep_residual"] == 0.0
+    assert sorted(payload["config"]) == ["element", "group", "operator"]
+
+
+def test_fit_with_a_non_orthogonal_transformed_dictionary_is_one_error(tmp_path, capsys):
+    fit_toggle_operator(tmp_path)
+    out = tmp_path / "op.json"
+    spec = {"kind": "transformed", "base": {"kind": "identity"},
+            "matrix": [[2.0, 0.0], [0.0, 1.0]]}
+    assert run(["fit", "--traj", str(tmp_path / "right.csv"), "--dictionary",
+                json.dumps(spec), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "element 'g' is not orthogonal" in one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_assemble_hamiltonian_four_sets(tmp_path):
@@ -521,17 +551,37 @@ SWAP_GROUP = {"dim": 2, "generators": [{"label": "swap",
      "Infinity is not a JSON number"),
     ("fit", "t,x1\n0,1\ninf,2\n3,4\n", ":3: non-finite value"),
     ("fit", "t,x1\n0,1\n1e308,2\n-1e308,3\n", ":4: time -1e+308 is off"),
+    ("assemble", json.dumps({"labels": "rl", "mapping": {"l": "swap"}}),
+     "labels must be a list of strings, got 'rl'"),
+    ("assemble", json.dumps({"labels": ["right", "left"], "base": 0,
+                             "mapping": {"left": "swap"}}), "base must be a string"),
+    ("assemble", json.dumps({"labels": ["right", "left"], "mapping": {"left": 1}}),
+     "mapping must map strings to strings"),
+    ("spectrum", json.dumps(dict(OPERATOR, rank_used=2.7)),
+     "rank_used must be an integer, got 2.7"),
+    ("assemble-operator", json.dumps(dict(OPERATOR, rank_used=2.7)),
+     "rank_used must be an integer, got 2.7"),
+    ("spectrum", json.dumps(dict(OPERATOR, set_label=["right"])),
+     "set_label must be a string"),
+    ("spectrum", json.dumps(dict(OPERATOR, dictionary={
+        "kind": "transformed", "base": {"kind": "identity", "dim": 2},
+        "matrix": [[2.0, 0.0], [0.0, 1.0]]})), "element 'g' is not orthogonal"),
 ], ids=["group-no-label", "group-ragged", "group-nan", "group-list", "group-truncated",
         "operator-no-K", "operator-ragged", "operator-nan-residual-string",
         "operator-list", "transport-nan-residual", "registry-no-mapping",
-        "registry-inf-sample", "fit-inf-time", "fit-huge-times"])
+        "registry-inf-sample", "fit-inf-time", "fit-huge-times", "registry-string-labels",
+        "registry-number-base", "registry-number-element", "operator-fractional-rank",
+        "base-operator-fractional-rank", "operator-list-label",
+        "operator-non-orthogonal-transformed"])
 def test_malformed_input_is_one_config_error_naming_the_file(
         tmp_path, capsys, command, text, message):
     bad = tmp_path / ("bad.csv" if command == "fit" else "bad.json")
     bad.write_text(text)
-    op, group = tmp_path / "op.json", tmp_path / "group.json"
+    op, group, registry = (tmp_path / f"{name}.json" for name in ("op", "group", "reg"))
     op.write_text(json.dumps(OPERATOR))
     group.write_text(json.dumps(SWAP_GROUP))
+    registry.write_text(json.dumps({"labels": ["right", "left"],
+                                    "mapping": {"left": "swap"}}))
     out = tmp_path / "out.json"
     argv = {
         "group": ["group", "check", "--group", str(bad)],
@@ -540,6 +590,8 @@ def test_malformed_input_is_one_config_error_naming_the_file(
                       "--element", "swap"],
         "assemble": ["assemble", "--registry", str(bad), "--base-operator", str(op),
                      "--group", str(group)],
+        "assemble-operator": ["assemble", "--registry", str(registry),
+                              "--base-operator", str(bad), "--group", str(group)],
         "fit": ["fit", "--traj", str(bad)],
     }[command]
     assert run(argv + ["--out", str(out)]) == cli.EXIT_CONFIG

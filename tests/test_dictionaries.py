@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from symkoop import (
     simulate,
     snapshots,
 )
+from symkoop.dictionaries import _is_signed_permutation
 
 SWAP = GroupElement("swap", np.array([[0.0, 1.0], [1.0, 0.0]]))
 HALF_TURN = GroupElement("half_turn", np.array([[-1.0, 0.0], [0.0, -1.0]]))
@@ -184,9 +186,9 @@ def test_induced_half_turn_on_monomials_is_degree_parity():
 def test_induced_rotation_on_linear_monomials():
     d = MonomialDictionary(2, 1, include_constant=False)
     g = rotation(0.7)
-    rep = induced_representation(d, g, seed=4)
-    assert np.max(np.abs(rep.matrix - g.matrix)) <= 1e-10
-    assert rep.residual <= 1e-8
+    rep = induced_representation(d, g)
+    assert np.array_equal(rep.matrix, g.matrix)
+    assert rep.residual == 0.0
 
 
 def test_incomplete_degree_dictionary_not_closed_under_rotation():
@@ -220,12 +222,22 @@ def test_representation_homomorphism_exact_path():
             assert defect <= 1e-8
 
 
+def as_custom(d):
+    """A CustomDictionary spanning the same observables as ``d``."""
+    return CustomDictionary(
+        d.dim, [lambda x, k=k: d.evaluate_matrix(x)[k] for k in range(d.size)],
+        labels=d.labels,
+    )
+
+
 def test_representation_homomorphism_numerical_path():
-    # C8 rotations go through the least-squares identification
+    # custom dictionaries go through the least-squares identification; this
+    # one spans the degree-2 monomials, under the C8 rotations
     group = generate_group([rotation(math.pi / 4.0, "r8")], max_order=16)
     assert group.order == 8
-    d = MonomialDictionary(2, 2)
+    d = as_custom(MonomialDictionary(2, 2))
     reps = [induced_representation(d, g, seed=9) for g in group.elements]
+    assert all(0.0 < rep.residual <= 1e-8 for rep in reps[1:])
     eye_defect = np.max(np.abs(reps[0].matrix - np.eye(d.size)))
     assert eye_defect <= 1e-10
     for i in range(group.order):
@@ -273,7 +285,7 @@ def test_probe_count_must_cover_dictionary():
 def test_representation_defining_identity_out_of_sample():
     d = MonomialDictionary(2, 2)
     g = rotation(1.1)
-    rep = induced_representation(d, g, seed=2)
+    rep = induced_representation(d, g)
     rng = np.random.default_rng(99)
     for x in rng.uniform(-1, 1, size=(50, 2)):
         lhs = d.evaluate(g.matrix @ x)
@@ -302,3 +314,118 @@ def test_dictionary_spec_roundtrip_and_errors():
         dictionary_from_spec({"kind": "custom", "dim": 2, "size": 1}, dim=2)
     with pytest.raises(ConfigurationError):
         dictionary_from_spec({"kind": "sinusoid", "dim": 2})
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[2.0, 0.0], [0.0, 1.0]], "is not orthogonal"),
+    ([[math.nan, 0.0], [0.0, 1.0]], "NaN or Inf"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "must be square"),
+    (np.eye(3), "gamma shape does not match"),
+], ids=["scaling", "nan", "non-square", "wrong-dim"])
+def test_transformed_dictionary_needs_an_orthogonal_gamma(matrix, message):
+    with pytest.raises(InputError, match=message):
+        TransformedDictionary(MonomialDictionary(2, 2), matrix, "g")
+    spec = {"kind": "transformed", "base": {"kind": "identity", "dim": 2},
+            "matrix": np.asarray(matrix).tolist()}
+    with pytest.raises(InputError, match=message):
+        dictionary_from_spec(spec)
+
+
+def test_transformed_custom_dictionary_keeps_the_probe_cloud():
+    custom = as_custom(MonomialDictionary(2, 2))
+    wrapped = TransformedDictionary(custom, rotation(0.4).matrix, "w")
+    rep = induced_representation(wrapped, rotation(0.7), seed=1)
+    assert 0.0 < rep.residual <= 1e-8
+    exact = induced_representation(
+        TransformedDictionary(MonomialDictionary(2, 2), rotation(0.4).matrix, "w"),
+        rotation(0.7))
+    assert exact.residual == 0.0
+    assert np.max(np.abs(rep.matrix - exact.matrix)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# properties of the exact representation over generated groups
+
+def reflection():
+    return GroupElement("ref", np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+@functools.cache
+def polygon_group(kind, n):
+    """C_n (kind "C") or D_n (kind "D") in 2-D, from a rotation by 2 pi / n."""
+    gens = [rotation(2.0 * math.pi / n, f"r{n}")]
+    if kind == "D":
+        gens.append(reflection())
+    return generate_group(gens, max_order=2 * n)
+
+
+@functools.cache
+def signed_permutation_group(name):
+    """The order-48 octahedral group in 3-D, or D4 in 2-D, from exact
+    signed-permutation generators."""
+    if name == "octahedral":
+        return generate_group([
+            GroupElement("cycle", np.array([[0.0, 0, 1], [1, 0, 0], [0, 1, 0]])),
+            GroupElement("swap", np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])),
+            GroupElement("flip", np.diag([-1.0, 1.0, 1.0])),
+        ], max_order=64)
+    return generate_group(
+        [SWAP, GroupElement("rot90", np.array([[0.0, -1.0], [1.0, 0.0]]))], max_order=8)
+
+
+GROUPS = st.one_of(
+    st.tuples(st.sampled_from("CD"), st.integers(1, 12)).map(
+        lambda key: (polygon_group(*key), False)),
+    st.sampled_from(["octahedral", "D4"]).map(
+        lambda name: (signed_permutation_group(name), True)),
+)
+
+
+@st.composite
+def representation_cases(draw):
+    """A group, a monomial dictionary of degree 1-4 on its space (bare or in a
+    transformed wrapper), and whether every matrix involved is a signed
+    permutation."""
+    group, signed = draw(GROUPS)
+    d = MonomialDictionary(group.dim, draw(st.integers(1, 4)),
+                           include_constant=draw(st.booleans()))
+    wrapper = draw(st.sampled_from([None, "signed", "generic"]))
+    if wrapper == "signed":
+        flip = np.eye(group.dim)[::-1].copy()
+        flip[0] *= -1.0
+        d = TransformedDictionary(d, flip, "w")
+    elif wrapper == "generic":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q, _ = np.linalg.qr(rng.normal(size=(group.dim, group.dim)))
+        d = TransformedDictionary(d, q, "w")
+        signed = False
+    return group, d, signed
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=representation_cases(), data=st.data())
+def test_exact_representation_is_a_homomorphism(case, data):
+    group, d, signed = case
+    i = data.draw(st.integers(0, group.order - 1))
+    j = data.draw(st.integers(0, group.order - 1))
+    r_i, r_j, r_ij = (induced_representation(d, group.elements[k]).matrix
+                      for k in (i, j, group.multiply(i, j)))
+    if signed:
+        assert np.array_equal(r_i @ r_j, r_ij)
+    else:
+        assert np.max(np.abs(r_i @ r_j - r_ij)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=representation_cases(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_exact_representation_holds_out_of_sample(case, data, seed):
+    group, d, signed = case
+    g = group.elements[data.draw(st.integers(0, group.order - 1))]
+    rep = induced_representation(d, g)
+    assert rep.residual == 0.0
+    X = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(d.dim, 20))
+    F = d.evaluate_matrix(X)
+    defect = np.max(np.abs(d.evaluate_matrix(g.matrix @ X) - rep.matrix @ F))
+    assert defect <= 1e-12 * max(1.0, np.max(np.abs(F)))
+    if signed:
+        assert _is_signed_permutation(rep.matrix)
