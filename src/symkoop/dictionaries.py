@@ -211,24 +211,41 @@ class TransformedDictionary(Dictionary):
         }
 
 
+_SPEC_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _spec_value(key, value, kind):
+    """``value``, the spec's ``key``, if it is of ``kind``, one of
+    _SPEC_KINDS (a JSON true is no integer); otherwise a ConfigurationError
+    naming the key."""
+    if type(value) is not kind:
+        raise ConfigurationError(
+            f"dictionary {key!r} must be {_SPEC_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def dictionary_from_spec(spec, dim=None):
     """Build a dictionary from its JSON spec; ``dim`` fills in when the
     spec omits it (e.g. {"kind": "identity"})."""
     kind = spec.get("kind")
     d = spec.get("dim", dim)
-    if kind in ("identity", "monomial") and d is None:
-        raise ConfigurationError("dictionary spec needs a 'dim'")
+    if kind in ("identity", "monomial"):
+        if d is None:
+            raise ConfigurationError("dictionary spec needs a 'dim'")
+        d = _spec_value("dim", d, int)
     if kind == "identity":
         return IdentityDictionary(d)
     if kind == "monomial":
         return MonomialDictionary(
             d,
-            max_degree=spec.get("max_degree", 2),
-            include_constant=spec.get("include_constant", True),
+            max_degree=_spec_value("max_degree", spec.get("max_degree", 2), int),
+            include_constant=_spec_value(
+                "include_constant", spec.get("include_constant", True), bool),
         )
     if kind == "transformed":
         base = dictionary_from_spec(spec["base"], dim=d)
-        return TransformedDictionary(base, spec["matrix"], spec.get("element_label", "g"))
+        label = _spec_value("element_label", spec.get("element_label", "g"), str)
+        return TransformedDictionary(base, spec["matrix"], label)
     if kind == "custom":
         raise ConfigurationError(
             "custom dictionaries hold callables and cannot be rebuilt from JSON"

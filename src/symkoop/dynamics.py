@@ -14,6 +14,7 @@ All trajectories are produced by a fixed-step classical 4th-order
 Runge-Kutta scheme so that snapshot spacing is exactly uniform.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -257,33 +258,66 @@ def _advance(system, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# The one-state RK4 loop, written out for a given dim: the coordinates live
+# in locals y0, y1, ..., and each stage calls the field on a tuple written
+# coordinate by coordinate, so no zip, list or tuple() is built per stage.
+_RK4_SOURCE = """
+def rk4(system, y, dt, n):
+    f, p = system.field, system.params
+    h, s = 0.5 * dt, dt / 6.0
+    ({ys}) = y
+    states = []
+    extend = states.extend
+    for _ in range(n):
+        k1 = f(({ys}), p)
+        if type(k1) is not tuple or len(k1) != {dim}:
+            k1 = tuple(_field_output(system, k1, ({dim},)))
+        k2 = f(({k1_stage}), p)
+        k3 = f(({k2_stage}), p)
+        k4 = f(({k3_stage}), p)
+{update}
+        extend(({ys}))
+    return states
+"""
+
+
+@functools.cache
+def _rk4_kernel(dim):
+    """The one-state RK4 loop for states of ``dim`` coordinates, compiled
+    once per dim from source made of the integer dim alone:
+    ``rk4(system, y, dt, n)`` steps y, a tuple, n times and returns the n
+    states after it, flat (n * dim coordinates)."""
+    dim = int(dim)
+    ys = " ".join(f"y{i}," for i in range(dim))
+
+    def stage(c, k):  # the coordinates of y + c * k
+        return " ".join(f"y{i} + {c} * {k}[{i}]," for i in range(dim))
+
+    update = "\n".join(
+        f"        y{i} = y{i} + s * (k1[{i}] + 2.0 * k2[{i}] + 2.0 * k3[{i}] + k4[{i}])"
+        for i in range(dim))
+    namespace = {"_field_output": _field_output}
+    exec(_RK4_SOURCE.format(ys=ys, dim=dim, k1_stage=stage("h", "k1"),
+                            k2_stage=stage("h", "k2"), k3_stage=stage("dt", "k3"),
+                            update=update), namespace)
+    return namespace["rk4"]
+
+
 def _advance_state(system, y, dt, n):
     """``_advance`` n times from one state y, a tuple of its coordinates:
-    the list of the n states after y, as tuples. Each coordinate gets the
-    same operations in the same order as a column of a block, so on
+    the n states after y, flat (n * dim coordinates). Each coordinate gets
+    the same operations in the same order as a column of a block, so on
     np.float64 scalars each state is bit for bit the block's, and on Python
     floats too unless a step raises or turns complex (see
-    ``_advance_floats``). The field, its parameters, dt/2 and dt/6 are
-    looked up once for all n steps."""
+    ``_advance_floats``)."""
+    if system.kind != DISCRETE:
+        return _rk4_kernel(len(y))(system, y, dt, n)
     f, p, dim = system.field, system.params, len(y)
+    scalar = type(y[0])
     states = []
-    if system.kind == DISCRETE:
-        scalar = type(y[0])
-        for _ in range(n):
-            y = tuple(map(scalar, _field_output(system, f(y, p), (dim,))))
-            states.append(y)
-        return states
-    h, s = 0.5 * dt, dt / 6.0
     for _ in range(n):
-        k1 = f(y, p)
-        if type(k1) is not tuple or len(k1) != dim:
-            k1 = tuple(_field_output(system, k1, (dim,)))
-        k2 = f(tuple([a + h * b for a, b in zip(y, k1)]), p)
-        k3 = f(tuple([a + h * b for a, b in zip(y, k2)]), p)
-        k4 = f(tuple([a + dt * b for a, b in zip(y, k3)]), p)
-        y = tuple([a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
-        states.append(y)
+        y = tuple(map(scalar, _field_output(system, f(y, p), (dim,))))
+        states.extend(y)
     return states
 
 
@@ -296,7 +330,7 @@ def _advance_floats(system, y, dt, n):
     try:
         states = _advance_state(system, y, dt, n)
         # a complex coordinate stays complex, so the last state shows it
-        if not any(isinstance(v, complex) for v in states[-1]):
+        if not any(isinstance(v, complex) for v in states[-len(y):]):
             return states
     except ArithmeticError:
         pass
@@ -339,7 +373,7 @@ def step(system, x, dt):
     _check_dt(system, dt)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if x.size == system.dim:
-            y, = _advance_floats(system, tuple(x.ravel().tolist()), dt, 1)
+            y = _advance_floats(system, tuple(x.ravel().tolist()), dt, 1)
             out = _field_output(system, y, (system.dim,)).reshape(x.shape)
         else:
             out = _advance(system, x.T, dt).T
@@ -357,11 +391,11 @@ def _simulate_state(system, rows, dt, batch):
     for start in range(1, total + 1, STATE_CHUNK):
         stop = min(start + STATE_CHUNK, total + 1)
         chunk = _advance_floats(system, y, dt, stop - start)
-        y = chunk[-1]
+        y = tuple(chunk[-system.dim:])
         # a field that returns arrays makes every later state one of arrays,
         # so the chunk's last state shows it
         _field_output(system, y, (system.dim,))
-        rows[start:stop] = chunk
+        rows[start:stop] = np.fromiter(chunk, float).reshape(stop - start, system.dim)
         finite = np.isfinite(rows[start:stop]).all(axis=1)
         if not finite.all():
             k = start + int(np.argmin(finite))

@@ -62,8 +62,8 @@ def _reject_constant(token):
 
 def read_json(path, parse):
     """``parse`` of the JSON object in the file at ``path``, which may hold
-    no NaN or Infinity; malformed content raises one ConfigurationError
-    naming the file."""
+    no NaN or Infinity; malformed content, including an integer too large
+    for a float, raises one ConfigurationError naming the file."""
     try:
         with open(path) as fh:
             data = json.load(fh, parse_constant=_reject_constant)
@@ -72,5 +72,6 @@ def read_json(path, parse):
         return parse(data)
     except KeyError as err:
         raise ConfigurationError(f"{path}: missing key {err}") from err
-    except (TypeError, ValueError, AttributeError) as err:
+    except (TypeError, ValueError, AttributeError, OverflowError,
+            ConfigurationError) as err:
         raise ConfigurationError(f"{path}: {err}") from err

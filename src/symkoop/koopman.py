@@ -281,7 +281,10 @@ def operator_from_dict(data):
         )
     if not np.all(np.isfinite(matrix)):
         raise InputError("operator matrix contains NaN or Inf")
-    fit_residual = float(data["fit_residual"])
+    fit_residual = data["fit_residual"]
+    if type(fit_residual) not in (int, float):
+        raise TypeError(f"fit_residual must be a number, got {fit_residual!r}")
+    fit_residual = float(fit_residual)
     if not np.isfinite(fit_residual):
         raise InputError(f"fit_residual must be finite, got {fit_residual}")
     set_label, rank_used = data["set_label"], data["rank_used"]

@@ -91,6 +91,59 @@ def test_block_simulate_equals_per_start_simulate(name, data):
         assert np.array_equal(traj.states, alone.states)
 
 
+def polynomial_field(terms):
+    """The field whose coordinate i is the sum over terms[i] of c * x[j1] *
+    x[j2] ..., for each (c, (j1, j2, ...)), multiplied out left to right."""
+    def field(x, p):
+        out = []
+        for coordinate in terms:
+            # 0 * x[0], not 0.0, so a constant term is a row on a block
+            total = 0.0 * x[0]
+            for c, factors in coordinate:
+                term = c
+                for j in factors:
+                    term = term * x[j]
+                total = total + term
+            out.append(total)
+        return tuple(out)
+    return field
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_state_equals_block_rows_on_generated_polynomial_fields(data):
+    # dims 1 to 6, where the built-ins have 2 and 3; coefficients, states
+    # and n_steps * dt are small enough that no orbit leaves |x| < 2
+    dim = data.draw(st.integers(1, 6))
+    term = st.tuples(st.floats(-1.0, 1.0), st.lists(st.integers(0, dim - 1), max_size=3))
+    terms = data.draw(st.lists(st.lists(term, min_size=1, max_size=3),
+                               min_size=dim, max_size=dim))
+    system = SystemDef("polynomial", dim, {}, polynomial_field(terms))
+    block = data.draw(st.integers(2, 4).flatmap(lambda n: arrays(
+        float, (n, dim), elements=st.floats(-1.0, 1.0))))
+    dt = data.draw(st.floats(1e-3, 1e-2))
+    n_steps = data.draw(st.integers(1, 10))
+    stepped = step(system, block, dt)
+    trajs = simulate(system, block, dt, n_steps)
+    for row, out, traj in zip(block, stepped, trajs):
+        assert np.array_equal(step(system, row, dt), out)
+        assert np.array_equal(simulate(system, row, dt, n_steps).states, traj.states)
+
+
+def test_field_returning_numpy_scalars_steps_alike_alone_and_in_a_block():
+    # np.subtract and np.multiply give np.float64 on Python floats, so one
+    # state's stages after the first run on numpy scalars
+    system = SystemDef("scalars", 2, {}, lambda x, p: (
+        np.subtract(x[1], x[0]), np.multiply(x[0], x[1] - 1.0)))
+    assert type(system.field((0.5, 0.25), {})[0]) is np.float64
+    block = np.array([[0.5, 0.25], [-0.3, 0.7], [1.1, -0.4]])
+    stepped = step(system, block, 0.05)
+    trajs = simulate(system, block, 0.05, 300)
+    for row, out, traj in zip(block, stepped, trajs):
+        assert np.array_equal(step(system, row, 0.05), out)
+        assert np.array_equal(simulate(system, row, 0.05, 300).states, traj.states)
+
+
 def per_sample_failed(system, g, samples, dt, horizon, membership):
     """The one-sample-at-a-time reference for verify_invariant_set_image."""
     inside = lambda y: bool(membership(y[:, None])[0])

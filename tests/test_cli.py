@@ -383,6 +383,28 @@ def test_fit_with_a_non_orthogonal_transformed_dictionary_is_one_error(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "monomial", "max_degree": True}, "'max_degree' must be an integer, got True"),
+    ({"kind": "monomial", "max_degree": 2.0}, "'max_degree' must be an integer, got 2.0"),
+    ({"kind": "monomial", "include_constant": "false"},
+     "'include_constant' must be true or false, got 'false'"),
+    ({"kind": "identity", "dim": True}, "'dim' must be an integer, got True"),
+    ({"kind": "transformed", "base": {"kind": "identity"}, "dim": "2",
+      "matrix": [[1.0, 0.0], [0.0, 1.0]]}, "'dim' must be an integer, got '2'"),
+    ({"kind": "transformed", "base": {"kind": "identity"}, "element_label": 5,
+      "matrix": [[1.0, 0.0], [0.0, 1.0]]}, "'element_label' must be a string, got 5"),
+], ids=["bool-degree", "float-degree", "string-constant", "bool-dim", "string-dim",
+        "number-label"])
+def test_fit_rejects_a_dictionary_value_of_the_wrong_json_type(tmp_path, capsys, spec,
+                                                                 message):
+    fit_toggle_operator(tmp_path)
+    out = tmp_path / "op.json"
+    assert run(["fit", "--traj", str(tmp_path / "right.csv"), "--dictionary",
+                json.dumps(spec), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_assemble_hamiltonian_four_sets(tmp_path):
     from symkoop import make_system, save_registry, save_trajectory, simulate
     from symkoop.scenarios import builtin_registry
@@ -541,6 +563,20 @@ SWAP_GROUP = {"dim": 2, "generators": [{"label": "swap",
      "missing key 'K'"),
     ("spectrum", json.dumps(dict(OPERATOR, K=[[1.0, 0.0], [0.0]])), "inhomogeneous"),
     ("spectrum", json.dumps(dict(OPERATOR, fit_residual="nan")), "fit_residual"),
+    ("spectrum", json.dumps(dict(OPERATOR, fit_residual="0.5")),
+     "fit_residual must be a number, got '0.5'"),
+    ("spectrum", json.dumps(dict(OPERATOR, fit_residual=True)),
+     "fit_residual must be a number, got True"),
+    ("spectrum", json.dumps(dict(OPERATOR, K=[[10 ** 400, 0.0], [0.0, 1.0]])),
+     "int too large to convert to float"),
+    ("spectrum", json.dumps(dict(OPERATOR, dictionary={
+        "kind": "monomial", "dim": 2, "max_degree": True, "include_constant": False})),
+     "'max_degree' must be an integer, got True"),
+    ("spectrum", json.dumps(dict(OPERATOR, dictionary={
+        "kind": "monomial", "dim": 2, "max_degree": 1, "include_constant": "false"})),
+     "'include_constant' must be true or false, got 'false'"),
+    ("spectrum", json.dumps(dict(OPERATOR, dictionary={"kind": "identity", "dim": True})),
+     "'dim' must be an integer, got True"),
     ("spectrum", "[]", "expected a JSON object, got list"),
     ("transport", json.dumps(dict(OPERATOR, fit_residual=float("nan"))),
      "NaN is not a JSON number"),
@@ -568,6 +604,8 @@ SWAP_GROUP = {"dim": 2, "generators": [{"label": "swap",
         "matrix": [[2.0, 0.0], [0.0, 1.0]]})), "element 'g' is not orthogonal"),
 ], ids=["group-no-label", "group-ragged", "group-nan", "group-list", "group-truncated",
         "operator-no-K", "operator-ragged", "operator-nan-residual-string",
+        "operator-string-residual", "operator-bool-residual", "operator-huge-int",
+        "operator-bool-degree", "operator-string-constant", "operator-bool-dim",
         "operator-list", "transport-nan-residual", "registry-no-mapping",
         "registry-inf-sample", "fit-inf-time", "fit-huge-times", "registry-string-labels",
         "registry-number-base", "registry-number-element", "operator-fractional-rank",

@@ -19,7 +19,7 @@ from symkoop import (
     vector_field,
     verify_invariant_set_images,
 )
-from symkoop.dynamics import DISCRETE, STATE_CHUNK
+from symkoop.dynamics import DISCRETE, STATE_CHUNK, _rk4_kernel
 
 
 def decay_system():
@@ -232,26 +232,61 @@ def stepped(fn):
 
 # Fields where Python floats raise or turn complex while numpy, under
 # np.errstate, gives Inf or NaN; a state must get numpy's result alone too.
+# ``expected`` is the last coordinate after one step, or the error.
 @pytest.mark.parametrize("field, x0, expected", [
     # 1/0: ZeroDivisionError on Python floats; numpy's 1/(1 + Inf) is 0
-    (lambda x, p: (1.0 / (1.0 + 1.0 / x[0]),), 0.0, 0.0),
+    (lambda x, p: (1.0 / (1.0 + 1.0 / x[0]),), [0.0], 0.0),
     # an overflowing **: OverflowError; numpy's Inf * 0 is NaN
-    (lambda x, p: (x[0] ** 2.0 * 0.0 + 1.0,), 1e200, NumericalDivergenceError),
+    (lambda x, p: (x[0] ** 2.0 * 0.0 + 1.0,), [1e200], NumericalDivergenceError),
     # a negative base to a fractional power: complex; numpy's is NaN
-    (lambda x, p: ((x[0] - 5.0) ** 0.5,), 1.0, NumericalDivergenceError),
-], ids=["divide-by-zero", "pow-overflow", "pow-complex"])
+    (lambda x, p: ((x[0] - 5.0) ** 0.5,), [1.0], NumericalDivergenceError),
+    # the same in one coordinate of several
+    (lambda x, p: (x[1], -x[0], 1.0 / (1.0 + 1.0 / x[2])), [0.5, 0.25, 0.0], 0.0),
+    (lambda x, p: (x[1], x[0] ** 2.0 * 0.0 + 1.0), [1e200, 0.5], NumericalDivergenceError),
+], ids=["divide-by-zero", "pow-overflow", "pow-complex", "divide-by-zero-dim3",
+        "pow-overflow-dim2"])
 def test_one_state_follows_numpy_where_python_floats_raise(field, x0, expected):
-    system = SystemDef("rerun", 1, {}, field)
-    alone = stepped(lambda: step(system, [x0], 0.1))
-    row = stepped(lambda: step(system, [[x0], [x0]], 0.1)[0])
-    trajs = [stepped(lambda: simulate(system, x, 0.1, 300))
-             for x in ([x0], [[x0], [x0]])]
+    system = SystemDef("rerun", len(x0), {}, field)
+    alone = stepped(lambda: step(system, x0, 0.1))
+    row = stepped(lambda: step(system, [x0, x0], 0.1)[0])
+    trajs = [stepped(lambda: simulate(system, x, 0.1, 300)) for x in (x0, [x0, x0])]
     if expected is NumericalDivergenceError:
         assert alone == row == (expected, None)
         assert trajs[0] == trajs[1] == (expected, 1)
     else:
-        assert np.array_equal(alone, row) and alone.tolist() == [expected]
+        assert np.array_equal(alone, row) and alone[-1] == expected
         assert np.array_equal(trajs[0].states, trajs[1][0].states)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_too_many_field_coordinates_raise_at_the_first_call(dim):
+    # the generated loop reads coordinates 0 .. dim-1 of each stage, so
+    # only the check on k1 sees an extra one
+    calls = []
+
+    def field(x, p):
+        calls.append(x)
+        return tuple(x) + (0.0,)
+
+    system = SystemDef("long", dim, {}, field)
+    shape = rf"returned shape \({dim + 1},\), expected \({dim},\)"
+    for run in (lambda: step(system, [0.5] * dim, 0.1),
+                lambda: simulate(system, [0.5] * dim, 0.1, 5)):
+        calls.clear()
+        with pytest.raises(InputError, match=shape):
+            run()
+        assert len(calls) == 1
+
+
+def test_one_rk4_kernel_is_built_per_dimension():
+    _rk4_kernel.cache_clear()
+    for dim in (1, 2, 3):
+        system = SystemDef("decay", dim, {}, lambda x, p: tuple(-v for v in x))
+        for _ in range(3):
+            step(system, [1.0] * dim, 0.1)
+            simulate(system, [1.0] * dim, 0.1, 2 * STATE_CHUNK)
+    assert _rk4_kernel.cache_info().misses == 3
+    assert _rk4_kernel(2) is _rk4_kernel(2)
 
 
 def test_division_by_zero_in_a_field_warns_nothing():
