@@ -16,7 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import dictionaries, dynamics, equivariant, groups, koopman, scenarios
-from .errors import ConfigurationError, NumericalDivergenceError, SymkoopError
+from .errors import (
+    ConfigurationError,
+    NumericalDivergenceError,
+    SymkoopError,
+    read_json,
+    write_json,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -25,16 +31,7 @@ EXIT_DIVERGENCE = 3
 
 
 def _load_config(path):
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigurationError(f"cannot read config {path}: {err}") from err
-    if not isinstance(cfg, dict):
-        raise ConfigurationError(f"config {path} must hold a JSON object")
-    return cfg
+    return {} if path is None else read_json(path, lambda config: config)
 
 
 def _resolve(args, config, key, default=None):
@@ -101,8 +98,7 @@ def _require_readable(path, what):
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    write_json(path, payload)
     print(f"wrote {path}")
 
 
@@ -194,14 +190,15 @@ def cmd_fit(args):
     return EXIT_OK
 
 
-def _load_operator_checked(path):
-    return koopman.load_operator(_require_readable(path, "operator JSON"))
+def _load(args, config, key, load, what):
+    """``load`` of the file named by option ``key`` (a ``what``), which must exist."""
+    return load(_require_readable(_resolve(args, config, key), what))
 
 
 def cmd_transport(args):
     config = _load_config(args.config)
-    op = _load_operator_checked(_resolve(args, config, "operator"))
-    group = groups.load_group(_require_readable(_resolve(args, config, "group"), "group JSON"))
+    op = _load(args, config, "operator", koopman.load_operator, "operator JSON")
+    group = _load(args, config, "group", groups.load_group, "group JSON")
     element_label = _resolve(args, config, "element")
     if element_label is None:
         raise ConfigurationError("transport needs --element")
@@ -221,13 +218,9 @@ def cmd_transport(args):
 
 def cmd_assemble(args):
     config = _load_config(args.config)
-    registry = equivariant.load_registry(
-        _require_readable(_resolve(args, config, "registry"), "registry JSON")
-    )
-    base = _load_operator_checked(_resolve(args, config, "base_operator"))
-    group = groups.load_group(
-        _require_readable(_resolve(args, config, "group"), "group JSON")
-    )
+    registry = _load(args, config, "registry", equivariant.load_registry, "registry JSON")
+    base = _load(args, config, "base_operator", koopman.load_operator, "operator JSON")
+    group = _load(args, config, "group", groups.load_group, "group JSON")
     equivariant.check_registry(registry, group)
     reps = {label: dictionaries.induced_representation(base.dictionary, group.element(e))
             for label, e in registry.mapping.items()}
@@ -248,7 +241,7 @@ def cmd_assemble(args):
 
 def cmd_spectrum(args):
     config = _load_config(args.config)
-    op = _load_operator_checked(_resolve(args, config, "operator"))
+    op = _load(args, config, "operator", koopman.load_operator, "operator JSON")
     spec = koopman.spectrum(op)
     for i, lam in enumerate(spec.eigenvalues):
         print(f"lambda_{i}: {lam.real:+.9g} {lam.imag:+.9g}i  |lambda|={abs(lam):.9g}")
@@ -297,9 +290,7 @@ def cmd_verify(args):
 
 def cmd_group_check(args):
     config = _load_config(args.config)
-    group = groups.load_group(
-        _require_readable(_resolve(args, config, "group"), "group JSON")
-    )
+    group = _load(args, config, "group", groups.load_group, "group JSON")
     report = groups.check_axioms(group)
     print(f"order {report['order']}: " + ", ".join(
         f"{axiom}={'ok' if report[axiom] else 'FAIL'}"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DictionaryNotClosedError, InputError
+from .errors import ConfigurationError, DictionaryNotClosedError, InputError, json_matrix
 from .groups import GroupElement
 
 CLOSURE_TOL = 1e-8
@@ -245,7 +245,7 @@ def dictionary_from_spec(spec, dim=None):
     if kind == "transformed":
         base = dictionary_from_spec(spec["base"], dim=d)
         label = _spec_value("element_label", spec.get("element_label", "g"), str)
-        return TransformedDictionary(base, spec["matrix"], label)
+        return TransformedDictionary(base, json_matrix(spec["matrix"], "matrix"), label)
     if kind == "custom":
         raise ConfigurationError(
             "custom dictionaries hold callables and cannot be rebuilt from JSON"

@@ -195,24 +195,26 @@ def make_system(name, params=None):
 # Every function taking a state also takes a block of states, one per row
 # (N, dim), as in Trajectory.states. A field or map is called with the
 # coordinates x[i] of what it steps and returns its dim coordinates, as a
-# tuple or an array. One state, of shape (dim,) or a block of one row, is
-# stepped on a tuple of Python floats, so no array is built per RK4 stage
-# and no numpy scalar per operation; a block of N > 1 states is stepped as
-# columns (dim, N), whose x[i] are (N,) rows. Both paths do the same
-# operations in the same order, and Python's + - * / on floats are the same
-# IEEE double operations as numpy's, so a row of a block gets bit for bit
-# what stepping it alone gives. Python's rules part from numpy's in three
-# places: 1/0 and an overflowing ``**`` raise, and a negative base to a
-# fractional power gives a complex number, where numpy under np.errstate
-# gives Inf or NaN. So a run of one-state steps that raises an
-# ArithmeticError or ends on a complex coordinate is rerun from its start on
-# np.float64 scalars, which follow numpy's rules. A field raising to a power
-# must call np.power: ``**`` on a scalar calls the C library's pow, which
-# can differ in the last bit from numpy's own power loop that ``**`` on an
-# array runs, while np.power runs that loop on scalars and arrays alike
-# (and gives numpy's NaN, not a complex number, on a Python float).
+# tuple or an array. One RK4 loop, generated per dim, steps one state, of
+# shape (dim,) or a block of one row, on a tuple of Python floats, so no
+# array is built per RK4 stage and no numpy scalar per operation, and a
+# block of N > 1 states on the tuple of its coordinate rows (N,), doing
+# element by element the same operations in the same order. Python's
+# + - * / on floats are the same IEEE double operations as numpy's, so a
+# row of a block gets bit for bit what stepping it alone gives. Python's
+# rules part from numpy's in three places: 1/0 and an overflowing ``**``
+# raise, and a negative base to a fractional power gives a complex number,
+# where numpy under np.errstate gives Inf or NaN. So a run of one-state
+# steps that raises an ArithmeticError or ends on a complex coordinate is
+# rerun from its start on np.float64 scalars, which follow numpy's rules. A
+# field raising to a power must call np.power: ``**`` on a scalar calls the
+# C library's pow, which can differ in the last bit from numpy's own power
+# loop that ``**`` on an array runs, while np.power runs that loop on
+# scalars and arrays alike (and gives numpy's NaN, not a complex number, on
+# a Python float).
 
-STATE_CHUNK = 256  # one-state simulate stores and checks its rows this many at a time
+STATE_CHUNK = 256  # simulate steps, checks and stores at most this many steps at a time
+CHUNK_FLOATS = 2 ** 14  # and coordinates, at least one step; so do the image check's windows
 
 
 def _check_state(system, x):
@@ -245,33 +247,24 @@ def _field_output(system, k, shape):
     return k
 
 
-def _advance(system, y, dt):
-    """One sample interval on states as columns y (dim, N): the map once,
-    or one classical RK4 step of the field."""
-    f, p = system.field, system.params
-    k1 = _field_output(system, f(y, p), y.shape)
-    if system.kind == DISCRETE:
-        return k1
-    k2 = np.asarray(f(y + (0.5 * dt) * k1, p))
-    k3 = np.asarray(f(y + (0.5 * dt) * k2, p))
-    k4 = np.asarray(f(y + dt * k3, p))
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-# The one-state RK4 loop, written out for a given dim: the coordinates live
-# in locals y0, y1, ..., and each stage calls the field on a tuple written
-# coordinate by coordinate, so no zip, list or tuple() is built per stage.
+# The RK4 loop, written out for a given dim: the coordinates live in locals
+# y0, y1, ..., and each stage calls the field on a tuple written coordinate
+# by coordinate, so no zip, list or tuple() is built per stage. A k1 other
+# than dim values (rows of y0's shape) goes through _field_output.
 _RK4_SOURCE = """
 def rk4(system, y, dt, n):
     f, p = system.field, system.params
-    h, s = 0.5 * dt, dt / 6.0
     ({ys}) = y
+    row = getattr(y0, "shape", ())  # () for a state's scalars, (N,) for a block's rows
+    h, s, two = 0.5 * dt, dt / 6.0, 2.0
+    if row:  # numpy multiplies a row by a 0-d array faster than by a float
+        h, s, two = asarray(h), asarray(s), asarray(two)
     states = []
     extend = states.extend
     for _ in range(n):
         k1 = f(({ys}), p)
-        if type(k1) is not tuple or len(k1) != {dim}:
-            k1 = tuple(_field_output(system, k1, ({dim},)))
+        if type(k1) is not tuple or len(k1) != {dim} or row and ({rows_differ}):
+            k1 = tuple(_field_output(system, k1, ({dim},) + row))
         k2 = f(({k1_stage}), p)
         k3 = f(({k2_stage}), p)
         k4 = f(({k3_stage}), p)
@@ -283,9 +276,9 @@ def rk4(system, y, dt, n):
 
 @functools.cache
 def _rk4_kernel(dim):
-    """The one-state RK4 loop for states of ``dim`` coordinates, compiled
-    once per dim from source made of the integer dim alone:
-    ``rk4(system, y, dt, n)`` steps y, a tuple, n times and returns the n
+    """The RK4 loop for states of ``dim`` coordinates, compiled once per dim
+    from source made of the integer dim alone: ``rk4(system, y, dt, n)``
+    steps y, a tuple of scalars or of (N,) rows, n times and returns the n
     states after it, flat (n * dim coordinates)."""
     dim = int(dim)
     ys = " ".join(f"y{i}," for i in range(dim))
@@ -294,48 +287,51 @@ def _rk4_kernel(dim):
         return " ".join(f"y{i} + {c} * {k}[{i}]," for i in range(dim))
 
     update = "\n".join(
-        f"        y{i} = y{i} + s * (k1[{i}] + 2.0 * k2[{i}] + 2.0 * k3[{i}] + k4[{i}])"
+        f"        y{i} = y{i} + s * (k1[{i}] + two * k2[{i}] + two * k3[{i}] + k4[{i}])"
         for i in range(dim))
-    namespace = {"_field_output": _field_output}
-    exec(_RK4_SOURCE.format(ys=ys, dim=dim, k1_stage=stage("h", "k1"),
+    namespace = {"_field_output": _field_output, "asarray": np.asarray}
+    rows_differ = " or ".join(f"getattr(k1[{i}], 'shape', None) != row" for i in range(dim))
+    exec(_RK4_SOURCE.format(ys=ys, dim=dim, rows_differ=rows_differ, k1_stage=stage("h", "k1"),
                             k2_stage=stage("h", "k2"), k3_stage=stage("dt", "k3"),
                             update=update), namespace)
     return namespace["rk4"]
 
 
 def _advance_state(system, y, dt, n):
-    """``_advance`` n times from one state y, a tuple of its coordinates:
-    the n states after y, flat (n * dim coordinates). Each coordinate gets
-    the same operations in the same order as a column of a block, so on
-    np.float64 scalars each state is bit for bit the block's, and on Python
-    floats too unless a step raises or turns complex (see
-    ``_advance_floats``)."""
+    """The n states after y, a tuple of scalars or of (N,) rows, flat (n *
+    dim coordinates): each one step of the map or one RK4 step of the field."""
     if system.kind != DISCRETE:
         return _rk4_kernel(len(y))(system, y, dt, n)
-    f, p, dim = system.field, system.params, len(y)
-    scalar = type(y[0])
+    f, p = system.field, system.params
+    shape, floats = (len(y),) + getattr(y[0], "shape", ()), type(y[0]) is float
     states = []
     for _ in range(n):
-        y = tuple(map(scalar, _field_output(system, f(y, p), (dim,))))
+        k = _field_output(system, f(y, p), shape)
+        y = tuple(k.tolist() if floats else k)
         states.extend(y)
     return states
 
 
-def _advance_floats(system, y, dt, n):
-    """``_advance_state`` from y, a tuple of Python floats. Where Python's
-    float rules part from numpy's (1/0 and ``**`` overflow raise, a negative
-    base to a fractional power is complex), the n steps are rerun from y with
-    each Python float made an np.float64, so the states, or the error, are
-    numpy's."""
+def _advance_chunk(system, x, dt, n):
+    """The n states after the states x (N, dim) as an array (n, dim, N):
+    ``_advance_state`` from one state's coordinates as Python floats, or
+    from a block's coordinate rows (N,). Where Python's float rules part
+    from numpy's (1/0 and ``**`` overflow raise, a negative base to a
+    fractional power is complex), the n steps are rerun from x made
+    np.float64, so the states, or the error, are numpy's."""
+    y = tuple(x[0].tolist()) if len(x) == 1 else tuple(x.T)
     try:
         states = _advance_state(system, y, dt, n)
         # a complex coordinate stays complex, so the last state shows it
-        if not any(isinstance(v, complex) for v in states[-len(y):]):
-            return states
+        rerun = any(isinstance(v, complex) for v in states[-len(y):])
     except ArithmeticError:
-        pass
-    y = tuple([np.float64(v) if type(v) is float else v for v in y])
-    return _advance_state(system, y, dt, n)
+        rerun = True
+    if rerun:
+        states = _advance_state(system, tuple(map(np.float64, y)), dt, n)
+    # a field that returns arrays for one state makes every later state one
+    # of arrays, so the last state shows it
+    _field_output(system, states[-len(y):], (len(y),) + getattr(y[0], "shape", ()))
+    return np.array(states, dtype=float).reshape(n, len(y), -1)
 
 
 def _divergence(system, y, batch, step_index=None, total=None):
@@ -372,34 +368,10 @@ def step(system, x, dt):
     x = _check_state(system, x)
     _check_dt(system, dt)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if x.size == system.dim:
-            y = _advance_floats(system, tuple(x.ravel().tolist()), dt, 1)
-            out = _field_output(system, y, (system.dim,)).reshape(x.shape)
-        else:
-            out = _advance(system, x.T, dt).T
+        out = _advance_chunk(system, x.reshape(-1, system.dim), dt, 1)[0].T.reshape(x.shape)
     if not np.isfinite(out).all():
         raise _divergence(system, out.T, batch=x.ndim == 2)
     return out
-
-
-def _simulate_state(system, rows, dt, batch):
-    """Fill rows[1:] (total, dim) by stepping the state rows[0]. The rows
-    are stored and checked STATE_CHUNK at a time; a divergence names the
-    first non-finite step."""
-    total = len(rows) - 1
-    y = tuple(rows[0].tolist())
-    for start in range(1, total + 1, STATE_CHUNK):
-        stop = min(start + STATE_CHUNK, total + 1)
-        chunk = _advance_floats(system, y, dt, stop - start)
-        y = tuple(chunk[-system.dim:])
-        # a field that returns arrays makes every later state one of arrays,
-        # so the chunk's last state shows it
-        _field_output(system, y, (system.dim,))
-        rows[start:stop] = np.fromiter(chunk, float).reshape(stop - start, system.dim)
-        finite = np.isfinite(rows[start:stop]).all(axis=1)
-        if not finite.all():
-            k = start + int(np.argmin(finite))
-            raise _divergence(system, rows[k], batch, step_index=k, total=total)
 
 
 def simulate(system, x0, dt, n_steps, discard=0):
@@ -420,20 +392,20 @@ def simulate(system, x0, dt, n_steps, discard=0):
     _check_dt(system, dt)
     batch = x0.ndim == 2
     total = n_steps + discard
-    states = np.empty(x0.shape[:-1] + (total + 1, system.dim))
-    states[..., 0, :] = x0
+    states = np.empty((x0.size // system.dim, total + 1, system.dim))
+    states[:, 0] = x0.reshape(-1, system.dim)
+    chunk = max(1, min(STATE_CHUNK, CHUNK_FLOATS // x0.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if x0.size == system.dim:
-            _simulate_state(system, states.reshape(total + 1, system.dim), dt, batch)
-        else:
-            y = x0.T
-            for k in range(total):
-                y = _advance(system, y, dt)
-                if not np.isfinite(y).all():
-                    raise _divergence(system, y, batch, step_index=k + 1, total=total)
-                states[:, k + 1, :] = y.T
+        for start in range(1, total + 1, chunk):
+            stop = min(start + chunk, total + 1)
+            block = _advance_chunk(system, states[:, start - 1], dt, stop - start)
+            finite = np.isfinite(block).all(axis=(1, 2))
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise _divergence(system, block[k], batch, step_index=start + k, total=total)
+            states[:, start:stop] = block.transpose(2, 0, 1)
     if not batch:
-        return Trajectory(dim=system.dim, dt=float(dt), states=states[discard:])
+        return Trajectory(dim=system.dim, dt=float(dt), states=states[0, discard:])
     return [Trajectory(dim=system.dim, dt=float(dt), states=s[discard:]) for s in states]
 
 

@@ -14,7 +14,6 @@ the sets is the block diagonal of the local ones, and it is stored and
 applied blockwise so cross-set entries are exactly zero.
 """
 
-import json
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -22,18 +21,20 @@ from typing import Optional
 import numpy as np
 
 from .dictionaries import TransformedDictionary
-from .dynamics import _advance, _check_dt, _check_state
+from .dynamics import CHUNK_FLOATS, _advance_chunk, _check_dt, _check_state
 from .errors import (
     InputError,
     IsotropyRequiredError,
     NumericalDivergenceError,
     SymkoopError,
+    json_matrix,
     read_json,
+    write_json,
 )
 from .groups import _window_matches
 from .koopman import KoopmanApprox, eigenvalue_hausdorff, predict
 
-_IMAGE_WINDOW_FLOATS = 2 ** 15  # the image check buffers at most this many coordinates per window
+_IMAGE_WINDOW_FLOATS = CHUNK_FLOATS  # at most this many coordinates per image-check window
 
 
 @dataclass(frozen=True)
@@ -454,9 +455,8 @@ def verify_invariant_set_images(system, images, samples, dt, horizon):
                 break
             bounds = np.searchsorted(active, edges)
             w = min(horizon - k, max(1, _IMAGE_WINDOW_FLOATS // y.size))
-            states = np.empty((w,) + y.shape)
-            for s in range(w):
-                states[s] = y = _advance(system, y, dt)
+            states = _advance_chunk(system, y.T, dt, w)
+            y = states[-1]
             # per column, the window step it first goes non-finite and the
             # one it first leaves at; w where it does neither
             bad = np.logical_and.accumulate(np.isfinite(states).all(axis=1)).sum(axis=0)
@@ -524,7 +524,8 @@ def registry_from_dict(data):
     samples = data.get("samples")
     if samples is not None:
         samples = {
-            label: np.array(states, dtype=float) for label, states in samples.items()
+            label: json_matrix(states, f"samples {label!r}")
+            for label, states in samples.items()
         }
     labels, mapping = data["labels"], data["mapping"]
     if not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
@@ -540,8 +541,7 @@ def registry_from_dict(data):
 
 
 def save_registry(registry, path):
-    with open(path, "w") as fh:
-        json.dump(registry_to_dict(registry), fh, indent=2)
+    write_json(path, registry_to_dict(registry))
 
 
 def load_registry(path):
@@ -570,8 +570,7 @@ def global_from_dict(data):
 
 
 def save_global(gk, path):
-    with open(path, "w") as fh:
-        json.dump(global_to_dict(gk), fh, indent=2)
+    write_json(path, global_to_dict(gk))
 
 
 def load_global(path):

@@ -1,7 +1,11 @@
-"""Exception types shared across the toolkit, and the strict reader of its
-JSON files, which turns a malformed file into one of them."""
+"""Exception types shared across the toolkit, and the strict reader and
+writer of its JSON files: a malformed file, or a NaN to be written, becomes
+one of them."""
 
 import json
+import reprlib
+
+import numpy as np
 
 
 class SymkoopError(Exception):
@@ -75,3 +79,33 @@ def read_json(path, parse):
     except (TypeError, ValueError, AttributeError, OverflowError,
             ConfigurationError) as err:
         raise ConfigurationError(f"{path}: {err}") from err
+
+
+def json_matrix(value, key):
+    """``value``, the JSON value of ``key``, as a float array: a list of
+    equal-length lists of numbers (not true, false or numeric strings), or
+    else a ConfigurationError naming the key."""
+    rows = value if type(value) is list else [value]
+    for row in rows:
+        if type(row) is not list or len(row) != len(rows[0]):
+            raise ConfigurationError(
+                f"{key} must be a list of equal-length lists, got {reprlib.repr(value)}")
+        for v in row:
+            if type(v) not in (int, float):
+                raise ConfigurationError(f"{key} entries must be numbers, got {v!r}")
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError as err:
+        raise ConfigurationError(f"{key}: {err}") from err
+
+
+def write_json(path, payload):
+    """Write ``payload`` to the file at ``path`` as JSON indented by 2. A
+    NaN or Infinity in it raises a SymkoopError naming the file before the
+    file is opened, so no partial file is left."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as err:
+        raise SymkoopError(f"{path}: cannot write JSON: {err}") from err
+    with open(path, "w") as fh:
+        fh.write(text)

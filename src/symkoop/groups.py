@@ -7,13 +7,19 @@ on scalar observables by ``(g * f)(x) = f(g^-1 x)``.
 """
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory, builtin_system, step
-from .errors import InputError, NonFiniteGroupError, SymkoopError, read_json
+from .errors import (
+    InputError,
+    NonFiniteGroupError,
+    SymkoopError,
+    json_matrix,
+    read_json,
+    write_json,
+)
 
 MATRIX_MATCH_TOL = 1e-10  # max-norm tolerance for element identification
 ORTHOGONALITY_TOL = 1e-10
@@ -393,15 +399,14 @@ def group_to_dict(group):
 
 def group_from_dict(data, max_order=64):
     gens = [
-        GroupElement(entry["label"], np.array(entry["matrix"], dtype=float))
+        GroupElement(entry["label"], json_matrix(entry["matrix"], "matrix"))
         for entry in data.get("generators", [])
     ]
     return generate_group(gens, max_order=max_order, dim=data.get("dim"))
 
 
 def save_group(group, path):
-    with open(path, "w") as fh:
-        json.dump(group_to_dict(group), fh, indent=2)
+    write_json(path, group_to_dict(group))
 
 
 def load_group(path, max_order=64):

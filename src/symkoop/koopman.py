@@ -16,7 +16,6 @@ observables (and therefore eigenfunctions) evolve through row vectors:
 eigenfunctions are built from left eigenvectors, phi(x) = w^T Psi(x).
 """
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .dictionaries import Dictionary, dictionary_from_spec
 from .dynamics import TIME_GRID_TOL, Trajectory
-from .errors import DegenerateDataError, InputError, read_json
+from .errors import DegenerateDataError, InputError, json_matrix, read_json, write_json
 
 DEFAULT_RANK_TOL = 1e-12
 _FIT_CHUNK = 1024  # snapshot columns per QR update; small blocks stay in cache
@@ -273,7 +272,7 @@ def operator_to_dict(op):
 
 def operator_from_dict(data):
     dictionary = dictionary_from_spec(data["dictionary"])
-    matrix = np.array(data["K"], dtype=float)
+    matrix = json_matrix(data["K"], "K")
     if matrix.shape != (dictionary.size, dictionary.size):
         raise InputError(
             f"operator matrix shape {matrix.shape} does not match dictionary "
@@ -303,8 +302,7 @@ def operator_from_dict(data):
 
 
 def save_operator(op, path):
-    with open(path, "w") as fh:
-        json.dump(operator_to_dict(op), fh, indent=2)
+    write_json(path, operator_to_dict(op))
 
 
 def load_operator(path):

@@ -400,6 +400,27 @@ def test_image_check_memory_does_not_grow_with_the_horizon():
     assert image_check_peak_bytes(1000) < 1.1 * image_check_peak_bytes(10)
 
 
+def block_simulate_peak_over_output(n, steps=512):
+    system = make_system("hamiltonian")
+    starts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
+    tracemalloc.start()
+    try:
+        simulate(system, starts, DEFAULT_DT["hamiltonian"], steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (n * (steps + 1) * 2 * 8)
+
+
+def test_block_simulate_memory_does_not_grow_with_the_number_of_starts():
+    # beyond its output (41 MB at n = 5000), simulate holds a chunk of
+    # coordinates and a few states; a chunk of a fixed number of steps of
+    # every start would hold a share of the output that grows with n
+    block_simulate_peak_over_output(10)
+    for n in (1000, 5000):
+        assert block_simulate_peak_over_output(n) < 1.1
+
+
 @pytest.mark.parametrize("horizon", [-1, 2.5])
 def test_image_check_rejects_a_horizon_that_is_not_a_nonnegative_integer(horizon):
     group = builtin_group("hamiltonian")

@@ -306,7 +306,12 @@ def test_bad_numeric_option_is_one_config_error_naming_the_key(
     capsys.readouterr()
     assert run([command, *inputs, *flags, "--config", str(cfg),
                 "--out", str(out)]) == cli.EXIT_CONFIG
-    assert f"error: {key} must be " in one_line_error(capsys)
+    error = one_line_error(capsys)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in config.values()):
+        # NaN and Infinity are no JSON numbers: the file is refused as it is read
+        assert f"error: {cfg}: " in error and "is not a JSON number" in error
+    else:
+        assert f"error: {key} must be " in error
     assert not out.exists()
 
 
@@ -393,8 +398,12 @@ def test_fit_with_a_non_orthogonal_transformed_dictionary_is_one_error(tmp_path,
       "matrix": [[1.0, 0.0], [0.0, 1.0]]}, "'dim' must be an integer, got '2'"),
     ({"kind": "transformed", "base": {"kind": "identity"}, "element_label": 5,
       "matrix": [[1.0, 0.0], [0.0, 1.0]]}, "'element_label' must be a string, got 5"),
+    ({"kind": "transformed", "base": {"kind": "identity"},
+      "matrix": [[False, True], [True, False]]}, "matrix entries must be numbers, got False"),
+    ({"kind": "transformed", "base": {"kind": "identity"},
+      "matrix": [["0", "1"], ["1", "0"]]}, "matrix entries must be numbers, got '0'"),
 ], ids=["bool-degree", "float-degree", "string-constant", "bool-dim", "string-dim",
-        "number-label"])
+        "number-label", "bool-matrix", "string-matrix"])
 def test_fit_rejects_a_dictionary_value_of_the_wrong_json_type(tmp_path, capsys, spec,
                                                                  message):
     fit_toggle_operator(tmp_path)
@@ -554,14 +563,15 @@ SWAP_GROUP = {"dim": 2, "generators": [{"label": "swap",
      "missing key 'label'"),
     ("group", json.dumps({"dim": 2, "generators": [{"label": "swap",
                                                     "matrix": [[0.0, 1.0], [1.0]]}]}),
-     "inhomogeneous"),
+     "matrix must be a list of equal-length lists, got [[0.0, 1.0], [1.0]]"),
     ("group", '{"dim": 2, "generators": [{"label": "g", '
               '"matrix": [[NaN, 0.0], [0.0, 1.0]]}]}', "NaN is not a JSON number"),
     ("group", json.dumps(SWAP_GROUP["generators"]), "expected a JSON object, got list"),
     ("group", "{", "Expecting property name"),
     ("spectrum", json.dumps({k: v for k, v in OPERATOR.items() if k != "K"}),
      "missing key 'K'"),
-    ("spectrum", json.dumps(dict(OPERATOR, K=[[1.0, 0.0], [0.0]])), "inhomogeneous"),
+    ("spectrum", json.dumps(dict(OPERATOR, K=[[1.0, 0.0], [0.0]])),
+     "K must be a list of equal-length lists, got [[1.0, 0.0], [0.0]]"),
     ("spectrum", json.dumps(dict(OPERATOR, fit_residual="nan")), "fit_residual"),
     ("spectrum", json.dumps(dict(OPERATOR, fit_residual="0.5")),
      "fit_residual must be a number, got '0.5'"),
@@ -602,6 +612,22 @@ SWAP_GROUP = {"dim": 2, "generators": [{"label": "swap",
     ("spectrum", json.dumps(dict(OPERATOR, dictionary={
         "kind": "transformed", "base": {"kind": "identity", "dim": 2},
         "matrix": [[2.0, 0.0], [0.0, 1.0]]})), "element 'g' is not orthogonal"),
+    ("spectrum", json.dumps(dict(OPERATOR, K=[[True, False], [False, True]])),
+     "K entries must be numbers, got True"),
+    ("spectrum", json.dumps(dict(OPERATOR, K=[["1", "0"], ["0", "1"]])),
+     "K entries must be numbers, got '1'"),
+    ("group", json.dumps({"dim": 2, "generators": [{"label": "swap",
+                                                    "matrix": [[False, True], [True, False]]}]}),
+     "matrix entries must be numbers, got False"),
+    ("spectrum", json.dumps(dict(OPERATOR, dictionary={
+        "kind": "transformed", "base": {"kind": "identity", "dim": 2},
+        "matrix": [["0", "1"], ["1", "0"]]})), "matrix entries must be numbers, got '0'"),
+    ("assemble", json.dumps({"labels": ["right", "left"], "mapping": {"left": "swap"},
+                             "samples": {"right": [["3.0", "0.1"]]}}),
+     "samples 'right' entries must be numbers, got '3.0'"),
+    ("assemble", json.dumps({"labels": ["right", "left"], "mapping": {"left": "swap"},
+                             "samples": {"right": [3.0, 0.1]}}),
+     "samples 'right' must be a list of equal-length lists, got [3.0, 0.1]"),
 ], ids=["group-no-label", "group-ragged", "group-nan", "group-list", "group-truncated",
         "operator-no-K", "operator-ragged", "operator-nan-residual-string",
         "operator-string-residual", "operator-bool-residual", "operator-huge-int",
@@ -610,7 +636,9 @@ SWAP_GROUP = {"dim": 2, "generators": [{"label": "swap",
         "registry-inf-sample", "fit-inf-time", "fit-huge-times", "registry-string-labels",
         "registry-number-base", "registry-number-element", "operator-fractional-rank",
         "base-operator-fractional-rank", "operator-list-label",
-        "operator-non-orthogonal-transformed"])
+        "operator-non-orthogonal-transformed", "operator-bool-K", "operator-string-K",
+        "group-bool-matrix", "operator-string-transformed-matrix",
+        "registry-string-sample", "registry-flat-sample"])
 def test_malformed_input_is_one_config_error_naming_the_file(
         tmp_path, capsys, command, text, message):
     bad = tmp_path / ("bad.csv" if command == "fit" else "bad.json")
@@ -635,6 +663,17 @@ def test_malformed_input_is_one_config_error_naming_the_file(
     assert run(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     err = one_line_error(capsys)
     assert err.startswith(f"error: {bad}") and message in err, err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_an_output_holding_infinity_is_one_error_and_no_file(tmp_path, capsys):
+    # the eigenvalues +-1.5e308 * sqrt(2) overflow to +-inf, which JSON cannot hold
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(dict(OPERATOR, K=[[1.5e308, 1.5e308], [1.5e308, -1.5e308]])))
+    out = tmp_path / "spectrum.json"
+    assert run(["spectrum", "--operator", str(op), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"error: {out}: cannot write JSON" in one_line_error(capsys)
     assert not out.exists()
 
 

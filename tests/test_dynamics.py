@@ -76,12 +76,17 @@ def test_misshapen_field_output_rejected():
             simulate(two_coordinates, x, 0.1, 3)
     # the right number of coordinates, each an array
     arrays = SystemDef("broken", 2, {}, lambda x, p: (np.zeros(3), np.zeros(3)))
-    shape = r"returned shape \(2, 3\), expected \(2,\)"
-    for x in ([1.0, 2.0], [[1.0, 2.0]]):
+    for x, expected in (([1.0, 2.0], r"\(2,\)"), ([[1.0, 2.0]], r"\(2,\)"),
+                        ([[1.0, 2.0], [3.0, 4.0]], r"\(2, 2\)")):
+        shape = r"returned shape \(2, 3\), expected " + expected
         with pytest.raises(InputError, match=shape):
             step(arrays, x, 0.1)
         with pytest.raises(InputError, match=shape):
             simulate(arrays, x, 0.1, 3)
+    with pytest.raises(InputError, match=r"returned shape \(2, 3\), expected \(2, 2\)"):
+        verify_invariant_set_images(
+            arrays, [(GroupElement("e", np.eye(2)), lambda x: np.ones(x.shape[1], bool))],
+            np.array([[1.0, 2.0], [3.0, 4.0]]), 0.1, 3)
 
 
 def test_step_fixed_point_of_zero_field():

@@ -639,6 +639,22 @@ def test_operator_json_roundtrip(tmp_path):
     assert operator_to_dict(operator_from_dict(operator_to_dict(op))) == operator_to_dict(op)
 
 
+def test_saved_json_is_indented_and_refuses_nan(tmp_path):
+    import json
+
+    from symkoop import SymkoopError
+
+    op = op_from_matrix(np.diag([0.5, 0.9]))
+    path = tmp_path / "op.json"
+    save_operator(op, path)
+    assert path.read_text() == json.dumps(operator_to_dict(op), indent=2)
+    nan_op = op_from_matrix(np.diag([0.5, np.nan]))
+    with pytest.raises(SymkoopError, match="cannot write JSON") as info:
+        save_operator(nan_op, tmp_path / "nan.json")
+    assert "\n" not in str(info.value)
+    assert not (tmp_path / "nan.json").exists()
+
+
 def test_spectrum_export_roundtrip():
     from symkoop.koopman import spectrum_from_list
 
