@@ -8,6 +8,7 @@ resolved configuration for provenance.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,8 +69,11 @@ def _resolve_number(args, config, key, default, integer=False, minimum=None):
 
 
 def _parse_json_flag(text, what):
+    """The JSON value of a flag's text; a config file's value is already one."""
     if text is None:
         return {}
+    if not isinstance(text, str):
+        return text
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
@@ -374,9 +378,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser(), built once per process; parse_args leaves it unchanged
+    and fills a new namespace on every call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except NumericalDivergenceError as err:

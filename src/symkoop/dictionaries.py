@@ -227,6 +227,8 @@ def _spec_value(key, value, kind):
 def dictionary_from_spec(spec, dim=None):
     """Build a dictionary from its JSON spec; ``dim`` fills in when the
     spec omits it (e.g. {"kind": "identity"})."""
+    if type(spec) is not dict:
+        raise ConfigurationError(f"dictionary spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     d = spec.get("dim", dim)
     if kind in ("identity", "monomial"):
@@ -243,6 +245,9 @@ def dictionary_from_spec(spec, dim=None):
                 "include_constant", spec.get("include_constant", True), bool),
         )
     if kind == "transformed":
+        for key in ("base", "matrix"):
+            if key not in spec:
+                raise ConfigurationError(f"transformed dictionary spec needs {key!r}")
         base = dictionary_from_spec(spec["base"], dim=d)
         label = _spec_value("element_label", spec.get("element_label", "g"), str)
         return TransformedDictionary(base, json_matrix(spec["matrix"], "matrix"), label)

@@ -171,8 +171,12 @@ def builtin_system(name):
 def make_system(name, params=None):
     """Build a built-in system, optionally overriding named parameters."""
     record = builtin_system(name)
+    params = {} if params is None else params
+    if type(params) is not dict:
+        raise ConfigurationError(
+            f"params for system {name!r} must be a JSON object, got {params!r}")
     merged = dict(record.params)
-    for key, value in (params or {}).items():
+    for key, value in params.items():
         if key not in record.params:
             raise ConfigurationError(
                 f"unknown parameter {key!r} for system {name!r}"

@@ -7,12 +7,14 @@ on scalar observables by ``(g * f)(x) = f(g^-1 x)``.
 """
 
 import functools
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory, builtin_system, step
 from .errors import (
+    ConfigurationError,
     InputError,
     NonFiniteGroupError,
     SymkoopError,
@@ -22,6 +24,7 @@ from .errors import (
 )
 
 MATRIX_MATCH_TOL = 1e-10  # max-norm tolerance for element identification
+_INCONSISTENT = "element matching at MATRIX_MATCH_TOL is inconsistent for these generators"
 ORTHOGONALITY_TOL = 1e-10
 
 
@@ -162,9 +165,10 @@ def _window_matches(points, queries, radius, close):
     counts = np.searchsorted(keys, at + half, side="right") - lo
     # pair p belongs to query rows[p], with ends[r - 1] <= p < ends[r]
     ends = np.cumsum(counts)
+    total = ends[-1] if len(ends) else 0
     best = np.full(len(queries), n)
-    for start in range(0, ends[-1], _BLOCK):
-        pair = np.arange(start, min(start + _BLOCK, ends[-1]))
+    for start in range(0, total, _BLOCK):
+        pair = np.arange(start, min(start + _BLOCK, total))
         rows = np.searchsorted(ends, pair, side="right")
         cand = order[lo[rows] + pair - (ends[rows] - counts[rows])]
         ok = close(queries[rows] - points[cand], rows)
@@ -184,67 +188,115 @@ def _first_matches(stack, ms):
     )
 
 
+def _replay_discovery(known, n_gen):
+    """The breadth-first discovery order of the group whose elements are the
+    (order, dim, dim) ``known``, the identity and ``n_gen - 1`` generators
+    first. Element i, taken in index order (which is breadth-first order), is
+    multiplied with the n elements found before its row, in the order
+    g_i g_0, g_0 g_i, g_i g_1, g_1 g_i, ..., and a product equal to no element
+    found so far is the next element. Products are looked up in the Cayley
+    table of ``known``, matched in one call. Returns the factors (a, b) of
+    each element after the generators, and the Cayley table in discovery
+    order that the matcher should return.
+    """
+    order = len(known)
+    table = _first_matches(known, known[:, None] @ known[None]).reshape(order, -1)
+    if table.min() < 0:
+        raise SymkoopError(_INCONSISTENT)
+    at = np.arange(order)  # element i is row at[i] of the table
+    slot = np.where(at < n_gen, at, -1)  # row c is element slot[c], -1 until found
+    factors = []
+    n = n_gen
+    for i in range(order):
+        if n == order or i == n:
+            break  # all found, or none can be
+        row = np.empty(2 * n, int)
+        row[0::2] = table[at[i], at[:n]]
+        row[1::2] = table[at[:n], at[i]]
+        for m in np.flatnonzero(slot[row] < 0):
+            if slot[row[m]] < 0:  # not found earlier in this row
+                slot[row[m]], at[n] = n, row[m]
+                factors.append((i, m // 2) if m % 2 == 0 else (m // 2, i))
+                n += 1
+    return factors, slot[table[np.ix_(at, at)]]
+
+
 def generate_group(generators, max_order=64, dim=None):
     """Close a set of orthogonal generators under multiplication.
 
     The identity gets index 0 (inserted if absent); products keep the label
     of the earliest discovered equivalent, new ones are labeled
     ``"<a>*<b>"``. Raises NonFiniteGroupError if closure exceeds
-    ``max_order`` elements, and InputError on dimension mismatches.
+    ``max_order`` elements, and InputError on dimension mismatches and on a
+    label that names more than one element.
+
+    The elements are found first, as words in the generators; the order,
+    labels and matrices are then those of a breadth-first closure under
+    all products, replayed on their Cayley table (see _replay_discovery).
     """
     generators = list(generators)
     if not generators and dim is None:
         raise InputError("empty generator set requires an explicit dim")
-    dim = generators[0].dim if generators else dim
-    if any(g.dim != dim for g in generators):
-        raise InputError("generators must share one dimension")
-
-    eye = np.eye(dim)
-    elements = [GroupElement("e", eye)]
-    stack = eye[None]
+    dim = generators[0].dim if dim is None else dim
+    if type(dim) is not int or dim < 1:
+        raise InputError(f"dim must be a positive integer, got {dim!r}")
     for g in generators:
-        k = _first_matches(stack, g.matrix[None])[0]
-        if k < 0:
+        if g.dim != dim:
+            raise InputError(f"generator {g.label!r} is {g.dim} x {g.dim}, but dim is {dim}")
+
+    # A generator's first match among the identity and all generators is
+    # itself (it is kept), 0 (it relabels the identity) or an earlier one (it
+    # is dropped): the same as matching it against those kept before it.
+    eye = np.eye(dim)
+    given = np.concatenate([eye[None]] + [g.matrix[None] for g in generators])
+    first = _first_matches(given, given) if generators else np.zeros(1, int)
+    elements = [GroupElement("e", eye)]
+    for k, g in enumerate(generators, 1):
+        if first[k] == k:
             elements.append(g)
-            stack = np.concatenate([stack, g.matrix[None]])
-        elif k == 0:
-            # a generator equal to the identity keeps the canonical slot
+        elif first[k] == 0:
             elements[0] = GroupElement(g.label, eye)
+    n_gen = len(elements)
 
-    # Breadth-first closure under products. Each frontier element i is
-    # multiplied with the n elements known when its row starts, in the order
-    # g_i g_0, g_0 g_i, g_i g_1, g_1 g_i, ...; those 2n products are matched
-    # against the n known elements in one call, and only a miss is matched
-    # again, against the elements this row has appended before it. This is
-    # the sequential discovery order, so labels and matrices do not depend
-    # on the batching.
-    frontier = list(range(len(elements)))
-    while frontier:
-        new_frontier = []
-        for i in frontier:
-            n = len(elements)
-            prods = np.empty((2 * n, dim, dim))
-            prods[0::2] = stack[i] @ stack
-            prods[1::2] = stack @ stack[i]
-            for m in np.flatnonzero(_first_matches(stack, prods) < 0):
-                prod = prods[m].copy()
-                if _first_matches(stack[n:], prod[None])[0] >= 0:
-                    continue
-                if len(elements) >= max_order:
-                    raise NonFiniteGroupError(
-                        f"closure exceeded max_order={max_order}; "
-                        "generators may not generate a finite group "
-                        "at this matching tolerance"
-                    )
-                a, b = (i, m // 2) if m % 2 == 0 else (m // 2, i)
-                label = f"{elements[a].label}*{elements[b].label}"
-                elements.append(GroupElement(label, prod))
-                stack = np.concatenate([stack, prod[None]])
-                new_frontier.append(len(elements) - 1)
-        frontier = new_frontier
+    # The elements: each word length's products with a generator on the
+    # right, matched against the known elements in one call and among the
+    # new ones in another.
+    known = given[first == np.arange(len(given))]
+    frontier = known[1:]
+    while len(frontier):
+        prods = (frontier[:, None] @ known[None, 1:n_gen]).reshape(-1, dim, dim)
+        prods = prods[_first_matches(known, prods) < 0]
+        if len(prods) > 1:
+            prods = prods[_first_matches(prods, prods) == np.arange(len(prods))]
+        if len(prods) and len(known) + len(prods) > max_order:
+            raise NonFiniteGroupError(
+                f"closure exceeded max_order={max_order}; "
+                "generators may not generate a finite group "
+                "at this matching tolerance"
+            )
+        known = np.concatenate([known, prods])
+        frontier = prods
 
+    factors, expected = (_replay_discovery(known, n_gen) if len(known) > n_gen
+                         else ([], None))
+    labels = [g.label for g in elements]
+    matrices = [g.matrix for g in elements]
+    for a, b in factors:
+        labels.append(f"{labels[a]}*{labels[b]}")
+        matrices.append(matrices[a] @ matrices[b])
+    if len(set(labels)) < len(labels):
+        twice = next(lbl for k, lbl in enumerate(labels) if lbl in labels[:k])
+        raise InputError(f"label {twice!r} names more than one group element")
+    elements += [GroupElement(lbl, m) for lbl, m in zip(labels[n_gen:], matrices[n_gen:])]
+
+    stack = np.array(matrices)
     products = stack[:, None] @ stack[None]  # [i, j] = g_i g_j
     cayley = _first_matches(stack, products).reshape(len(stack), -1)
+    # equal tables mean that each product the replay took as new (or as an
+    # earlier element) is new (or that element) to the matcher as well; a
+    # replay that found too few elements gives a table of another shape
+    if expected is not None and not np.array_equal(cayley, expected):
+        raise SymkoopError(_INCONSISTENT)
 
     group = FiniteMatrixGroup(
         elements=tuple(elements),
@@ -398,10 +450,16 @@ def group_to_dict(group):
 
 
 def group_from_dict(data, max_order=64):
-    gens = [
-        GroupElement(entry["label"], json_matrix(entry["matrix"], "matrix"))
-        for entry in data.get("generators", [])
-    ]
+    entries = data.get("generators", [])
+    if type(entries) is not list or any(type(e) is not dict for e in entries):
+        raise ConfigurationError(
+            f"generators must be a list of objects, got {reprlib.repr(entries)}")
+    gens = []
+    for entry in entries:
+        if type(entry["label"]) is not str:
+            raise ConfigurationError(
+                f"generator label must be a string, got {entry['label']!r}")
+        gens.append(GroupElement(entry["label"], json_matrix(entry["matrix"], "matrix")))
     return generate_group(gens, max_order=max_order, dim=data.get("dim"))
 
 

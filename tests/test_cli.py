@@ -203,6 +203,53 @@ def test_simulate_rejects_non_finite_input(tmp_path, capsys, flags):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--params", "[1]"], None),
+    ([], {"params": [1]}),
+    ([], {"params": "[1]"}),
+], ids=["flag", "config-list", "config-text"])
+def test_simulate_params_that_are_not_an_object_are_one_error(tmp_path, capsys, flags,
+                                                               config):
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        flags = flags + ["--config", str(tmp_path / "run.json")]
+    out = tmp_path / "out"
+    assert run(["simulate", "--system", "lorenz", "--x0", "1,1,1", "--steps", "2",
+                *flags, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "params for system 'lorenz' must be a JSON object, got [1]" \
+        in one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_config_params_may_be_an_object(tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps({"params": {"rho": 10.0}}))
+    for config, out in ((["--config", str(tmp_path / "run.json")], "a"),
+                        (["--params", '{"rho": 10.0}'], "b")):
+        assert run(["simulate", "--system", "lorenz", "--x0", "1,1,1", "--steps", "20",
+                    *config, "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "a" / "lorenz_traj00.csv").read_bytes() \
+        == (tmp_path / "b" / "lorenz_traj00.csv").read_bytes()
+
+
+def test_main_calls_in_a_row_share_no_state(tmp_path):
+    """The parser is built once per process; each call still parses into a
+    new namespace, so repeated flags of one call do not reach the next."""
+    assert cli._parser() is cli._parser()
+    assert run(["simulate", "--system", "hamiltonian", "--x0", "3,0.2", "--x0", "0.2,3",
+                "--steps", "5", "--out", str(tmp_path / "two")]) == 0
+    assert run(["fit", "--traj", str(tmp_path / "two" / "hamiltonian_traj00.csv"),
+                "--out", str(tmp_path / "op.json")]) == 0
+    assert run(["simulate", "--system", "hamiltonian", "--x0", "3,0.2", "--steps", "5",
+                "--out", str(tmp_path / "one")]) == 0
+    assert sorted(p.name for p in (tmp_path / "two").iterdir()) \
+        == ["hamiltonian_traj00.csv", "hamiltonian_traj01.csv"]
+    assert [p.name for p in (tmp_path / "one").iterdir()] == ["hamiltonian_traj00.csv"]
+    assert (tmp_path / "one" / "hamiltonian_traj00.csv").read_bytes() \
+        == (tmp_path / "two" / "hamiltonian_traj00.csv").read_bytes()
+    config = json.loads((tmp_path / "op.json").read_text())["config"]
+    assert config["set_label"] == "fit" and "x0" not in config
+
+
 def make_group_file(tmp_path, name="toggle_switch"):
     from symkoop import builtin_group, save_group
 
@@ -414,6 +461,27 @@ def test_fit_rejects_a_dictionary_value_of_the_wrong_json_type(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "dictionary spec must be a JSON object, got [1]"),
+    ('"monomial"', "dictionary spec must be a JSON object, got 'monomial'"),
+    ('{"kind": "transformed", "base": {"kind": "identity"}}',
+     "transformed dictionary spec needs 'matrix'"),
+    ('{"kind": "transformed", "matrix": [[1.0, 0.0], [0.0, 1.0]]}',
+     "transformed dictionary spec needs 'base'"),
+    ('{"kind": "transformed", "base": 2, "matrix": [[1.0, 0.0], [0.0, 1.0]]}',
+     "dictionary spec must be a JSON object, got 2"),
+], ids=["list", "string", "transformed-no-matrix", "transformed-no-base",
+        "transformed-number-base"])
+def test_fit_rejects_a_dictionary_spec_that_is_no_object_or_lacks_a_key(
+        tmp_path, capsys, text, message):
+    fit_toggle_operator(tmp_path)
+    out = tmp_path / "op.json"
+    assert run(["fit", "--traj", str(tmp_path / "right.csv"), "--dictionary", text,
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert one_line_error(capsys) == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_assemble_hamiltonian_four_sets(tmp_path):
     from symkoop import make_system, save_registry, save_trajectory, simulate
     from symkoop.scenarios import builtin_registry
@@ -568,6 +636,23 @@ SWAP_GROUP = {"dim": 2, "generators": [{"label": "swap",
               '"matrix": [[NaN, 0.0], [0.0, 1.0]]}]}', "NaN is not a JSON number"),
     ("group", json.dumps(SWAP_GROUP["generators"]), "expected a JSON object, got list"),
     ("group", "{", "Expecting property name"),
+    ("group", json.dumps(dict(SWAP_GROUP, dim=3)), "generator 'swap' is 2 x 2, but dim is 3"),
+    ("group", json.dumps({"dim": 0, "generators": []}), "dim must be a positive integer, got 0"),
+    ("group", json.dumps(dict(SWAP_GROUP, dim=2.0)), "dim must be a positive integer, got 2.0"),
+    ("group", json.dumps({"dim": 2, "generators": {"a": 1}}),
+     "generators must be a list of objects, got {'a': 1}"),
+    ("group", json.dumps({"dim": 2, "generators": ["swap"]}),
+     "generators must be a list of objects, got ['swap']"),
+    ("group", json.dumps({"dim": 2, "generators": [{"label": 5, "matrix": [[0.0, 1.0]] * 2}]}),
+     "generator label must be a string, got 5"),
+    ("group", json.dumps({"dim": 2, "generators": [
+        {"label": "a", "matrix": [[0.0, 1.0], [1.0, 0.0]]},
+        {"label": "a", "matrix": [[-1.0, 0.0], [0.0, -1.0]]}]}),
+     "label 'a' names more than one group element"),
+    ("group", json.dumps({"dim": 2, "generators": [
+        {"label": "a", "matrix": [[0.0, -1.0], [1.0, 0.0]]},
+        {"label": "a*a", "matrix": [[1.0, 0.0], [0.0, -1.0]]}]}),
+     "label 'a*a' names more than one group element"),
     ("spectrum", json.dumps({k: v for k, v in OPERATOR.items() if k != "K"}),
      "missing key 'K'"),
     ("spectrum", json.dumps(dict(OPERATOR, K=[[1.0, 0.0], [0.0]])),
@@ -629,6 +714,9 @@ SWAP_GROUP = {"dim": 2, "generators": [{"label": "swap",
                              "samples": {"right": [3.0, 0.1]}}),
      "samples 'right' must be a list of equal-length lists, got [3.0, 0.1]"),
 ], ids=["group-no-label", "group-ragged", "group-nan", "group-list", "group-truncated",
+        "group-dim-mismatch", "group-dim-zero", "group-dim-float",
+        "group-generators-object", "group-generators-strings", "group-number-label",
+        "group-repeated-label", "group-product-label",
         "operator-no-K", "operator-ragged", "operator-nan-residual-string",
         "operator-string-residual", "operator-bool-residual", "operator-huge-int",
         "operator-bool-degree", "operator-string-constant", "operator-bool-dim",

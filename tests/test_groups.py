@@ -61,6 +61,26 @@ def test_empty_generators_give_trivial_group():
         generate_group([])
 
 
+@pytest.mark.parametrize("generators, dim, message", [
+    ([], 0, "dim must be a positive integer, got 0"),
+    ([], True, "dim must be a positive integer, got True"),
+    ([GroupElement("swap", SWAP)], 3, "generator 'swap' is 2 x 2, but dim is 3"),
+    ([GroupElement("swap", SWAP), GroupElement("flip", np.diag([-1.0, 1.0, 1.0]))], None,
+     "generator 'flip' is 3 x 3, but dim is 2"),
+], ids=["zero", "bool", "mismatch", "mixed"])
+def test_dim_must_be_positive_and_every_generators_size(generators, dim, message):
+    with pytest.raises(InputError, match=message):
+        generate_group(generators, dim=dim)
+
+
+def test_a_label_may_name_only_one_element():
+    with pytest.raises(InputError, match="label 'a' names more than one group element"):
+        generate_group([GroupElement("a", SWAP), GroupElement("a", NEG)])
+    # a generator equal to an earlier one is dropped, and its label with it
+    group = generate_group([GroupElement("a", SWAP), GroupElement("a", SWAP.copy())])
+    assert group.labels() == ["e", "a"]
+
+
 def test_non_orthogonal_generator_rejected():
     with pytest.raises(InputError):
         GroupElement("shear", np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -1,16 +1,32 @@
 """Element matching: the sort-window matcher must return exactly what the
 all-pairs comparisons return, for group elements and for the stabilizer,
-and the batched group closure must discover exactly the elements, labels,
-matrices and Cayley table of the sequential one-product-at-a-time closure.
-The references are kept here."""
+and the group closure must discover exactly the elements, labels, matrices
+and Cayley table of the sequential one-product-at-a-time closure and of the
+breadth-first closure that matches each row of products in one call. The
+references are kept here."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symkoop import GroupElement, builtin_group, data_stabilizer_labels, generate_group
-from symkoop.groups import _BLOCK, MATRIX_MATCH_TOL, _first_matches, _sort_direction
+from symkoop import (
+    GroupElement,
+    NonFiniteGroupError,
+    SymkoopError,
+    builtin_group,
+    check_axioms,
+    data_stabilizer_labels,
+    generate_group,
+)
+from symkoop.groups import (
+    _BLOCK,
+    MATRIX_MATCH_TOL,
+    FiniteMatrixGroup,
+    _first_matches,
+    _sort_direction,
+    _window_matches,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -71,8 +87,71 @@ def sequential_closure(generators):
     return labels, stack, cayley
 
 
+def breadth_first_generate_group(generators, max_order=64, dim=None):
+    """generate_group as it was before the elements were found first: each
+    frontier element's row of 2n products matched in one call, and each miss
+    again against the elements that row has added."""
+    generators = list(generators)
+    if not generators and dim is None:
+        raise SymkoopError("empty generator set requires an explicit dim")
+    dim = generators[0].dim if generators else dim
+
+    eye = np.eye(dim)
+    elements = [GroupElement("e", eye)]
+    stack = eye[None]
+    for g in generators:
+        k = _first_matches(stack, g.matrix[None])[0]
+        if k < 0:
+            elements.append(g)
+            stack = np.concatenate([stack, g.matrix[None]])
+        elif k == 0:
+            elements[0] = GroupElement(g.label, eye)
+
+    frontier = list(range(len(elements)))
+    while frontier:
+        new_frontier = []
+        for i in frontier:
+            n = len(elements)
+            prods = np.empty((2 * n, dim, dim))
+            prods[0::2] = stack[i] @ stack
+            prods[1::2] = stack @ stack[i]
+            for m in np.flatnonzero(_first_matches(stack, prods) < 0):
+                prod = prods[m].copy()
+                if _first_matches(stack[n:], prod[None])[0] >= 0:
+                    continue
+                if len(elements) >= max_order:
+                    raise NonFiniteGroupError(
+                        f"closure exceeded max_order={max_order}; "
+                        "generators may not generate a finite group "
+                        "at this matching tolerance"
+                    )
+                a, b = (i, m // 2) if m % 2 == 0 else (m // 2, i)
+                label = f"{elements[a].label}*{elements[b].label}"
+                elements.append(GroupElement(label, prod))
+                stack = np.concatenate([stack, prod[None]])
+                new_frontier.append(len(elements) - 1)
+        frontier = new_frontier
+
+    products = stack[:, None] @ stack[None]
+    cayley = _first_matches(stack, products).reshape(len(stack), -1)
+    group = FiniteMatrixGroup(elements=tuple(elements), cayley=cayley, dim=dim,
+                              generator_labels=tuple(g.label for g in generators))
+    assert check_axioms(group)["ok"]
+    return group
+
+
 # ---------------------------------------------------------------------------
 # element matching
+
+def test_window_matches_with_no_queries_or_no_points_is_empty_or_misses():
+    def close(diff, rows):
+        return np.max(np.abs(diff), axis=1) <= 0.5
+
+    points = np.eye(3)
+    assert _window_matches(points, np.empty((0, 3)), 0.5, close).shape == (0,)
+    assert _first_matches(points.reshape(1, 3, 3), np.empty((0, 3, 3))).shape == (0,)
+    assert list(_window_matches(np.empty((0, 3)), points, 0.5, close)) == [-1, -1, -1]
+
 
 @PROPERTY
 @given(
@@ -169,6 +248,93 @@ def test_closure_matches_sequential_closure_for_reordered_generators(data):
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         gens = [GroupElement(g.label, q @ g.matrix @ q.T) for g in gens]
     assert_same_group(gens)
+
+
+def signed_permutation(perm, signs):
+    m = np.zeros((len(perm), len(perm)))
+    m[perm, np.arange(len(perm))] = signs
+    return m
+
+
+@st.composite
+def generator_sets(draw):
+    """C_n or D_n (n <= 24) as plane rotations or as signed permutations,
+    or the octahedral group with its generators in any order; then perhaps
+    conjugated by a random orthogonal Q, with copies of generators and
+    identity generators inserted anywhere."""
+    family = draw(st.sampled_from(["rotation", "permutation", "octahedral"]))
+    n = draw(st.integers(1, 24))
+    dihedral_group = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "octahedral":
+        gens = draw(st.permutations(octahedral()))
+    elif family == "rotation":
+        gens = [GroupElement("r", rotation(n))]
+        if dihedral_group:
+            gens.append(GroupElement("s", np.diag([1.0, -1.0])))
+    else:
+        # the regular permutation action conjugated by a diagonal of signs
+        signs = rng.choice([-1.0, 1.0], size=n)
+        cycle, reverse = (np.arange(n) + 1) % n, np.arange(n)[::-1]
+        gens = [GroupElement("p", signed_permutation(cycle, signs * signs[cycle]))]
+        if dihedral_group:
+            gens.append(GroupElement("f", signed_permutation(reverse, signs * signs[reverse])))
+    dim = gens[0].dim
+    if draw(st.booleans()):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        gens = [GroupElement(g.label, q @ g.matrix @ q.T) for g in gens]
+    for k in range(draw(st.integers(0, 2))):
+        # a copy, or one turned by an orthogonal matrix within the tolerance
+        again = draw(st.sampled_from(gens))
+        a = rng.standard_normal((dim, dim)) * draw(st.sampled_from([0.0, 0.01]))
+        a = MATRIX_MATCH_TOL * (a - a.T)
+        turn = np.linalg.solve(np.eye(dim) - a, np.eye(dim) + a)
+        gens.insert(draw(st.integers(0, len(gens))),
+                    GroupElement(f"{again.label}{k}", again.matrix @ turn))
+    for k in range(draw(st.integers(0, 2))):
+        gens.insert(draw(st.integers(0, len(gens))), GroupElement(f"id{k}", np.eye(dim)))
+    return gens
+
+
+def closure_outcome(generate, generators, **kwargs):
+    try:
+        group = generate(generators, **kwargs)
+    except SymkoopError as err:
+        return type(err), str(err)
+    stack = np.array([g.matrix for g in group.elements])
+    # the bytes of every matrix, so the sign bit of each zero counts too
+    return group.labels(), stack.shape, stack.tobytes(), group.cayley.tolist()
+
+
+@PROPERTY
+@given(gens=generator_sets(), max_order=st.sampled_from([64, 47, 12]))
+def test_closure_matches_the_breadth_first_closure(gens, max_order):
+    """Labels, element order, matrices bit for bit and the Cayley table, or
+    the same NonFiniteGroupError when the group is larger than max_order."""
+    assert closure_outcome(generate_group, gens, max_order=max_order) \
+        == closure_outcome(breadth_first_generate_group, gens, max_order=max_order)
+
+
+@pytest.mark.parametrize("gens, max_order", [
+    ([GroupElement("r", np.array([[np.cos(1.0), -np.sin(1.0)],
+                                  [np.sin(1.0), np.cos(1.0)]]))], 64),
+    (octahedral(), 47),
+], ids=["irrational-rotation", "octahedral-47"])
+def test_closure_raises_what_the_breadth_first_closure_raises(gens, max_order):
+    outcome = closure_outcome(generate_group, gens, max_order=max_order)
+    assert outcome[0] is NonFiniteGroupError
+    assert outcome == closure_outcome(breadth_first_generate_group, gens,
+                                      max_order=max_order)
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_a_generator_orthogonal_only_to_the_tolerance_gives_no_group(n):
+    """Its powers drift from orthogonal; neither closure returns a group."""
+    drifting = [GroupElement("r0", rotation(n) + 1e-11 * np.eye(2)),
+                GroupElement("r", rotation(n))]
+    for generate in (generate_group, breadth_first_generate_group):
+        with pytest.raises(SymkoopError):
+            generate(drifting)
 
 
 # ---------------------------------------------------------------------------
