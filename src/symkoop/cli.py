@@ -174,9 +174,9 @@ def cmd_fit(args):
     traj_path = _require_readable(_resolve(args, config, "traj"), "trajectory CSV")
     rank_tol = _resolve_number(args, config, "rank_tol", koopman.DEFAULT_RANK_TOL)
     traj = dynamics.load_trajectory(traj_path)
-    dict_spec = _parse_json_flag(
-        _resolve(args, config, "dictionary"), "--dictionary"
-    ) or {"kind": "identity"}
+    dict_text = _resolve(args, config, "dictionary")
+    dict_spec = ({"kind": "identity"} if dict_text is None
+                 else _parse_json_flag(dict_text, "--dictionary"))
     dictionary = dictionaries.dictionary_from_spec(dict_spec, dim=traj.dim)
     set_label = _resolve(args, config, "set_label", "fit")
     op = koopman.fit_trajectory(traj, dictionary, rank_tol, set_label=set_label)

@@ -471,11 +471,18 @@ def _parse_lines(path, lines, lineno, width, blank):
     """Parse CSV lines, the first being line ``lineno``, into a (rows, width)
     float array; blank lines are skipped and their numbers appended to
     ``blank``. The first line with the wrong number of fields or a value
-    ``float`` rejects raises, naming that line."""
-    if all(line.count(",") == width - 1 for line in lines):
+    ``float`` rejects raises, naming that line.
+
+    numpy's reader parses the block first, rounding as ``float`` does. It
+    skips blank lines, takes the unit separator U+001F for white space,
+    which ``float`` refuses, and refuses the "1_0" and non-ASCII digits
+    that ``float`` takes; so a block with any of these goes line by line,
+    as does an all-blank one, on which numpy would warn."""
+    if any(lines) and "\x1f" not in "".join(lines):
         try:
-            values = np.fromiter(map(float, ",".join(lines).split(",")), float)
-            return values.reshape(len(lines), width)
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if data.shape == (len(lines), width):
+                return data
         except ValueError:
             pass
     # a blank or a bad line: go line by line to skip or name it

@@ -4,6 +4,7 @@ one of them."""
 
 import json
 import reprlib
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -99,12 +100,57 @@ def json_matrix(value, key):
         raise ConfigurationError(f"{key}: {err}") from err
 
 
+def _json_text(value, pad):
+    """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes
+    it, its continuation lines indented by ``pad``: a list of floats is one
+    join over ``float.__repr__``. A NaN or Infinity raises ValueError, and a
+    type or dict key that json would convert or refuse raises TypeError."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        try:
+            text = sep.join(map(float.__repr__, value))
+            if "n" in text:  # "nan" or "inf": only they hold an n
+                raise ValueError(text)
+        except TypeError:
+            text = sep.join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + text + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{\n" + inner + (",\n" + inner).join([
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in value.items()]) + "\n" + pad + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        if "n" in text:
+            raise ValueError(text)
+        return text
+    raise TypeError(type(value).__name__)
+
+
 def write_json(path, payload):
-    """Write ``payload`` to the file at ``path`` as JSON indented by 2. A
-    NaN or Infinity in it raises a SymkoopError naming the file before the
-    file is opened, so no partial file is left."""
+    """Write ``payload`` to the file at ``path`` as JSON indented by 2, the
+    bytes of ``json.dumps(payload, indent=2, allow_nan=False)``, which
+    writes what ``_json_text`` does not handle. A NaN or Infinity in it
+    raises a SymkoopError naming the file before the file is opened, so no
+    partial file is left."""
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        try:
+            text = _json_text(payload, "")
+        except (TypeError, ValueError, RecursionError):
+            text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as err:
         raise SymkoopError(f"{path}: cannot write JSON: {err}") from err
     with open(path, "w") as fh:

@@ -250,13 +250,19 @@ def generate_group(generators, max_order=64, dim=None):
     eye = np.eye(dim)
     given = np.concatenate([eye[None]] + [g.matrix[None] for g in generators])
     first = _first_matches(given, given) if generators else np.zeros(1, int)
-    elements = [GroupElement("e", eye)]
+    elements, named = [GroupElement("e", eye)], [None]
     for k, g in enumerate(generators, 1):
         if first[k] == k:
             elements.append(g)
+            named.append(k)
         elif first[k] == 0:
             elements[0] = GroupElement(g.label, eye)
+            named[0] = k
     n_gen = len(elements)
+    # the generators that name an element, in the given order: those kept
+    # and the last identity generator, whose label e takes; saving them
+    # rebuilds this group
+    generator_labels = tuple(generators[k - 1].label for k in sorted(filter(None, named)))
 
     # The elements: each word length's products with a generator on the
     # right, matched against the known elements in one call and among the
@@ -302,7 +308,7 @@ def generate_group(generators, max_order=64, dim=None):
         elements=tuple(elements),
         cayley=cayley,
         dim=dim,
-        generator_labels=tuple(g.label for g in generators),
+        generator_labels=generator_labels,
     )
     report = check_axioms(group)
     if not report["ok"]:

@@ -482,6 +482,38 @@ def test_fit_rejects_a_dictionary_spec_that_is_no_object_or_lacks_a_key(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "dictionary spec must be a JSON object, got []"),
+    ("0", "dictionary spec must be a JSON object, got 0"),
+    ('""', "dictionary spec must be a JSON object, got ''"),
+    ("false", "dictionary spec must be a JSON object, got False"),
+    ("{}", "unknown dictionary kind None"),
+], ids=["list", "zero", "string", "false", "object"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_fit_refuses_a_falsy_dictionary_spec(tmp_path, capsys, text, message, source):
+    # only a missing flag and config key mean the identity dictionary
+    fit_toggle_operator(tmp_path)
+    out = tmp_path / "op.json"
+    argv = ["fit", "--traj", str(tmp_path / "right.csv"), "--out", str(out)]
+    if source == "flag":
+        argv += ["--dictionary", text]
+    else:
+        # a config's string value is JSON text, so "" is text that is no JSON
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dictionary": json.loads(text)}))
+        argv += ["--config", str(cfg)]
+        if text == '""':
+            message = "invalid JSON for --dictionary: Expecting value: line 1 column 1 (char 0)"
+    assert run(argv) == cli.EXIT_CONFIG
+    assert one_line_error(capsys) == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_fit_without_a_dictionary_fits_the_identity(tmp_path):
+    config = json.loads(fit_toggle_operator(tmp_path).read_text())["config"]
+    assert config["dictionary"] == {"kind": "identity", "dim": 2}
+
+
 def test_assemble_hamiltonian_four_sets(tmp_path):
     from symkoop import make_system, save_registry, save_trajectory, simulate
     from symkoop.scenarios import builtin_registry

@@ -306,3 +306,21 @@ def test_group_json_roundtrip(tmp_path):
     assert np.array_equal(loaded.cayley, group.cayley)
     for a, b in zip(loaded.elements, group.elements):
         assert np.array_equal(a.matrix, b.matrix)
+
+
+@pytest.mark.parametrize("generators, labels", [
+    ([("a", SWAP), ("b", SWAP.copy())], ("a",)),
+    ([("i1", np.eye(2)), ("i2", np.eye(2)), ("s", SWAP)], ("i2", "s")),
+], ids=["repeated-generator", "two-identity-generators"])
+def test_a_group_with_dropped_generators_saves_and_loads(tmp_path, generators, labels):
+    # a copy of a generator, and all but the last identity generator, name
+    # no element; only the generators that do are saved
+    group = generate_group([GroupElement(lbl, m) for lbl, m in generators])
+    assert group.generator_labels == labels
+    path = tmp_path / "group.json"
+    save_group(group, path)
+    loaded = load_group(path)
+    assert loaded.labels() == group.labels()
+    assert np.array_equal(loaded.cayley, group.cayley)
+    for a, b in zip(loaded.elements, group.elements):
+        assert np.array_equal(a.matrix, b.matrix)

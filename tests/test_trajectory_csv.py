@@ -205,7 +205,8 @@ def test_error_beyond_the_first_block_keeps_message_and_line(tmp_path, mutate, e
 
 
 FAULTS = ["", "  ", "1,2", "1,2,3,4", "0.5,x,1", "0.5,nan,1", "inf,1,2", "off",
-          "\x0c", "1.0\x0b2.0,3.0", "\x1e"]
+          "\x0c", "1.0\x0b2.0,3.0", "\x1e", "\x1f", "0.5,1\x1f,2", "1_0,1,2",
+          "\u0663,1,2"]
 
 
 @settings(max_examples=60, deadline=None,
@@ -218,9 +219,11 @@ FAULTS = ["", "  ", "1,2", "1,2,3,4", "0.5,x,1", "0.5,nan,1", "inf,1,2", "off",
 )
 def test_loader_matches_reference_on_generated_faults(tmp_path, faults, newline,
                                                       final_newline):
-    # blank lines, field-count, parse, NaN/Inf and off-grid faults, and
+    # blank lines, field-count, parse, NaN/Inf and off-grid faults,
     # separators that str.splitlines breaks at (form feed, vertical tab,
-    # record separator), under every newline convention
+    # record separator), and fields that numpy's reader and float read
+    # apart (unit separator, underscore, non-ASCII digit), under every
+    # newline convention
     lines = valid_lines(n=2 * B + 10)
     for i, fault in sorted(faults, key=lambda f: f[1] != "off"):  # data rows first
         if fault == "off":
@@ -233,6 +236,76 @@ def test_loader_matches_reference_on_generated_faults(tmp_path, faults, newline,
     assert outcome(load_trajectory, path) == outcome(reference_load, path)
 
 
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    values=st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(SPECIAL + [-2.2250738585072014e-308, 4.9406564584124654e-322]),
+    ), min_size=1, max_size=64),
+    n=st.sampled_from([2, 5, B + 1, 2 * B + 3]),
+    dim=st.integers(1, 4),
+)
+def test_saved_doubles_load_back_bit_for_bit(tmp_path, values, n, dim):
+    # the generated doubles (subnormals, signed zeros and the extremes
+    # among them) repeated over n rows, so whole blocks reach numpy's reader
+    states = np.resize(np.array(values), (n, dim))
+    path = tmp_path / "traj.csv"
+    save_trajectory(Trajectory(dim=dim, dt=0.25, states=states), path)
+    loaded = load_trajectory(path)
+    assert loaded.dt == 0.25
+    assert np.array_equal(bits(loaded.states), bits(states))
+
+
+def test_clean_blocks_are_parsed_by_numpys_reader(tmp_path, monkeypatch):
+    rows = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        data = loadtxt(*args, **kwargs)
+        rows.append(len(data))
+        return data
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    path = tmp_path / "traj.csv"
+    states = np.random.default_rng(2).standard_normal((3 * B, 2))
+    save_trajectory(Trajectory(dim=2, dt=0.5, states=states), path)
+    assert np.array_equal(load_trajectory(path).states, states)
+    assert rows == [B - 1, B, B, 1]  # the header shares the first block
+
+
+# hand-written files: each result, or each message and line, as the loader
+# gave it when every line was parsed with float
+@pytest.mark.parametrize("text, expected", [
+    ("t,x1\n\n0,1\n\n0.5,2\n1,3\n\n", [1.0, 2.0, 3.0]),
+    ("t,x1\r\n0,1\r\n0.5,2\r\n1,3\r\n", [1.0, 2.0, 3.0]),
+    ("t,x1\n 0 , 1\n0.5\t,2 \n1,  3\n", [1.0, 2.0, 3.0]),
+    ("t,x1\n0,1_0\n0.5,2\n1,3\n", [10.0, 2.0, 3.0]),
+    ("t,x1\n0,1\n# a note\n0.5,2\n", ":3: expected 2 fields, got 1"),
+    ("t,x1\n0,1\n#0.5,2\n", ":3: could not convert string to float: '#0.5'"),
+    ("t,x1\n0,1\n0.5,0x1p0\n", ":3: could not convert string to float: '0x1p0'"),
+    ("t,x1\n0,\u0661\u0662\n0.5,2\n1,3\n", [12.0, 2.0, 3.0]),
+    ("t,x1\n0,1\x1f\n0.5,2\n", ":2: could not convert string to float: '1\\x1f'"),
+    ("t,x1\n0,1\n0.5,2,3\n", ":3: expected 2 fields, got 3"),
+    ("t,x1\n0,1\n0.5,2\n\n1.25,3\n",
+     ":5: time 1.25 is off the uniform grid t0 + k*dt (dt=0.5 from the first two rows)"),
+], ids=["blank-lines", "crlf", "spaces", "underscore", "comment-line", "comment-value",
+        "hex", "arabic-indic-digits", "unit-separator", "too-many-fields",
+        "off-grid-after-blank"])
+def test_hand_written_files_keep_their_result_or_error(tmp_path, text, expected):
+    path = tmp_path / "hand.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, list):
+        traj = load_trajectory(path)
+        assert traj.dt == 0.5 and traj.states.ravel().tolist() == expected
+    else:
+        with pytest.raises(ConfigurationError) as info:
+            load_trajectory(path)
+        assert str(info.value) == f"{path}{expected}"
+    assert outcome(load_trajectory, path) == outcome(reference_load, path)
+
+
+@pytest.mark.filterwarnings("error")  # numpy's reader warns on a block of blank lines
 @pytest.mark.parametrize("text", [
     "", "\n", "x,y\n0,1\n", "t,x1\n", "t,x1\n0.0,1.0\n", "t,x1\n\n0.0,1.0\n\n",
     "t,x1\n0.0,1.0\n" + "\n" * (2 * B) + "0.5,2.0",
