@@ -68,16 +68,22 @@ def _resolve_number(args, config, key, default, integer=False, minimum=None):
     return int(value) if integer else number
 
 
-def _parse_json_flag(text, what):
-    """The JSON value of a flag's text; a config file's value is already one."""
-    if text is None:
-        return {}
-    if not isinstance(text, str):
-        return text
+def _resolve_json(args, config, key, default):
+    """The JSON value of option ``key`` (flag > config file > default): a
+    flag's text is parsed, and so is a config value that is a string; any
+    other config value is already JSON. Text that is no JSON raises a
+    ConfigurationError naming the flag, or the config key and file."""
+    value = _resolve(args, config, key)
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        return value
     try:
-        return json.loads(text)
+        return json.loads(value)
     except json.JSONDecodeError as err:
-        raise ConfigurationError(f"invalid JSON for {what}: {err}") from err
+        source = (f"--{key}" if getattr(args, key, None) is not None
+                  else f"config key {key!r} in {args.config}")
+        raise ConfigurationError(f"invalid JSON for {source}: {err}") from err
 
 
 def _parse_state(text, dim=None):
@@ -114,7 +120,7 @@ def cmd_simulate(args):
     name = _resolve(args, config, "system")
     if name is None:
         raise ConfigurationError("simulate needs --system")
-    params = _parse_json_flag(_resolve(args, config, "params"), "--params")
+    params = _resolve_json(args, config, "params", {})
     system = dynamics.make_system(name, params)
     record = dynamics.builtin_system(name)
     dt = _resolve_number(args, config, "dt", record.dt)
@@ -174,9 +180,7 @@ def cmd_fit(args):
     traj_path = _require_readable(_resolve(args, config, "traj"), "trajectory CSV")
     rank_tol = _resolve_number(args, config, "rank_tol", koopman.DEFAULT_RANK_TOL)
     traj = dynamics.load_trajectory(traj_path)
-    dict_text = _resolve(args, config, "dictionary")
-    dict_spec = ({"kind": "identity"} if dict_text is None
-                 else _parse_json_flag(dict_text, "--dictionary"))
+    dict_spec = _resolve_json(args, config, "dictionary", {"kind": "identity"})
     dictionary = dictionaries.dictionary_from_spec(dict_spec, dim=traj.dim)
     set_label = _resolve(args, config, "set_label", "fit")
     op = koopman.fit_trajectory(traj, dictionary, rank_tol, set_label=set_label)

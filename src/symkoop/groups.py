@@ -26,6 +26,7 @@ from .errors import (
 MATRIX_MATCH_TOL = 1e-10  # max-norm tolerance for element identification
 _INCONSISTENT = "element matching at MATRIX_MATCH_TOL is inconsistent for these generators"
 ORTHOGONALITY_TOL = 1e-10
+DEFAULT_MAX_ORDER = 64  # closure limit unless the caller or a group file sets one
 
 
 @dataclass(frozen=True)
@@ -188,21 +189,17 @@ def _first_matches(stack, ms):
     )
 
 
-def _replay_discovery(known, n_gen):
-    """The breadth-first discovery order of the group whose elements are the
-    (order, dim, dim) ``known``, the identity and ``n_gen - 1`` generators
-    first. Element i, taken in index order (which is breadth-first order), is
-    multiplied with the n elements found before its row, in the order
-    g_i g_0, g_0 g_i, g_i g_1, g_1 g_i, ..., and a product equal to no element
-    found so far is the next element. Products are looked up in the Cayley
-    table of ``known``, matched in one call. Returns the factors (a, b) of
-    each element after the generators, and the Cayley table in discovery
-    order that the matcher should return.
+def _replay_discovery(table, n_gen):
+    """The breadth-first discovery order of the group with the integer Cayley
+    table ``table`` (order, order), whose rows are the identity and
+    ``n_gen - 1`` generators first. Element i, taken in index order (which is
+    breadth-first order), is multiplied with the n elements found before its
+    row, in the order g_i g_0, g_0 g_i, g_i g_1, g_1 g_i, ..., and a product
+    equal to no element found so far is the next element. Returns the
+    factors (a, b) of each element after the generators, the row of
+    ``table`` that each element is, and the table in discovery order.
     """
-    order = len(known)
-    table = _first_matches(known, known[:, None] @ known[None]).reshape(order, -1)
-    if table.min() < 0:
-        raise SymkoopError(_INCONSISTENT)
+    order = len(table)
     at = np.arange(order)  # element i is row at[i] of the table
     slot = np.where(at < n_gen, at, -1)  # row c is element slot[c], -1 until found
     factors = []
@@ -218,10 +215,12 @@ def _replay_discovery(known, n_gen):
                 slot[row[m]], at[n] = n, row[m]
                 factors.append((i, m // 2) if m % 2 == 0 else (m // 2, i))
                 n += 1
-    return factors, slot[table[np.ix_(at, at)]]
+    if n < order:
+        raise SymkoopError(_INCONSISTENT)
+    return factors, at, slot[table[np.ix_(at, at)]]
 
 
-def generate_group(generators, max_order=64, dim=None):
+def generate_group(generators, max_order=DEFAULT_MAX_ORDER, dim=None):
     """Close a set of orthogonal generators under multiplication.
 
     The identity gets index 0 (inserted if absent); products keep the label
@@ -230,9 +229,11 @@ def generate_group(generators, max_order=64, dim=None):
     ``max_order`` elements, and InputError on dimension mismatches and on a
     label that names more than one element.
 
-    The elements are found first, as words in the generators; the order,
-    labels and matrices are then those of a breadth-first closure under
-    all products, replayed on their Cayley table (see _replay_discovery).
+    The elements are found first, as words in the generators, with the
+    index of each element times each generator; the Cayley table follows
+    from those by columns. The order, labels and matrices are then those of
+    a breadth-first closure under all products, replayed on that table (see
+    _replay_discovery).
     """
     generators = list(generators)
     if not generators and dim is None:
@@ -266,43 +267,65 @@ def generate_group(generators, max_order=64, dim=None):
 
     # The elements: each word length's products with a generator on the
     # right, matched against the known elements in one call and among the
-    # new ones in another.
+    # new ones in another. right[k, s] is the index of known[k] times
+    # generator s (known[s + 1]); each word length's new elements are the
+    # words known[parent] times generator letter, as the pair in ``words``.
     known = given[first == np.arange(len(given))]
-    frontier = known[1:]
-    while len(frontier):
-        prods = (frontier[:, None] @ known[None, 1:n_gen]).reshape(-1, dim, dim)
-        prods = prods[_first_matches(known, prods) < 0]
-        if len(prods) > 1:
-            prods = prods[_first_matches(prods, prods) == np.arange(len(prods))]
-        if len(prods) and len(known) + len(prods) > max_order:
-            raise NonFiniteGroupError(
-                f"closure exceeded max_order={max_order}; "
-                "generators may not generate a finite group "
-                "at this matching tolerance"
-            )
-        known = np.concatenate([known, prods])
-        frontier = prods
+    n_s = n_gen - 1
+    right = [np.arange(1, n_gen)[None]]  # the identity's row
+    words = [(np.zeros(n_s, int), np.arange(n_s))]
+    lo = 1
+    while lo < len(known):
+        hi = len(known)
+        prods = (known[lo:hi, None] @ known[None, 1:n_gen]).reshape(-1, dim, dim)
+        hits = _first_matches(known, prods)
+        new = np.flatnonzero(hits < 0)
+        if len(new):
+            # a new product that is its own first match among them is kept
+            twin = (_first_matches(prods[new], prods[new]) if len(new) > 1
+                    else np.zeros(1, int))
+            kept = twin == np.arange(len(new))
+            if not kept[twin].all():  # a chain of matches: no element to take
+                raise SymkoopError(_INCONSISTENT)
+            if hi + kept.sum() > max_order:
+                raise NonFiniteGroupError(
+                    f"closure exceeded max_order={max_order}; "
+                    "generators may not generate a finite group "
+                    "at this matching tolerance"
+                )
+            hits[new] = hi + (np.cumsum(kept) - 1)[twin]
+            new = new[kept]
+            known = np.concatenate([known, prods[new]])
+            words.append((lo + new // n_s, new % n_s))
+        right.append(hits.reshape(hi - lo, n_s))
+        lo = hi
+    right = np.concatenate(right)
+    order = len(known)
 
-    factors, expected = (_replay_discovery(known, n_gen) if len(known) > n_gen
-                         else ([], None))
+    # column j of the table: g_i (known[parent] s) = (g_i known[parent]) s
+    table = np.empty((order, order), int)
+    table[:, 0] = np.arange(order)
+    j = 1
+    for parent, letter in words:
+        table[:, j:j + len(parent)] = right[table[:, parent], letter]
+        j += len(parent)
+
     labels = [g.label for g in elements]
     matrices = [g.matrix for g in elements]
-    for a, b in factors:
-        labels.append(f"{labels[a]}*{labels[b]}")
-        matrices.append(matrices[a] @ matrices[b])
+    cayley = table  # the generators alone are in discovery order
+    if order > n_gen:
+        factors, at, cayley = _replay_discovery(table, n_gen)
+        for a, b in factors:
+            labels.append(f"{labels[a]}*{labels[b]}")
+            matrices.append(matrices[a] @ matrices[b])
+        # each stored matrix must be its own word's matrix, so each product
+        # the replay took from the table is that product to the tolerance
+        if np.max(np.abs(np.array(matrices) - known[at])) > MATRIX_MATCH_TOL:
+            raise SymkoopError(_INCONSISTENT)
     if len(set(labels)) < len(labels):
         twice = next(lbl for k, lbl in enumerate(labels) if lbl in labels[:k])
         raise InputError(f"label {twice!r} names more than one group element")
     elements += [GroupElement(lbl, m) for lbl, m in zip(labels[n_gen:], matrices[n_gen:])]
-
-    stack = np.array(matrices)
-    products = stack[:, None] @ stack[None]  # [i, j] = g_i g_j
-    cayley = _first_matches(stack, products).reshape(len(stack), -1)
-    # equal tables mean that each product the replay took as new (or as an
-    # earlier element) is new (or that element) to the matcher as well; a
-    # replay that found too few elements gives a table of another shape
-    if expected is not None and not np.array_equal(cayley, expected):
-        raise SymkoopError(_INCONSISTENT)
 
     group = FiniteMatrixGroup(
         elements=tuple(elements),
@@ -316,10 +339,41 @@ def generate_group(generators, max_order=64, dim=None):
     return group
 
 
+def _right_generators(group):
+    """Element indices S such that every element is in S or is C[w, s] for
+    an element w reached before it and s in S (C the Cayley table, which
+    must be closed): the group's generators, then each element that right
+    multiplication by those before it does not reach."""
+    index = {}
+    for i, g in enumerate(group.elements):
+        index.setdefault(g.label, i)
+    gens = list(dict.fromkeys(index[lbl] for lbl in group.generator_labels if lbl in index))
+    while True:
+        columns = [group.cayley[:, s].tolist() for s in gens]
+        reached = [False] * group.order
+        for s in gens:
+            reached[s] = True
+        found = list(gens)
+        for x in found:  # grows as it is read: breadth-first
+            for column in columns:
+                if not reached[column[x]]:
+                    reached[column[x]] = True
+                    found.append(column[x])
+        if len(found) == group.order:
+            return gens
+        gens.append(reached.index(False))
+
+
 def check_axioms(group):
-    """Exhaustively verify closure, identity, inverses, and associativity
-    on the Cayley table. Returns a dict report with per-axiom booleans;
-    associativity is only evaluated on a closed table."""
+    """Verify closure, identity, inverses, and associativity on the whole
+    Cayley table. Returns a dict report with per-axiom booleans;
+    associativity is only evaluated on a closed table.
+
+    Associativity is Light's test, (x y) s = x (y s) for all x and y and
+    each s of a generating set read off the table (_right_generators), in
+    O(order^2) time and memory per s. It implies associativity for all z:
+    z is s, or w s with w reached before it, and then
+    (x y)(w s) = ((x y) w) s = (x (y w)) s = x ((y w) s) = x (y (w s))."""
     n = group.order
     cayley = group.cayley
     closure = bool(np.all((cayley >= 0) & (cayley < n)))
@@ -327,8 +381,9 @@ def check_axioms(group):
         np.all(cayley[0] == np.arange(n)) and np.all(cayley[:, 0] == np.arange(n))
     )
     inverses = bool(np.all(np.any(cayley == 0, axis=1)))
-    # row i at a time, in O(n^2) memory: [j, k] is (g_i g_j) g_k vs g_i (g_j g_k)
-    assoc = closure and all(np.array_equal(cayley[row], row[cayley]) for row in cayley)
+    # [x, y] is (g_x g_y) g_s against g_x (g_y g_s)
+    assoc = closure and all(np.array_equal(cayley[:, s][cayley], cayley[:, cayley[:, s]])
+                            for s in _right_generators(group))
     ok = closure and identity and inverses and assoc
     return {
         "order": n,
@@ -442,7 +497,8 @@ def conjugate_isotropy(group, report, g):
 
 
 # ---------------------------------------------------------------------------
-# JSON format: {"dim": n, "generators": [{"label": ..., "matrix": [[...]]}]}
+# JSON format: {"dim": n, "generators": [{"label": ..., "matrix": [[...]]}]},
+# with "max_order": m for a group above DEFAULT_MAX_ORDER elements
 
 def group_to_dict(group):
     gen_labels = group.generator_labels or tuple(
@@ -452,10 +508,19 @@ def group_to_dict(group):
         {"label": lbl, "matrix": group.element(lbl).matrix.tolist()}
         for lbl in gen_labels
     ]
-    return {"dim": group.dim, "generators": generators}
+    data = {"dim": group.dim, "generators": generators}
+    if group.order > DEFAULT_MAX_ORDER:
+        data["max_order"] = group.order
+    return data
 
 
-def group_from_dict(data, max_order=64):
+def group_from_dict(data, max_order=DEFAULT_MAX_ORDER):
+    """The group of a group file; its ``max_order`` key, if present, replaces
+    the ``max_order`` argument as the limit of the closure."""
+    max_order = data.get("max_order", max_order)
+    if type(max_order) is not int or max_order < 1:
+        raise ConfigurationError(
+            f"max_order must be a positive integer, got {reprlib.repr(max_order)}")
     entries = data.get("generators", [])
     if type(entries) is not list or any(type(e) is not dict for e in entries):
         raise ConfigurationError(
@@ -473,5 +538,5 @@ def save_group(group, path):
     write_json(path, group_to_dict(group))
 
 
-def load_group(path, max_order=64):
+def load_group(path, max_order=DEFAULT_MAX_ORDER):
     return read_json(path, lambda data: group_from_dict(data, max_order=max_order))

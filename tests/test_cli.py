@@ -221,6 +221,21 @@ def test_simulate_params_that_are_not_an_object_are_one_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_params_that_are_no_json_name_their_flag_or_config_key(tmp_path, capsys, source):
+    cfg = tmp_path / "run.json"
+    if source == "flag":
+        flags, where = ["--params", "{rho"], "--params"
+    else:
+        cfg.write_text(json.dumps({"params": "{rho"}))
+        flags, where = ["--config", str(cfg)], f"config key 'params' in {cfg}"
+    out = tmp_path / "out"
+    assert run(["simulate", "--system", "lorenz", "--x0", "1,1,1", "--steps", "2",
+                *flags, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert one_line_error(capsys).startswith(f"error: invalid JSON for {where}: ")
+    assert not out.exists()
+
+
 def test_config_params_may_be_an_object(tmp_path):
     (tmp_path / "run.json").write_text(json.dumps({"params": {"rho": 10.0}}))
     for config, out in ((["--config", str(tmp_path / "run.json")], "a"),
@@ -503,7 +518,8 @@ def test_fit_refuses_a_falsy_dictionary_spec(tmp_path, capsys, text, message, so
         cfg.write_text(json.dumps({"dictionary": json.loads(text)}))
         argv += ["--config", str(cfg)]
         if text == '""':
-            message = "invalid JSON for --dictionary: Expecting value: line 1 column 1 (char 0)"
+            message = (f"invalid JSON for config key 'dictionary' in {cfg}: "
+                       "Expecting value: line 1 column 1 (char 0)")
     assert run(argv) == cli.EXIT_CONFIG
     assert one_line_error(capsys) == f"error: {message}\n"
     assert not out.exists()
@@ -648,6 +664,22 @@ def test_group_check_command(tmp_path, capsys):
         "generators": [{"label": "shear", "matrix": [[1.0, 1.0], [0.0, 1.0]]}],
     }))
     assert run(["group", "check", "--group", str(bad)]) == cli.EXIT_CONFIG
+
+
+def test_group_check_reads_the_max_order_of_the_group_file(tmp_path, capsys):
+    from symkoop import GroupElement, generate_group, save_group
+
+    c, s = np.cos(2 * np.pi / 65), np.sin(2 * np.pi / 65)
+    path = tmp_path / "c65.json"
+    save_group(generate_group([GroupElement("r", np.array([[c, -s], [s, c]]))],
+                              max_order=65), path)
+    assert run(["group", "check", "--group", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("order 65: closure=ok")
+
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), max_order=64.5)))
+    assert run(["group", "check", "--group", str(path)]) == cli.EXIT_CONFIG
+    assert one_line_error(capsys) == \
+        f"error: {path}: max_order must be a positive integer, got 64.5\n"
 
 
 OPERATOR = {"set_label": "right", "K": [[1.0, 0.0], [0.0, 1.0]],

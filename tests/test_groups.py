@@ -1,11 +1,14 @@
 import dataclasses
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from symkoop import (
+    ConfigurationError,
     FiniteMatrixGroup,
     GroupElement,
     InputError,
@@ -25,7 +28,7 @@ from symkoop import (
     simulate,
     transform_trajectory,
 )
-from symkoop.groups import MATRIX_MATCH_TOL
+from symkoop.groups import MATRIX_MATCH_TOL, group_to_dict
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 NEG = np.array([[-1.0, 0.0], [0.0, -1.0]])
@@ -324,3 +327,44 @@ def test_a_group_with_dropped_generators_saves_and_loads(tmp_path, generators, l
     assert np.array_equal(loaded.cayley, group.cayley)
     for a, b in zip(loaded.elements, group.elements):
         assert np.array_equal(a.matrix, b.matrix)
+
+
+def rotation_generator(n):
+    c, s = math.cos(2 * math.pi / n), math.sin(2 * math.pi / n)
+    return GroupElement("r", np.array([[c, -s], [s, c]]))
+
+
+def test_only_a_group_above_order_64_saves_its_max_order(tmp_path):
+    # files of groups up to order 64 keep their keys and bytes
+    assert list(group_to_dict(builtin_group("hamiltonian"))) == ["dim", "generators"]
+    assert "max_order" not in group_to_dict(generate_group([rotation_generator(64)]))
+    group = generate_group([rotation_generator(65)], max_order=65)
+    assert group_to_dict(group)["max_order"] == 65
+    path = tmp_path / "c65.json"
+    save_group(group, path)
+    assert load_group(path).labels() == group.labels()
+    # without the key the default limit of 64 holds
+    data = json.loads(path.read_text())
+    del data["max_order"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(NonFiniteGroupError, match="max_order=64"):
+        load_group(path)
+
+
+def test_a_group_file_max_order_below_the_order_stops_the_closure(tmp_path):
+    path = tmp_path / "klein.json"
+    save_group(builtin_group("hamiltonian"), path)
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(data, max_order=3)))
+    with pytest.raises(NonFiniteGroupError, match="max_order=3"):
+        load_group(path)
+
+
+@pytest.mark.parametrize("value", [0, -128, 128.0, True, "128", None, [128]],
+                         ids=["zero", "negative", "float", "true", "string", "null", "list"])
+def test_a_group_file_max_order_must_be_a_positive_integer(tmp_path, value):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"dim": 2, "generators": [], "max_order": value}))
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"max_order must be a positive integer, got {value!r}")):
+        load_group(path)

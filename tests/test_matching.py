@@ -2,8 +2,14 @@
 all-pairs comparisons return, for group elements and for the stabilizer,
 and the group closure must discover exactly the elements, labels, matrices
 and Cayley table of the sequential one-product-at-a-time closure and of the
-breadth-first closure that matches each row of products in one call. The
-references are kept here."""
+breadth-first closure that matches each row of products in one call.
+check_axioms' associativity test over a generating set must report what
+the test of every triple reports. The references are kept here."""
+
+import functools
+import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +24,8 @@ from symkoop import (
     check_axioms,
     data_stabilizer_labels,
     generate_group,
+    load_group,
+    save_group,
 )
 from symkoop.groups import (
     _BLOCK,
@@ -138,6 +146,27 @@ def breadth_first_generate_group(generators, max_order=64, dim=None):
                               generator_labels=tuple(g.label for g in generators))
     assert check_axioms(group)["ok"]
     return group
+
+
+def exhaustive_check_axioms(group):
+    """check_axioms with associativity tested on every triple, one table row
+    at a time: [j, k] is (g_i g_j) g_k against g_i (g_j g_k)."""
+    n = group.order
+    cayley = group.cayley
+    closure = bool(np.all((cayley >= 0) & (cayley < n)))
+    identity = bool(
+        np.all(cayley[0] == np.arange(n)) and np.all(cayley[:, 0] == np.arange(n))
+    )
+    inverses = bool(np.all(np.any(cayley == 0, axis=1)))
+    assoc = closure and all(np.array_equal(cayley[row], row[cayley]) for row in cayley)
+    return {
+        "order": n,
+        "closure": closure,
+        "identity": identity,
+        "inverses": inverses,
+        "associativity": assoc,
+        "ok": closure and identity and inverses and assoc,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +364,127 @@ def test_a_generator_orthogonal_only_to_the_tolerance_gives_no_group(n):
     for generate in (generate_group, breadth_first_generate_group):
         with pytest.raises(SymkoopError):
             generate(drifting)
+
+
+# ---------------------------------------------------------------------------
+# associativity
+
+def with_table(group, cayley, generator_labels=None):
+    labels = group.generator_labels if generator_labels is None else generator_labels
+    return FiniteMatrixGroup(elements=group.elements, cayley=cayley, dim=group.dim,
+                             generator_labels=tuple(labels))
+
+
+def relabelled(group, perm):
+    """The same group with element i moved to index perm[i]."""
+    cayley = np.empty_like(group.cayley)
+    cayley[np.ix_(perm, perm)] = perm[group.cayley]
+    elements = [None] * group.order
+    for i, g in enumerate(group.elements):
+        elements[perm[i]] = g
+    return FiniteMatrixGroup(elements=tuple(elements), cayley=cayley, dim=group.dim,
+                             generator_labels=group.generator_labels)
+
+
+@PROPERTY
+@given(gens=generator_sets(), data=st.data())
+def test_check_axioms_reports_what_the_test_of_every_triple_reports(gens, data):
+    """On a drawn group's table, perhaps relabelled so that the identity is
+    not first, perhaps with one entry changed (to any index, or out of
+    range), perhaps with other generator labels."""
+    group = generate_group(gens)
+    if data.draw(st.booleans()):
+        group = relabelled(group, np.array(data.draw(st.permutations(range(group.order)))))
+    cayley = group.cayley.copy()
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.tuples(*[st.integers(0, group.order - 1)] * 2))
+        cayley[i, j] = data.draw(st.integers(-1, group.order).filter(
+            lambda v: v != cayley[i, j]))
+    labels = None
+    if data.draw(st.booleans()):
+        labels = data.draw(st.lists(st.sampled_from(group.labels()), max_size=4))
+    table = with_table(group, cayley, labels)
+    assert check_axioms(table) == exhaustive_check_axioms(table)
+
+
+# the smallest loop (identity, and a Latin square) that is not associative
+LOOP5 = np.array([[0, 1, 2, 3, 4],
+                  [1, 0, 3, 4, 2],
+                  [2, 4, 0, 1, 3],
+                  [3, 2, 4, 0, 1],
+                  [4, 3, 1, 2, 0]])
+
+
+@pytest.mark.parametrize("labels", [
+    subset for k in range(6) for subset in itertools.combinations("abcde", k)])
+def test_check_axioms_finds_the_order_5_loop_not_associative(labels):
+    """Whatever generators the table names, elements that right
+    multiplication by them does not reach join the test."""
+    elements = tuple(GroupElement(lbl, np.eye(1)) for lbl in "abcde")
+    loop = FiniteMatrixGroup(elements=elements, cayley=LOOP5, dim=1,
+                             generator_labels=labels)
+    report = check_axioms(loop)
+    assert report == exhaustive_check_axioms(loop)
+    assert report["closure"] and report["identity"] and report["inverses"]
+    assert not report["associativity"]
+
+
+# ---------------------------------------------------------------------------
+# groups of order 128 and 768
+
+def ring_generators(n):
+    """Flip of x_1, cyclic shift and reversal of n coordinates: they generate
+    (Z2)^n x| D_n, of order 2^n * 2n, as signed permutations."""
+    flip = np.eye(n)
+    flip[0, 0] = -1.0
+    shift = signed_permutation((np.arange(n) + 1) % n, np.ones(n))
+    reverse = signed_permutation(np.arange(n)[::-1], np.ones(n))
+    return [GroupElement("f", flip), GroupElement("s", shift), GroupElement("r", reverse)]
+
+
+@functools.cache
+def ring_group(n):
+    return generate_group(ring_generators(n), max_order=2 ** n * 2 * n)
+
+
+def test_order_128_closure_matches_the_breadth_first_closure():
+    outcome = closure_outcome(generate_group, ring_generators(4), max_order=128)
+    assert outcome[1] == (128, 4, 4)
+    assert outcome == closure_outcome(breadth_first_generate_group, ring_generators(4),
+                                      max_order=128)
+
+
+def test_order_128_group_saves_its_max_order_and_loads(tmp_path):
+    group = ring_group(4)
+    path = tmp_path / "ring4.json"
+    save_group(group, path)
+    assert json.loads(path.read_text())["max_order"] == 128
+    loaded = load_group(path)
+    assert loaded.labels() == group.labels()
+    assert np.array_equal(loaded.cayley, group.cayley)
+    for a, b in zip(loaded.elements, group.elements):
+        assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_order_768_closure_stays_within_64_mb():
+    tracemalloc.start()
+    try:
+        group = generate_group(ring_generators(6), max_order=768)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order == 768
+    assert peak < 64 * 2**20
+
+
+def test_order_768_table_holds_sampled_products():
+    group = ring_group(6)
+    assert group.order == 768
+    assert check_axioms(group)["ok"]
+    stack = np.array([g.matrix for g in group.elements])
+    i, j = np.random.default_rng(0).integers(0, group.order, size=(2, 2000))
+    products = stack[i] @ stack[j]
+    assert np.max(np.abs(products - stack[group.cayley[i, j]])) <= MATRIX_MATCH_TOL
 
 
 # ---------------------------------------------------------------------------
