@@ -298,16 +298,15 @@ def cmd_verify(args):
 
 def cmd_group_check(args):
     config = _load_config(args.config)
+    # load_group ends in check_axioms and refuses a table that fails it, so
+    # every axiom holds on the group it returns
     group = _load(args, config, "group", groups.load_group, "group JSON")
-    report = groups.check_axioms(group)
-    print(f"order {report['order']}: " + ", ".join(
-        f"{axiom}={'ok' if report[axiom] else 'FAIL'}"
-        for axiom in ("closure", "identity", "inverses", "associativity")
-    ))
+    report = {"order": group.order, **dict.fromkeys(groups.AXIOMS, True), "ok": True}
+    print(f"order {group.order}: " + ", ".join(f"{axiom}=ok" for axiom in groups.AXIOMS))
     out = _resolve(args, config, "out")
     if out:
         _write_json(out, report)
-    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ class MonomialDictionary(Dictionary):
         self.exponents = tuple(exponents)
         self.size = len(exponents)
         self.labels = tuple(_monomial_label(e) for e in exponents)
-        self._index_of = {e: k for k, e in enumerate(exponents)}
+        index_of = {e: k for k, e in enumerate(exponents)}
         # each monomial is its graded-lex parent (one power fewer of its
         # last variable) times that variable; None stands for the factor 1
         self._products = []
@@ -121,7 +121,20 @@ class MonomialDictionary(Dictionary):
             if any(e):
                 i = max(v for v in range(dim) if e[v])
                 parent = e[:i] + (e[i] - 1,) + e[i + 1:]
-                self._products.append((k, self._index_of.get(parent), i))
+                self._products.append((k, index_of.get(parent), i))
+        # _times[k][j] is the index of monomial k times x_j (None above
+        # max_degree); without a constant, the extra row _times[size] is the
+        # factor 1's. For j at least k's last variable i, the product is a
+        # monomial with parent k; for j < i it is (parent times x_j) times
+        # x_i, whose last variable is i.
+        one = 0 if self.include_constant else self.size
+        self._times = [[None] * self.dim for _ in range(self.size + 1)]
+        for k, parent, i in self._products:
+            self._times[one if parent is None else parent][i] = k
+        for k, parent, i in self._products:
+            row, up = self._times[k], self._times[one if parent is None else parent]
+            for j in range(i):
+                row[j] = self._times[up[j]][i]
 
     def _evaluate(self, X):
         # one row product per monomial, x1^a1 * ... * xd^ad multiplied out
@@ -316,22 +329,25 @@ def _exact_representation(dictionary, M):
     if dictionary.kind != "monomial":
         return None
     # psi_k(M x) is its parent's row times the linear form M[i] . x, on sparse
-    # rows {exponents: coefficient}. Exact zeros of M are skipped, so a signed
-    # permutation yields exactly one +-1.0 per row.
+    # rows {monomial index: coefficient}; the factor 1 is the constant's
+    # index, or the extra row of _times. Exact zeros of M are skipped, so a
+    # signed permutation yields exactly one +-1.0 per row.
     forms = [[(j, c) for j, c in enumerate(row) if c != 0.0] for row in M.tolist()]
-    one = {(0,) * dictionary.dim: 1.0}
+    times = dictionary._times
+    one = {0 if dictionary.include_constant else dictionary.size: 1.0}
     rows = [one] if dictionary.include_constant else []
     for k, parent, i in dictionary._products:
         row = {}
         for e, a in (one if parent is None else rows[parent]).items():
+            e_times = times[e]
             for j, c in forms[i]:
-                e_j = e[:j] + (e[j] + 1,) + e[j + 1:]
+                e_j = e_times[j]
                 row[e_j] = row.get(e_j, 0.0) + a * c
         rows.append(row)
     R = np.zeros((dictionary.size, dictionary.size))
     for k, row in enumerate(rows):
         for e, v in row.items():
-            R[k, dictionary._index_of[e]] = v
+            R[k, e] = v
     return R
 
 

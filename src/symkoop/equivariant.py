@@ -31,7 +31,7 @@ from .errors import (
     read_json,
     write_json,
 )
-from .groups import _window_matches
+from .groups import _SortedPoints
 from .koopman import KoopmanApprox, eigenvalue_hausdorff, predict
 
 _IMAGE_WINDOW_FLOATS = CHUNK_FLOATS  # at most this many coordinates per image-check window
@@ -291,9 +291,10 @@ def data_stabilizer_labels(group, states, tol=1e-8):
     tol * (1 + |gx|) of some sample. This is the setwise-stabilizer
     evidence ``verify_commutation`` asks for.
 
-    Each element's images are matched by ``groups._window_matches`` with
-    radius tol * (1 + |gx|): near-linear in N unless most samples tie on
-    its sort key, in O((N + _BLOCK) * dim) memory.
+    The cloud is sorted once (``groups._SortedPoints``), and each
+    element's images are matched against it with radius tol * (1 + |gx|):
+    near-linear in N unless most samples tie on its sort key, in
+    O((N + _BLOCK) * dim) memory.
 
     Raises InputError for an empty cloud (it would vacuously pass every
     element), a non-finite sample, or a dimension other than ``group.dim``.
@@ -308,10 +309,13 @@ def data_stabilizer_labels(group, states, tol=1e-8):
     if not np.all(np.isfinite(states)):
         raise InputError("sample cloud holds NaN or Inf")
 
+    cloud = _SortedPoints(states)
+
     def lands_in_cloud(mapped):
-        radius = tol * (1.0 + np.linalg.norm(mapped, axis=1))
-        hits = _window_matches(states, mapped, radius, lambda diff, rows:
-                               np.linalg.norm(diff, axis=1) <= radius[rows])
+        norms = np.linalg.norm(mapped, axis=1)
+        radius = tol * (1.0 + norms)
+        hits = cloud.matches(mapped, radius, lambda diff, rows:
+                             np.linalg.norm(diff, axis=1) <= radius[rows], norms)
         return np.all(hits >= 0)
 
     return tuple(g.label for g in group.elements

@@ -27,6 +27,25 @@ MATRIX_MATCH_TOL = 1e-10  # max-norm tolerance for element identification
 _INCONSISTENT = "element matching at MATRIX_MATCH_TOL is inconsistent for these generators"
 ORTHOGONALITY_TOL = 1e-10
 DEFAULT_MAX_ORDER = 64  # closure limit unless the caller or a group file sets one
+AXIOMS = ("closure", "identity", "inverses", "associativity")  # check_axioms' keys
+
+
+def _check_elements(labels, stack):
+    """Raise InputError for the first matrix of the (n, dim, dim) float
+    stack, named by ``labels``, that holds NaN or Inf or whose defect
+    max|m^T m - I| exceeds ORTHOGONALITY_TOL: the one rule every group
+    element passes."""
+    n = len(stack)  # then the index of the first matrix with NaN or Inf
+    if not np.isfinite(stack).all():
+        n = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
+    m = stack[:n]
+    defect = np.abs(np.swapaxes(m, 1, 2) @ m - np.eye(stack.shape[-1]))
+    if n and defect.max() > ORTHOGONALITY_TOL:
+        worst = defect.max(axis=(1, 2))
+        k = np.flatnonzero(worst > ORTHOGONALITY_TOL)[0]
+        raise InputError(f"element {labels[k]!r} is not orthogonal (defect {worst[k]:.3e})")
+    if n < len(stack):
+        raise InputError(f"element {labels[n]!r}: matrix contains NaN or Inf")
 
 
 @dataclass(frozen=True)
@@ -40,14 +59,16 @@ class GroupElement:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"element {self.label!r}: matrix must be square")
-        if not np.isfinite(m).all():
-            raise InputError(f"element {self.label!r}: matrix contains NaN or Inf")
-        defect = np.max(np.abs(m.T @ m - np.eye(m.shape[0])))
-        if defect > ORTHOGONALITY_TOL:
-            raise InputError(
-                f"element {self.label!r} is not orthogonal (defect {defect:.3e})"
-            )
+        _check_elements([self.label], m[None])
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _checked(cls, label, matrix):
+        """The element of a float matrix that _check_elements has passed."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "label", label)
+        object.__setattr__(g, "matrix", matrix)
+        return g
 
     @property
     def dim(self):
@@ -129,7 +150,7 @@ class EquivarianceReport:
         }
 
 
-_BLOCK = 1 << 14  # candidate pairs tested per step in _window_matches
+_BLOCK = 1 << 14  # candidate pairs tested per step in _SortedPoints.matches
 
 
 @functools.cache
@@ -142,39 +163,63 @@ def _sort_direction(k):
     return u
 
 
+class _SortedPoints:
+    """Point rows (n, k) sorted once by their keys u.p along the unit vector
+    u = _sort_direction(k), to serve any number of query sets.
+
+    As |u.q - u.p| <= |q - p|, binary search on the sorted keys finds all
+    points a query can accept; those pairs are tested _BLOCK at a time. A
+    query set is searched in the order of its own keys, so both binary
+    searches run on (nearly) sorted window ends. Cost per query set of m
+    rows: O(m log m + m log n) plus the pairs (about m if the points spread
+    along u, n * m if all tie), in O((n + m + _BLOCK) k) memory.
+    """
+
+    def __init__(self, points):
+        self.points = points
+        self.u = _sort_direction(points.shape[1])
+        keys = points @ self.u
+        self.order = np.argsort(keys)  # ties need no order: a window holds all of them
+        self.keys = keys[self.order]
+        # rounding of both keys (|p| <= |q| + radius) and of the caller's distance
+        self.slack = 4 * points.shape[1] * np.finfo(float).eps
+
+    def matches(self, queries, radius, close, norms=None):
+        """For each query row (m, k), the lowest index i of a point row that
+        ``close(queries[rows] - points[i], rows)`` accepts, or -1; ``close``
+        may accept only pairs within ``radius`` (scalar or per query) in
+        2-norm. ``norms`` are the queries' 2-norms, if the caller has them."""
+        n = len(self.points)
+        if norms is None:
+            norms = np.linalg.norm(queries, axis=1)
+        at = queries @ self.u
+        half = radius + self.slack * (1.0 + radius + norms)
+        by_key = np.argsort(at)  # rows in key order
+        at, half = at[by_key], half[by_key]
+        lo = np.searchsorted(self.keys, at - half, side="left")
+        counts = np.searchsorted(self.keys, at + half, side="right") - lo
+        # pair p belongs to query by_key[r], with ends[r - 1] <= p < ends[r],
+        # and is its window's point lo[r] + p - ends[r - 1]
+        ends = np.cumsum(counts)
+        total = ends[-1] if len(ends) else 0
+        shift = lo - (ends - counts)
+        best = np.full(len(queries), n)
+        for start in range(0, total, _BLOCK):
+            pair = np.arange(start, min(start + _BLOCK, total))
+            r = np.searchsorted(ends, pair, side="right")
+            rows = by_key[r]
+            cand = self.order[shift[r] + pair]
+            ok = close(queries[rows] - self.points[cand], rows)
+            np.minimum.at(best, rows[ok], cand[ok])
+        return np.where(best < n, best, -1)
+
+
 def _window_matches(points, queries, radius, close):
     """For each query row (m, k), the lowest index i of a point row (n, k)
     that ``close(queries[rows] - points[i], rows)`` accepts, or -1; ``close``
     may accept only pairs within ``radius`` (scalar or per query) in 2-norm.
-
-    As |u.q - u.p| <= |q - p| for the unit vector u, binary search on the
-    sorted keys u.p finds all points a query can accept; those pairs are
-    tested _BLOCK at a time. Cost: O((n + m) log n) plus the pairs (about m
-    if the points spread along u, n * m if all tie), in O((n + m + _BLOCK) k)
-    memory.
-    """
-    n, k = points.shape
-    u = _sort_direction(k)
-    keys = points @ u
-    order = np.argsort(keys)  # ties need no order: a window holds all of them
-    keys = keys[order]
-    # rounding of both keys (|p| <= |q| + radius) and of the caller's distance
-    slack = 4 * k * np.finfo(float).eps
-    at = queries @ u
-    half = radius + slack * (1.0 + radius + np.linalg.norm(queries, axis=1))
-    lo = np.searchsorted(keys, at - half, side="left")
-    counts = np.searchsorted(keys, at + half, side="right") - lo
-    # pair p belongs to query rows[p], with ends[r - 1] <= p < ends[r]
-    ends = np.cumsum(counts)
-    total = ends[-1] if len(ends) else 0
-    best = np.full(len(queries), n)
-    for start in range(0, total, _BLOCK):
-        pair = np.arange(start, min(start + _BLOCK, total))
-        rows = np.searchsorted(ends, pair, side="right")
-        cand = order[lo[rows] + pair - (ends[rows] - counts[rows])]
-        ok = close(queries[rows] - points[cand], rows)
-        np.minimum.at(best, rows[ok], cand[ok])
-    return np.where(best < n, best, -1)
+    One query set against points sorted for it (see _SortedPoints)."""
+    return _SortedPoints(points).matches(queries, radius, close)
 
 
 def _first_matches(stack, ms):
@@ -320,12 +365,16 @@ def generate_group(generators, max_order=DEFAULT_MAX_ORDER, dim=None):
             matrices.append(matrices[a] @ matrices[b])
         # each stored matrix must be its own word's matrix, so each product
         # the replay took from the table is that product to the tolerance
-        if np.max(np.abs(np.array(matrices) - known[at])) > MATRIX_MATCH_TOL:
+        stack = np.array(matrices)
+        if np.max(np.abs(stack - known[at])) > MATRIX_MATCH_TOL:
             raise SymkoopError(_INCONSISTENT)
     if len(set(labels)) < len(labels):
         twice = next(lbl for k, lbl in enumerate(labels) if lbl in labels[:k])
         raise InputError(f"label {twice!r} names more than one group element")
-    elements += [GroupElement(lbl, m) for lbl, m in zip(labels[n_gen:], matrices[n_gen:])]
+    if order > n_gen:
+        _check_elements(labels[n_gen:], stack[n_gen:])
+        elements += [GroupElement._checked(lbl, m)
+                     for lbl, m in zip(labels[n_gen:], matrices[n_gen:])]
 
     group = FiniteMatrixGroup(
         elements=tuple(elements),
@@ -384,15 +433,8 @@ def check_axioms(group):
     # [x, y] is (g_x g_y) g_s against g_x (g_y g_s)
     assoc = closure and all(np.array_equal(cayley[:, s][cayley], cayley[:, cayley[:, s]])
                             for s in _right_generators(group))
-    ok = closure and identity and inverses and assoc
-    return {
-        "order": n,
-        "closure": closure,
-        "identity": identity,
-        "inverses": inverses,
-        "associativity": assoc,
-        "ok": ok,
-    }
+    held = (closure, identity, inverses, assoc)
+    return {"order": n, **dict(zip(AXIOMS, held)), "ok": all(held)}
 
 
 def builtin_group(system_name):

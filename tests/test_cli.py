@@ -666,6 +666,27 @@ def test_group_check_command(tmp_path, capsys):
     assert run(["group", "check", "--group", str(bad)]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("name", ["hamiltonian", "lorenz"])
+def test_group_check_runs_check_axioms_once_and_reports_its_result(tmp_path, capsys,
+                                                                   monkeypatch, name):
+    """The check inside load_group is the only one; stdout and the --out
+    bytes are those of its report."""
+    from symkoop import groups
+    from symkoop.errors import write_json
+
+    group_path, out = make_group_file(tmp_path, name), tmp_path / "report.json"
+    check, checked = groups.check_axioms, []
+    monkeypatch.setattr(groups, "check_axioms",
+                        lambda group: checked.append(group) or check(group))
+    assert run(["group", "check", "--group", str(group_path), "--out", str(out)]) == 0
+    assert len(checked) == 1
+    report = check(checked[0])
+    assert capsys.readouterr().out == f"order {report['order']}: closure=ok, " \
+        f"identity=ok, inverses=ok, associativity=ok\nwrote {out}\n"
+    write_json(tmp_path / "expected.json", report)
+    assert out.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
 def test_group_check_reads_the_max_order_of_the_group_file(tmp_path, capsys):
     from symkoop import GroupElement, generate_group, save_group
 

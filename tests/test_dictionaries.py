@@ -24,7 +24,7 @@ from symkoop import (
     simulate,
     snapshots,
 )
-from symkoop.dictionaries import _is_signed_permutation
+from symkoop.dictionaries import _exact_representation, _is_signed_permutation
 
 SWAP = GroupElement("swap", np.array([[0.0, 1.0], [1.0, 0.0]]))
 HALF_TURN = GroupElement("half_turn", np.array([[-1.0, 0.0], [0.0, -1.0]]))
@@ -429,3 +429,73 @@ def test_exact_representation_holds_out_of_sample(case, data, seed):
     assert defect <= 1e-12 * max(1.0, np.max(np.abs(F)))
     if signed:
         assert _is_signed_permutation(rep.matrix)
+
+
+# ---------------------------------------------------------------------------
+# the exact representation against its tuple-keyed reference
+
+def tuple_keyed_representation(dictionary, M):
+    """_exact_representation as it was with sparse rows keyed by exponent
+    tuples: each monomial's row is its parent's (one power fewer of its last
+    variable) times the linear form M[i] . x, expanded term by term."""
+    if dictionary.kind == "identity":
+        return M.copy()
+    if dictionary.kind == "transformed":
+        T = dictionary.gamma
+        return tuple_keyed_representation(dictionary.base, T.T @ M @ T)
+    forms = [[(j, c) for j, c in enumerate(row) if c != 0.0] for row in M.tolist()]
+    zero = (0,) * dictionary.dim
+    rows = {zero: {zero: 1.0}}
+    for e in dictionary.exponents:
+        if not any(e):
+            continue
+        i = max(v for v in range(dictionary.dim) if e[v])
+        row = {}
+        for f, a in rows[e[:i] + (e[i] - 1,) + e[i + 1:]].items():
+            for j, c in forms[i]:
+                f_j = f[:j] + (f[j] + 1,) + f[j + 1:]
+                row[f_j] = row.get(f_j, 0.0) + a * c
+        rows[e] = row
+    index = {e: k for k, e in enumerate(dictionary.exponents)}
+    R = np.zeros((dictionary.size, dictionary.size))
+    for e in dictionary.exponents:
+        for f, v in rows[e].items():
+            R[index[e], index[f]] = v
+    return R
+
+
+def drawn_matrix(draw, kind, dim, rng):
+    if kind == "signed":
+        m = np.eye(dim)[draw(st.permutations(range(dim)))]
+        return m * rng.choice([-1.0, 1.0], size=dim)
+    if kind == "orthogonal":
+        return np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    return rng.uniform(-2.0, 2.0, size=(dim, dim))  # invertible almost surely
+
+
+MATRIX_KINDS = ["signed", "orthogonal", "invertible"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    degree=st.integers(1, 5),
+    constant=st.booleans(),
+    kind=st.sampled_from(MATRIX_KINDS),
+    wrapper=st.sampled_from([None, "signed", "orthogonal"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_exact_representation_equals_the_tuple_keyed_reference_bitwise(
+        dim, degree, constant, kind, wrapper, seed, data):
+    """Monomial dictionaries bare or in a transformed wrapper, under signed
+    permutations, orthogonal and general invertible matrices."""
+    rng = np.random.default_rng(seed)
+    d = MonomialDictionary(dim, degree, include_constant=constant)
+    if wrapper is not None:
+        d = TransformedDictionary(d, drawn_matrix(data.draw, wrapper, dim, rng), "w")
+    M = drawn_matrix(data.draw, kind, dim, rng)
+    R = _exact_representation(d, M)
+    reference = tuple_keyed_representation(d, M)
+    assert np.array_equal(R, reference)
+    assert R.tobytes() == reference.tobytes()  # signed zeros too

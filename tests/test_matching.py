@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from symkoop import (
     GroupElement,
+    InputError,
     NonFiniteGroupError,
     SymkoopError,
     builtin_group,
@@ -27,10 +28,13 @@ from symkoop import (
     load_group,
     save_group,
 )
+from symkoop import groups
 from symkoop.groups import (
     _BLOCK,
     MATRIX_MATCH_TOL,
+    ORTHOGONALITY_TOL,
     FiniteMatrixGroup,
+    _check_elements,
     _first_matches,
     _sort_direction,
     _window_matches,
@@ -176,10 +180,21 @@ def test_window_matches_with_no_queries_or_no_points_is_empty_or_misses():
     def close(diff, rows):
         return np.max(np.abs(diff), axis=1) <= 0.5
 
-    points = np.eye(3)
-    assert _window_matches(points, np.empty((0, 3)), 0.5, close).shape == (0,)
+    points, none = np.eye(3), np.empty((0, 3))
+    assert _window_matches(points, none, 0.5, close).shape == (0,)
+    assert _window_matches(points, none, np.empty(0), close).shape == (0,)
+    assert _window_matches(none, none, 0.5, close).shape == (0,)
     assert _first_matches(points.reshape(1, 3, 3), np.empty((0, 3, 3))).shape == (0,)
-    assert list(_window_matches(np.empty((0, 3)), points, 0.5, close)) == [-1, -1, -1]
+    assert list(_window_matches(none, points, 0.5, close)) == [-1, -1, -1]
+    assert list(_window_matches(none, points, np.full(3, 0.5), close)) == [-1, -1, -1]
+
+
+def flat_keys(ms):
+    """The sort keys of matrices (m, dim, dim), as _first_matches takes them."""
+    return ms.reshape(len(ms), ms.shape[-1] ** 2) @ _sort_direction(ms.shape[-1] ** 2)
+
+
+KEY_ORDERS = ["rows", "descending", "tied", "duplicates", "outside"]
 
 
 @PROPERTY
@@ -190,11 +205,18 @@ def test_window_matches_with_no_queries_or_no_points_is_empty_or_misses():
     duplicates=st.integers(0, 3),
     queries=st.integers(1, 12),
     nudge=st.sampled_from([0.0, 0.999, 1.001, 2.0]),
+    key_order=st.sampled_from(KEY_ORDERS),
 )
 def test_first_matches_equals_broadcast_reference(seed, dim, n, duplicates, queries,
-                                                  nudge):
+                                                  nudge, key_order):
+    """Queries in row order, in descending key order, all tied on the key
+    (the stack too), repeated in random order, or with keys beyond both
+    ends of the stack's."""
     rng = np.random.default_rng(seed)
+    u = _sort_direction(dim * dim).reshape(dim, dim)
     stack = rng.uniform(-1.0, 1.0, size=(n, dim, dim))
+    if key_order == "tied":  # the stack on one plane across the sort direction
+        stack -= (flat_keys(stack) - 0.25)[:, None, None] * u
     if n:
         stack = np.concatenate([stack, stack[rng.integers(0, n, duplicates)]])
         # copies of stack matrices, each entry moved by nudge * tol or left alone
@@ -203,6 +225,12 @@ def test_first_matches_equals_broadcast_reference(seed, dim, n, duplicates, quer
         ms = picks + nudge * MATRIX_MATCH_TOL * signs
     else:
         ms = rng.uniform(-1.0, 1.0, size=(queries, dim, dim))
+    if key_order == "descending":
+        ms = ms[np.argsort(-flat_keys(ms))]
+    elif key_order == "duplicates":
+        ms = ms[rng.integers(0, queries, 3 * queries)]
+    elif key_order == "outside":
+        ms = np.concatenate([ms + 10.0 * u, ms, ms - 10.0 * u])[rng.permutation(3 * queries)]
     assert np.array_equal(_first_matches(stack, ms), broadcast_first_matches(stack, ms))
 
 
@@ -218,6 +246,85 @@ def test_first_matches_window_keeps_a_match_displaced_along_the_sort_key(dim, nu
     partner = q + nudge * MATRIX_MATCH_TOL * np.sign(u)
     assert _first_matches(partner[None], q[None])[0] == hit
     assert broadcast_first_matches(partner[None], q[None])[0] == hit
+
+
+# ---------------------------------------------------------------------------
+# the orthogonality check of group elements
+
+def one_by_one_check(labels, stack):
+    """GroupElement's check as it was, one matrix at a time: the first one
+    with NaN or Inf, or with max|m^T m - I| above the tolerance, raises."""
+    for label, m in zip(labels, stack):
+        if not np.isfinite(m).all():
+            raise InputError(f"element {label!r}: matrix contains NaN or Inf")
+        defect = np.max(np.abs(m.T @ m - np.eye(m.shape[0])))
+        if defect > ORTHOGONALITY_TOL:
+            raise InputError(f"element {label!r} is not orthogonal (defect {defect:.3e})")
+
+
+def check_outcome(check, *args):
+    try:
+        check(*args)
+    except InputError as err:
+        return str(err)
+    return None
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(["orthogonal", "nan", "inf", "drift", "boundary"]),
+                   min_size=1, max_size=8),
+)
+def test_stacked_element_check_raises_what_the_one_by_one_check_raises(seed, dim, kinds):
+    """Orthogonal matrices, some with a NaN or an Inf entry, some scaled off
+    orthogonal by far more than the tolerance or by just about it."""
+    rng = np.random.default_rng(seed)
+    stack = np.array([np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in kinds])
+    for m, kind in zip(stack, kinds):
+        i, j = rng.integers(0, dim, 2)
+        if kind == "nan":
+            m[i, j] = np.nan
+        elif kind == "inf":
+            m[i, j] = rng.choice([-np.inf, np.inf])
+        elif kind == "drift":
+            m += 1e-8 * rng.standard_normal((dim, dim))
+        elif kind == "boundary":  # defect about 2 t, here within 1% of the tolerance
+            m *= 1.0 + 0.5 * ORTHOGONALITY_TOL * rng.uniform(0.99, 1.01)
+    labels = [f"g{k}" for k in range(len(kinds))]
+    assert check_outcome(_check_elements, labels, stack) \
+        == check_outcome(one_by_one_check, labels, stack)
+
+
+def rotation_group_outcome(generators):
+    try:
+        return generate_group(generators).labels()
+    except SymkoopError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 16, 24])
+@pytest.mark.parametrize("drift", [5e-12, 1e-11, 3e-11])
+def test_closure_refuses_the_element_that_a_one_by_one_check_refuses_first(
+        monkeypatch, n, drift):
+    """A generator off orthogonal within the tolerance: its products drift.
+    The closure raises what checking its elements one by one, in order,
+    raises, or whatever the closure raises before it checks them."""
+    generators = [GroupElement("r0", rotation(n) + drift * np.eye(2)),
+                  GroupElement("r", rotation(n))]
+    outcome = rotation_group_outcome(generators)
+    with monkeypatch.context() as patch:
+        unchecked = []
+        patch.setattr(groups, "_check_elements",
+                      lambda labels, stack: unchecked.append((labels, stack)))
+        expected = rotation_group_outcome(generators)
+    for labels, stack in unchecked:  # the identity's check, then the closure's
+        message = check_outcome(one_by_one_check, labels, stack)
+        if message is not None:
+            expected = (InputError, message)
+            break
+    assert outcome == expected
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +584,19 @@ def test_order_768_closure_stays_within_64_mb():
     assert peak < 64 * 2**20
 
 
+def test_order_768_stabilizer_of_a_d6_symmetric_cloud_is_d6():
+    """The positive orthant's isotropy, D6: the elements without a sign
+    flip. On a cloud closed under it, exactly its 12 labels; with one sample
+    gone, the identity alone."""
+    group = ring_group(6)
+    d6 = [g for g in group.elements if np.all(g.matrix >= 0.0)]
+    assert len(d6) == 12
+    base = np.random.default_rng(6).uniform(0.1, 2.0, size=(100, 6))
+    cloud = np.vstack([base @ g.matrix.T for g in d6])
+    assert data_stabilizer_labels(group, cloud) == tuple(g.label for g in d6)
+    assert data_stabilizer_labels(group, cloud[1:]) == ("e",)
+
+
 def test_order_768_table_holds_sampled_products():
     group = ring_group(6)
     assert group.order == 768
@@ -517,18 +637,32 @@ def tied_copies(rng, states, scale):
     duplicates=st.integers(0, 3),
     ties=st.integers(0, 4),
     nudge=st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0]),
+    key_order=st.sampled_from(KEY_ORDERS),
 )
 def test_stabilizer_matches_all_pairs(name, seed, n, exponent, images, duplicates,
-                                      ties, nudge):
+                                      ties, nudge, key_order):
+    """The cloud, closed under some elements, in row order, in descending
+    key order (so the identity's images are), all tied on the key before
+    the images, with every sample repeated in random order, or with
+    samples whose keys lie beyond the others'."""
     group = STABILIZER_GROUPS[name]
     rng = np.random.default_rng(seed)
+    u = _sort_direction(group.dim)
     scale = 10.0 ** exponent
     states = rng.uniform(-scale, scale, size=(n, group.dim))
+    if key_order == "tied":
+        states = tied_copies(rng, np.repeat(states[:1], n, axis=0), scale)
     states = np.vstack([states, states[rng.integers(0, n, duplicates)]])
     states = np.vstack([states, tied_copies(rng, states[:ties], scale)])
     # close the cloud under some elements so that they may stabilize it
     for k in rng.choice(group.order, size=min(images, group.order), replace=False):
         states = np.vstack([states, states @ group.elements[k].matrix.T])
+    if key_order == "descending":
+        states = states[np.argsort(-(states @ u))]
+    elif key_order == "duplicates":
+        states = states[rng.permutation(np.repeat(np.arange(len(states)), 3))]
+    elif key_order == "outside":
+        states = np.vstack([states, states[:2] + 1e3 * scale * u, states[:2] - 1e3 * scale * u])
     if nudge:
         # move one sample by about nudge * tol (1 + |x|): close to the boundary
         # of the match test for whichever element maps a sample onto it
@@ -561,5 +695,20 @@ def test_stabilizer_window_keeps_a_match_displaced_along_the_sort_key(nudge, exp
     # as wide as the match tolerance finds the partner
     partner = image + nudge * 1e-8 * (1.0 + np.linalg.norm(image)) * _sort_direction(2)
     cloud = np.array([x, partner])
+    assert all_pairs_stabilizer(group, cloud) == expected
+    assert data_stabilizer_labels(group, cloud) == expected
+
+
+@pytest.mark.parametrize("nudge, expected", [(0.999, ("e", "swap")), (1.001, ("e",))])
+def test_stabilizer_window_of_each_image_is_as_wide_as_its_own_radius(nudge, expected):
+    """Such pairs at scales from 1 to 1000, in shuffled rows: a window as
+    wide as another image's radius would miss a larger image's partner."""
+    group = builtin_group("toggle_switch")
+    cloud = []
+    for scale in np.geomspace(1.0, 1000.0, 12):
+        x = scale * np.array([2.0, 1.0])
+        image = x[::-1]
+        cloud += [x, image + nudge * 1e-8 * (1.0 + np.linalg.norm(image)) * _sort_direction(2)]
+    cloud = np.array(cloud)[np.random.default_rng(8).permutation(24)]
     assert all_pairs_stabilizer(group, cloud) == expected
     assert data_stabilizer_labels(group, cloud) == expected
