@@ -1,9 +1,10 @@
 """symkoop: Koopman operator approximation for symmetric dynamical systems.
 
 Fit a finite-dimensional Koopman operator on one invariant set from
-trajectory data, then transport it to every symmetry-related set by
+trajectory data, then transport it to every symmetry-related set (by
 conjugation with the induced feature-space representation of the group
-element, and assemble the verified global block-diagonal operator.
+element, or by transforming the dictionary where that representation has
+no closed form), and assemble the verified global block-diagonal operator.
 """
 
 from .dictionaries import (
@@ -51,7 +52,6 @@ from .equivariant import (
 from .errors import (
     ConfigurationError,
     DegenerateDataError,
-    DictionaryNotClosedError,
     InputError,
     IsotropyRequiredError,
     NonFiniteGroupError,

@@ -230,9 +230,8 @@ def cmd_assemble(args):
     base = _load(args, config, "base_operator", koopman.load_operator, "operator JSON")
     group = _load(args, config, "group", groups.load_group, "group JSON")
     equivariant.check_registry(registry, group)
-    reps = {label: dictionaries.induced_representation(base.dictionary, group.element(e))
-            for label, e in registry.mapping.items()}
-    gk = equivariant.assemble_global(registry, base, reps)
+    elements = {label: group.element(e) for label, e in registry.mapping.items()}
+    gk = equivariant.assemble_global(registry, base, elements)
     payload = equivariant.global_to_dict(gk)
     payload["config"] = {
         "registry": str(_resolve(args, config, "registry")),

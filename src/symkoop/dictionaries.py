@@ -7,7 +7,10 @@ space, the induced feature-space representation is the K x K matrix R with
     Psi(gamma x) = R Psi(x)   for all x,
 
 which exists exactly when the span of the dictionary is invariant under the
-substitution. R is what conjugation transport of a fitted operator needs.
+substitution. R is what conjugation transport of a fitted operator needs;
+it has a closed form for identity and monomial dictionaries and their
+transformed wrappers, and any other dictionary is transported by its
+dictionary instead (``equivariant.transport_case2``), which needs no R.
 
 Monomial ordering contract: graded lexicographic, i.e. ascending total
 degree, and within a degree the order produced by
@@ -21,10 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DictionaryNotClosedError, InputError, json_matrix
+from .errors import ConfigurationError, InputError, json_matrix
 from .groups import GroupElement
-
-CLOSURE_TOL = 1e-8
 
 
 class Dictionary:
@@ -283,13 +284,10 @@ def lift(dictionary, pairs):
 
 @dataclass(frozen=True)
 class FeatureRepresentation:
-    """K x K matrix R with Psi(gamma x) = R Psi(x), plus its residual: 0.0 when
-    R is exact, else (custom dictionaries) the max-norm defect of that
-    identity on an out-of-sample probe cloud."""
+    """The exact K x K matrix R with Psi(gamma x) = R Psi(x)."""
 
     label: str
     matrix: np.ndarray
-    residual: float
 
     @property
     def size(self):
@@ -302,12 +300,7 @@ class FeatureRepresentation:
         return np.linalg.inv(self.matrix)
 
     def to_dict(self):
-        return {
-            "label": self.label,
-            "K": self.size,
-            "matrix": self.matrix.tolist(),
-            "residual": self.residual,
-        }
+        return {"label": self.label, "K": self.size, "matrix": self.matrix.tolist()}
 
 
 def _is_signed_permutation(m):
@@ -316,18 +309,23 @@ def _is_signed_permutation(m):
                 and np.all(np.abs(m[nonzero]) == 1.0))
 
 
+def has_exact_representation(dictionary):
+    """Whether R has a closed form for ``dictionary``: identity and monomial
+    dictionaries and transformed wrappers of them, not custom ones."""
+    while dictionary.kind == "transformed":
+        dictionary = dictionary.base
+    return dictionary.kind in ("identity", "monomial")
+
+
 def _exact_representation(dictionary, M):
     """R with Psi(M x) = R Psi(x) for a linear map M: M itself for identity
     dictionaries, each monomial expanded in the linear forms of M, and for a
-    wrapper of matrix T its base's R at T^T M T. None for a custom
-    dictionary, which has no closed form."""
+    wrapper of matrix T its base's R at T^T M T."""
     if dictionary.kind == "identity":
         return M.copy()
     if dictionary.kind == "transformed":  # psi(T^T M x) = psi(T^T M T T^T x)
         T = dictionary.gamma
         return _exact_representation(dictionary.base, T.T @ M @ T)
-    if dictionary.kind != "monomial":
-        return None
     # psi_k(M x) is its parent's row times the linear form M[i] . x, on sparse
     # rows {monomial index: coefficient}; the factor 1 is the constant's
     # index, or the extra row of _times. Exact zeros of M are skipped, so a
@@ -351,44 +349,16 @@ def _exact_representation(dictionary, M):
     return R
 
 
-def induced_representation(dictionary, g, probe_count=None, tol=CLOSURE_TOL, seed=0):
-    """Compute the feature-space representation R of a group element.
-
-    R is exact, with residual 0.0, for identity, monomial and transformed
-    dictionaries (``_exact_representation``). Only a custom dictionary, or a
-    transformed wrapper of one, has R identified by least squares on a
-    seeded probe cloud in [-1, 1]^dim and validated out-of-sample; a defect
-    above ``tol`` (relative to the probe feature norms) raises
-    DictionaryNotClosedError.
-    """
+def induced_representation(dictionary, g):
+    """The feature-space representation R of a group element, exact (see
+    ``_exact_representation``). A dictionary with no closed-form R (a custom
+    one, or a transformed wrapper of one) raises InputError: such an operator
+    is transported by its dictionary (``equivariant.transport_case2``)."""
     if dictionary.dim != g.dim:
         raise InputError("dictionary and element dimensions differ")
-    R = _exact_representation(dictionary, g.matrix)
-    if R is not None:
-        return FeatureRepresentation(label=g.label, matrix=R, residual=0.0)
-
-    K = dictionary.size
-    if probe_count is None:
-        probe_count = 4 * K
-    if probe_count < K:
-        raise InputError(f"probe_count must be at least K={K}")
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-1.0, 1.0, size=(dictionary.dim, probe_count))
-    A = dictionary.evaluate_matrix(X)
-    B = dictionary.evaluate_matrix(g.matrix @ X)
-    R, *_ = np.linalg.lstsq(A.T, B.T, rcond=None)
-    R = R.T
-
-    fresh = rng.uniform(-1.0, 1.0, size=(dictionary.dim, 10 * K))
-    F = dictionary.evaluate_matrix(fresh)
-    defect = np.max(np.abs(dictionary.evaluate_matrix(g.matrix @ fresh) - R @ F))
-    residual = defect / max(1.0, np.max(np.abs(F)))
-    if residual > tol:
-        raise DictionaryNotClosedError(
-            f"dictionary span is not invariant under element {g.label!r} "
-            f"(out-of-sample defect {residual:.3e} > tol {tol:.1e}); "
-            "the feature-space representation does not exist for this "
-            "dictionary, so conjugation transport is unavailable",
-            residual=residual,
-        )
-    return FeatureRepresentation(label=g.label, matrix=R, residual=float(residual))
+    if not has_exact_representation(dictionary):
+        raise InputError(
+            f"{dictionary!r} has no closed-form representation of {g.label!r}; "
+            "transport it by its dictionary (transport_case2) instead")
+    return FeatureRepresentation(label=g.label,
+                                 matrix=_exact_representation(dictionary, g.matrix))

@@ -5,11 +5,14 @@ Two transport routes exist for an operator K_i fitted on an invariant set
 M_i when a group element g maps M_i into M_j:
 
 * conjugation (same dictionary on both sets):  K_j = R K_i R^-1, where R is
-  the induced feature-space representation of g;
+  the induced feature-space representation of g, which has a closed form
+  for identity and monomial dictionaries (and transformed wrappers of them);
 * dictionary transport (same matrix): keep K_j = K_i but evolve the
-  transformed dictionary psi_k(gamma^-1 x).
+  transformed dictionary psi_k(gamma^-1 x), exact for any dictionary.
 
-Either way no data from M_j is needed. The global operator on the union of
+Either way no data from M_j is needed. ``assemble_global`` conjugates where
+the base dictionary has a closed-form R and transports the dictionary
+otherwise. The global operator on the union of
 the sets is the block diagonal of the local ones, and it is stored and
 applied blockwise so cross-set entries are exactly zero.
 """
@@ -20,7 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionaries import TransformedDictionary
+from .dictionaries import (
+    TransformedDictionary,
+    has_exact_representation,
+    induced_representation,
+)
 from .dynamics import CHUNK_FLOATS, _advance_chunk, _check_dt, _check_state
 from .errors import (
     InputError,
@@ -31,10 +38,11 @@ from .errors import (
     read_json,
     write_json,
 )
-from .groups import _SortedPoints
+from .groups import GroupElement, _SortedPoints
 from .koopman import KoopmanApprox, eigenvalue_hausdorff, predict
 
 _IMAGE_WINDOW_FLOATS = CHUNK_FLOATS  # at most this many coordinates per image-check window
+_STABILIZER_LEAD = 64  # images of an element the stabilizer matches before the rest
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,6 @@ def transport_case1(op, rep, target_label=None):
             "method": "conjugation",
             "base_label": op.set_label,
             "element": rep.label,
-            "rep_residual": rep.residual,
         },
     )
 
@@ -170,11 +177,15 @@ def transport_case2(op, g, target_label=None):
 def assemble_global(registry, base, reps):
     """Build the global block-diagonal operator in registry label order.
 
-    ``reps`` maps each non-base label to the FeatureRepresentation of its
-    registry element; those blocks are produced by conjugation transport.
+    ``reps`` maps each non-base label to its registry element: the
+    GroupElement, or its FeatureRepresentation. A FeatureRepresentation is
+    conjugated (``transport_case1``). A GroupElement is conjugated with its
+    induced representation when the base dictionary has a closed-form R
+    (``has_exact_representation``), and otherwise transported by the
+    dictionary (``transport_case2``).
 
-    Raises InputError when a transported label's representation is not of
-    its registry element, or two transported labels share one element
+    Raises InputError when a transported label's value is not of its
+    registry element, or two transported labels share one element
     (``check_registry`` also needs the group to catch the identity).
     """
     if base.set_label != registry.base_label:
@@ -182,6 +193,7 @@ def assemble_global(registry, base, reps):
             f"base operator is labeled {base.set_label!r}, registry expects "
             f"{registry.base_label!r}"
         )
+    exact = has_exact_representation(base.dictionary)
     blocks = []
     transported = {}  # element label -> the first label mapped through it
     for label in registry.labels:
@@ -189,11 +201,11 @@ def assemble_global(registry, base, reps):
             blocks.append((label, base))
         else:
             if label not in reps:
-                raise InputError(f"no feature representation supplied for {label!r}")
-            element = registry.mapping[label]
-            if reps[label].label != element:
+                raise InputError(f"no element or representation supplied for {label!r}")
+            element, rep = registry.mapping[label], reps[label]
+            if rep.label != element:
                 raise InputError(
-                    f"representation for {label!r} is of {reps[label].label!r}, "
+                    f"value for {label!r} is of {rep.label!r}, "
                     f"not of its registry element {element!r}"
                 )
             if element in transported:
@@ -202,7 +214,14 @@ def assemble_global(registry, base, reps):
                     f"through the same element {element!r}"
                 )
             transported[element] = label
-            blocks.append((label, transport_case1(base, reps[label], label)))
+            if not isinstance(rep, GroupElement):
+                block = transport_case1(base, rep, label)
+            elif exact:
+                rep = induced_representation(base.dictionary, rep)
+                block = transport_case1(base, rep, label)
+            else:
+                block, _ = transport_case2(base, rep, label)
+            blocks.append((label, block))
     return GlobalKoopman(blocks=tuple(blocks))
 
 
@@ -291,13 +310,17 @@ def data_stabilizer_labels(group, states, tol=1e-8):
     tol * (1 + |gx|) of some sample. This is the setwise-stabilizer
     evidence ``verify_commutation`` asks for.
 
-    The cloud is sorted once (``groups._SortedPoints``), and each
-    element's images are matched against it with radius tol * (1 + |gx|):
-    near-linear in N unless most samples tie on its sort key, in
+    The identity (index 0) qualifies without a match. The cloud is sorted
+    once (``groups._SortedPoints``), and each other element's images are
+    matched against it with radius tol * (1 + |gx|): the first
+    _STABILIZER_LEAD images, then the rest only if all of those landed, so
+    an element that moves the cloud is mostly dropped after a few. Near-
+    linear in N unless most samples tie on the sort key, in
     O((N + _BLOCK) * dim) memory.
 
     Raises InputError for an empty cloud (it would vacuously pass every
-    element), a non-finite sample, or a dimension other than ``group.dim``.
+    element), a non-finite sample, a negative or NaN tol, or a dimension
+    other than ``group.dim``.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.ndim != 2 or states.shape[1] != group.dim:
@@ -308,6 +331,8 @@ def data_stabilizer_labels(group, states, tol=1e-8):
         raise InputError("empty sample cloud: no evidence for any stabilizer")
     if not np.all(np.isfinite(states)):
         raise InputError("sample cloud holds NaN or Inf")
+    if not tol >= 0.0:
+        raise InputError(f"tol must be nonnegative, got {tol}")
 
     cloud = _SortedPoints(states)
 
@@ -318,8 +343,13 @@ def data_stabilizer_labels(group, states, tol=1e-8):
                              np.linalg.norm(diff, axis=1) <= radius[rows], norms)
         return np.all(hits >= 0)
 
-    return tuple(g.label for g in group.elements
-                 if lands_in_cloud(states @ g.matrix.T))
+    def stabilizes(g):
+        mapped = states @ g.matrix.T  # one product: each row as the whole cloud's
+        return (lands_in_cloud(mapped[:_STABILIZER_LEAD])
+                and lands_in_cloud(mapped[_STABILIZER_LEAD:]))
+
+    return (group.identity.label,) + tuple(
+        g.label for g in group.elements[1:] if stabilizes(g))
 
 
 def check_registry(registry, group):

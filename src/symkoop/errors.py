@@ -39,19 +39,6 @@ class NonFiniteGroupError(SymkoopError):
     """Generator closure did not terminate within the allowed order."""
 
 
-class DictionaryNotClosedError(SymkoopError):
-    """The dictionary span is not invariant under the group action.
-
-    Without an invariant span there is no finite-dimensional feature-space
-    representation of the element, so conjugation transport is unavailable
-    for this dictionary. ``residual`` holds the measured defect.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class DegenerateDataError(SymkoopError):
     """Snapshot data carries no usable information (e.g. all-zero Yp)."""
 

@@ -168,6 +168,14 @@ def _fit_chunks(chunk, n, m, rank_tol, dictionary, set_label):
                 if not np.isfinite([data.min(), data.max()]).all():
                     raise InputError("lifted snapshot data contains NaN or Inf")
                 identifiable = identifiable or bool(np.any(Yp_c))
+                # R_f comes out of the same Householder sweep as R_p on
+                # purpose: the reflectors reach the nearly equal Yp and Yf
+                # columns one at a time, so both take the same rounding
+                # errors, and those cancel in K. R_f = Q^T Yf^T formed
+                # apart (compact-WY GEMMs or an explicit Q) saves up to 43%
+                # of the QR but loses that cancellation: a Hamiltonian
+                # degree-2 exact-tier refit went from 1.3e-11 to 7.8e-10,
+                # over the 1e-10 tier.
                 R = np.linalg.qr(stack.T, mode="r")
             if not identifiable:
                 raise DegenerateDataError("Yp is all zero; no operator is identifiable")

@@ -435,7 +435,8 @@ def test_transport_under_a_rotation_is_exact_and_records_no_seed(tmp_path):
     assert run(["transport", "--operator", str(op_path), "--group", str(group_path),
                 "--element", "rot", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["provenance"]["rep_residual"] == 0.0
+    assert payload["provenance"] == {"transported": True, "method": "conjugation",
+                                     "base_label": "right", "element": "rot"}
     assert sorted(payload["config"]) == ["element", "group", "operator"]
 
 
@@ -549,6 +550,9 @@ def test_assemble_hamiltonian_four_sets(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["total_size"] == 8
     assert [b["label"] for b in payload["blocks"]] == ["IS-1", "IS-2", "IS-3", "IS-4"]
+    for block, element in zip(payload["blocks"][1:], ["swap", "negate", "swap*negate"]):
+        assert block["provenance"] == {"transported": True, "method": "conjugation",
+                                       "base_label": "IS-1", "element": element}
 
 
 def test_assemble_registry_with_unknown_element(tmp_path):

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from symkoop import (
     ConfigurationError,
     CustomDictionary,
-    DictionaryNotClosedError,
     GroupElement,
     IdentityDictionary,
     InputError,
+    InvariantSetRegistry,
     MonomialDictionary,
     TransformedDictionary,
     builtin_group,
     dictionary_from_spec,
+    assemble_global,
     generate_group,
     induced_representation,
     lift,
@@ -24,7 +25,12 @@ from symkoop import (
     simulate,
     snapshots,
 )
-from symkoop.dictionaries import _exact_representation, _is_signed_permutation
+from symkoop.dictionaries import (
+    _exact_representation,
+    _is_signed_permutation,
+    has_exact_representation,
+)
+from symkoop.koopman import KoopmanApprox
 
 SWAP = GroupElement("swap", np.array([[0.0, 1.0], [1.0, 0.0]]))
 HALF_TURN = GroupElement("half_turn", np.array([[-1.0, 0.0], [0.0, -1.0]]))
@@ -158,12 +164,11 @@ def test_induced_identity_dictionary_is_gamma():
     gamma = builtin_group("lorenz").elements[1]
     rep = induced_representation(IdentityDictionary(3), gamma)
     assert np.array_equal(rep.matrix, gamma.matrix)
-    assert rep.residual == 0.0
     exported = rep.to_dict()
+    assert sorted(exported) == ["K", "label", "matrix"]
     assert exported["label"] == gamma.label
     assert exported["K"] == 3
     assert np.array_equal(np.array(exported["matrix"]), gamma.matrix)
-    assert exported["residual"] == 0.0
 
 
 def test_induced_swap_on_monomials_is_permutation():
@@ -174,7 +179,6 @@ def test_induced_swap_on_monomials_is_permutation():
     for i, lbl in enumerate(d.labels):
         expected[i, d.labels.index(order[lbl])] = 1.0
     assert np.array_equal(rep.matrix, expected)
-    assert rep.residual == 0.0
 
 
 def test_induced_half_turn_on_monomials_is_degree_parity():
@@ -188,18 +192,19 @@ def test_induced_rotation_on_linear_monomials():
     g = rotation(0.7)
     rep = induced_representation(d, g)
     assert np.array_equal(rep.matrix, g.matrix)
-    assert rep.residual == 0.0
 
 
 def test_incomplete_degree_dictionary_not_closed_under_rotation():
-    # (cos p x - sin p y)^2 needs x*y and y^2, which this span lacks
+    # (cos p x - sin p y)^2 needs x*y and y^2, which this span lacks; a
+    # custom dictionary has no closed-form R at all, closed or not
     d = CustomDictionary(
         2, [lambda x: x[0], lambda x: x[1], lambda x: x[0] ** 2],
         labels=["x1", "x2", "x1^2"],
     )
-    with pytest.raises(DictionaryNotClosedError) as info:
-        induced_representation(d, rotation(0.7), seed=4)
-    assert info.value.residual > 1e-8
+    assert not has_exact_representation(d)
+    with pytest.raises(InputError, match="no closed-form representation of 'rot'.*"
+                                         "transport_case2"):
+        induced_representation(d, rotation(0.7))
 
 
 def test_representation_identity_element_is_exact():
@@ -230,23 +235,36 @@ def as_custom(d):
     )
 
 
-def test_representation_homomorphism_numerical_path():
-    # custom dictionaries go through the least-squares identification; this
-    # one spans the degree-2 monomials, under the C8 rotations
+def custom_operator(d, label="base"):
+    """An operator on dictionary ``d``, as a fit would leave it."""
+    K = np.random.default_rng(d.size).normal(size=(d.size, d.size))
+    return KoopmanApprox(matrix=K, dictionary=d, set_label=label, fit_residual=0.0,
+                         rank_used=d.size)
+
+
+def test_custom_span_of_monomials_transports_by_dictionary():
+    # a custom dictionary spanning the degree-2 monomials, under the C8
+    # rotations: no R is formed, and assembling through the elements keeps
+    # K and composes the dictionary with each inverse rotation
     group = generate_group([rotation(math.pi / 4.0, "r8")], max_order=16)
     assert group.order == 8
     d = as_custom(MonomialDictionary(2, 2))
-    reps = [induced_representation(d, g, seed=9) for g in group.elements]
-    assert all(0.0 < rep.residual <= 1e-8 for rep in reps[1:])
-    eye_defect = np.max(np.abs(reps[0].matrix - np.eye(d.size)))
-    assert eye_defect <= 1e-10
-    for i in range(group.order):
-        for j in range(group.order):
-            k = group.multiply(i, j)
-            defect = np.max(
-                np.abs(reps[k].matrix - reps[i].matrix @ reps[j].matrix)
-            )
-            assert defect <= 1e-8
+    for g in group.elements:
+        with pytest.raises(InputError, match="no closed-form representation"):
+            induced_representation(d, g)
+    labels = tuple(g.label for g in group.elements)
+    registry = InvariantSetRegistry(labels=labels, base_label="e",
+                                    mapping={g.label: g.label for g in group.elements[1:]})
+    base = custom_operator(d, "e")
+    gk = assemble_global(registry, base, {g.label: g for g in group.elements[1:]})
+    X = np.random.default_rng(9).uniform(-1.0, 1.0, size=(2, 20))
+    for g in group.elements[1:]:
+        block = gk.block(g.label)
+        assert block.provenance["method"] == "dictionary"
+        assert np.array_equal(block.matrix, base.matrix)
+        # g^T g is the identity to rounding, so psi_g(g x) is psi(x) to rounding
+        moved = block.dictionary.evaluate_matrix(g.matrix @ X)
+        assert np.max(np.abs(moved - d.evaluate_matrix(X))) <= 1e-14
 
 
 def test_representation_homomorphism_nonabelian_group():
@@ -271,15 +289,14 @@ def test_monomial_dictionaries_closed_for_builtin_groups_degrees_1_to_4():
         group = builtin_group(name)
         for degree in range(1, 5):
             d = MonomialDictionary(group.dim, degree)
+            X = np.random.default_rng(degree).uniform(-2.0, 2.0, size=(group.dim, 20))
+            F = d.evaluate_matrix(X)
             for g in group.elements:
                 rep = induced_representation(d, g)
-                assert rep.residual <= 1e-8
-
-
-def test_probe_count_must_cover_dictionary():
-    d = CustomDictionary(2, [lambda x: x[0], lambda x: x[1]])
-    with pytest.raises(InputError):
-        induced_representation(d, rotation(0.3), probe_count=1)
+                # the built-in elements are signed permutations, and so is R
+                assert _is_signed_permutation(rep.matrix)
+                defect = np.max(np.abs(d.evaluate_matrix(g.matrix @ X) - rep.matrix @ F))
+                assert defect <= 1e-14 * np.max(np.abs(F))
 
 
 def test_representation_defining_identity_out_of_sample():
@@ -331,16 +348,18 @@ def test_transformed_dictionary_needs_an_orthogonal_gamma(matrix, message):
         dictionary_from_spec(spec)
 
 
-def test_transformed_custom_dictionary_keeps_the_probe_cloud():
+def test_transformed_custom_dictionary_has_no_representation():
     custom = as_custom(MonomialDictionary(2, 2))
     wrapped = TransformedDictionary(custom, rotation(0.4).matrix, "w")
-    rep = induced_representation(wrapped, rotation(0.7), seed=1)
-    assert 0.0 < rep.residual <= 1e-8
-    exact = induced_representation(
-        TransformedDictionary(MonomialDictionary(2, 2), rotation(0.4).matrix, "w"),
-        rotation(0.7))
-    assert exact.residual == 0.0
-    assert np.max(np.abs(rep.matrix - exact.matrix)) <= 1e-12
+    assert not has_exact_representation(wrapped)
+    with pytest.raises(InputError, match="no closed-form representation"):
+        induced_representation(wrapped, rotation(0.7))
+    exact = TransformedDictionary(MonomialDictionary(2, 2), rotation(0.4).matrix, "w")
+    assert has_exact_representation(exact)
+    # dictionary transport is the route for the wrapper too
+    registry = InvariantSetRegistry(labels=("a", "b"), base_label="a", mapping={"b": "rot"})
+    gk = assemble_global(registry, custom_operator(wrapped, "a"), {"b": rotation(0.7)})
+    assert gk.block("b").provenance["method"] == "dictionary"
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +441,6 @@ def test_exact_representation_holds_out_of_sample(case, data, seed):
     group, d, signed = case
     g = group.elements[data.draw(st.integers(0, group.order - 1))]
     rep = induced_representation(d, g)
-    assert rep.residual == 0.0
     X = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(d.dim, 20))
     F = d.evaluate_matrix(X)
     defect = np.max(np.abs(d.evaluate_matrix(g.matrix @ X) - rep.matrix @ F))

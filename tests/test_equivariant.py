@@ -1,7 +1,10 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symkoop import (
     FeatureRepresentation,
@@ -35,7 +38,12 @@ from symkoop import (
 )
 from symkoop.groups import _BLOCK
 from symkoop.koopman import KoopmanApprox
-from symkoop.scenarios import builtin_registry, membership_predicates
+from symkoop.scenarios import (
+    builtin_registry,
+    draw_base_state,
+    experiment,
+    membership_predicates,
+)
 
 # Fixed example operators, one per built-in system. The expected transported
 # matrices are hand-derived: conjugating by a signed permutation permutes and
@@ -77,7 +85,7 @@ def test_transport_reproduces_toggle_switch_example():
 
 
 def test_transport_identity_representation_is_noop():
-    rep = FeatureRepresentation("e", np.eye(2), 0.0)
+    rep = FeatureRepresentation("e", np.eye(2))
     out = transport_case1(wrap(K_RIGHT), rep)
     assert np.array_equal(out.matrix, K_RIGHT)
 
@@ -123,7 +131,7 @@ def test_transport_composition_follows_group_product():
 
 def test_transport_dimension_mismatch():
     with pytest.raises(InputError):
-        transport_case1(wrap(K_RIGHT), FeatureRepresentation("g", np.eye(3), 0.0))
+        transport_case1(wrap(K_RIGHT), FeatureRepresentation("g", np.eye(3)))
 
 
 def test_case2_identity_keeps_dictionary_semantics():
@@ -177,6 +185,43 @@ def test_case2_one_step_residual_matches_fit():
     Yf = case2_dict.evaluate_matrix(Xf_t)
     residual = np.linalg.norm(case2_op.matrix @ Yp - Yf) / np.linalg.norm(Yf)
     assert residual == pytest.approx(op.fit_residual, rel=1e-9)
+
+
+@functools.cache
+def exact_run_fit(name, degree):
+    """A monomial fit on the built-in system's well-conditioned exact run."""
+    x0, dt, n_steps = experiment(name).exact_run
+    d = MonomialDictionary(len(x0), degree)
+    return fit_trajectory(simulate(make_system(name), x0, dt, n_steps), d, set_label="base")
+
+
+# Both readouts below do the same products, R and R^-1 being signed
+# permutations, but sum them in another order (and multiply each monomial's
+# factors in another order), so they differ by rounding only: about K eps
+# per step, K <= 20, over 50 steps of an operator whose spectral radius is
+# at most 1.02, which is below 1e-12 (seen: at most 3.3e-15).
+STATE_SPACE_TOL = 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["lorenz", "toggle_switch", "hamiltonian"]),
+       degree=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_case1_and_case2_agree_in_state_space(name, degree, data, seed):
+    """From g x0, the case-2 block forecasts the base block's features from
+    x0 bit for bit, and the conjugated block's degree-1 readout is g times
+    the base readout over 50 steps."""
+    group = builtin_group(name)
+    g = group.elements[data.draw(st.integers(0, group.order - 1))]
+    base = exact_run_fit(name, degree)
+    x0 = draw_base_state(name, np.random.default_rng(seed))
+    forecast = predict(base, x0, 50)
+    case2, _ = transport_case2(base, g)
+    assert np.array_equal(predict(case2, g.matrix @ x0, 50), forecast)
+    case1 = transport_case1(base, induced_representation(base.dictionary, g))
+    states = slice(1, 1 + group.dim)  # the degree-1 rows, after the constant
+    expected = forecast[:, states] @ g.matrix.T
+    error = np.max(np.abs(predict(case1, g.matrix @ x0, 50)[:, states] - expected))
+    assert error <= STATE_SPACE_TOL * np.max(np.abs(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +278,23 @@ def test_assemble_hamiltonian_four_blocks():
     for label in registry.labels:
         origin = gk.block(label).is_transported
         assert origin == (label != "IS-1")
+
+
+@pytest.mark.parametrize("name", ["toggle_switch", "hamiltonian", "lorenz"])
+def test_assemble_from_elements_conjugates_polynomial_dictionaries(name):
+    """Given the elements, a monomial base is conjugated: each block is bit
+    for bit the one assembled from the representations."""
+    registry, group = builtin_registry(name), builtin_group(name)
+    base = replace(exact_run_fit(name, 2), set_label=registry.base_label)
+    elements = {label: group.element(e) for label, e in registry.mapping.items()}
+    reps = {label: induced_representation(base.dictionary, g) for label, g in elements.items()}
+    from_elements = assemble_global(registry, base, elements)
+    from_reps = assemble_global(registry, base, reps)
+    for label, g in elements.items():
+        block = from_elements.block(label)
+        assert block.provenance == {"transported": True, "method": "conjugation",
+                                    "base_label": registry.base_label, "element": g.label}
+        assert np.array_equal(block.matrix, from_reps.block(label).matrix)
 
 
 def test_assemble_validates_inputs():
@@ -309,7 +371,7 @@ def test_verify_conjugation_exact_mirror_all_systems():
 
 def test_verify_conjugation_identity_is_zero():
     op = wrap(K_RIGHT)
-    rep = FeatureRepresentation("e", np.eye(2), 0.0)
+    rep = FeatureRepresentation("e", np.eye(2))
     report = verify_conjugation(op, op, rep, frobenius_tol=1e-15, hausdorff_tol=1e-15)
     assert report.frobenius_error == 0.0
     assert report.hausdorff_distance == 0.0
@@ -366,6 +428,13 @@ def test_stabilizer_rejects_bad_cloud(cloud):
     # every one, and a wrong width cannot be acted on
     with pytest.raises(InputError):
         data_stabilizer_labels(builtin_group("toggle_switch"), cloud)
+
+
+@pytest.mark.parametrize("tol", [-1e-8, float("nan")])
+def test_stabilizer_rejects_a_tol_no_identity_would_pass(tol):
+    # the identity is taken without a match, which holds only for tol >= 0
+    with pytest.raises(InputError, match="tol must be nonnegative"):
+        data_stabilizer_labels(builtin_group("toggle_switch"), np.ones((3, 2)), tol)
 
 
 def test_check_registry_rejects_labels_sharing_a_stabilizer_coset():

@@ -29,6 +29,7 @@ from symkoop import (
     save_group,
 )
 from symkoop import groups
+from symkoop.equivariant import _STABILIZER_LEAD
 from symkoop.groups import (
     _BLOCK,
     MATRIX_MATCH_TOL,
@@ -671,6 +672,41 @@ def test_stabilizer_matches_all_pairs(name, seed, n, exponent, images, duplicate
         direction /= np.linalg.norm(direction)
         states[i] += nudge * 1e-8 * (1.0 + np.linalg.norm(states[i])) * direction
     assert data_stabilizer_labels(group, states) == all_pairs_stabilizer(group, states)
+
+
+LEAD = _STABILIZER_LEAD
+
+
+@PROPERTY
+@given(
+    name=st.sampled_from(sorted(STABILIZER_GROUPS)),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(0, 3),
+    at=st.one_of(st.sampled_from([0, LEAD - 1, LEAD, 2 * LEAD]), st.integers(0, 2 * LEAD)),
+    nudge=st.sampled_from([0.0, 0.999, 1.001, 1e3]),
+)
+def test_stabilizer_miss_inside_or_after_the_leading_block(name, seed, extra, at, nudge):
+    """A shuffled cloud closed under the group, of more than 2 * LEAD rows,
+    with one more sample put at row ``at``: a copy of a cloud sample moved
+    by nudge * tol (1 + |x|). Its images are the only ones that may miss,
+    in the leading block (at < LEAD) or after it; a moved sample they all
+    miss leaves the identity alone."""
+    group = STABILIZER_GROUPS[name]
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-2.0, 2.0, size=(2 * LEAD // group.order + 1 + extra, group.dim))
+    cloud = np.vstack([base @ g.matrix.T for g in group.elements])
+    cloud = cloud[rng.permutation(len(cloud))]
+    assert len(cloud) > 2 * LEAD
+    direction = rng.standard_normal(group.dim)
+    direction /= np.linalg.norm(direction)
+    moved = cloud[0] + nudge * 1e-8 * (1.0 + np.linalg.norm(cloud[0])) * direction
+    states = np.insert(cloud, at, moved, axis=0)
+    labels = data_stabilizer_labels(group, states)
+    assert labels == all_pairs_stabilizer(group, states)
+    if nudge == 0.0:
+        assert labels == tuple(group.labels())
+    if nudge == 1e3:
+        assert labels == (group.identity.label,)
 
 
 def test_stabilizer_matches_all_pairs_when_windows_span_chunks():
