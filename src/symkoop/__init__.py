@@ -35,7 +35,6 @@ from .equivariant import (
     InvariantSetRegistry,
     assemble_global,
     check_registry,
-    commutator_norm,
     data_stabilizer_labels,
     global_predict,
     load_global,

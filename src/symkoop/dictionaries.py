@@ -299,9 +299,6 @@ class FeatureRepresentation:
             return self.matrix.T
         return np.linalg.inv(self.matrix)
 
-    def to_dict(self):
-        return {"label": self.label, "K": self.size, "matrix": self.matrix.tolist()}
-
 
 def _is_signed_permutation(m):
     nonzero = m != 0.0

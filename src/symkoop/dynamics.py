@@ -221,6 +221,11 @@ STATE_CHUNK = 256  # simulate steps, checks and stores at most this many steps a
 CHUNK_FLOATS = 2 ** 14  # and coordinates, at least one step; so do the image check's windows
 
 
+def _chunk_steps(size):
+    """Steps per chunk of a block of ``size`` coordinates."""
+    return max(1, min(STATE_CHUNK, CHUNK_FLOATS // size))
+
+
 def _check_state(system, x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (system.dim,) or x.ndim > 2:
@@ -398,7 +403,7 @@ def simulate(system, x0, dt, n_steps, discard=0):
     total = n_steps + discard
     states = np.empty((x0.size // system.dim, total + 1, system.dim))
     states[:, 0] = x0.reshape(-1, system.dim)
-    chunk = max(1, min(STATE_CHUNK, CHUNK_FLOATS // x0.size))
+    chunk = _chunk_steps(x0.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(1, total + 1, chunk):
             stop = min(start + chunk, total + 1)

@@ -28,7 +28,7 @@ from .dictionaries import (
     has_exact_representation,
     induced_representation,
 )
-from .dynamics import CHUNK_FLOATS, _advance_chunk, _check_dt, _check_state
+from .dynamics import _advance_chunk, _check_dt, _check_state, _chunk_steps
 from .errors import (
     InputError,
     IsotropyRequiredError,
@@ -41,7 +41,7 @@ from .errors import (
 from .groups import GroupElement, _SortedPoints
 from .koopman import KoopmanApprox, eigenvalue_hausdorff, predict
 
-_IMAGE_WINDOW_FLOATS = CHUNK_FLOATS  # at most this many coordinates per image-check window
+STABILIZER_TOL = 1e-8  # relative radius of a data-stabilizer match
 _STABILIZER_LEAD = 64  # images of an element the stabilizer matches before the rest
 
 
@@ -149,18 +149,17 @@ def transport_case1(op, rep, target_label=None):
 def transport_case2(op, g, target_label=None):
     """Transport by transforming the dictionary instead of the matrix.
 
-    Returns ``(operator, dictionary)`` where the operator matrix is the
-    unchanged K_i and the dictionary evaluates psi_k(gamma^-1 x). The pair
-    governs feature evolution on the image set.
+    The returned operator keeps the matrix K_i unchanged, and its dictionary
+    evaluates psi_k(gamma^-1 x); together they govern feature evolution on
+    the image set.
     """
     if op.dictionary.dim != g.dim:
         raise InputError("operator dictionary and element dimensions differ")
     if target_label is None:
         target_label = f"{op.set_label}:{g.label}"
-    transformed = TransformedDictionary(op.dictionary, g.matrix, g.label)
-    new_op = KoopmanApprox(
+    return KoopmanApprox(
         matrix=op.matrix.copy(),
-        dictionary=transformed,
+        dictionary=TransformedDictionary(op.dictionary, g.matrix, g.label),
         set_label=target_label,
         fit_residual=op.fit_residual,
         rank_used=op.rank_used,
@@ -171,7 +170,6 @@ def transport_case2(op, g, target_label=None):
             "element": g.label,
         },
     )
-    return new_op, transformed
 
 
 def assemble_global(registry, base, reps):
@@ -220,7 +218,7 @@ def assemble_global(registry, base, reps):
                 rep = induced_representation(base.dictionary, rep)
                 block = transport_case1(base, rep, label)
             else:
-                block, _ = transport_case2(base, rep, label)
+                block = transport_case2(base, rep, label)
             blocks.append((label, block))
     return GlobalKoopman(blocks=tuple(blocks))
 
@@ -246,40 +244,21 @@ def global_predict(gk, label, x0, steps, full=False):
 
 @dataclass(frozen=True)
 class ConjugationReport:
-    """Comparison of an independently fitted operator against a transported
-    one: matrix error, spectral error, and pass flags."""
+    """How far an independently fitted K_j is from the transported
+    R K_i R^-1: the relative Frobenius error of the matrices and the
+    Hausdorff distance of their eigenvalues. Each tier judges the error it
+    needs against its own tolerance."""
 
     frobenius_error: float
     hausdorff_distance: float
-    frobenius_tol: Optional[float]
-    hausdorff_tol: Optional[float]
-
-    @property
-    def passed(self):
-        ok = True
-        if self.frobenius_tol is not None:
-            ok &= self.frobenius_error <= self.frobenius_tol
-        if self.hausdorff_tol is not None:
-            ok &= self.hausdorff_distance <= self.hausdorff_tol
-        return bool(ok)
-
-    def to_dict(self):
-        return {
-            "frobenius_error": self.frobenius_error,
-            "hausdorff_distance": self.hausdorff_distance,
-            "frobenius_tol": self.frobenius_tol,
-            "hausdorff_tol": self.hausdorff_tol,
-            "passed": self.passed,
-        }
 
 
-def verify_conjugation(op_i, op_j, rep, frobenius_tol=1e-10, hausdorff_tol=None):
-    """Check K_j against R K_i R^-1.
+def verify_conjugation(op_i, op_j, rep):
+    """Compare K_j against R K_i R^-1.
 
-    Pass ``frobenius_tol`` for the exact tier (K_j fitted on exactly
-    transformed data) and ``hausdorff_tol`` for the statistical tier (K_j
-    fitted on an independent trajectory of the mirrored set); either
-    tolerance may be None to skip that criterion.
+    The exact tier (K_j fitted on exactly transformed data) bounds the
+    Frobenius error; the statistical tier (K_j fitted on an independent
+    trajectory of the mirrored set) bounds the eigenvalue distance.
     """
     if op_i.size != op_j.size or op_i.size != rep.size:
         raise InputError("operator and representation sizes must match")
@@ -289,38 +268,25 @@ def verify_conjugation(op_i, op_j, rep, frobenius_tol=1e-10, hausdorff_tol=None)
     haus = eigenvalue_hausdorff(
         np.linalg.eigvals(op_j.matrix), np.linalg.eigvals(transported)
     )
-    return ConjugationReport(
-        frobenius_error=frob,
-        hausdorff_distance=haus,
-        frobenius_tol=frobenius_tol,
-        hausdorff_tol=hausdorff_tol,
-    )
+    return ConjugationReport(frobenius_error=frob, hausdorff_distance=haus)
 
 
-def commutator_norm(op, rep):
-    """||K R - R K||_F / ||K||_F, with no isotropy precondition (diagnostic
-    use; expected to be large when the element moves the fitted set)."""
-    K, R = op.matrix, rep.matrix
-    return float(np.linalg.norm(K @ R - R @ K) / np.linalg.norm(K))
-
-
-def data_stabilizer_labels(group, states, tol=1e-8):
+def data_stabilizer_labels(group, states):
     """Labels of the elements mapping a sample cloud into itself: g
     qualifies when every transformed sample gx lands within
-    tol * (1 + |gx|) of some sample. This is the setwise-stabilizer
-    evidence ``verify_commutation`` asks for.
+    STABILIZER_TOL * (1 + |gx|) of some sample. This is the setwise-
+    stabilizer evidence ``verify_commutation`` asks for.
 
     The identity (index 0) qualifies without a match. The cloud is sorted
     once (``groups._SortedPoints``), and each other element's images are
-    matched against it with radius tol * (1 + |gx|): the first
+    matched against it with radius STABILIZER_TOL * (1 + |gx|): the first
     _STABILIZER_LEAD images, then the rest only if all of those landed, so
     an element that moves the cloud is mostly dropped after a few. Near-
     linear in N unless most samples tie on the sort key, in
     O((N + _BLOCK) * dim) memory.
 
     Raises InputError for an empty cloud (it would vacuously pass every
-    element), a non-finite sample, a negative or NaN tol, or a dimension
-    other than ``group.dim``.
+    element), a non-finite sample, or a dimension other than ``group.dim``.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.ndim != 2 or states.shape[1] != group.dim:
@@ -331,14 +297,12 @@ def data_stabilizer_labels(group, states, tol=1e-8):
         raise InputError("empty sample cloud: no evidence for any stabilizer")
     if not np.all(np.isfinite(states)):
         raise InputError("sample cloud holds NaN or Inf")
-    if not tol >= 0.0:
-        raise InputError(f"tol must be nonnegative, got {tol}")
 
     cloud = _SortedPoints(states)
 
     def lands_in_cloud(mapped):
         norms = np.linalg.norm(mapped, axis=1)
-        radius = tol * (1.0 + norms)
+        radius = STABILIZER_TOL * (1.0 + norms)
         hits = cloud.matches(mapped, radius, lambda diff, rows:
                              np.linalg.norm(diff, axis=1) <= radius[rows], norms)
         return np.all(hits >= 0)
@@ -401,9 +365,10 @@ def check_registry(registry, group):
 
 
 def verify_commutation(op, rep, stabilizer_labels):
-    """Commutator norm of K with R, allowed only for elements stabilizing
-    the fitted set (its isotropy, g . M = M); for anything else
-    finite-dimensional commutation is not implied and the check refuses.
+    """Relative commutator norm ||K R - R K||_F / ||K||_F, allowed only
+    for elements stabilizing the fitted set (its isotropy, g . M = M); for
+    anything else finite-dimensional commutation is not implied and the
+    check refuses.
 
     ``stabilizer_labels`` is the caller's evidence, e.g. from
     ``data_stabilizer_labels`` on the fitted samples or from a pointwise
@@ -416,7 +381,8 @@ def verify_commutation(op, rep, stabilizer_labels):
             "elements mapping the set to itself (use conjugation transport "
             "across sets instead)"
         )
-    return commutator_norm(op, rep)
+    K, R = op.matrix, rep.matrix
+    return float(np.linalg.norm(K @ R - R @ K) / np.linalg.norm(K))
 
 
 @dataclass(frozen=True)
@@ -428,14 +394,6 @@ class InvariantImageReport:
     n_samples: int
     horizon: int
     failed_indices: tuple
-
-    def to_dict(self):
-        return {
-            "fraction": self.fraction,
-            "n_samples": self.n_samples,
-            "horizon": self.horizon,
-            "failed_indices": list(self.failed_indices),
-        }
 
 
 def verify_invariant_set_image(system, g, samples, dt, horizon, membership):
@@ -449,19 +407,18 @@ def verify_invariant_set_images(system, images, samples, dt, horizon):
     report per image the fraction whose entire forward orbit satisfies that
     image's membership predicate.
 
-    All images are stepped as one block of columns, image by image in
+    All images are stepped as one fixed block of columns, image by image in
     sample order. After step 0 the block is stepped a window of steps at a
-    time (at most _IMAGE_WINDOW_FLOATS coordinates, at least one step),
-    and each predicate is called once per window on its image's columns of
-    every step of the window. A column is dropped at the end of the window
-    in which it leaves its set, so it is stepped at most to that window's
-    end, and an orbit that leaves and later diverges raises nothing: a
-    divergence counts only at or before the step the column leaves. The
-    drops keep the order, so each image's columns stay one contiguous
-    slice.
+    time, with the chunking of ``simulate`` (``dynamics._chunk_steps``), and
+    each predicate is called once per window on its image's columns of
+    every step of the window. One mask ``held`` marks the columns that
+    have stayed in their set so far; the loop stops at the horizon or once
+    no column is held. A column that leaves stays in the block, but an
+    orbit that leaves and later diverges raises nothing: a divergence
+    counts only at or before the step its column leaves.
 
     ``membership`` takes states as columns, a (dim, N) block, and returns a
-    boolean mask of shape (N,). The block may hold several steps of each
+    boolean mask of shape (N,). The block holds several steps of each
     column, and states after a column has left or gone non-finite, so the
     predicate must judge each column on its own. A divergence names the
     first step, at that step the first sample in image order, and the
@@ -476,64 +433,57 @@ def verify_invariant_set_images(system, images, samples, dt, horizon):
     n = len(samples)
     if n == 0:
         raise InputError("need at least one sample")
-    edges = n * np.arange(len(images) + 1)
+    # column c holds sample c % n of image c // n
     y = np.concatenate([g.matrix @ samples.T for g, _ in images], axis=1)
-    active = np.arange(edges[-1])  # column c holds sample c % n of image c // n
-    keep = _memberships(images, y[None], edges)[0]
+    held = _memberships(images, y[None], n)[0]
+    window = _chunk_steps(y.size)
     k = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while True:
-            if not keep.all():
-                active, y = active[keep], y[:, keep]
-            if k == horizon or not active.size:
-                break
-            bounds = np.searchsorted(active, edges)
-            w = min(horizon - k, max(1, _IMAGE_WINDOW_FLOATS // y.size))
+        while k < horizon and held.any():
+            w = min(horizon - k, window)
             states = _advance_chunk(system, y.T, dt, w)
             y = states[-1]
             # per column, the window step it first goes non-finite and the
             # one it first leaves at; w where it does neither
             bad = np.logical_and.accumulate(np.isfinite(states).all(axis=1)).sum(axis=0)
-            out = np.logical_and.accumulate(_memberships(images, states, bounds)).sum(axis=0)
-            raises_at = np.where(bad <= out, bad, w)
+            out = np.logical_and.accumulate(_memberships(images, states, n)).sum(axis=0)
+            raises_at = np.where(held & (bad <= out), bad, w)
             column = int(np.argmin(raises_at))
             if raises_at[column] < w:
                 step_index = k + 1 + int(raises_at[column])
-                image, start = divmod(int(active[column]), n)
+                image, start = divmod(column, n)
                 raise NumericalDivergenceError(
                     f"non-finite state from {system.name!r} at step {step_index} "
                     f"of {horizon} from start {start} under element "
                     f"{images[image][0].label!r}",
                     step_index=step_index, start_index=start,
                 )
-            keep = out == w
+            held &= out == w
             k += w
-    reports = []
-    for a, b in zip(edges, edges[1:]):
-        failed = np.setdiff1d(np.arange(a, b), active) - a
-        reports.append(InvariantImageReport(
+    return [
+        InvariantImageReport(
             fraction=(n - len(failed)) / n,
             n_samples=n,
             horizon=horizon,
             failed_indices=tuple(failed.tolist()),
-        ))
-    return reports
+        )
+        for failed in map(np.flatnonzero, ~held.reshape(len(images), n))
+    ]
 
 
-def _memberships(images, states, bounds):
-    """Each image's predicate on its columns bounds[i]:bounds[i + 1] of the
-    window ``states`` (w, dim, cols), called once on all w steps as one
-    (dim, w * c) block; the flags as a (w, cols) mask."""
+def _memberships(images, states, n):
+    """Each image's predicate on its n columns of the window ``states``
+    (w, dim, cols), called once on all w steps as one (dim, w * n) block;
+    the flags as a (w, cols) mask."""
     w, dim, cols = states.shape
     inside = np.empty((w, cols), dtype=bool)
-    for (_, membership), a, b in zip(images, bounds, bounds[1:]):
-        if a == b:
-            continue
-        block = states[:, :, a:b].transpose(1, 0, 2).reshape(dim, w * (b - a))
+    for i, (_, membership) in enumerate(images):
+        columns = slice(i * n, (i + 1) * n)
+        block = states[:, :, columns].transpose(1, 0, 2).reshape(dim, w * n)
         flags = np.asarray(membership(block), dtype=bool)
-        if flags.shape != (w * (b - a),):
+        if flags.shape != (w * n,):
             raise InputError("membership must return one boolean per state (column)")
-        inside[:, a:b] = flags.reshape(w, b - a)
+        inside[:, columns] = flags.reshape(w, n)
     return inside
 
 

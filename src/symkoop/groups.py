@@ -27,6 +27,8 @@ MATRIX_MATCH_TOL = 1e-10  # max-norm tolerance for element identification
 _INCONSISTENT = "element matching at MATRIX_MATCH_TOL is inconsistent for these generators"
 ORTHOGONALITY_TOL = 1e-10
 DEFAULT_MAX_ORDER = 64  # closure limit unless the caller or a group file sets one
+EQUIVARIANCE_TOL = 1e-12  # relative one-step defect check_equivariance passes
+ISOTROPY_TOL = 1e-8  # relative radius of isotropy_set's fixed-point test
 AXIOMS = ("closure", "identity", "inverses", "associativity")  # check_axioms' keys
 
 
@@ -125,7 +127,6 @@ class IsotropyReport:
 
     member_indices: tuple
     is_subgroup: bool
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -133,21 +134,10 @@ class EquivarianceReport:
     """Per-element equivariance defects of the one-step map."""
 
     entries: tuple  # of (label, max_defect, passed)
-    tolerance: float
 
     @property
     def all_passed(self):
         return all(passed for _, _, passed in self.entries)
-
-    def to_dict(self):
-        return {
-            "tolerance": self.tolerance,
-            "all_passed": self.all_passed,
-            "elements": [
-                {"label": lbl, "max_defect": defect, "passed": passed}
-                for lbl, defect, passed in self.entries
-            ],
-        }
 
 
 _BLOCK = 1 << 14  # candidate pairs tested per step in _SortedPoints.matches
@@ -485,10 +475,10 @@ def transform_snapshots(pairs, g):
 # ---------------------------------------------------------------------------
 # checks
 
-def check_equivariance(system, group, dt, samples, tol=1e-12):
+def check_equivariance(system, group, dt, samples):
     """Measure, per non-identity element, the worst relative defect of
     step(g x) - g step(x) over the sample states (rows), stepped as one
-    block per element."""
+    block per element; an element passes at EQUIVARIANCE_TOL."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     stepped = step(system, samples, dt)
     scale = 1.0 + np.linalg.norm(stepped, axis=1)
@@ -497,31 +487,29 @@ def check_equivariance(system, group, dt, samples, tol=1e-12):
         lhs = step(system, samples @ g.matrix.T, dt)
         defect = np.linalg.norm(lhs - stepped @ g.matrix.T, axis=1) / scale
         worst = float(defect.max(initial=0.0))
-        entries.append((g.label, worst, worst <= tol))
-    return EquivarianceReport(entries=tuple(entries), tolerance=tol)
+        entries.append((g.label, worst, worst <= EQUIVARIANCE_TOL))
+    return EquivarianceReport(entries=tuple(entries))
 
 
-def _isotropy_report(group, members, tol):
+def _isotropy_report(group, members):
     member_set = set(members)
     is_subgroup = all(
         group.multiply(i, j) in member_set for i in members for j in members
     )
-    return IsotropyReport(
-        member_indices=tuple(members), is_subgroup=is_subgroup, tolerance=tol
-    )
+    return IsotropyReport(member_indices=tuple(members), is_subgroup=is_subgroup)
 
 
-def isotropy_set(group, traj, tol=1e-8):
+def isotropy_set(group, traj):
     """Elements fixing every sampled state of the trajectory, membership
-    decided by the relative test |g x_t - x_t| <= tol (1 + |x_t|)."""
+    decided by the relative test |g x_t - x_t| <= ISOTROPY_TOL (1 + |x_t|)."""
     states = traj.states
     norms = 1.0 + np.linalg.norm(states, axis=1)
     members = []
     for i, g in enumerate(group.elements):
         residual = np.linalg.norm(states @ g.matrix.T - states, axis=1)
-        if np.all(residual <= tol * norms):
+        if np.all(residual <= ISOTROPY_TOL * norms):
             members.append(i)
-    return _isotropy_report(group, members, tol)
+    return _isotropy_report(group, members)
 
 
 def conjugate_isotropy(group, report, g):
@@ -535,7 +523,7 @@ def conjugate_isotropy(group, report, g):
     members = sorted(
         group.multiply(group.multiply(gi, j), gi_inv) for j in report.member_indices
     )
-    return _isotropy_report(group, members, report.tolerance)
+    return _isotropy_report(group, members)
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +544,10 @@ def group_to_dict(group):
     return data
 
 
-def group_from_dict(data, max_order=DEFAULT_MAX_ORDER):
+def group_from_dict(data):
     """The group of a group file; its ``max_order`` key, if present, replaces
-    the ``max_order`` argument as the limit of the closure."""
-    max_order = data.get("max_order", max_order)
+    DEFAULT_MAX_ORDER as the limit of the closure."""
+    max_order = data.get("max_order", DEFAULT_MAX_ORDER)
     if type(max_order) is not int or max_order < 1:
         raise ConfigurationError(
             f"max_order must be a positive integer, got {reprlib.repr(max_order)}")
@@ -580,5 +568,5 @@ def save_group(group, path):
     write_json(path, group_to_dict(group))
 
 
-def load_group(path, max_order=DEFAULT_MAX_ORDER):
-    return read_json(path, lambda data: group_from_dict(data, max_order=max_order))
+def load_group(path):
+    return read_json(path, group_from_dict)

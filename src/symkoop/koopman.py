@@ -327,11 +327,3 @@ def spectrum_to_list(spec):
         }
         for i, lam in enumerate(spec.eigenvalues)
     ]
-
-
-def spectrum_from_list(entries):
-    eigenvalues = np.array([e["re"] + 1j * e["im"] for e in entries])
-    coefficients = np.array(
-        [np.array(e["w_re"]) + 1j * np.array(e["w_im"]) for e in entries]
-    )
-    return Spectrum(eigenvalues=eigenvalues, coefficients=coefficients)

@@ -52,7 +52,8 @@ def test_criterion_01_equivariance():
     worst = 0.0
     ok = True
     for name in SYSTEMS:
-        result = scenarios.check_equivariance(name, n_samples=1000, tol=1e-12)
+        result = scenarios.check_equivariance(name)
+        ok &= result.metrics["tol"] == 1e-12 and result.metrics["n_samples"] == 1000
         ok &= result.passed
         worst = max(worst, result.metrics["worst_defect"])
     _criterion(
@@ -67,7 +68,8 @@ def test_criterion_02_exact_conjugation_tier():
     worst = 0.0
     ok = True
     for name in SYSTEMS:
-        result = scenarios.check_conjugation_exact(name, tol=1e-10)
+        result = scenarios.check_conjugation_exact(name)
+        ok &= result.metrics["tol"] == 1e-10
         ok &= result.passed
         worst = max(worst, result.metrics["worst_frobenius_error"])
     _criterion(
@@ -179,7 +181,8 @@ def test_criterion_06_spectrum_invariance():
     worst = 0.0
     ok = True
     for name in SYSTEMS:
-        result = scenarios.check_spectrum_invariance(name, tol=1e-8)
+        result = scenarios.check_spectrum_invariance(name)
+        ok &= result.metrics["tol"] == 1e-8
         ok &= result.passed
         worst = max(worst, result.metrics["worst_hausdorff"])
     _criterion(
@@ -191,12 +194,12 @@ def test_criterion_06_spectrum_invariance():
 
 
 def test_criterion_07_commutation_on_symmetric_data():
-    result = scenarios.check_commutation_symmetric("toggle_switch", tol=1e-8)
+    result = scenarios.check_commutation_symmetric("toggle_switch")
     _criterion(
         7,
         "operator fitted on trajectory united with its mirror commutes "
         "with the swap to 1e-8",
-        result.passed,
+        result.metrics["tol"] == 1e-8 and result.passed,
         f"commutator norm {result.metrics['commutator_norm']:.3e}",
     )
 

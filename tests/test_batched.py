@@ -26,7 +26,7 @@ from symkoop import (
     verify_invariant_set_image,
     verify_invariant_set_images,
 )
-from symkoop import equivariant
+from symkoop import dynamics
 from symkoop.dynamics import DEFAULT_DT, DISCRETE
 from symkoop.scenarios import sample_box
 
@@ -323,17 +323,16 @@ def test_stacked_membership_shape_is_checked_per_image():
 def test_windowed_images_match_per_sample_reference_at_window_edges(
         name, data, seed, n, images):
     # a small coordinate budget makes windows of W steps, W taken from the
-    # budget as the check takes it; horizons end just before, at and just
-    # after a window's end, and a few windows on
+    # budget by simulate's rule over the whole block; horizons end just
+    # before, at and just after a window's end, and a few windows on
     system, dt = make_system(name), DEFAULT_DT[name]
     group = builtin_group(name)
     images = [(group.elements[e % group.order], disc(r)) for e, r in images]
     samples = sample_box(name, n, np.random.default_rng(seed))
-    stepped = sum(int(np.count_nonzero(m(g.matrix @ samples.T))) for g, m in images)
-    size = system.dim * max(stepped, 1)
+    size = system.dim * n * len(images)
     budget = data.draw(st.integers(1, 6 * size), label="budget")
-    with mock.patch.object(equivariant, "_IMAGE_WINDOW_FLOATS", budget):
-        W = max(1, equivariant._IMAGE_WINDOW_FLOATS // size)
+    with mock.patch.object(dynamics, "CHUNK_FLOATS", budget):
+        W = max(1, min(dynamics.STATE_CHUNK, budget // size))
         horizon = data.draw(st.sampled_from([W - 1, W, W + 1, 3 * W + 2]), label="horizon")
         reports = verify_invariant_set_images(system, images, samples, dt, horizon)
     for (g, membership), report in zip(images, reports):
@@ -376,6 +375,20 @@ def test_window_divergence_names_the_earliest_step_not_the_lowest_column():
             blowup(), IDENTITY_1D, samples, 1.0, 50, lambda x: np.ones(x.shape[1], bool))
     assert (info.value.start_index, info.value.step_index) == (1, 2)
     assert "at step 2 of 50 from start 1 under element 'e'" in str(info.value)
+
+
+def test_orbit_that_leaves_then_diverges_in_a_later_window_raises_nothing():
+    # x -> 10 x: sample 0 leaves |x| < 1e100 at step 100, in the first
+    # window, and overflows at step 309, in the second; sample 1 stays at 0
+    # and keeps the block stepping, so the third window steps an infinite
+    # column that left long before
+    tenfold = SystemDef("tenfold", 1, {}, lambda x, p: (x[0] * 10.0,), DISCRETE)
+    samples = np.array([[1.0], [0.0]])
+    window = dynamics._chunk_steps(samples.size)
+    assert 100 <= window < 309 <= 2 * window < 600
+    report = verify_invariant_set_image(tenfold, IDENTITY_1D, samples, 1.0, 600, below(1e100))
+    assert report.failed_indices == (0,)
+    assert report.fraction == 0.5
 
 
 def image_check_peak_bytes(horizon):

@@ -28,7 +28,7 @@ from symkoop import (
     simulate,
     transform_trajectory,
 )
-from symkoop.groups import MATRIX_MATCH_TOL, group_to_dict
+from symkoop.groups import EQUIVARIANCE_TOL, MATRIX_MATCH_TOL, group_to_dict
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 NEG = np.array([[-1.0, 0.0], [0.0, -1.0]])
@@ -156,9 +156,10 @@ def test_check_equivariance_passes_for_declared_group():
     group = builtin_group("lorenz")
     rng = np.random.default_rng(0)
     samples = rng.uniform(-15, 15, size=(200, 3))
-    report = check_equivariance(system, group, 0.01, samples, tol=1e-12)
+    report = check_equivariance(system, group, 0.01, samples)
     assert report.all_passed
-    assert report.to_dict()["elements"][0]["passed"]
+    label, defect, passed = report.entries[0]
+    assert label == "rot_pi_z" and passed and defect <= EQUIVARIANCE_TOL == 1e-12
 
 
 def test_check_equivariance_flags_wrong_group():
@@ -167,14 +168,15 @@ def test_check_equivariance_flags_wrong_group():
     wrong = generate_group([GroupElement("flip_x", np.diag([-1.0, 1.0, 1.0]))])
     rng = np.random.default_rng(1)
     samples = rng.uniform(-15, 15, size=(100, 3))
-    report = check_equivariance(system, wrong, 0.01, samples, tol=1e-6)
+    report = check_equivariance(system, wrong, 0.01, samples)
     assert not report.all_passed
+    assert report.entries[0][1] > 1e-6
 
 
 def test_check_equivariance_trivial_group_vacuous():
     system = make_system("lorenz")
     trivial = generate_group([], dim=3)
-    report = check_equivariance(system, trivial, 0.01, np.zeros((5, 3)), tol=1e-12)
+    report = check_equivariance(system, trivial, 0.01, np.zeros((5, 3)))
     assert report.entries == ()
     assert report.all_passed
 
@@ -209,16 +211,14 @@ def test_conjugate_isotropy_fixed_cases():
     g = group.elements[1]
     from symkoop import IsotropyReport
 
-    trivial = IsotropyReport(member_indices=(0,), is_subgroup=True, tolerance=1e-8)
+    trivial = IsotropyReport(member_indices=(0,), is_subgroup=True)
     assert conjugate_isotropy(group, trivial, g).member_indices == (0,)
-    whole = IsotropyReport(
-        member_indices=tuple(range(group.order)), is_subgroup=True, tolerance=1e-8
-    )
+    whole = IsotropyReport(member_indices=tuple(range(group.order)), is_subgroup=True)
     assert conjugate_isotropy(group, whole, g).member_indices == tuple(
         range(group.order)
     )
     # abelian group: conjugation never moves a member set
-    some = IsotropyReport(member_indices=(0, 2), is_subgroup=True, tolerance=1e-8)
+    some = IsotropyReport(member_indices=(0, 2), is_subgroup=True)
     for g in group.elements:
         assert conjugate_isotropy(group, some, g).member_indices == (0, 2)
 

@@ -656,15 +656,13 @@ def test_saved_json_is_indented_and_refuses_nan(tmp_path):
 
 
 def test_spectrum_export_roundtrip():
-    from symkoop.koopman import spectrum_from_list
-
     spec = spectrum(op_from_matrix(np.diag([0.5, 0.9])))
     out = spectrum_to_list(spec)
     assert len(out) == 2
     assert set(out[0]) == {"re", "im", "w_re", "w_im"}
     assert out[0]["re"] == pytest.approx(0.9)
-    back = spectrum_from_list(out)
-    assert np.array_equal(back.eigenvalues, spec.eigenvalues)
-    assert np.array_equal(back.coefficients, spec.coefficients)
-    # every eigenvalue is real here, and both sides are still complex
-    assert spec.eigenvalues.dtype == back.eigenvalues.dtype == np.complex128
+    # every eigenvalue is real here, and the spectrum is still complex
+    assert spec.eigenvalues.dtype == spec.coefficients.dtype == np.complex128
+    for entry, lam, w in zip(out, spec.eigenvalues, spec.coefficients):
+        assert (entry["re"], entry["im"]) == (lam.real, lam.imag)
+        assert entry["w_re"] == w.real.tolist() and entry["w_im"] == w.imag.tolist()
