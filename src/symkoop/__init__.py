@@ -60,15 +60,12 @@ from .errors import (
 from .groups import (
     FiniteMatrixGroup,
     GroupElement,
-    IsotropyReport,
     act_on_function,
     act_on_state,
     builtin_group,
     check_axioms,
     check_equivariance,
-    conjugate_isotropy,
     generate_group,
-    isotropy_set,
     load_group,
     save_group,
     transform_snapshots,

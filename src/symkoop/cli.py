@@ -35,12 +35,25 @@ def _load_config(path):
     return {} if path is None else read_json(path, lambda config: config)
 
 
+# options whose config value must be a JSON string: paths, labels, names
+_TEXT_KEYS = frozenset({
+    "system", "traj", "set_label", "operator", "group", "element",
+    "target_label", "registry", "base_operator", "checks", "out",
+})
+
+
 def _resolve(args, config, key, default=None):
-    """flag > config file > default."""
+    """flag > config file > default. A config value of a text key (see
+    _TEXT_KEYS) that is not a string raises a ConfigurationError naming the
+    key and the file."""
     value = getattr(args, key, None)
     if value is not None:
         return value
-    return config.get(key, default)
+    value = config.get(key, default)
+    if key in config and key in _TEXT_KEYS and not isinstance(value, str):
+        raise ConfigurationError(
+            f"config key {key!r} in {args.config} must be a string, got {value!r}")
+    return value
 
 
 def _resolve_number(args, config, key, default, integer=False, minimum=None):
@@ -267,7 +280,7 @@ def cmd_verify(args):
         return EXIT_OK
     names = _resolve(args, config, "checks")
     if names is not None:
-        names = [n for n in str(names).split(",") if n]
+        names = [n for n in names.split(",") if n]
         unknown = set(names) - set(scenarios.check_names())
         if unknown:
             raise ConfigurationError(f"unknown checks: {sorted(unknown)}")

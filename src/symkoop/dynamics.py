@@ -152,8 +152,6 @@ _BUILTINS = {
     ),
 }
 
-DEFAULT_DT = {name: system.dt for name, system in _BUILTINS.items()}
-
 
 def system_names():
     return sorted(_BUILTINS)

@@ -60,6 +60,12 @@ class InvariantSetRegistry:
             raise InputError("registry labels must be distinct and nonempty")
         if self.base_label not in self.labels:
             raise InputError(f"base label {self.base_label!r} not in labels")
+        stray = sorted(set(self.samples or ()) - set(self.labels))
+        if stray:
+            raise InputError(
+                f"samples for {stray[0]!r}, which is not a registry label; "
+                f"labels are {list(self.labels)}"
+            )
         expected = set(self.labels) - {self.base_label}
         if set(self.mapping) != expected:
             raise InputError(
@@ -223,20 +229,15 @@ def assemble_global(registry, base, reps):
     return GlobalKoopman(blocks=tuple(blocks))
 
 
-def global_predict(gk, label, x0, steps, full=False):
+def global_predict(gk, label, x0, steps):
     """Evolve a state's features under the global operator.
 
     The start vector is Psi_label(x0) embedded in the stacked feature space
     with zeros elsewhere. The global operator is block-diagonal, so the
-    labeled slice is ``koopman.predict`` on that block, bit for bit, and
-    the rest stays exactly zero; ``full=True`` returns the stacked vectors.
+    rest stays exactly zero and the labeled slice is returned: it is
+    ``koopman.predict`` on that block, bit for bit.
     """
-    local = predict(gk.block(label), x0, steps)
-    if not full:
-        return local
-    out = np.zeros((len(local), gk.total_size))
-    out[:, gk.block_slice(label)] = local
-    return out
+    return predict(gk.block(label), x0, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +372,7 @@ def verify_commutation(op, rep, stabilizer_labels):
     check refuses.
 
     ``stabilizer_labels`` is the caller's evidence, e.g. from
-    ``data_stabilizer_labels`` on the fitted samples or from a pointwise
-    isotropy report.
+    ``data_stabilizer_labels`` on the fitted samples.
     """
     if rep.label not in stabilizer_labels:
         raise IsotropyRequiredError(

@@ -28,7 +28,6 @@ _INCONSISTENT = "element matching at MATRIX_MATCH_TOL is inconsistent for these 
 ORTHOGONALITY_TOL = 1e-10
 DEFAULT_MAX_ORDER = 64  # closure limit unless the caller or a group file sets one
 EQUIVARIANCE_TOL = 1e-12  # relative one-step defect check_equivariance passes
-ISOTROPY_TOL = 1e-8  # relative radius of isotropy_set's fixed-point test
 AXIOMS = ("closure", "identity", "inverses", "associativity")  # check_axioms' keys
 
 
@@ -122,14 +121,6 @@ class FiniteMatrixGroup:
 
 
 @dataclass(frozen=True)
-class IsotropyReport:
-    """Subset of element indices fixing a sampled trajectory."""
-
-    member_indices: tuple
-    is_subgroup: bool
-
-
-@dataclass(frozen=True)
 class EquivarianceReport:
     """Per-element equivariance defects of the one-step map."""
 
@@ -145,7 +136,7 @@ _BLOCK = 1 << 14  # candidate pairs tested per step in _SortedPoints.matches
 
 @functools.cache
 def _sort_direction(k):
-    """The unit vector that sorts points in _window_matches: a seeded Gaussian
+    """The unit vector that sorts points in _SortedPoints: a seeded Gaussian
     draw, so symmetric point sets rarely tie on it. Cached, so read-only."""
     u = np.random.default_rng(0).standard_normal(k)
     u /= np.linalg.norm(u)
@@ -204,22 +195,13 @@ class _SortedPoints:
         return np.where(best < n, best, -1)
 
 
-def _window_matches(points, queries, radius, close):
-    """For each query row (m, k), the lowest index i of a point row (n, k)
-    that ``close(queries[rows] - points[i], rows)`` accepts, or -1; ``close``
-    may accept only pairs within ``radius`` (scalar or per query) in 2-norm.
-    One query set against points sorted for it (see _SortedPoints)."""
-    return _SortedPoints(points).matches(queries, radius, close)
-
-
 def _first_matches(stack, ms):
     """For each matrix of ms (..., dim, dim), in C order, the index of the
     first matrix of the (n, dim, dim) stack within MATRIX_MATCH_TOL of it in
     max norm (so within dim * MATRIX_MATCH_TOL in 2-norm), or -1."""
     dim = ms.shape[-1]
-    return _window_matches(
-        stack.reshape(-1, dim * dim), ms.reshape(-1, dim * dim),
-        dim * MATRIX_MATCH_TOL,
+    return _SortedPoints(stack.reshape(-1, dim * dim)).matches(
+        ms.reshape(-1, dim * dim), dim * MATRIX_MATCH_TOL,
         lambda diff, rows: np.max(np.abs(diff), axis=1) <= MATRIX_MATCH_TOL,
     )
 
@@ -489,41 +471,6 @@ def check_equivariance(system, group, dt, samples):
         worst = float(defect.max(initial=0.0))
         entries.append((g.label, worst, worst <= EQUIVARIANCE_TOL))
     return EquivarianceReport(entries=tuple(entries))
-
-
-def _isotropy_report(group, members):
-    member_set = set(members)
-    is_subgroup = all(
-        group.multiply(i, j) in member_set for i in members for j in members
-    )
-    return IsotropyReport(member_indices=tuple(members), is_subgroup=is_subgroup)
-
-
-def isotropy_set(group, traj):
-    """Elements fixing every sampled state of the trajectory, membership
-    decided by the relative test |g x_t - x_t| <= ISOTROPY_TOL (1 + |x_t|)."""
-    states = traj.states
-    norms = 1.0 + np.linalg.norm(states, axis=1)
-    members = []
-    for i, g in enumerate(group.elements):
-        residual = np.linalg.norm(states @ g.matrix.T - states, axis=1)
-        if np.all(residual <= ISOTROPY_TOL * norms):
-            members.append(i)
-    return _isotropy_report(group, members)
-
-
-def conjugate_isotropy(group, report, g):
-    """Isotropy of the transformed trajectory, computed algebraically as
-    the conjugate subgroup {g h g^-1 : h in members} via the Cayley table."""
-    gi = int(_first_matches(np.array([h.matrix for h in group.elements]),
-                            g.matrix[None])[0])
-    if gi < 0:
-        raise InputError(f"element {g.label!r} not found in group")
-    gi_inv = group.inverse_index(gi)
-    members = sorted(
-        group.multiply(group.multiply(gi, j), gi_inv) for j in report.member_indices
-    )
-    return _isotropy_report(group, members)
 
 
 # ---------------------------------------------------------------------------

@@ -21,18 +21,16 @@ from symkoop import (
     assemble_global,
     builtin_group,
     check_axioms,
-    conjugate_isotropy,
+    data_stabilizer_labels,
     fit_edmd,
     fit_trajectory,
     generate_group,
     global_predict,
     hamiltonian_energy,
     induced_representation,
-    isotropy_set,
     make_system,
     predict,
     simulate,
-    transform_trajectory,
     transport_case1,
 )
 from symkoop import scenarios
@@ -140,10 +138,9 @@ def test_criterion_04_structural_reproduction():
     )
 
 
-def _assembled_global(name):
+def _assembled_global(name, d):
     group = builtin_group(name)
     registry = scenarios.builtin_registry(name)
-    d = IdentityDictionary(group.dim)
     base = fit_trajectory(scenarios.exact_tier_trajectory(name), d,
                           set_label=registry.base_label)
     reps = {
@@ -155,25 +152,36 @@ def _assembled_global(name):
 
 def test_criterion_05_global_operator():
     ok = True
+    worst = 0.0
     rng = np.random.default_rng(17)
     for name in ("toggle_switch", "hamiltonian"):
-        gk = _assembled_global(name)
-        for label in gk.labels:
-            op = gk.block(label)
-            sl = gk.block_slice(label)
-            for _ in range(10):
-                x0 = rng.uniform(-3.0, 3.0, size=op.dictionary.dim)
-                local = predict(op, x0, 50)
-                ok &= np.array_equal(global_predict(gk, label, x0, 50), local)
-                full = global_predict(gk, label, x0, 50, full=True)
-                ok &= np.array_equal(full[:, sl], local)
-                off = np.delete(full, np.s_[sl], axis=1)
-                ok &= bool(np.all(off == 0.0))
+        for d in (IdentityDictionary(2), MonomialDictionary(2, 3)):
+            gk = _assembled_global(name, d)
+            dense = gk.as_matrix()
+            for label in gk.labels:
+                op = gk.block(label)
+                sl = gk.block_slice(label)
+                for _ in range(10):
+                    x0 = rng.uniform(-3.0, 3.0, size=op.dictionary.dim)
+                    local = predict(op, x0, 50)
+                    ok &= np.array_equal(global_predict(gk, label, x0, 50), local)
+                    # Psi_label(x0) embedded with zeros elsewhere, evolved by
+                    # the dense block-diagonal matrix
+                    stacked = np.zeros((51, gk.total_size))
+                    stacked[0, sl] = op.dictionary.evaluate(x0)
+                    for k in range(50):
+                        stacked[k + 1] = dense @ stacked[k]
+                    off = np.delete(stacked, np.s_[sl], axis=1)
+                    ok &= bool(np.all(off == 0.0))
+                    error = np.linalg.norm(stacked[:, sl] - local) / np.linalg.norm(local)
+                    worst = max(worst, error)
+    ok &= worst <= 1e-12
     _criterion(
         5,
-        "global block prediction is bit-identical to local prediction with "
-        "exactly zero off-block components",
+        "global block prediction is bit-identical to local prediction, and the "
+        "dense block-diagonal evolution keeps exactly zero off-block components",
         ok,
+        f"dense block vs local {worst:.3e}",
     )
 
 
@@ -219,24 +227,26 @@ def test_criterion_08_group_theory_suite():
     for name in SYSTEMS:
         ok &= check_axioms(builtin_group(name))["ok"]
 
-    # conjugated isotropy must equal the isotropy of the
-    # transformed trajectory, for 20 seeded trajectories per system
+    # the data stabilizer of a trajectory moved by g must be the conjugate
+    # g H g^-1 of the trajectory's own stabilizer H, for 20 seeded
+    # trajectories per system
     for name in SYSTEMS:
         system = make_system(name)
         group = builtin_group(name)
         rng = np.random.default_rng(42)
         for _ in range(20):
             x0 = scenarios.draw_base_state(name, rng)
-            traj = simulate(system, x0, 0.01, 40)
-            report = isotropy_set(group, traj)
-            ok &= report.is_subgroup
-            for g in group.elements:
-                direct = isotropy_set(group, transform_trajectory(traj, g))
-                conjugated = conjugate_isotropy(group, report, g)
-                ok &= direct.member_indices == conjugated.member_indices
+            states = simulate(system, x0, 0.01, 40).states
+            H = [group.index_of(lbl) for lbl in data_stabilizer_labels(group, states)]
+            ok &= all(group.multiply(i, j) in H for i in H for j in H)
+            for g, element in enumerate(group.elements):
+                g_inv = group.inverse_index(g)
+                conjugate = sorted(group.multiply(group.multiply(g, h), g_inv) for h in H)
+                moved = data_stabilizer_labels(group, states @ element.matrix.T)
+                ok &= moved == tuple(group.elements[k].label for k in conjugate)
     _criterion(
         8,
-        "Klein group relations, Cayley-table axioms, and isotropy "
+        "Klein group relations, Cayley-table axioms, and stabilizer "
         "conjugation consistency",
         ok,
     )

@@ -27,7 +27,7 @@ from symkoop import (
     verify_invariant_set_images,
 )
 from symkoop import dynamics
-from symkoop.dynamics import DEFAULT_DT, DISCRETE
+from symkoop.dynamics import DISCRETE, builtin_system
 from symkoop.scenarios import sample_box
 
 SYSTEMS = ("lorenz", "toggle_switch", "hamiltonian")
@@ -50,7 +50,7 @@ def state_blocks(name, max_rows=8):
 @PROPERTY
 @given(data=st.data())
 def test_block_step_equals_per_row_step(name, data):
-    system, dt = make_system(name), DEFAULT_DT[name]
+    system, dt = make_system(name), builtin_system(name).dt
     block = data.draw(state_blocks(name))
     stepped = step(system, block, dt)
     fields = vector_field(system, block)
@@ -70,16 +70,17 @@ def test_toggle_block_step_equals_per_row_step_where_pow_differs():
         ("0x1.e2aa4375f9b00p-2", "0x1.52a60c16d1e46p+1"),
         ("0x1.f025185bd08c0p-4", "0x1.14ef180097a84p+0"),
     )])
-    stepped = step(system, block, DEFAULT_DT["toggle_switch"])
+    dt = builtin_system("toggle_switch").dt
+    stepped = step(system, block, dt)
     for row, out in zip(block, stepped):
-        assert np.array_equal(step(system, row, DEFAULT_DT["toggle_switch"]), out)
+        assert np.array_equal(step(system, row, dt), out)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 @PROPERTY
 @given(data=st.data())
 def test_block_simulate_equals_per_start_simulate(name, data):
-    system, dt = make_system(name), DEFAULT_DT[name]
+    system, dt = make_system(name), builtin_system(name).dt
     starts = data.draw(state_blocks(name, max_rows=4))
     n_steps = data.draw(st.integers(1, 30))
     discard = data.draw(st.integers(0, 3))
@@ -173,7 +174,7 @@ def disc(radius):
        element=st.integers(0, 3))
 def test_invariant_set_image_matches_per_sample_reference(
         name, seed, n, horizon, radius, element):
-    system, dt = make_system(name), DEFAULT_DT[name]
+    system, dt = make_system(name), builtin_system(name).dt
     group = builtin_group(name)
     g = group.elements[element % group.order]
     samples = sample_box(name, n, np.random.default_rng(seed))
@@ -189,7 +190,7 @@ def test_invariant_set_image_matches_per_sample_reference(
 def test_disc_predicate_is_left_by_some_orbits(name, radius):
     # the property above is not vacuous: with these radii some seeded orbits
     # start inside the disc and leave it within 60 steps, and some stay
-    system, dt = make_system(name), DEFAULT_DT[name]
+    system, dt = make_system(name), builtin_system(name).dt
     g = builtin_group(name).elements[-1]
     samples = sample_box(name, 12, np.random.default_rng(3))
     report = verify_invariant_set_image(system, g, samples, dt, 60, disc(radius))
@@ -256,7 +257,7 @@ def test_membership_must_return_one_flag_per_state():
 def test_stacked_images_match_per_sample_reference(name, seed, n, horizon, images):
     # discs of different radii make the images drop columns at different
     # steps, so the slices of the stacked block shrink unevenly
-    system, dt = make_system(name), DEFAULT_DT[name]
+    system, dt = make_system(name), builtin_system(name).dt
     group = builtin_group(name)
     images = [(group.elements[e % group.order], disc(r)) for e, r in images]
     samples = sample_box(name, n, np.random.default_rng(seed))
@@ -325,7 +326,7 @@ def test_windowed_images_match_per_sample_reference_at_window_edges(
     # a small coordinate budget makes windows of W steps, W taken from the
     # budget by simulate's rule over the whole block; horizons end just
     # before, at and just after a window's end, and a few windows on
-    system, dt = make_system(name), DEFAULT_DT[name]
+    system, dt = make_system(name), builtin_system(name).dt
     group = builtin_group(name)
     images = [(group.elements[e % group.order], disc(r)) for e, r in images]
     samples = sample_box(name, n, np.random.default_rng(seed))
@@ -398,7 +399,7 @@ def image_check_peak_bytes(horizon):
     try:
         verify_invariant_set_image(
             system, builtin_group("hamiltonian").identity, samples,
-            DEFAULT_DT["hamiltonian"], horizon, lambda x: np.ones(x.shape[1], bool))
+            builtin_system("hamiltonian").dt, horizon, lambda x: np.ones(x.shape[1], bool))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -418,7 +419,7 @@ def block_simulate_peak_over_output(n, steps=512):
     starts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
     tracemalloc.start()
     try:
-        simulate(system, starts, DEFAULT_DT["hamiltonian"], steps)
+        simulate(system, starts, builtin_system("hamiltonian").dt, steps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -18,8 +18,6 @@ PREDICATED = [name for name in SYSTEMS
 def test_both_tables_hold_the_same_systems():
     assert set(SYSTEMS) == set(dynamics.system_names())
     assert PREDICATED == ["toggle_switch", "hamiltonian"]
-    assert dynamics.DEFAULT_DT == {
-        name: dynamics.builtin_system(name).dt for name in SYSTEMS}
 
 
 @pytest.mark.parametrize("name", PREDICATED)

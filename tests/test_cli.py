@@ -377,6 +377,50 @@ def test_bad_numeric_option_is_one_config_error_naming_the_key(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, key, value", [
+    ("fit", ["--traj"], "out", True),
+    ("fit", ["--traj"], "out", 2),
+    ("fit", ["--traj"], "out", None),
+    ("fit", [], "traj", 5),
+    ("fit", ["--traj"], "set_label", 5),
+    ("simulate", ["--x0", "1,1"], "system", 3),
+    ("spectrum", [], "operator", 5),
+    ("transport", ["--group", "--element", "swap"], "operator", 5),
+    ("transport", ["--operator", "--element", "swap"], "group", ["toggle.json"]),
+    ("transport", ["--operator", "--group"], "element", 1),
+    ("transport", ["--operator", "--group", "--element", "swap"], "target_label", 7),
+    ("assemble", ["--base-operator", "--group"], "registry", {"labels": []}),
+    ("assemble", ["--registry", "--group"], "base_operator", False),
+    ("group", ["check", "--group"], "out", 1),
+    ("verify", [], "checks", 5),
+])
+def test_config_text_option_of_another_json_type_is_one_error_naming_the_key(
+        tmp_path, capsys, command, flags, key, value):
+    # each file flag is followed by its file; --out is passed unless "out"
+    # is the key under test
+    op_path, group_path = fit_toggle_operator(tmp_path), make_group_file(tmp_path)
+    registry = tmp_path / "registry.json"
+    registry.write_text('{"labels": ["right", "left"], "base": "right", '
+                        '"mapping": {"left": "swap"}}')
+    files = {"--traj": tmp_path / "right.csv", "--operator": op_path,
+             "--group": group_path, "--base-operator": op_path, "--registry": registry}
+    argv = [command]
+    for flag in flags:
+        argv += [flag, str(files[flag])] if flag in files else [flag]
+    if command == "simulate":
+        argv += ["--steps", "2"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out.json"
+    if key != "out":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert run([*argv, "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert one_line_error(capsys) == (
+        f"error: config key {key!r} in {cfg} must be a string, got {value!r}\n")
+    assert not out.exists()
+
+
 def test_whole_floats_and_ints_are_accepted_numeric_options(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"steps": 3.0, "dt": 1, "seed": 2.0}))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symkoop import (
+    ConfigurationError,
     FeatureRepresentation,
     IdentityDictionary,
     InputError,
@@ -338,9 +339,17 @@ def test_global_predict_matches_block_predict_bitwise():
 def test_global_predict_off_block_exactly_zero():
     registry, base, reps = toggle_global()
     gk = assemble_global(registry, base, reps)
-    full = global_predict(gk, "left", [0.4, 2.8], 50, full=True)
-    sl = gk.block_slice("right")
-    assert np.all(full[:, sl] == 0.0)
+    # Psi_left(x0) embedded with zeros elsewhere, evolved by the dense
+    # block-diagonal matrix: the right block stays exactly zero, and the
+    # left one is global_predict's up to the rounding of the dense products
+    stacked = np.zeros((51, gk.total_size))
+    stacked[0, gk.block_slice("left")] = gk.block("left").dictionary.evaluate([0.4, 2.8])
+    for k in range(50):
+        stacked[k + 1] = gk.as_matrix() @ stacked[k]
+    assert np.all(stacked[:, gk.block_slice("right")] == 0.0)
+    local = global_predict(gk, "left", [0.4, 2.8], 50)
+    left = stacked[:, gk.block_slice("left")]
+    assert np.linalg.norm(left - local) <= 1e-12 * np.linalg.norm(local)
     zero_steps = global_predict(gk, "left", [0.4, 2.8], 0)
     assert zero_steps.shape == (1, 2)
     assert np.array_equal(zero_steps[0], [0.4, 2.8])
@@ -445,6 +454,42 @@ def test_check_registry_rejects_labels_sharing_a_stabilizer_coset():
     # negate^-1 (swap*negate) = swap fixes the base set, so IS-2 = IS-3
     with pytest.raises(InputError, match="'IS-2' and 'IS-3'.*'swap'"):
         check_registry(symmetric, group)
+
+
+@pytest.mark.parametrize("second, same_set", [
+    ("cycle*swap", True),  # the left coset cycle H of cycle
+    ("swap*cycle", False),  # its right coset H cycle only
+])
+def test_check_registry_rejects_a_shared_left_coset_only(octahedral_group, second,
+                                                         same_set):
+    """With H = {e, swap} the stabilizer of the base samples M, g_a M = g_b M
+    exactly when g_a H = g_b H: cycle*swap maps M where cycle does, and
+    swap*cycle, which is cycle times the conjugate cycle^-1 swap cycle, does
+    not, as that conjugate is a transposition other than swap."""
+    group = octahedral_group
+    base = np.random.default_rng(4).uniform(-2.0, 2.0, size=(10, 3))
+    samples = np.vstack([base, base @ group.element("swap").matrix.T])
+    assert data_stabilizer_labels(group, samples) == ("e", "swap")
+    registry = InvariantSetRegistry(
+        labels=("M", "A", "B"), base_label="M",
+        mapping={"A": "cycle", "B": second}, samples={"M": samples})
+    if same_set:
+        with pytest.raises(InputError, match="'A' and 'B'.*differ by 'swap'"):
+            check_registry(registry, group)
+    else:
+        check_registry(registry, group)
+
+
+def test_registry_refuses_samples_of_a_label_it_does_not_have(tmp_path):
+    # a typo'd samples key would drop the base set's stabilizer evidence
+    with pytest.raises(InputError, match="samples for 'IS1'"):
+        InvariantSetRegistry(labels=("IS-1", "IS-2"), base_label="IS-1",
+                             mapping={"IS-2": "swap"}, samples={"IS1": np.ones((1, 2))})
+    path = tmp_path / "registry.json"
+    path.write_text('{"labels": ["IS-1", "IS-2"], "mapping": {"IS-2": "swap"}, '
+                    '"samples": {"IS-1": [[3.0, 0.1]], "IS-3": [[0.1, 3.0]]}}')
+    with pytest.raises(ConfigurationError, match="registry.json: samples for 'IS-3'"):
+        load_registry(path)
 
 
 def test_commutator_large_across_lorenz_wings():

@@ -13,20 +13,17 @@ from symkoop import (
     GroupElement,
     InputError,
     NonFiniteGroupError,
-    Trajectory,
     act_on_function,
     act_on_state,
     builtin_group,
     check_axioms,
     check_equivariance,
-    conjugate_isotropy,
+    data_stabilizer_labels,
     generate_group,
-    isotropy_set,
     load_group,
     make_system,
     save_group,
     simulate,
-    transform_trajectory,
 )
 from symkoop.groups import EQUIVARIANCE_TOL, MATRIX_MATCH_TOL, group_to_dict
 
@@ -183,68 +180,43 @@ def test_check_equivariance_trivial_group_vacuous():
 
 def test_isotropy_origin_is_everything():
     group = builtin_group("hamiltonian")
-    traj = Trajectory(dim=2, dt=0.1, states=np.zeros((10, 2)))
-    report = isotropy_set(group, traj)
-    assert report.member_indices == (0, 1, 2, 3)
-    assert report.is_subgroup
+    assert data_stabilizer_labels(group, np.zeros((10, 2))) == tuple(group.labels())
 
 
 def test_isotropy_generic_lorenz_trajectory_is_trivial():
     group = builtin_group("lorenz")
     traj = simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, 200)
-    report = isotropy_set(group, traj)
-    assert report.member_indices == (0,)
-    assert report.is_subgroup
+    assert data_stabilizer_labels(group, traj.states) == ("e",)
 
 
 def test_isotropy_hamiltonian_diagonal_contains_swap():
     group = builtin_group("hamiltonian")
     traj = simulate(make_system("hamiltonian"), [1.0, 1.0], 1e-3, 200)
-    report = isotropy_set(group, traj)
-    assert group.index_of("swap") in report.member_indices
-    assert 0 in report.member_indices
-    assert report.is_subgroup
+    assert data_stabilizer_labels(group, traj.states) == ("e", "swap")
 
 
-def test_conjugate_isotropy_fixed_cases():
-    group = builtin_group("hamiltonian")
-    g = group.elements[1]
-    from symkoop import IsotropyReport
-
-    trivial = IsotropyReport(member_indices=(0,), is_subgroup=True)
-    assert conjugate_isotropy(group, trivial, g).member_indices == (0,)
-    whole = IsotropyReport(member_indices=tuple(range(group.order)), is_subgroup=True)
-    assert conjugate_isotropy(group, whole, g).member_indices == tuple(
-        range(group.order)
-    )
-    # abelian group: conjugation never moves a member set
-    some = IsotropyReport(member_indices=(0, 2), is_subgroup=True)
-    for g in group.elements:
-        assert conjugate_isotropy(group, some, g).member_indices == (0, 2)
-
-
-def test_conjugate_isotropy_matches_transformed_trajectory():
-    for name in ("lorenz", "toggle_switch", "hamiltonian"):
-        group = builtin_group(name)
-        system = make_system(name)
-        rng = np.random.default_rng(7)
-        x0 = rng.uniform(0.5, 2.0, size=system.dim)
-        traj = simulate(system, x0, 0.01, 50)
-        report = isotropy_set(group, traj)
-        for g in group.elements:
-            direct = isotropy_set(group, transform_trajectory(traj, g))
-            conjugated = conjugate_isotropy(group, report, g)
-            assert direct.member_indices == conjugated.member_indices
-
-
-def test_conjugate_isotropy_unknown_element():
-    group = builtin_group("lorenz")
-    report = isotropy_set(
-        group, Trajectory(dim=3, dt=0.1, states=np.zeros((3, 3)))
-    )
-    stranger = GroupElement("other", np.diag([1.0, -1.0, -1.0]))
-    with pytest.raises(InputError):
-        conjugate_isotropy(group, report, stranger)
+@pytest.mark.parametrize("generator, conjugates", [("swap", 6), ("cycle", 4)])
+def test_stabilizer_of_a_moved_cloud_is_the_conjugate_subgroup(octahedral_group, generator,
+                                                               conjugates):
+    """Orbit-stabilizer on a non-abelian group: a cloud closed under the
+    cyclic subgroup H = <generator>, and under nothing more, moved by any g,
+    is stabilized by exactly g H g^-1, read off the Cayley table. H is not
+    normal, so g H g^-1 runs through several subgroups."""
+    group = octahedral_group
+    h = group.index_of(generator)
+    H = [0]
+    while group.multiply(H[-1], h) != 0:
+        H.append(group.multiply(H[-1], h))
+    base = np.random.default_rng(0).uniform(-2.0, 2.0, size=(20, 3))
+    cloud = np.vstack([base @ group.elements[k].matrix.T for k in H])
+    seen = set()
+    for g, element in enumerate(group.elements):
+        g_inv = group.inverse_index(g)
+        members = sorted(group.multiply(group.multiply(g, k), g_inv) for k in H)
+        expected = tuple(group.elements[k].label for k in members)
+        assert data_stabilizer_labels(group, cloud @ element.matrix.T) == expected
+        seen.add(expected)
+    assert len(seen) == conjugates
 
 
 def test_axioms_hold_for_builtin_groups():

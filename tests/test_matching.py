@@ -35,10 +35,10 @@ from symkoop.groups import (
     MATRIX_MATCH_TOL,
     ORTHOGONALITY_TOL,
     FiniteMatrixGroup,
+    _SortedPoints,
     _check_elements,
     _first_matches,
     _sort_direction,
-    _window_matches,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -182,12 +182,12 @@ def test_window_matches_with_no_queries_or_no_points_is_empty_or_misses():
         return np.max(np.abs(diff), axis=1) <= 0.5
 
     points, none = np.eye(3), np.empty((0, 3))
-    assert _window_matches(points, none, 0.5, close).shape == (0,)
-    assert _window_matches(points, none, np.empty(0), close).shape == (0,)
-    assert _window_matches(none, none, 0.5, close).shape == (0,)
+    assert _SortedPoints(points).matches(none, 0.5, close).shape == (0,)
+    assert _SortedPoints(points).matches(none, np.empty(0), close).shape == (0,)
+    assert _SortedPoints(none).matches(none, 0.5, close).shape == (0,)
     assert _first_matches(points.reshape(1, 3, 3), np.empty((0, 3, 3))).shape == (0,)
-    assert list(_window_matches(none, points, 0.5, close)) == [-1, -1, -1]
-    assert list(_window_matches(none, points, np.full(3, 0.5), close)) == [-1, -1, -1]
+    assert list(_SortedPoints(none).matches(points, 0.5, close)) == [-1, -1, -1]
+    assert list(_SortedPoints(none).matches(points, np.full(3, 0.5), close)) == [-1, -1, -1]
 
 
 def flat_keys(ms):
