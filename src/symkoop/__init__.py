@@ -60,8 +60,6 @@ from .errors import (
 from .groups import (
     FiniteMatrixGroup,
     GroupElement,
-    act_on_function,
-    act_on_state,
     builtin_group,
     check_axioms,
     check_equivariance,

@@ -48,7 +48,8 @@ _STABILIZER_LEAD = 64  # images of an element the stabilizer matches before the 
 @dataclass(frozen=True)
 class InvariantSetRegistry:
     """Labels of the invariant sets, which one carries the data-fitted
-    operator, and which group element maps the base set onto each other."""
+    operator, and which group element maps the base set onto each other;
+    no two labels map through one element."""
 
     labels: tuple
     base_label: str
@@ -72,6 +73,12 @@ class InvariantSetRegistry:
                 "mapping must cover exactly the non-base labels "
                 f"{sorted(expected)}, got {sorted(self.mapping)}"
             )
+        first = {}  # element label -> the first label mapped through it
+        for label in sorted(self.mapping, key=self.labels.index):
+            element = self.mapping[label]
+            if first.setdefault(element, label) != label:
+                raise InputError(f"registry maps {first[element]!r} and {label!r} "
+                                 f"through the same element {element!r}")
 
 
 @dataclass(frozen=True)
@@ -188,9 +195,8 @@ def assemble_global(registry, base, reps):
     (``has_exact_representation``), and otherwise transported by the
     dictionary (``transport_case2``).
 
-    Raises InputError when a transported label's value is not of its
-    registry element, or two transported labels share one element
-    (``check_registry`` also needs the group to catch the identity).
+    Raises InputError when a label's value is not of its registry element;
+    ``check_registry`` needs the group to refuse the identity.
     """
     if base.set_label != registry.base_label:
         raise InputError(
@@ -199,7 +205,6 @@ def assemble_global(registry, base, reps):
         )
     exact = has_exact_representation(base.dictionary)
     blocks = []
-    transported = {}  # element label -> the first label mapped through it
     for label in registry.labels:
         if label == registry.base_label:
             blocks.append((label, base))
@@ -212,12 +217,6 @@ def assemble_global(registry, base, reps):
                     f"value for {label!r} is of {rep.label!r}, "
                     f"not of its registry element {element!r}"
                 )
-            if element in transported:
-                raise InputError(
-                    f"registry maps {transported[element]!r} and {label!r} "
-                    f"through the same element {element!r}"
-                )
-            transported[element] = label
             if not isinstance(rep, GroupElement):
                 block = transport_case1(base, rep, label)
             elif exact:
@@ -263,7 +262,7 @@ def verify_conjugation(op_i, op_j, rep):
     """
     if op_i.size != op_j.size or op_i.size != rep.size:
         raise InputError("operator and representation sizes must match")
-    transported = rep.matrix @ op_i.matrix @ rep.inverse_matrix
+    transported = transport_case1(op_i, rep).matrix
     denom = np.linalg.norm(op_j.matrix)
     frob = float(np.linalg.norm(op_j.matrix - transported) / denom) if denom else 0.0
     haus = eigenvalue_hausdorff(
@@ -321,12 +320,12 @@ def check_registry(registry, group):
     """Reject a registry that would assemble one invariant set twice.
 
     Every non-base label must name an element of ``group`` other than the
-    identity, and no two labels may share one. When the registry carries
-    samples of the base set M, orbit-stabilizer sharpens this: g_a M = g_b M
-    whenever g_a^-1 g_b lies in the data stabilizer of those samples, so
-    two labels whose elements share a coset of it are rejected too (the
-    base label counts as the identity). Raises InputError naming the first
-    offending pair in registry order.
+    identity; the registry itself refuses two labels through one. When the
+    registry carries samples of the base set M, orbit-stabilizer sharpens
+    this: g_a M = g_b M whenever g_a^-1 g_b lies in the data stabilizer of
+    those samples, so two labels whose elements share a coset of it are
+    rejected too (the base label counts as the identity). Raises InputError
+    naming the first offending pair in registry order.
     """
     indices = [(registry.base_label, 0)]
     for label in registry.labels:
@@ -352,11 +351,6 @@ def check_registry(registry, group):
                 raise InputError(
                     f"registry maps {label!r} through the identity, onto the "
                     f"base set {other!r}"
-                )
-            if i == j:
-                raise InputError(
-                    f"registry maps {other!r} and {label!r} through the same "
-                    f"element {group.elements[i].label!r}"
                 )
             raise InputError(
                 f"registry labels {other!r} and {label!r} name the same set: "

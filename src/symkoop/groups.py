@@ -75,11 +75,6 @@ class GroupElement:
     def dim(self):
         return self.matrix.shape[0]
 
-    @property
-    def inverse_matrix(self):
-        # valid because construction enforces orthogonality
-        return self.matrix.T
-
 
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
@@ -420,23 +415,6 @@ def builtin_group(system_name):
 
 # ---------------------------------------------------------------------------
 # actions
-
-def act_on_state(g, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.dim,):
-        raise InputError(f"state shape {x.shape} does not match element dim {g.dim}")
-    return g.matrix @ x
-
-
-def act_on_function(g, f):
-    """Return the observable x -> f(g^-1 x)."""
-    ginv = g.inverse_matrix
-
-    def transformed(x):
-        return f(ginv @ np.asarray(x, dtype=float))
-
-    return transformed
-
 
 def transform_trajectory(traj, g):
     """Apply a group element to every sample of a trajectory."""

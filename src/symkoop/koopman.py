@@ -299,13 +299,16 @@ def operator_from_dict(data):
         raise TypeError(f"set_label must be a string, got {set_label!r}")
     if type(rank_used) is not int:
         raise TypeError(f"rank_used must be an integer, got {rank_used!r}")
+    provenance = data.get("provenance")
+    if not isinstance(provenance, (dict, type(None))):
+        raise TypeError(f"provenance must be a JSON object, got {provenance!r}")
     return KoopmanApprox(
         matrix=matrix,
         dictionary=dictionary,
         set_label=set_label,
         fit_residual=fit_residual,
         rank_used=rank_used,
-        provenance=data.get("provenance"),
+        provenance=provenance,
     )
 
 

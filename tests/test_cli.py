@@ -618,21 +618,16 @@ def test_assemble_registry_with_unknown_element(tmp_path):
 
 @pytest.mark.parametrize("labels, mapping, message", [
     (("right", "left", "left-again"), {"left": "swap", "left-again": "swap"},
-     "same element 'swap'"),
+     "registry.json: registry maps 'left' and 'left-again' "
+     "through the same element 'swap'"),
     (("right", "left"), {"left": "e"}, "through the identity"),
 ], ids=["shared-element", "non-base-identity"])
 def test_assemble_rejects_registry_with_duplicate_set(tmp_path, capsys, labels,
                                                       mapping, message):
-    from symkoop import save_registry
-    from symkoop.equivariant import InvariantSetRegistry
-
     op_path = fit_toggle_operator(tmp_path)
     group_path = make_group_file(tmp_path)
     reg_path = tmp_path / "registry.json"
-    save_registry(
-        InvariantSetRegistry(labels=labels, base_label="right", mapping=mapping),
-        reg_path,
-    )
+    reg_path.write_text(json.dumps({"labels": labels, "base": "right", "mapping": mapping}))
     capsys.readouterr()
     out = tmp_path / "g.json"
     assert run(["assemble", "--registry", str(reg_path), "--base-operator",
@@ -640,6 +635,29 @@ def test_assemble_rejects_registry_with_duplicate_set(tmp_path, capsys, labels,
                 "--out", str(out)]) == cli.EXIT_CONFIG
     assert message in one_line_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("provenance", ["x", [], 5, True])
+def test_assemble_refuses_a_base_operator_whose_provenance_is_no_object(
+        tmp_path, capsys, provenance):
+    op_path = fit_toggle_operator(tmp_path)
+    payload = json.loads(op_path.read_text())
+    op_path.write_text(json.dumps(dict(payload, provenance=provenance)))
+    group_path = make_group_file(tmp_path)
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(json.dumps({"labels": ["right", "left"], "mapping": {"left": "swap"}}))
+    capsys.readouterr()
+    out = tmp_path / "g.json"
+    argv = ["assemble", "--registry", str(reg_path), "--base-operator", str(op_path),
+            "--group", str(group_path), "--out", str(out)]
+    assert run(argv) == cli.EXIT_CONFIG
+    assert one_line_error(capsys) == (
+        f"error: {op_path}: provenance must be a JSON object, got {provenance!r}\n")
+    assert not out.exists()
+    # null is an operator fitted from data, as with no provenance at all
+    op_path.write_text(json.dumps(dict(payload, provenance=None)))
+    assert run(argv) == 0
+    assert "right           2 fitted" in capsys.readouterr().out
 
 
 def test_spectrum_command(tmp_path, capsys):

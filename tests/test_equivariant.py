@@ -14,6 +14,7 @@ from symkoop import (
     InvariantSetRegistry,
     IsotropyRequiredError,
     MonomialDictionary,
+    SymkoopError,
     assemble_global,
     builtin_group,
     check_registry,
@@ -307,20 +308,26 @@ def test_assemble_validates_inputs():
         assemble_global(registry, replace(base, set_label="elsewhere"), reps)
 
 
-@pytest.mark.parametrize("case", ["other-element", "shared-element"])
-def test_assemble_checks_reps_against_registry(case):
-    registry, base, reps = toggle_global()
-    if case == "other-element":
-        identity = builtin_group("toggle_switch").identity
-        reps = {"left": induced_representation(IdentityDictionary(2), identity)}
-    else:
-        registry = InvariantSetRegistry(
-            labels=("right", "left", "left2"), base_label="right",
-            mapping={"left": "swap", "left2": "swap"},
-        )
-        reps = {"left": reps["left"], "left2": reps["left"]}
-    with pytest.raises(InputError, match="element"):
+def test_assemble_checks_reps_against_registry():
+    registry, base, _ = toggle_global()
+    identity = builtin_group("toggle_switch").identity
+    reps = {"left": induced_representation(IdentityDictionary(2), identity)}
+    with pytest.raises(InputError, match="value for 'left' is of 'e', "
+                                         "not of its registry element 'swap'"):
         assemble_global(registry, base, reps)
+
+
+def test_registry_refuses_two_labels_through_one_element(tmp_path):
+    # named in label order, whatever the order of the mapping
+    message = "registry maps 'left' and 'left-again' through the same element 'swap'"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        InvariantSetRegistry(labels=("right", "left", "left-again"), base_label="right",
+                             mapping={"left-again": "swap", "left": "swap"})
+    path = tmp_path / "registry.json"
+    path.write_text('{"labels": ["right", "left", "left-again"], '
+                    '"mapping": {"left": "swap", "left-again": "swap"}}')
+    with pytest.raises(ConfigurationError, match=f"registry.json: {message}$"):
+        load_registry(path)
 
 
 def test_global_predict_matches_block_predict_bitwise():
@@ -385,6 +392,19 @@ def test_verify_conjugation_identity_is_zero():
     report = verify_conjugation(op, op, rep)
     assert report.frobenius_error == 0.0
     assert report.hausdorff_distance == 0.0
+
+
+def test_verify_conjugation_compares_against_transport_case1():
+    # R is no signed permutation, so R^-1 comes from the solver: the
+    # transported matrix is transport_case1's, bit for bit
+    op = wrap(K_RIGHT)
+    rep = FeatureRepresentation("r", np.array([[2.0, 1.0], [0.5, 1.5]]))
+    report = verify_conjugation(op, transport_case1(op, rep), rep)
+    assert report.frobenius_error == report.hausdorff_distance == 0.0
+    singular = FeatureRepresentation("s", np.array([[1.0, 2.0], [2.0, 4.0]]))
+    for call in (transport_case1, lambda op, rep: verify_conjugation(op, op, rep)):
+        with pytest.raises(SymkoopError, match="representation 's' is singular"):
+            call(op, singular)
 
 
 def test_commutation_on_symmetric_union_data():

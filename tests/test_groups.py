@@ -11,19 +11,23 @@ from symkoop import (
     ConfigurationError,
     FiniteMatrixGroup,
     GroupElement,
+    IdentityDictionary,
     InputError,
+    MonomialDictionary,
     NonFiniteGroupError,
-    act_on_function,
-    act_on_state,
+    TransformedDictionary,
+    Trajectory,
     builtin_group,
     check_axioms,
     check_equivariance,
     data_stabilizer_labels,
     generate_group,
+    induced_representation,
     load_group,
     make_system,
     save_group,
     simulate,
+    transform_trajectory,
 )
 from symkoop.groups import EQUIVARIANCE_TOL, MATRIX_MATCH_TOL, group_to_dict
 
@@ -101,51 +105,60 @@ def test_infinite_group_hits_max_order():
         generate_group([GroupElement("r", rot)], max_order=32)
 
 
-def test_act_on_state_examples():
+def test_element_acts_on_states_by_its_matrix():
     lorenz_gamma = builtin_group("lorenz").elements[1]
-    assert np.array_equal(
-        act_on_state(lorenz_gamma, [1.0, 2.0, 3.0]), [-1.0, -2.0, 3.0]
-    )
+    assert np.array_equal(lorenz_gamma.matrix @ [1.0, 2.0, 3.0], [-1.0, -2.0, 3.0])
     swap = GroupElement("swap", SWAP)
-    assert np.array_equal(act_on_state(swap, [4.0, 7.0]), [7.0, 4.0])
-    e = GroupElement("e", np.eye(2))
-    x = np.array([0.3, -0.8])
-    assert np.array_equal(act_on_state(e, x), x)
-    with pytest.raises(InputError):
-        act_on_state(swap, [1.0, 2.0, 3.0])
+    assert np.array_equal(swap.matrix @ [4.0, 7.0], [7.0, 4.0])
+    states = np.array([[0.3, -0.8], [4.0, 7.0], [-1.5, 2.25]])
+    traj = Trajectory(dim=2, dt=0.1, states=states)
+    assert np.array_equal(transform_trajectory(traj, GroupElement("e", np.eye(2))).states,
+                          states)
+    moved = transform_trajectory(traj, swap)
+    assert moved.dt == traj.dt
+    assert np.array_equal(moved.states, [swap.matrix @ x for x in states])
+    with pytest.raises(InputError, match="trajectory and element dimensions differ"):
+        transform_trajectory(Trajectory(dim=3, dt=0.1, states=np.ones((2, 3))), swap)
 
 
-def test_act_on_function_identity_and_linear():
-    f = lambda x: x[0]
-    e = GroupElement("e", np.eye(2))
-    rot = GroupElement("r", NEG)
-    x = np.array([1.3, -0.4])
-    assert act_on_function(e, f)(x) == pytest.approx(f(x))
-    assert act_on_function(rot, f)(x) == pytest.approx(-x[0])
+def test_transformed_dictionary_of_identity_and_negation():
+    # psi(gamma^-1 x): the identity leaves the coordinates, NEG negates them
+    X = np.array([[1.3, -0.4, 0.0], [-0.4, 2.5, 1.0]])
+    d = IdentityDictionary(2)
+    assert np.array_equal(TransformedDictionary(d, np.eye(2), "e").evaluate_matrix(X), X)
+    assert np.array_equal(TransformedDictionary(d, NEG, "r").evaluate_matrix(X), -X)
 
 
-def test_act_on_function_is_group_action():
-    # (g1 * (g2 * f))(x) == ((g1 g2) * f)(x)
-    group = builtin_group("hamiltonian")
-    f = lambda x: x[0] ** 2 + 0.5 * x[1] - 0.3 * x[0] * x[1]
-    rng = np.random.default_rng(3)
+@pytest.mark.parametrize("which", ["klein", "octahedral"])
+def test_transformed_dictionary_is_a_group_action(which, octahedral_group):
+    # psi transformed by g2, then by g1, is psi transformed by g1 g2, bit for
+    # bit on states and in the induced representation of every generator
+    group = octahedral_group if which == "octahedral" else generate_group(
+        [GroupElement("g1", SWAP), GroupElement("g2", NEG)])
+    d = MonomialDictionary(group.dim, 3)
+    X = np.random.default_rng(3).uniform(-2, 2, size=(group.dim, 100))
+    generators = [group.element(label) for label in group.generator_labels]
     for i, g1 in enumerate(group.elements):
         for j, g2 in enumerate(group.elements):
             g12 = group.elements[group.multiply(i, j)]
-            nested = act_on_function(g1, act_on_function(g2, f))
-            direct = act_on_function(g12, f)
-            for x in rng.uniform(-2, 2, size=(100, 2)):
-                assert abs(nested(x) - direct(x)) <= 1e-12
+            nested = TransformedDictionary(
+                TransformedDictionary(d, g2.matrix, g2.label), g1.matrix, g1.label)
+            direct = TransformedDictionary(d, g12.matrix, g12.label)
+            assert np.array_equal(nested.evaluate_matrix(X), direct.evaluate_matrix(X))
+            for h in generators:
+                assert np.array_equal(induced_representation(nested, h).matrix,
+                                      induced_representation(direct, h).matrix)
 
 
-def test_act_state_inverse_roundtrip():
+def test_element_and_its_inverse_index_round_trip_states():
     group = builtin_group("hamiltonian")
-    rng = np.random.default_rng(11)
+    states = np.random.default_rng(11).uniform(-5, 5, size=(100, 2))
+    traj = Trajectory(dim=2, dt=0.01, states=states)
     for i, g in enumerate(group.elements):
         ginv = group.elements[group.inverse_index(i)]
-        for x in rng.uniform(-5, 5, size=(100, 2)):
-            back = act_on_state(ginv, act_on_state(g, x))
-            assert np.linalg.norm(back - x) <= 1e-12
+        assert np.array_equal(ginv.matrix @ g.matrix @ states.T, states.T)
+        back = transform_trajectory(transform_trajectory(traj, g), ginv)
+        assert np.array_equal(back.states, states)
 
 
 def test_check_equivariance_passes_for_declared_group():

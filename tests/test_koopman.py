@@ -26,6 +26,8 @@ from symkoop import (
     snapshots,
     spectrum,
     transform_trajectory,
+    transport_case1,
+    transport_case2,
     verify_conjugation,
 )
 from symkoop.koopman import (
@@ -36,7 +38,13 @@ from symkoop.koopman import (
     operator_to_dict,
     spectrum_to_list,
 )
-from symkoop.scenarios import EXACT_TIER_TOL, draw_base_state
+from symkoop.scenarios import (
+    EXACT_TIER_TOL,
+    SPECTRUM_TOL,
+    base_dictionaries,
+    draw_base_state,
+    exact_tier_trajectory,
+)
 
 
 def svd_pinv_fit(Yp, Yf, rank_tol=DEFAULT_RANK_TOL):
@@ -593,16 +601,29 @@ def test_eigenfunctions_of_diagonal_operator_are_coordinates():
         eigenfunction_eval(spec, 5, d, [0.0, 0.0])
 
 
-def test_identity_operator_eigenfunctions_are_invariant():
-    d = IdentityDictionary(3)
-    spec = spectrum(op_from_matrix(np.eye(3)))
-    assert np.allclose(spec.eigenvalues, 1.0)
-    # phi(T x) = phi(x) when K = I represents T exactly (T = identity map)
-    x = np.array([0.2, -1.0, 3.0])
-    for i in range(3):
-        assert eigenfunction_eval(spec, i, d, x) == pytest.approx(
-            eigenfunction_eval(spec, i, d, x)
-        )
+@pytest.mark.parametrize("name", ["lorenz", "toggle_switch", "hamiltonian"])
+def test_transported_eigenfunctions_are_transformed_dictionary_evaluations(name):
+    """On the image set g M, the eigenfunctions of R K R^-1 under the base
+    dictionary are those of K under the transformed dictionary psi(g^-1 x),
+    each up to one complex scale, at the same eigenvalues."""
+    traj = exact_tier_trajectory(name)
+    rng = np.random.default_rng(21)
+    x = np.array([draw_base_state(name, rng) for _ in range(50)])
+    for dictionary in base_dictionaries(name).values():
+        op = fit_trajectory(traj, dictionary, set_label="base")
+        for g in builtin_group(name).elements:
+            conjugated = transport_case1(op, induced_representation(dictionary, g))
+            moved = transport_case2(op, g)
+            spec_c, spec_m = spectrum(conjugated), spectrum(moved)
+            gx = x @ g.matrix.T
+            for i, lam in enumerate(spec_c.eigenvalues):
+                j = int(np.argmin(np.abs(spec_m.eigenvalues - lam)))
+                assert abs(spec_m.eigenvalues[j] - lam) <= SPECTRUM_TOL
+                a = np.array([eigenfunction_eval(spec_c, i, dictionary, y) for y in gx])
+                b = np.array([eigenfunction_eval(spec_m, j, moved.dictionary, y)
+                              for y in gx])
+                scale = np.vdot(a, b) / np.vdot(a, a)
+                assert np.linalg.norm(b - scale * a) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_group_action_preserves_eigenfunctions_when_commuting():
