@@ -28,7 +28,6 @@ from .dynamics import (
     simulate,
     snapshots,
     step,
-    vector_field,
 )
 from .equivariant import (
     GlobalKoopman,
@@ -37,9 +36,7 @@ from .equivariant import (
     check_registry,
     data_stabilizer_labels,
     global_predict,
-    load_global,
     load_registry,
-    save_global,
     save_registry,
     transport_case1,
     transport_case2,
@@ -78,7 +75,6 @@ from .koopman import (
     fit_trajectory,
     load_operator,
     predict,
-    save_operator,
     spectrum,
 )
 

@@ -61,10 +61,6 @@ class SnapshotPairs:
     Xp: np.ndarray  # dim x M
     Xf: np.ndarray  # dim x M
 
-    @property
-    def n_pairs(self):
-        return self.Xp.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # built-in vector fields
@@ -351,15 +347,6 @@ def _divergence(system, y, batch, step_index=None, total=None):
         f"non-finite state from {system.name!r}{where}",
         step_index=step_index, start_index=start,
     )
-
-
-def vector_field(system, x):
-    """Evaluate the continuous-time field f(x) with the system's parameters,
-    on a state (dim,) or on each row of a block (N, dim)."""
-    if system.kind != CONTINUOUS:
-        raise InputError(f"system {system.name!r} is not continuous-time")
-    x = _check_state(system, x)
-    return _field_output(system, system.field(x.T, system.params), x.T.shape).T
 
 
 def step(system, x, dt):

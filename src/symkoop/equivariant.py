@@ -536,20 +536,3 @@ def global_to_dict(gk):
             dict(operator_to_dict(op), label=label) for label, op in gk.blocks
         ],
     }
-
-
-def global_from_dict(data):
-    from .koopman import operator_from_dict
-
-    blocks = tuple(
-        (entry["label"], operator_from_dict(entry)) for entry in data["blocks"]
-    )
-    return GlobalKoopman(blocks=blocks)
-
-
-def save_global(gk, path):
-    write_json(path, global_to_dict(gk))
-
-
-def load_global(path):
-    return read_json(path, global_from_dict)

@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit, and the strict reader and
-writer of its JSON files: a malformed file, or a NaN to be written, becomes
-one of them."""
+writer of its JSON files: a malformed file, or a NaN or too deep a nesting
+to be written, becomes one of them."""
 
 import json
 import reprlib
@@ -55,7 +55,8 @@ def _reject_constant(token):
 def read_json(path, parse):
     """``parse`` of the JSON object in the file at ``path``, which may hold
     no NaN or Infinity; malformed content, including an integer too large
-    for a float, raises one ConfigurationError naming the file."""
+    for a float or a nesting too deep to parse, raises one
+    ConfigurationError naming the file."""
     try:
         with open(path) as fh:
             data = json.load(fh, parse_constant=_reject_constant)
@@ -64,7 +65,7 @@ def read_json(path, parse):
         return parse(data)
     except KeyError as err:
         raise ConfigurationError(f"{path}: missing key {err}") from err
-    except (TypeError, ValueError, AttributeError, OverflowError,
+    except (TypeError, ValueError, AttributeError, OverflowError, RecursionError,
             ConfigurationError) as err:
         raise ConfigurationError(f"{path}: {err}") from err
 
@@ -90,8 +91,9 @@ def json_matrix(value, key):
 def _json_text(value, pad):
     """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes
     it, its continuation lines indented by ``pad``: a list of floats is one
-    join over ``float.__repr__``. A NaN or Infinity raises ValueError, and a
-    type or dict key that json would convert or refuse raises TypeError."""
+    join over ``float.__repr__``. A NaN or Infinity raises json's
+    ValueError, and a type or dict key that json would convert or refuse
+    raises TypeError."""
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -99,9 +101,10 @@ def _json_text(value, pad):
         sep = ",\n" + inner
         try:
             text = sep.join(map(float.__repr__, value))
-            if "n" in text:  # "nan" or "inf": only they hold an n
-                raise ValueError(text)
+            finite = "n" not in text  # "nan" or "inf": only they hold an n
         except TypeError:
+            finite = False
+        if not finite:  # one value at a time, so a NaN is named as json names it
             text = sep.join([_json_text(v, inner) for v in value])
         return "[\n" + inner + text + "\n" + pad + "]"
     if isinstance(value, dict):
@@ -122,23 +125,19 @@ def _json_text(value, pad):
     if isinstance(value, float):
         text = float.__repr__(value)
         if "n" in text:
-            raise ValueError(text)
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return text
-    raise TypeError(type(value).__name__)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_json(path, payload):
     """Write ``payload`` to the file at ``path`` as JSON indented by 2, the
-    bytes of ``json.dumps(payload, indent=2, allow_nan=False)``, which
-    writes what ``_json_text`` does not handle. A NaN or Infinity in it
-    raises a SymkoopError naming the file before the file is opened, so no
-    partial file is left."""
+    bytes of ``json.dumps(payload, indent=2, allow_nan=False)``. A NaN or
+    Infinity in it, or a nesting too deep to encode, raises a SymkoopError
+    naming the file before the file is opened, so no partial file is left."""
     try:
-        try:
-            text = _json_text(payload, "")
-        except (TypeError, ValueError, RecursionError):
-            text = json.dumps(payload, indent=2, allow_nan=False)
-    except ValueError as err:
+        text = _json_text(payload, "")
+    except (ValueError, RecursionError) as err:
         raise SymkoopError(f"{path}: cannot write JSON: {err}") from err
     with open(path, "w") as fh:
         fh.write(text)

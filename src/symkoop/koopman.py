@@ -23,7 +23,7 @@ import numpy as np
 
 from .dictionaries import Dictionary, dictionary_from_spec
 from .dynamics import TIME_GRID_TOL, Trajectory
-from .errors import DegenerateDataError, InputError, json_matrix, read_json, write_json
+from .errors import DegenerateDataError, InputError, json_matrix, read_json
 
 DEFAULT_RANK_TOL = 1e-12
 _FIT_CHUNK = 1024  # snapshot columns per QR update; small blocks stay in cache
@@ -302,6 +302,9 @@ def operator_from_dict(data):
     provenance = data.get("provenance")
     if not isinstance(provenance, (dict, type(None))):
         raise TypeError(f"provenance must be a JSON object, got {provenance!r}")
+    transported = (provenance or {}).get("transported", False)
+    if type(transported) is not bool:
+        raise TypeError(f"provenance transported must be true or false, got {transported!r}")
     return KoopmanApprox(
         matrix=matrix,
         dictionary=dictionary,
@@ -310,10 +313,6 @@ def operator_from_dict(data):
         rank_used=rank_used,
         provenance=provenance,
     )
-
-
-def save_operator(op, path):
-    write_json(path, operator_to_dict(op))
 
 
 def load_operator(path):

@@ -660,6 +660,23 @@ def test_assemble_refuses_a_base_operator_whose_provenance_is_no_object(
     assert "right           2 fitted" in capsys.readouterr().out
 
 
+def test_assemble_refuses_a_base_provenance_too_deep_to_write(tmp_path, capsys):
+    # 900 levels parse within the default recursion limit of 1000; copied
+    # into global.json, they are too deep for the writer, which spends two
+    # frames a level on CPython 3.10 and 3.11
+    provenance = {"notes": json.loads("[" * 900 + "]" * 900)}
+    op, group, registry = (tmp_path / f"{name}.json" for name in ("op", "group", "reg"))
+    op.write_text(json.dumps(dict(OPERATOR, provenance=provenance)))
+    group.write_text(json.dumps(SWAP_GROUP))
+    registry.write_text(json.dumps({"labels": ["right", "left"], "mapping": {"left": "swap"}}))
+    out = tmp_path / "global.json"
+    assert run(["assemble", "--registry", str(registry), "--base-operator", str(op),
+                "--group", str(group), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert one_line_error(capsys).startswith(
+        f"error: {out}: cannot write JSON: maximum recursion depth exceeded")
+    assert not out.exists()
+
+
 def test_spectrum_command(tmp_path, capsys):
     op_path = fit_toggle_operator(tmp_path)
     out = tmp_path / "spec.json"
@@ -864,6 +881,9 @@ SWAP_GROUP = {"dim": 2, "generators": [{"label": "swap",
     ("assemble", json.dumps({"labels": ["right", "left"], "mapping": {"left": "swap"},
                              "samples": {"right": [3.0, 0.1]}}),
      "samples 'right' must be a list of equal-length lists, got [3.0, 0.1]"),
+    ("assemble-operator", json.dumps(dict(OPERATOR, provenance={"transported": "no"})),
+     "provenance transported must be true or false, got 'no'"),
+    ("spectrum", "[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
 ], ids=["group-no-label", "group-ragged", "group-nan", "group-list", "group-truncated",
         "group-dim-mismatch", "group-dim-zero", "group-dim-float",
         "group-generators-object", "group-generators-strings", "group-number-label",
@@ -877,7 +897,8 @@ SWAP_GROUP = {"dim": 2, "generators": [{"label": "swap",
         "base-operator-fractional-rank", "operator-list-label",
         "operator-non-orthogonal-transformed", "operator-bool-K", "operator-string-K",
         "group-bool-matrix", "operator-string-transformed-matrix",
-        "registry-string-sample", "registry-flat-sample"])
+        "registry-string-sample", "registry-flat-sample", "operator-string-transported",
+        "operator-deep-nesting"])
 def test_malformed_input_is_one_config_error_naming_the_file(
         tmp_path, capsys, command, text, message):
     bad = tmp_path / ("bad.csv" if command == "fit" else "bad.json")

@@ -18,12 +18,15 @@ from symkoop import (
     builtin_group,
     dictionary_from_spec,
     assemble_global,
+    eigenvalue_hausdorff,
+    fit_edmd,
     generate_group,
     induced_representation,
     lift,
     make_system,
     simulate,
     snapshots,
+    verify_conjugation,
 )
 from symkoop.dictionaries import (
     _exact_representation,
@@ -31,6 +34,7 @@ from symkoop.dictionaries import (
     has_exact_representation,
 )
 from symkoop.koopman import KoopmanApprox
+from symkoop.scenarios import EXACT_TIER_TOL, SPECTRUM_TOL
 
 SWAP = GroupElement("swap", np.array([[0.0, 1.0], [1.0, 0.0]]))
 HALF_TURN = GroupElement("half_turn", np.array([[-1.0, 0.0], [0.0, -1.0]]))
@@ -444,6 +448,34 @@ def test_exact_representation_holds_out_of_sample(case, data, seed):
     assert defect <= 1e-12 * max(1.0, np.max(np.abs(F)))
     if signed:
         assert _is_signed_permutation(rep.matrix)
+
+
+def polynomial_map(X):
+    """A fixed cubic map of the columns of X. It need not commute with the
+    group: both states of each pair are transformed."""
+    return 0.9 * X + 0.2 * np.roll(X, 1, axis=0) ** 2 - 0.1 * X ** 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=representation_cases(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_a_refit_on_exactly_transformed_data_is_the_conjugate(case, data, seed):
+    # Well-conditioned by construction: 10 uniform samples per feature on
+    # [-1, 1]^dim, which every element and wrapper here keeps in the ball of
+    # radius sqrt(dim), so every monomial of degree <= 4 is O(1) on them and
+    # the lifted data keep full rank; then pinv(R Yp) = pinv(Yp) R^-1, and
+    # the refit is R K R^-1 up to rounding.
+    group, d, _ = case
+    g = group.elements[data.draw(st.integers(0, group.order - 1))]
+    X = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(d.dim, 10 * d.size))
+    Y = polynomial_map(X)
+    op = fit_edmd(d.evaluate_matrix(X), d.evaluate_matrix(Y), dictionary=d)
+    refit = fit_edmd(d.evaluate_matrix(g.matrix @ X), d.evaluate_matrix(g.matrix @ Y),
+                     dictionary=d)
+    assert op.rank_used == refit.rank_used == d.size
+    report = verify_conjugation(op, refit, induced_representation(d, g))
+    assert report.frobenius_error <= EXACT_TIER_TOL
+    moved = eigenvalue_hausdorff(np.linalg.eigvals(op.matrix), np.linalg.eigvals(refit.matrix))
+    assert moved <= SPECTRUM_TOL
 
 
 # ---------------------------------------------------------------------------

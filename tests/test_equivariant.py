@@ -1,4 +1,5 @@
 import functools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -22,11 +23,9 @@ from symkoop import (
     fit_trajectory,
     global_predict,
     induced_representation,
-    load_global,
     load_registry,
     make_system,
     predict,
-    save_global,
     save_registry,
     simulate,
     snapshots,
@@ -37,8 +36,10 @@ from symkoop import (
     verify_conjugation,
     verify_invariant_set_image,
 )
+from symkoop.equivariant import global_to_dict
+from symkoop.errors import write_json
 from symkoop.groups import _BLOCK
-from symkoop.koopman import KoopmanApprox
+from symkoop.koopman import KoopmanApprox, operator_from_dict
 from symkoop.scenarios import (
     EXACT_TIER_TOL,
     builtin_registry,
@@ -589,8 +590,11 @@ def test_global_json_roundtrip(tmp_path):
     registry, base, reps = toggle_global()
     gk = assemble_global(registry, base, reps)
     path = tmp_path / "global.json"
-    save_global(gk, path)
-    loaded = load_global(path)
-    assert loaded.labels == gk.labels
-    assert np.array_equal(loaded.as_matrix(), gk.as_matrix())
-    assert loaded.block("left").provenance == gk.block("left").provenance
+    write_json(path, global_to_dict(gk))
+    data = json.loads(path.read_text())
+    assert data["labels"] == gk.labels
+    assert [entry["label"] for entry in data["blocks"]] == gk.labels
+    for entry, (_, op) in zip(data["blocks"], gk.blocks):
+        loaded = operator_from_dict(entry)
+        assert np.array_equal(loaded.matrix, op.matrix)
+        assert loaded.provenance == op.provenance

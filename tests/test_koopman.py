@@ -21,7 +21,6 @@ from symkoop import (
     load_operator,
     make_system,
     predict,
-    save_operator,
     simulate,
     snapshots,
     spectrum,
@@ -30,6 +29,7 @@ from symkoop import (
     transport_case2,
     verify_conjugation,
 )
+from symkoop.errors import write_json
 from symkoop.koopman import (
     _FIT_CHUNK,
     DEFAULT_RANK_TOL,
@@ -649,7 +649,7 @@ def test_operator_json_roundtrip(tmp_path):
     traj = simulate(make_system("toggle_switch"), [2.5, 0.5], 0.05, 40)
     op = fit_trajectory(traj, MonomialDictionary(2, 2), set_label="right")
     path = tmp_path / "op.json"
-    save_operator(op, path)
+    write_json(path, operator_to_dict(op))
     loaded = load_operator(path)
     assert np.array_equal(loaded.matrix, op.matrix)
     assert loaded.set_label == op.set_label
@@ -660,6 +660,22 @@ def test_operator_json_roundtrip(tmp_path):
     assert operator_to_dict(operator_from_dict(operator_to_dict(op))) == operator_to_dict(op)
 
 
+@pytest.mark.parametrize("transported", ["no", "false", 0, 1, None, [True], {}],
+                         ids=["no", "string-false", "zero", "one", "null", "list", "object"])
+def test_operator_from_dict_refuses_a_transported_flag_that_is_no_json_boolean(transported):
+    data = operator_to_dict(op_from_matrix(np.eye(2)))
+    data["provenance"] = {"transported": transported, "method": "conjugation"}
+    with pytest.raises(TypeError, match="provenance transported must be true or false"):
+        operator_from_dict(data)
+    for flag in (True, False):
+        data["provenance"]["transported"] = flag
+        assert operator_from_dict(data).is_transported is flag
+    # a provenance without the key, or none at all, is an operator fitted from data
+    for provenance in ({"method": "fit"}, None):
+        data["provenance"] = provenance
+        assert not operator_from_dict(data).is_transported
+
+
 def test_saved_json_is_indented_and_refuses_nan(tmp_path):
     import json
 
@@ -667,11 +683,11 @@ def test_saved_json_is_indented_and_refuses_nan(tmp_path):
 
     op = op_from_matrix(np.diag([0.5, 0.9]))
     path = tmp_path / "op.json"
-    save_operator(op, path)
+    write_json(path, operator_to_dict(op))
     assert path.read_text() == json.dumps(operator_to_dict(op), indent=2)
     nan_op = op_from_matrix(np.diag([0.5, np.nan]))
     with pytest.raises(SymkoopError, match="cannot write JSON") as info:
-        save_operator(nan_op, tmp_path / "nan.json")
+        write_json(tmp_path / "nan.json", operator_to_dict(nan_op))
     assert "\n" not in str(info.value)
     assert not (tmp_path / "nan.json").exists()
 
