@@ -35,22 +35,15 @@ def _load_config(path):
     return {} if path is None else read_json(path, lambda config: config)
 
 
-# options whose config value must be a JSON string: paths, labels, names
-_TEXT_KEYS = frozenset({
-    "system", "traj", "set_label", "operator", "group", "element",
-    "target_label", "registry", "base_operator", "checks", "out",
-})
-
-
 def _resolve(args, config, key, default=None):
-    """flag > config file > default. A config value of a text key (see
-    _TEXT_KEYS) that is not a string raises a ConfigurationError naming the
-    key and the file."""
+    """The text option ``key`` (a path, label or name): flag > config file >
+    default. A config value that is not a string raises a
+    ConfigurationError naming the key and the file."""
     value = getattr(args, key, None)
     if value is not None:
         return value
     value = config.get(key, default)
-    if key in config and key in _TEXT_KEYS and not isinstance(value, str):
+    if key in config and not isinstance(value, str):
         raise ConfigurationError(
             f"config key {key!r} in {args.config} must be a string, got {value!r}")
     return value
@@ -62,8 +55,10 @@ def _resolve_number(args, config, key, default, integer=False, minimum=None):
     ``float``; a config value must already be a JSON number. A value that is
     not a finite number, not a whole number when ``integer``, or below
     ``minimum`` raises a ConfigurationError naming the key."""
-    value = _resolve(args, config, key, default)
-    if getattr(args, key, None) is not None:
+    value = getattr(args, key, None)
+    if value is None:
+        value = config.get(key, default)
+    else:
         try:
             value = (int if integer else float)(value)
         except ValueError:
@@ -86,7 +81,8 @@ def _resolve_json(args, config, key, default):
     flag's text is parsed, and so is a config value that is a string; any
     other config value is already JSON. Text that is no JSON raises a
     ConfigurationError naming the flag, or the config key and file."""
-    value = _resolve(args, config, key)
+    flag = getattr(args, key, None)
+    value = config.get(key) if flag is None else flag
     if value is None:
         return default
     if not isinstance(value, str):
@@ -94,8 +90,7 @@ def _resolve_json(args, config, key, default):
     try:
         return json.loads(value)
     except json.JSONDecodeError as err:
-        source = (f"--{key}" if getattr(args, key, None) is not None
-                  else f"config key {key!r} in {args.config}")
+        source = f"--{key}" if flag is not None else f"config key {key!r} in {args.config}"
         raise ConfigurationError(f"invalid JSON for {source}: {err}") from err
 
 
@@ -111,13 +106,15 @@ def _parse_state(text, dim=None):
     return x
 
 
-def _require_readable(path, what):
+def _load(args, config, key, load, what):
+    """``load`` of the path named by the text option ``key`` (a ``what``),
+    which must be a file."""
+    path = _resolve(args, config, key)
     if path is None:
         raise ConfigurationError(f"missing required {what}")
-    p = Path(path)
-    if not p.is_file():
+    if not Path(path).is_file():
         raise ConfigurationError(f"{what} {path!r} does not exist or is not a file")
-    return p
+    return load(Path(path))
 
 
 def _write_json(path, payload):
@@ -190,7 +187,8 @@ def _emit_phase_portrait(system, dt, path):
 
 def cmd_fit(args):
     config = _load_config(args.config)
-    traj_path = _require_readable(_resolve(args, config, "traj"), "trajectory CSV")
+    # the CSV is read once rank_tol is checked: ``load`` here only returns the path
+    traj_path = _load(args, config, "traj", Path, "trajectory CSV")
     rank_tol = _resolve_number(args, config, "rank_tol", koopman.DEFAULT_RANK_TOL)
     traj = dynamics.load_trajectory(traj_path)
     dict_spec = _resolve_json(args, config, "dictionary", {"kind": "identity"})
@@ -211,11 +209,6 @@ def cmd_fit(args):
     return EXIT_OK
 
 
-def _load(args, config, key, load, what):
-    """``load`` of the file named by option ``key`` (a ``what``), which must exist."""
-    return load(_require_readable(_resolve(args, config, key), what))
-
-
 def cmd_transport(args):
     config = _load_config(args.config)
     op = _load(args, config, "operator", koopman.load_operator, "operator JSON")
@@ -225,8 +218,8 @@ def cmd_transport(args):
         raise ConfigurationError("transport needs --element")
     g = group.element(element_label)
     rep = dictionaries.induced_representation(op.dictionary, g)
-    target = _resolve(args, config, "target_label") or f"{op.set_label}:{element_label}"
-    transported = equivariant.transport_case1(op, rep, target_label=target)
+    transported = equivariant.transport_case1(
+        op, rep, target_label=_resolve(args, config, "target_label") or None)
     payload = koopman.operator_to_dict(transported)
     payload["config"] = {
         "operator": str(_resolve(args, config, "operator")),

@@ -124,18 +124,11 @@ class MonomialDictionary(Dictionary):
                 parent = e[:i] + (e[i] - 1,) + e[i + 1:]
                 self._products.append((k, index_of.get(parent), i))
         # _times[k][j] is the index of monomial k times x_j (None above
-        # max_degree); without a constant, the extra row _times[size] is the
-        # factor 1's. For j at least k's last variable i, the product is a
-        # monomial with parent k; for j < i it is (parent times x_j) times
-        # x_i, whose last variable is i.
-        one = 0 if self.include_constant else self.size
-        self._times = [[None] * self.dim for _ in range(self.size + 1)]
-        for k, parent, i in self._products:
-            self._times[one if parent is None else parent][i] = k
-        for k, parent, i in self._products:
-            row, up = self._times[k], self._times[one if parent is None else parent]
-            for j in range(i):
-                row[j] = self._times[up[j]][i]
+        # max_degree); the last row is the factor 1's
+        self._times = [
+            [index_of.get(e[:j] + (e[j] + 1,) + e[j + 1:]) for j in range(dim)]
+            for e in (*exponents, (0,) * dim)
+        ]
 
     def _evaluate(self, X):
         # one row product per monomial, x1^a1 * ... * xd^ad multiplied out

@@ -18,7 +18,7 @@ applied blockwise so cross-set entries are exactly zero.
 """
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -43,6 +43,9 @@ from .koopman import KoopmanApprox, eigenvalue_hausdorff, predict
 
 STABILIZER_TOL = 1e-8  # relative radius of a data-stabilizer match
 _STABILIZER_LEAD = 64  # images of an element the stabilizer matches before the rest
+# largest sample coordinate the stabilizer matches: below it no squared norm
+# of an image, nor of a difference of two, overflows (for dim < 4e7)
+_STABILIZER_MAX_COORD = 1e150
 
 
 @dataclass(frozen=True)
@@ -96,18 +99,18 @@ class GlobalKoopman:
         return sum(op.size for _, op in self.blocks)
 
     def block(self, label):
-        for lbl, op in self.blocks:
-            if lbl == label:
-                return op
-        raise InputError(f"unknown invariant-set label {label!r}")
+        return self.blocks[self._index(label)][1]
 
     def block_slice(self, label):
-        start = 0
-        for lbl, op in self.blocks:
-            if lbl == label:
-                return slice(start, start + op.size)
-            start += op.size
-        raise InputError(f"unknown invariant-set label {label!r}")
+        i = self._index(label)
+        start = sum(op.size for _, op in self.blocks[:i])
+        return slice(start, start + self.blocks[i][1].size)
+
+    def _index(self, label):
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise InputError(f"unknown invariant-set label {label!r}") from None
 
     def as_matrix(self):
         """Dense block-diagonal matrix (for export and inspection only;
@@ -128,8 +131,8 @@ def transport_case1(op, rep, target_label=None):
     """Conjugate a fitted operator into the image set: K_j = R K_i R^-1.
 
     The result keeps the same dictionary and carries provenance marking it
-    as transported rather than fitted; the stored residual is copied from
-    the source fit.
+    as transported rather than fitted; every other field is the source
+    fit's (``_transported``).
     """
     if rep.size != op.size:
         raise InputError(
@@ -142,21 +145,8 @@ def transport_case1(op, rep, target_label=None):
             f"representation {rep.label!r} is singular; construction should "
             "have rejected it"
         ) from err
-    if target_label is None:
-        target_label = f"{op.set_label}:{rep.label}"
-    return KoopmanApprox(
-        matrix=rep.matrix @ op.matrix @ r_inv,
-        dictionary=op.dictionary,
-        set_label=target_label,
-        fit_residual=op.fit_residual,
-        rank_used=op.rank_used,
-        provenance={
-            "transported": True,
-            "method": "conjugation",
-            "base_label": op.set_label,
-            "element": rep.label,
-        },
-    )
+    return _transported(op, rep.label, "conjugation", target_label,
+                        matrix=rep.matrix @ op.matrix @ r_inv)
 
 
 def transport_case2(op, g, target_label=None):
@@ -168,20 +158,20 @@ def transport_case2(op, g, target_label=None):
     """
     if op.dictionary.dim != g.dim:
         raise InputError("operator dictionary and element dimensions differ")
-    if target_label is None:
-        target_label = f"{op.set_label}:{g.label}"
-    return KoopmanApprox(
-        matrix=op.matrix.copy(),
-        dictionary=TransformedDictionary(op.dictionary, g.matrix, g.label),
-        set_label=target_label,
-        fit_residual=op.fit_residual,
-        rank_used=op.rank_used,
-        provenance={
-            "transported": True,
-            "method": "dictionary",
-            "base_label": op.set_label,
-            "element": g.label,
-        },
+    return _transported(
+        op, g.label, "dictionary", target_label, matrix=op.matrix.copy(),
+        dictionary=TransformedDictionary(op.dictionary, g.matrix, g.label))
+
+
+def _transported(op, element, method, target_label, **changes):
+    """``op`` with ``changes``, labeled ``target_label`` (by default
+    "<set>:<element>") and marked as carried by ``method`` through
+    ``element``; every other field is the base fit's."""
+    return replace(
+        op, **changes,
+        set_label=f"{op.set_label}:{element}" if target_label is None else target_label,
+        provenance={"transported": True, "method": method,
+                    "base_label": op.set_label, "element": element},
     )
 
 
@@ -286,7 +276,9 @@ def data_stabilizer_labels(group, states):
     O((N + _BLOCK) * dim) memory.
 
     Raises InputError for an empty cloud (it would vacuously pass every
-    element), a non-finite sample, or a dimension other than ``group.dim``.
+    element), a non-finite sample, a coordinate above _STABILIZER_MAX_COORD
+    in magnitude (its match radius could overflow to infinity and pass
+    every element), or a dimension other than ``group.dim``.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.ndim != 2 or states.shape[1] != group.dim:
@@ -297,6 +289,9 @@ def data_stabilizer_labels(group, states):
         raise InputError("empty sample cloud: no evidence for any stabilizer")
     if not np.all(np.isfinite(states)):
         raise InputError("sample cloud holds NaN or Inf")
+    if np.abs(states).max() > _STABILIZER_MAX_COORD:
+        raise InputError(f"sample cloud holds a coordinate above "
+                         f"{_STABILIZER_MAX_COORD:g} in magnitude, too large to match")
 
     cloud = _SortedPoints(states)
 

@@ -17,7 +17,7 @@ fresh.
 
 import contextvars
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -201,12 +201,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "metrics": self.metrics,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def check_group_axioms(name):

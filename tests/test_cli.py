@@ -174,6 +174,28 @@ def test_fit_rejects_lift_overflow_in_a_later_chunk(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("traj, message", [
+    ("bad.csv", "rank_tol must be a finite number"),
+    ("missing.csv", "does not exist or is not a file"),
+], ids=["bad-csv", "missing-csv"])
+def test_fit_checks_the_csv_path_then_rank_tol_then_the_csv(tmp_path, capsys, traj,
+                                                             message):
+    (tmp_path / "bad.csv").write_text("t,x1\n0.0,1.0\n0.1,oops\n")
+    out = tmp_path / "op.json"
+    assert run(["fit", "--traj", str(tmp_path / traj), "--rank-tol", "nan",
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_fit_records_the_normalised_traj_path(tmp_path, monkeypatch):
+    write_linear_fixture(tmp_path / "traj.csv", np.array([[0.9, 0.1], [-0.2, 0.8]]),
+                         [1.0, 0.3], 10)
+    monkeypatch.chdir(tmp_path)
+    assert run(["fit", "--traj", "./traj.csv", "--out", "op.json"]) == 0
+    assert json.loads((tmp_path / "op.json").read_text())["config"]["traj"] == "traj.csv"
+
+
 @pytest.mark.parametrize("rank_tol", ["nan", "inf", "2", "0", "-1"])
 def test_fit_rejects_unusable_rank_tol(tmp_path, capsys, rank_tol):
     # nan, inf and 2 used to keep rank 0 and write an all-zero operator
@@ -634,6 +656,27 @@ def test_assemble_rejects_registry_with_duplicate_set(tmp_path, capsys, labels,
                 str(op_path), "--group", str(group_path),
                 "--out", str(out)]) == cli.EXIT_CONFIG
     assert message in one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_assemble_refuses_registry_samples_too_large_to_match(tmp_path, capsys):
+    # the overflowing norm made every element stabilize the base samples, so
+    # the registry was refused for naming one set twice
+    (tmp_path / "op.json").write_text(json.dumps({
+        "set_label": "base", "K": np.eye(3).tolist(),
+        "dictionary": {"kind": "identity", "dim": 3}, "fit_residual": 0.0,
+        "rank_used": 3}))
+    (tmp_path / "registry.json").write_text(json.dumps({
+        "labels": ["base", "m"], "mapping": {"m": "rot_pi_z"},
+        "samples": {"base": [[1e308, 1e308, 1e308]]}}))
+    out = tmp_path / "g.json"
+    assert run(["assemble", "--registry", str(tmp_path / "registry.json"),
+                "--base-operator", str(tmp_path / "op.json"),
+                "--group", str(make_group_file(tmp_path, "lorenz")),
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert one_line_error(capsys) == ("error: sample cloud holds a coordinate above 1e+150 "
+                                      "in magnitude, too large to match\n")
     assert not out.exists()
 
 

@@ -1,6 +1,6 @@
 import functools
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from symkoop import (
     ConfigurationError,
+    CustomDictionary,
     FeatureRepresentation,
     IdentityDictionary,
     InputError,
@@ -226,6 +227,48 @@ def test_case1_and_case2_agree_in_state_space(name, degree, data, seed):
     expected = forecast[:, states] @ g.matrix.T
     error = np.max(np.abs(predict(case1, g.matrix @ x0, 50)[:, states] - expected))
     assert error <= STATE_SPACE_TOL * np.max(np.abs(expected))
+
+
+def assert_transported_from(block, base, label, element, method, changed):
+    """``block`` is ``base`` carried by ``method`` through ``element`` to
+    the set ``label``: transport sets the matrix, the label, the provenance
+    and the fields in ``changed``; every other field is the base's own."""
+    assert block.set_label == label
+    assert list(block.provenance.items()) == [
+        ("transported", True), ("method", method),
+        ("base_label", base.set_label), ("element", element),
+    ]
+    assert block.matrix is not base.matrix
+    inherited = {f.name for f in fields(KoopmanApprox)} - {
+        "matrix", "set_label", "provenance", *changed}
+    assert inherited >= {"fit_residual", "rank_used"}
+    for name in inherited:
+        assert getattr(block, name) is getattr(base, name), name
+
+
+def test_transported_blocks_inherit_every_field_transport_does_not_set():
+    group = builtin_group("toggle_switch")
+    swap = group.element("swap")
+    base = replace(exact_run_fit("toggle_switch", 2), set_label="right")
+    rep = induced_representation(base.dictionary, swap)
+    assert_transported_from(transport_case1(base, rep), base, "right:swap", "swap",
+                            "conjugation", changed=())
+    assert_transported_from(transport_case2(base, swap, "left"), base, "left", "swap",
+                            "dictionary", changed=("dictionary",))
+    registry = InvariantSetRegistry(labels=("right", "left"), base_label="right",
+                                    mapping={"left": "swap"})
+    gk = assemble_global(registry, base, {"left": swap})
+    assert gk.block("right") is base
+    assert_transported_from(gk.block("left"), base, "left", "swap", "conjugation",
+                            changed=())
+    # a dictionary with no closed-form R is transported by its dictionary
+    custom = CustomDictionary(2, [lambda x: x[0], lambda x: x[1] ** 2])
+    base = KoopmanApprox(matrix=np.eye(2), dictionary=custom, set_label="right",
+                         fit_residual=0.25, rank_used=1)
+    gk = assemble_global(registry, base, {"left": swap})
+    assert_transported_from(gk.block("left"), base, "left", "swap", "dictionary",
+                            changed=("dictionary",))
+    assert gk.block("left").dictionary.base is custom
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +490,31 @@ def test_stabilizer_checks_every_block():
     assert data_stabilizer_labels(group, lopsided) == ("e",)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cloud", [
     np.empty((0, 2)),
     np.array([[1.0, 2.0], [np.nan, 2.0]]),
     np.ones((4, 3)),
-], ids=["empty", "nan", "wrong-dim"])
+    np.array([[1.0, 2.0], [0.0, -1.1e150]]),
+    np.array([[1e308, 1e308]]),
+], ids=["empty", "nan", "wrong-dim", "above-limit", "norm-overflow"])
 def test_stabilizer_rejects_bad_cloud(cloud):
     # an empty cloud would vacuously pass every element, a NaN would fail
-    # every one, and a wrong width cannot be acted on
+    # every one, a wrong width cannot be acted on, and a norm that overflows
+    # gave an infinite match radius, which every element passed
     with pytest.raises(InputError):
         data_stabilizer_labels(builtin_group("toggle_switch"), cloud)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stabilizer_matches_states_up_to_its_coordinate_limit():
+    group = builtin_group("lorenz")
+    assert data_stabilizer_labels(group, [[1e150, 0.0, 1.0]]) == ("e",)
+    assert data_stabilizer_labels(
+        group, [[1e150, -1e150, 1e150], [-1e150, 1e150, 1e150]]) == ("e", "rot_pi_z")
+    # its match radius overflowed to infinity, so both elements passed
+    with pytest.raises(InputError, match="coordinate above 1e\\+150"):
+        data_stabilizer_labels(group, [[2e154, 0.0, 1.0]])
 
 
 def test_check_registry_rejects_labels_sharing_a_stabilizer_coset():
