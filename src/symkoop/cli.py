@@ -2,9 +2,9 @@
 verify, and group check.
 
 Exit codes: 0 success, 1 check failure, 2 configuration or parse error,
-3 numerical divergence. Values in a config JSON (via --config) fill in any
-flag left at its default; explicit flags win. Every JSON output embeds the
-resolved configuration for provenance.
+3 numerical divergence. ``main`` resolves every option once (flag > config
+JSON via --config > default) before the command runs. The JSON outputs of
+fit, transport and assemble embed the resolved configuration.
 """
 
 import argparse
@@ -31,14 +31,10 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
 
-def _load_config(path):
-    return {} if path is None else read_json(path, lambda config: config)
-
-
-def _resolve(args, config, key, default=None):
+def _resolve(args, config, key, default=None, required=None):
     """The text option ``key`` (a path, label or name): flag > config file >
-    default. A config value that is not a string raises a
-    ConfigurationError naming the key and the file."""
+    default. A config value that is not a string raises a ConfigurationError
+    naming the key and the file, and a missing value the message ``required``."""
     value = getattr(args, key, None)
     if value is not None:
         return value
@@ -46,18 +42,22 @@ def _resolve(args, config, key, default=None):
     if key in config and not isinstance(value, str):
         raise ConfigurationError(
             f"config key {key!r} in {args.config} must be a string, got {value!r}")
+    if value is None and required:
+        raise ConfigurationError(required)
     return value
 
 
-def _resolve_number(args, config, key, default, integer=False, minimum=None):
-    """The numeric option ``key`` (flag > config file > default) as an int
-    when ``integer``, else a float. A flag's text is read with ``int`` or
-    ``float``; a config value must already be a JSON number. A value that is
-    not a finite number, not a whole number when ``integer``, or below
-    ``minimum`` raises a ConfigurationError naming the key."""
+def _resolve_number(args, config, key, default=None, integer=False, minimum=None):
+    """The numeric option ``key`` (flag > config file > default, unchecked)
+    as an int when ``integer``, else a float. A flag's text is read with
+    ``int`` or ``float``; a config value must already be a JSON number. A
+    value that is not a finite number, not a whole number when ``integer``,
+    or below ``minimum`` raises a ConfigurationError naming the key."""
     value = getattr(args, key, None)
     if value is None:
-        value = config.get(key, default)
+        if key not in config:
+            return default
+        value = config[key]
     else:
         try:
             value = (int if integer else float)(value)
@@ -76,7 +76,7 @@ def _resolve_number(args, config, key, default, integer=False, minimum=None):
     return int(value) if integer else number
 
 
-def _resolve_json(args, config, key, default):
+def _resolve_json(args, config, key, default=None):
     """The JSON value of option ``key`` (flag > config file > default): a
     flag's text is parsed, and so is a config value that is a string; any
     other config value is already JSON. Text that is no JSON raises a
@@ -94,6 +94,15 @@ def _resolve_json(args, config, key, default):
         raise ConfigurationError(f"invalid JSON for {source}: {err}") from err
 
 
+def _resolve_file(args, config, key, what):
+    """The path named by the text option ``key`` (a ``what``), which must
+    be a file."""
+    path = _resolve(args, config, key, required=f"missing required {what}")
+    if not Path(path).is_file():
+        raise ConfigurationError(f"{what} {path!r} does not exist or is not a file")
+    return Path(path)
+
+
 def _parse_state(text, dim=None):
     try:
         x = np.array([float(v) for v in text.split(",")], dtype=float)
@@ -106,17 +115,6 @@ def _parse_state(text, dim=None):
     return x
 
 
-def _load(args, config, key, load, what):
-    """``load`` of the path named by the text option ``key`` (a ``what``),
-    which must be a file."""
-    path = _resolve(args, config, key)
-    if path is None:
-        raise ConfigurationError(f"missing required {what}")
-    if not Path(path).is_file():
-        raise ConfigurationError(f"{what} {path!r} does not exist or is not a file")
-    return load(Path(path))
-
-
 def _write_json(path, payload):
     write_json(path, payload)
     print(f"wrote {path}")
@@ -126,37 +124,28 @@ def _write_json(path, payload):
 # subcommands
 
 def cmd_simulate(args):
-    config = _load_config(args.config)
-    name = _resolve(args, config, "system")
-    if name is None:
-        raise ConfigurationError("simulate needs --system")
-    params = _resolve_json(args, config, "params", {})
-    system = dynamics.make_system(name, params)
-    record = dynamics.builtin_system(name)
-    dt = _resolve_number(args, config, "dt", record.dt)
-    steps = _resolve_number(args, config, "steps", 500, integer=True, minimum=1)
-    discard = _resolve_number(args, config, "discard", 0, integer=True, minimum=0)
-    seed = _resolve_number(args, config, "seed", 0, integer=True, minimum=0)
-    n_random = _resolve_number(args, config, "random_starts", 0, integer=True,
-                               minimum=0)
-    outdir = Path(_resolve(args, config, "out", "."))
+    system = dynamics.make_system(args.system, args.params)
+    record = dynamics.builtin_system(args.system)
+    dt = record.dt if args.dt is None else args.dt
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     starts = [_parse_state(text, system.dim) for text in (args.x0 or [])]
-    if n_random:
-        starts.extend(scenarios.sample_box(name, n_random, np.random.default_rng(seed)))
+    if args.random_starts:
+        starts.extend(scenarios.sample_box(args.system, args.random_starts,
+                                           np.random.default_rng(args.seed)))
     if not starts and not args.emit_phase_portrait:
         raise ConfigurationError("simulate needs --x0 (repeatable) or --random-starts")
 
     # all starts in one block: one RK4 loop, bit for bit the per-start results
-    trajs = dynamics.simulate(system, np.array(starts), dt, steps, discard) \
+    trajs = dynamics.simulate(system, np.array(starts), dt, args.steps, args.discard) \
         if starts else []
     for i, traj in enumerate(trajs):
-        path = outdir / f"{name}_traj{i:02d}.csv"
+        path = outdir / f"{args.system}_traj{i:02d}.csv"
         dynamics.save_trajectory(traj, path)
         final = traj.states[-1]
         line = (
-            f"{path}: {steps} steps, dt={dt}, final state "
+            f"{path}: {args.steps} steps, dt={dt}, final state "
             + "(" + ", ".join(f"{v:.6g}" for v in final) + ")"
         )
         if record.conserved is not None:
@@ -186,23 +175,17 @@ def _emit_phase_portrait(system, dt, path):
 
 
 def cmd_fit(args):
-    config = _load_config(args.config)
-    # the CSV is read once rank_tol is checked: ``load`` here only returns the path
-    traj_path = _load(args, config, "traj", Path, "trajectory CSV")
-    rank_tol = _resolve_number(args, config, "rank_tol", koopman.DEFAULT_RANK_TOL)
-    traj = dynamics.load_trajectory(traj_path)
-    dict_spec = _resolve_json(args, config, "dictionary", {"kind": "identity"})
-    dictionary = dictionaries.dictionary_from_spec(dict_spec, dim=traj.dim)
-    set_label = _resolve(args, config, "set_label", "fit")
-    op = koopman.fit_trajectory(traj, dictionary, rank_tol, set_label=set_label)
+    traj = dynamics.load_trajectory(args.traj)
+    dictionary = dictionaries.dictionary_from_spec(args.dictionary, dim=traj.dim)
+    op = koopman.fit_trajectory(traj, dictionary, args.rank_tol, set_label=args.set_label)
     payload = koopman.operator_to_dict(op)
     payload["config"] = {
-        "traj": str(traj_path),
+        "traj": str(args.traj),
         "dictionary": dictionary.to_spec(),
-        "rank_tol": rank_tol,
-        "set_label": set_label,
+        "rank_tol": args.rank_tol,
+        "set_label": args.set_label,
     }
-    _write_json(_resolve(args, config, "out", "operator.json"), payload)
+    _write_json(args.out, payload)
     ev = np.linalg.eigvals(op.matrix)
     print(f"fit residual {op.fit_residual:.3e}, rank {op.rank_used}/{op.size}")
     print("eigenvalues:", ", ".join(f"{v:.6g}" for v in ev))
@@ -210,41 +193,35 @@ def cmd_fit(args):
 
 
 def cmd_transport(args):
-    config = _load_config(args.config)
-    op = _load(args, config, "operator", koopman.load_operator, "operator JSON")
-    group = _load(args, config, "group", groups.load_group, "group JSON")
-    element_label = _resolve(args, config, "element")
-    if element_label is None:
-        raise ConfigurationError("transport needs --element")
-    g = group.element(element_label)
+    op = koopman.load_operator(args.operator)
+    group = groups.load_group(args.group)
+    g = group.element(args.element)
     rep = dictionaries.induced_representation(op.dictionary, g)
-    transported = equivariant.transport_case1(
-        op, rep, target_label=_resolve(args, config, "target_label") or None)
+    transported = equivariant.transport_case1(op, rep, target_label=args.target_label or None)
     payload = koopman.operator_to_dict(transported)
     payload["config"] = {
-        "operator": str(_resolve(args, config, "operator")),
-        "group": str(_resolve(args, config, "group")),
-        "element": element_label,
+        "operator": str(args.operator),
+        "group": str(args.group),
+        "element": args.element,
     }
-    _write_json(_resolve(args, config, "out", "transported.json"), payload)
+    _write_json(args.out, payload)
     return EXIT_OK
 
 
 def cmd_assemble(args):
-    config = _load_config(args.config)
-    registry = _load(args, config, "registry", equivariant.load_registry, "registry JSON")
-    base = _load(args, config, "base_operator", koopman.load_operator, "operator JSON")
-    group = _load(args, config, "group", groups.load_group, "group JSON")
+    registry = equivariant.load_registry(args.registry)
+    base = koopman.load_operator(args.base_operator)
+    group = groups.load_group(args.group)
     equivariant.check_registry(registry, group)
     elements = {label: group.element(e) for label, e in registry.mapping.items()}
     gk = equivariant.assemble_global(registry, base, elements)
     payload = equivariant.global_to_dict(gk)
     payload["config"] = {
-        "registry": str(_resolve(args, config, "registry")),
-        "base_operator": str(_resolve(args, config, "base_operator")),
-        "group": str(_resolve(args, config, "group")),
+        "registry": str(args.registry),
+        "base_operator": str(args.base_operator),
+        "group": str(args.group),
     }
-    _write_json(_resolve(args, config, "out", "global.json"), payload)
+    _write_json(args.out, payload)
     print(f"{'label':<12} {'size':>4} {'origin':<12} {'residual':>10}")
     for label, op in gk.blocks:
         origin = "transported" if op.is_transported else "fitted"
@@ -253,25 +230,22 @@ def cmd_assemble(args):
 
 
 def cmd_spectrum(args):
-    config = _load_config(args.config)
-    op = _load(args, config, "operator", koopman.load_operator, "operator JSON")
+    op = koopman.load_operator(args.operator)
     spec = koopman.spectrum(op)
     for i, lam in enumerate(spec.eigenvalues):
         print(f"lambda_{i}: {lam.real:+.9g} {lam.imag:+.9g}i  |lambda|={abs(lam):.9g}")
-    out = _resolve(args, config, "out")
-    if out:
-        _write_json(out, {"set_label": op.set_label,
-                          "eigenvalues": koopman.spectrum_to_list(spec)})
+    if args.out:
+        _write_json(args.out, {"set_label": op.set_label,
+                               "eigenvalues": koopman.spectrum_to_list(spec)})
     return EXIT_OK
 
 
 def cmd_verify(args):
-    config = _load_config(args.config)
     if args.list:
         for name in scenarios.check_names():
             print(name)
         return EXIT_OK
-    names = _resolve(args, config, "checks")
+    names = args.checks
     if names is not None:
         names = [n for n in names.split(",") if n]
         unknown = set(names) - set(scenarios.check_names())
@@ -284,9 +258,8 @@ def cmd_verify(args):
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] {result.name}: {result.detail}")
-    out = _resolve(args, config, "out")
-    if out:
-        _write_json(out, {
+    if args.out:
+        _write_json(args.out, {
             "all_passed": all(r.passed for r in results),
             "checks": [r.to_dict() for r in results],
         })
@@ -299,21 +272,21 @@ def cmd_verify(args):
 
 
 def cmd_group_check(args):
-    config = _load_config(args.config)
     # load_group ends in check_axioms and refuses a table that fails it, so
     # every axiom holds on the group it returns
-    group = _load(args, config, "group", groups.load_group, "group JSON")
+    group = groups.load_group(args.group)
     report = {"order": group.order, **dict.fromkeys(groups.AXIOMS, True), "ok": True}
     print(f"order {group.order}: " + ", ".join(f"{axiom}=ok" for axiom in groups.AXIOMS))
-    out = _resolve(args, config, "out")
-    if out:
-        _write_json(out, report)
+    if args.out:
+        _write_json(args.out, report)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    """The parser. A subcommand's ``options`` default lists, in declaration
+    order, ``(key, resolve)``: ``main`` sets ``args.<key> = resolve(args, config)``."""
     parser = argparse.ArgumentParser(
         prog="symkoop",
         description="Koopman operators for symmetric dynamical systems: "
@@ -321,64 +294,63 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output path")
+    def option(p, key, resolve, help=None, choices=None, **kw):
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=help, choices=choices)
+        p.get_default("options").append((key, functools.partial(resolve, key=key, **kw)))
 
-    p = sub.add_parser("simulate", help="integrate a built-in system to CSV")
-    common(p)
-    p.add_argument("--system", choices=dynamics.system_names())
-    p.add_argument("--params", help="JSON parameter overrides")
+    def command(parent, name, fn, help, out=None):
+        p = parent.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.set_defaults(fn=fn, options=[])
+        option(p, "out", _resolve, help="output path", default=out)
+        return p
+
+    p = command(sub, "simulate", cmd_simulate, "integrate a built-in system to CSV", ".")
+    option(p, "system", _resolve, choices=dynamics.system_names(),
+           required="simulate needs --system")
+    option(p, "params", _resolve_json, help="JSON parameter overrides")
     p.add_argument("--x0", action="append", help="initial state 'a,b,...' (repeatable)")
-    p.add_argument("--dt")
-    p.add_argument("--steps")
-    p.add_argument("--discard")
-    p.add_argument("--seed")
-    p.add_argument("--random-starts", dest="random_starts")
+    option(p, "dt", _resolve_number)
+    option(p, "steps", _resolve_number, default=500, integer=True, minimum=1)
+    option(p, "discard", _resolve_number, default=0, integer=True, minimum=0)
+    option(p, "seed", _resolve_number, default=0, integer=True, minimum=0)
+    option(p, "random_starts", _resolve_number, default=0, integer=True, minimum=0)
     p.add_argument("--emit-phase-portrait", dest="emit_phase_portrait",
                    help="write plot-ready portrait CSV to this path")
-    p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit a Koopman operator from a trajectory CSV")
-    common(p)
-    p.add_argument("--traj")
-    p.add_argument("--dictionary", help='e.g. {"kind": "monomial", "max_degree": 2}')
-    p.add_argument("--rank-tol", dest="rank_tol")
-    p.add_argument("--set-label", dest="set_label")
-    p.set_defaults(fn=cmd_fit)
+    p = command(sub, "fit", cmd_fit, "fit a Koopman operator from a trajectory CSV",
+                "operator.json")
+    # the path is checked, then rank_tol, and only then does cmd_fit read the CSV
+    option(p, "traj", _resolve_file, what="trajectory CSV")
+    option(p, "rank_tol", _resolve_number, default=koopman.DEFAULT_RANK_TOL)
+    option(p, "dictionary", _resolve_json, default={"kind": "identity"},
+           help='e.g. {"kind": "monomial", "max_degree": 2}')
+    option(p, "set_label", _resolve, default="fit")
 
-    p = sub.add_parser("transport", help="conjugate an operator across symmetry")
-    common(p)
-    p.add_argument("--operator")
-    p.add_argument("--group")
-    p.add_argument("--element")
-    p.add_argument("--target-label", dest="target_label")
-    p.set_defaults(fn=cmd_transport)
+    p = command(sub, "transport", cmd_transport, "conjugate an operator across symmetry",
+                "transported.json")
+    option(p, "operator", _resolve_file, what="operator JSON")
+    option(p, "group", _resolve_file, what="group JSON")
+    option(p, "element", _resolve, required="transport needs --element")
+    option(p, "target_label", _resolve)
 
-    p = sub.add_parser("assemble", help="build the global block-diagonal operator")
-    common(p)
-    p.add_argument("--registry")
-    p.add_argument("--base-operator", dest="base_operator")
-    p.add_argument("--group")
-    p.set_defaults(fn=cmd_assemble)
+    p = command(sub, "assemble", cmd_assemble, "build the global block-diagonal operator",
+                "global.json")
+    option(p, "registry", _resolve_file, what="registry JSON")
+    option(p, "base_operator", _resolve_file, what="operator JSON")
+    option(p, "group", _resolve_file, what="group JSON")
 
-    p = sub.add_parser("spectrum", help="eigenvalues and eigenfunction coefficients")
-    common(p)
-    p.add_argument("--operator")
-    p.set_defaults(fn=cmd_spectrum)
+    p = command(sub, "spectrum", cmd_spectrum, "eigenvalues and eigenfunction coefficients")
+    option(p, "operator", _resolve_file, what="operator JSON")
 
-    p = sub.add_parser("verify", help="run the built-in verification scenarios")
-    common(p)
-    p.add_argument("--checks", help="comma-separated check names (default: all)")
+    p = command(sub, "verify", cmd_verify, "run the built-in verification scenarios")
+    option(p, "checks", _resolve, help="comma-separated check names (default: all)")
     p.add_argument("--list", action="store_true", help="list check names and exit")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("group", help="group-file utilities")
     gsub = p.add_subparsers(dest="group_command", required=True)
-    pc = gsub.add_parser("check", help="verify group axioms from a group JSON")
-    common(pc)
-    pc.add_argument("--group")
-    pc.set_defaults(fn=cmd_group_check)
+    p = command(gsub, "check", cmd_group_check, "verify group axioms from a group JSON")
+    option(p, "group", _resolve_file, what="group JSON")
 
     return parser
 
@@ -393,6 +365,9 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        config = {} if args.config is None else read_json(args.config, lambda c: c)
+        for key, resolve in args.options:
+            setattr(args, key, resolve(args, config))
         return args.fn(args)
     except NumericalDivergenceError as err:
         where = [f"{what} {index}" for what, index in

@@ -235,8 +235,9 @@ def global_predict(gk, label, x0, steps):
 @dataclass(frozen=True)
 class ConjugationReport:
     """How far an independently fitted K_j is from the transported
-    R K_i R^-1: the relative Frobenius error of the matrices and the
-    Hausdorff distance of their eigenvalues. Each tier judges the error it
+    R K_i R^-1: the Frobenius error of the matrices, relative to ||K_j||
+    (absolute when K_j is zero), and the Hausdorff distance of their
+    eigenvalues. Each tier judges the error it
     needs against its own tolerance."""
 
     frobenius_error: float
@@ -253,8 +254,8 @@ def verify_conjugation(op_i, op_j, rep):
     if op_i.size != op_j.size or op_i.size != rep.size:
         raise InputError("operator and representation sizes must match")
     transported = transport_case1(op_i, rep).matrix
-    denom = np.linalg.norm(op_j.matrix)
-    frob = float(np.linalg.norm(op_j.matrix - transported) / denom) if denom else 0.0
+    error, denom = np.linalg.norm(op_j.matrix - transported), np.linalg.norm(op_j.matrix)
+    frob = float(error / denom if denom else error)
     haus = eigenvalue_hausdorff(
         np.linalg.eigvals(op_j.matrix), np.linalg.eigvals(transported)
     )

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -186,14 +187,6 @@ def test_fit_checks_the_csv_path_then_rank_tol_then_the_csv(tmp_path, capsys, tr
                 "--out", str(out)]) == cli.EXIT_CONFIG
     assert message in one_line_error(capsys)
     assert not out.exists()
-
-
-def test_fit_records_the_normalised_traj_path(tmp_path, monkeypatch):
-    write_linear_fixture(tmp_path / "traj.csv", np.array([[0.9, 0.1], [-0.2, 0.8]]),
-                         [1.0, 0.3], 10)
-    monkeypatch.chdir(tmp_path)
-    assert run(["fit", "--traj", "./traj.csv", "--out", "op.json"]) == 0
-    assert json.loads((tmp_path / "op.json").read_text())["config"]["traj"] == "traj.csv"
 
 
 @pytest.mark.parametrize("rank_tol", ["nan", "inf", "2", "0", "-1"])
@@ -1040,3 +1033,95 @@ def test_phase_portrait_emission(tmp_path):
                 "--emit-phase-portrait", str(out), "--out", str(tmp_path)]) == 0
     header = out.read_text().splitlines()[0]
     assert header == "traj_id,t,x1,x2"
+
+
+def write_inputs(path):
+    """One input file of each kind in ``path``: traj.csv, op.json, group.json
+    and registry.json."""
+    write_linear_fixture(path / "traj.csv", np.array([[0.9, 0.1], [-0.2, 0.8]]),
+                         [1.0, 0.3], 10)
+    (path / "op.json").write_text(json.dumps(OPERATOR))
+    (path / "group.json").write_text(json.dumps(SWAP_GROUP))
+    (path / "registry.json").write_text(
+        json.dumps({"labels": ["right", "left"], "mapping": {"left": "swap"}}))
+
+
+@pytest.mark.parametrize("command, paths, flags", [
+    ("fit", {"traj": "traj.csv"}, []),
+    ("transport", {"operator": "op.json", "group": "group.json"}, ["--element", "swap"]),
+    ("assemble", {"registry": "registry.json", "base_operator": "op.json",
+                  "group": "group.json"}, []),
+], ids=["fit", "transport", "assemble"])
+def test_outputs_record_the_normalised_input_paths(tmp_path, monkeypatch, command, paths,
+                                                   flags):
+    # ./x.json is recorded as pathlib normalises it, x.json, in every command
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for key, path in paths.items():
+        flags = flags + [f"--{key.replace('_', '-')}", f"./{path}"]
+    assert run([command, *flags, "--out", "out.json"]) == 0
+    config = json.loads((tmp_path / "out.json").read_text())["config"]
+    assert {key: config[key] for key in paths} == paths
+
+
+def leaf_parsers(parser, path=()):
+    """(command path, parser) of each subcommand that runs a command."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_parsers(sub, (*path, name))
+            return
+    yield path, parser
+
+
+# a valid run of each subcommand, by key; --x0 is a flag only
+COMMAND_INPUTS = {
+    ("simulate",): {"system": "toggle_switch", "x0": "1,1", "steps": "2", "out": "sim"},
+    ("fit",): {"traj": "traj.csv", "out": "fit.json"},
+    ("transport",): {"operator": "op.json", "group": "group.json", "element": "swap",
+                     "out": "transported.json"},
+    ("assemble",): {"registry": "registry.json", "base_operator": "op.json",
+                    "group": "group.json", "out": "global.json"},
+    ("spectrum",): {"operator": "op.json"},
+    ("verify",): {"checks": "group_axioms:lorenz"},
+    ("group", "check"): {"group": "group.json"},
+}
+DECLARED_OPTIONS = [
+    (path, next(a for a in parser._actions if a.dest == key))
+    for path, parser in leaf_parsers(cli.build_parser())
+    for key, _ in parser.get_default("options")
+]
+
+
+@pytest.mark.parametrize("path, action", DECLARED_OPTIONS,
+                         ids=[f"{'-'.join(path)}-{action.dest}"
+                              for path, action in DECLARED_OPTIONS])
+def test_every_declared_option_refuses_a_config_of_another_type_and_yields_to_its_flag(
+        tmp_path, capsys, monkeypatch, path, action):
+    """Walks the parser's own option table, so an option declared later is
+    covered too. ``true`` is of the wrong JSON type for every reader."""
+    key = action.dest
+    write_inputs(tmp_path)
+    (tmp_path / "2").write_text("")  # "2" is a file, a number, JSON and text
+    (tmp_path / "run.json").write_text(json.dumps({key: True}))
+    monkeypatch.chdir(tmp_path)
+    inputs = {k: v for k, v in COMMAND_INPUTS[path].items() if k != key}
+    argv = [*path, *(a for k, v in inputs.items() for a in (f"--{k.replace('_', '-')}", v))]
+
+    capsys.readouterr()
+    assert run([*argv, "--config", "run.json"]) == cli.EXIT_CONFIG
+    error = one_line_error(capsys)
+    assert error.startswith(f"error: {key} ") \
+        or error.startswith(f"error: config key {key!r} in run.json "), error
+
+    # main resolves the flag alike with and without the config value
+    parser, resolved = cli.build_parser(), []
+    for _, leaf in leaf_parsers(parser):
+        leaf.set_defaults(fn=resolved.append)
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    flag = [action.option_strings[0], action.choices[0] if action.choices else "2"]
+    assert run([*argv, *flag, "--config", "run.json"]) is None
+    assert run([*argv, *flag]) is None
+    with_config, without = (vars(args) for args in resolved)
+    assert with_config.pop("config") == "run.json" and without.pop("config") is None
+    assert with_config == without

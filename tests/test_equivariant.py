@@ -438,6 +438,15 @@ def test_verify_conjugation_identity_is_zero():
     assert report.hausdorff_distance == 0.0
 
 
+def test_verify_conjugation_of_a_zero_K_j_is_the_absolute_error():
+    # a zero refit is no image of a nonzero K_i, so the exact tier must fail it
+    op = wrap(np.array([[0.9, 0.1], [0.0, 0.5]]))
+    zero = wrap(np.zeros((2, 2)))
+    report = verify_conjugation(op, zero, swap_rep())
+    assert report.frobenius_error == np.linalg.norm(op.matrix) > EXACT_TIER_TOL
+    assert verify_conjugation(zero, zero, swap_rep()).frobenius_error == 0.0
+
+
 def test_verify_conjugation_compares_against_transport_case1():
     # R is no signed permutation, so R^-1 comes from the solver: the
     # transported matrix is transport_case1's, bit for bit
