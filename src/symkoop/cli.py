@@ -10,7 +10,6 @@ fit, transport and assemble embed the resolved configuration.
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .errors import (
     ConfigurationError,
     NumericalDivergenceError,
     SymkoopError,
+    json_value,
     read_json,
     write_json,
 )
@@ -33,26 +33,25 @@ EXIT_DIVERGENCE = 3
 
 def _resolve(args, config, key, default=None, required=None):
     """The text option ``key`` (a path, label or name): flag > config file >
-    default. A config value that is not a string raises a ConfigurationError
-    naming the key and the file, and a missing value the message ``required``."""
+    default. A config value must be a string, and a missing value raises
+    the message ``required``."""
     value = getattr(args, key, None)
     if value is not None:
         return value
-    value = config.get(key, default)
-    if key in config and not isinstance(value, str):
-        raise ConfigurationError(
-            f"config key {key!r} in {args.config} must be a string, got {value!r}")
-    if value is None and required:
+    if key in config:
+        return json_value(config[key], f"config key {key!r} in {args.config}", "a string")
+    if required:
         raise ConfigurationError(required)
-    return value
+    return default
 
 
-def _resolve_number(args, config, key, default=None, integer=False, minimum=None):
+def _resolve_number(args, config, key, default=None, kind="a finite number"):
     """The numeric option ``key`` (flag > config file > default, unchecked)
-    as an int when ``integer``, else a float. A flag's text is read with
-    ``int`` or ``float``; a config value must already be a JSON number. A
-    value that is not a finite number, not a whole number when ``integer``,
-    or below ``minimum`` raises a ConfigurationError naming the key."""
+    of ``kind``, a number or integer kind of ``json_value``: a flag's text
+    is read with ``int`` or ``float``, and a config value must already be a
+    JSON number. An integer is also a finite number: a whole float counts
+    as one, and an int too large for a float is refused."""
+    read = float if kind == "a finite number" else int
     value = getattr(args, key, None)
     if value is None:
         if key not in config:
@@ -60,38 +59,32 @@ def _resolve_number(args, config, key, default=None, integer=False, minimum=None
         value = config[key]
     else:
         try:
-            value = (int if integer else float)(value)
+            value = read(value)
         except ValueError:
             pass  # the text stays a string, which is refused below
-    kind = "an integer" if integer else "a finite number"
-    if minimum is not None:
-        kind += f" >= {minimum}"
-    try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:
-        number = math.nan
-    if not math.isfinite(number) or (integer and not number.is_integer()) \
-            or (minimum is not None and number < minimum):
-        raise ConfigurationError(f"{key} must be {kind}, got {value!r}")
-    return int(value) if integer else number
+    if read is int and type(value) in (int, float) \
+            and json_value(value, key, "a finite number").is_integer():
+        value = int(value)
+    return json_value(value, key, kind)
 
 
 def _resolve_json(args, config, key, default=None):
-    """The JSON value of option ``key`` (flag > config file > default): a
+    """The JSON object of option ``key`` (flag > config file > default): a
     flag's text is parsed, and so is a config value that is a string; any
-    other config value is already JSON. Text that is no JSON raises a
-    ConfigurationError naming the flag, or the config key and file."""
-    flag = getattr(args, key, None)
-    value = config.get(key) if flag is None else flag
+    other config value is already JSON. Text that is no JSON, or a value
+    that is no object (null included), raises a ConfigurationError naming
+    the flag, or the config key and file."""
+    value, source = getattr(args, key, None), f"--{key}"
     if value is None:
-        return default
-    if not isinstance(value, str):
-        return value
-    try:
-        return json.loads(value)
-    except json.JSONDecodeError as err:
-        source = f"--{key}" if flag is not None else f"config key {key!r} in {args.config}"
-        raise ConfigurationError(f"invalid JSON for {source}: {err}") from err
+        if key not in config:
+            return default
+        value, source = config[key], f"config key {key!r} in {args.config}"
+    if isinstance(value, str):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as err:
+            raise ConfigurationError(f"invalid JSON for {source}: {err}") from err
+    return json_value(value, source, "a JSON object")
 
 
 def _resolve_file(args, config, key, what):
@@ -311,10 +304,10 @@ def build_parser():
     option(p, "params", _resolve_json, help="JSON parameter overrides")
     p.add_argument("--x0", action="append", help="initial state 'a,b,...' (repeatable)")
     option(p, "dt", _resolve_number)
-    option(p, "steps", _resolve_number, default=500, integer=True, minimum=1)
-    option(p, "discard", _resolve_number, default=0, integer=True, minimum=0)
-    option(p, "seed", _resolve_number, default=0, integer=True, minimum=0)
-    option(p, "random_starts", _resolve_number, default=0, integer=True, minimum=0)
+    option(p, "steps", _resolve_number, default=500, kind="a positive integer")
+    option(p, "discard", _resolve_number, default=0, kind="a nonnegative integer")
+    option(p, "seed", _resolve_number, default=0, kind="a nonnegative integer")
+    option(p, "random_starts", _resolve_number, default=0, kind="a nonnegative integer")
     p.add_argument("--emit-phase-portrait", dest="emit_phase_portrait",
                    help="write plot-ready portrait CSV to this path")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, json_matrix
+from .errors import ConfigurationError, InputError, json_matrix, json_value
 from .groups import GroupElement
 
 
@@ -218,45 +218,32 @@ class TransformedDictionary(Dictionary):
         }
 
 
-_SPEC_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
-
-
-def _spec_value(key, value, kind):
-    """``value``, the spec's ``key``, if it is of ``kind``, one of
-    _SPEC_KINDS (a JSON true is no integer); otherwise a ConfigurationError
-    naming the key."""
-    if type(value) is not kind:
-        raise ConfigurationError(
-            f"dictionary {key!r} must be {_SPEC_KINDS[kind]}, got {value!r}")
-    return value
-
-
 def dictionary_from_spec(spec, dim=None):
     """Build a dictionary from its JSON spec; ``dim`` fills in when the
     spec omits it (e.g. {"kind": "identity"})."""
-    if type(spec) is not dict:
-        raise ConfigurationError(f"dictionary spec must be a JSON object, got {spec!r}")
+    spec = json_value(spec, "dictionary spec", "a JSON object")
     kind = spec.get("kind")
-    d = spec.get("dim", dim)
-    if kind in ("identity", "monomial"):
-        if d is None:
-            raise ConfigurationError("dictionary spec needs a 'dim'")
-        d = _spec_value("dim", d, int)
+    if "dim" in spec or dim is not None:
+        dim = json_value(spec.get("dim", dim), "dictionary 'dim'", "an integer")
+    elif kind in ("identity", "monomial"):
+        raise ConfigurationError("dictionary spec needs a 'dim'")
     if kind == "identity":
-        return IdentityDictionary(d)
+        return IdentityDictionary(dim)
     if kind == "monomial":
         return MonomialDictionary(
-            d,
-            max_degree=_spec_value("max_degree", spec.get("max_degree", 2), int),
-            include_constant=_spec_value(
-                "include_constant", spec.get("include_constant", True), bool),
+            dim,
+            max_degree=json_value(spec.get("max_degree", 2), "dictionary 'max_degree'",
+                                  "an integer"),
+            include_constant=json_value(spec.get("include_constant", True),
+                                        "dictionary 'include_constant'", "true or false"),
         )
     if kind == "transformed":
         for key in ("base", "matrix"):
             if key not in spec:
                 raise ConfigurationError(f"transformed dictionary spec needs {key!r}")
-        base = dictionary_from_spec(spec["base"], dim=d)
-        label = _spec_value("element_label", spec.get("element_label", "g"), str)
+        base = dictionary_from_spec(spec["base"], dim=dim)
+        label = json_value(spec.get("element_label", "g"), "dictionary 'element_label'",
+                           "a string")
         return TransformedDictionary(base, json_matrix(spec["matrix"], "matrix"), label)
     if kind == "custom":
         raise ConfigurationError(

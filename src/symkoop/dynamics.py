@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, NumericalDivergenceError
+from .errors import ConfigurationError, InputError, NumericalDivergenceError, json_value
 
 TIME_GRID_TOL = 1e-9  # relative departure of a CSV time from t0 + k*dt
 
@@ -165,25 +165,16 @@ def builtin_system(name):
 def make_system(name, params=None):
     """Build a built-in system, optionally overriding named parameters."""
     record = builtin_system(name)
-    params = {} if params is None else params
-    if type(params) is not dict:
-        raise ConfigurationError(
-            f"params for system {name!r} must be a JSON object, got {params!r}")
+    params = json_value({} if params is None else params, f"params for system {name!r}",
+                        "a JSON object")
     merged = dict(record.params)
     for key, value in params.items():
         if key not in record.params:
             raise ConfigurationError(
                 f"unknown parameter {key!r} for system {name!r}"
             )
-        try:
-            merged[key] = float(value)
-        except (TypeError, ValueError):
-            merged[key] = np.nan
-        if not np.isfinite(merged[key]):
-            raise ConfigurationError(
-                f"parameter {key!r} for system {name!r} must be a finite "
-                f"number, got {value!r}"
-            )
+        merged[key] = json_value(value, f"parameter {key!r} for system {name!r}",
+                                 "a finite number")
     return SystemDef(name=name, dim=record.dim, params=merged, field=record.field)
 
 

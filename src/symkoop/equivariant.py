@@ -35,6 +35,7 @@ from .errors import (
     NumericalDivergenceError,
     SymkoopError,
     json_matrix,
+    json_value,
     read_json,
     write_json,
 )
@@ -495,21 +496,11 @@ def registry_to_dict(registry):
 
 
 def registry_from_dict(data):
-    samples = data.get("samples")
-    if samples is not None:
-        samples = {
-            label: json_matrix(states, f"samples {label!r}")
-            for label, states in samples.items()
-        }
-    labels, mapping = data["labels"], data["mapping"]
-    if not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
-        raise TypeError(f"labels must be a list of strings, got {labels!r}")
-    base = data.get("base", labels[0] if labels else "")
-    if not isinstance(base, str):
-        raise TypeError(f"base must be a string, got {base!r}")
-    if not (isinstance(mapping, dict)
-            and all(isinstance(v, str) for v in (*mapping, *mapping.values()))):
-        raise TypeError(f"mapping must map strings to strings, got {mapping!r}")
+    samples = {label: json_matrix(states, f"samples {label!r}") for label, states
+               in json_value(data.get("samples", {}), "samples", "a JSON object").items()}
+    labels = json_value(data["labels"], "labels", "a list of strings")
+    base = json_value(data.get("base", labels[0] if labels else ""), "base", "a string")
+    mapping = json_value(data["mapping"], "mapping", "a JSON object of strings")
     return InvariantSetRegistry(labels=tuple(labels), base_label=base,
                                 mapping=dict(mapping), samples=samples)
 

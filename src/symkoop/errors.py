@@ -1,9 +1,13 @@
 """Exception types shared across the toolkit, and the strict reader and
 writer of its JSON files: a malformed file, or a NaN or too deep a nesting
-to be written, becomes one of them."""
+to be written, becomes one of them. Every value read from JSON is checked
+by ``json_value``, or, a matrix, by ``json_matrix``."""
 
 import json
+import math
+import numbers
 import reprlib
+import sys
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -60,14 +64,39 @@ def read_json(path, parse):
     try:
         with open(path) as fh:
             data = json.load(fh, parse_constant=_reject_constant)
-        if not isinstance(data, dict):
-            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-        return parse(data)
+        return parse(json_value(data, "top-level value", "a JSON object"))
     except KeyError as err:
         raise ConfigurationError(f"{path}: missing key {err}") from err
     except (TypeError, ValueError, AttributeError, OverflowError, RecursionError,
             ConfigurationError) as err:
         raise ConfigurationError(f"{path}: {err}") from err
+
+
+# each kind of value json_value checks, by the words that name it in an error
+_JSON_KINDS = {
+    "a string": lambda v: type(v) is str,
+    "true or false": lambda v: type(v) is bool,
+    "a finite number": lambda v: isinstance(v, numbers.Real) and type(v) is not bool
+    and (abs(v) <= sys.float_info.max if type(v) is int else math.isfinite(v)),
+    "an integer": lambda v: type(v) is int,
+    "a nonnegative integer": lambda v: type(v) is int and v >= 0,
+    "a positive integer": lambda v: type(v) is int and v >= 1,
+    "a JSON object": lambda v: type(v) is dict,
+    "a JSON object of strings": lambda v: type(v) is dict
+    and all(type(s) is str for s in (*v, *v.values())),
+    "a list of strings": lambda v: type(v) is list and all(type(s) is str for s in v),
+    "a list of objects": lambda v: type(v) is list and all(type(e) is dict for e in v),
+}
+
+
+def json_value(value, what, kind):
+    """``value``, the JSON value of ``what``, if it is of ``kind`` (a number
+    as a float), else ``<what> must be <kind>, got <value>`` as one
+    ConfigurationError. A null is of no kind. A number is finite, an int or
+    a float, or a real numpy scalar, but not true, false or a string."""
+    if not _JSON_KINDS[kind](value):
+        raise ConfigurationError(f"{what} must be {kind}, got {reprlib.repr(value)}")
+    return float(value) if kind == "a finite number" else value
 
 
 def json_matrix(value, key):

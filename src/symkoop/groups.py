@@ -7,18 +7,17 @@ on scalar observables by ``(g * f)(x) = f(g^-1 x)``.
 """
 
 import functools
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory, builtin_system, step
 from .errors import (
-    ConfigurationError,
     InputError,
     NonFiniteGroupError,
     SymkoopError,
     json_matrix,
+    json_value,
     read_json,
     write_json,
 )
@@ -472,21 +471,14 @@ def group_to_dict(group):
 def group_from_dict(data):
     """The group of a group file; its ``max_order`` key, if present, replaces
     DEFAULT_MAX_ORDER as the limit of the closure."""
-    max_order = data.get("max_order", DEFAULT_MAX_ORDER)
-    if type(max_order) is not int or max_order < 1:
-        raise ConfigurationError(
-            f"max_order must be a positive integer, got {reprlib.repr(max_order)}")
-    entries = data.get("generators", [])
-    if type(entries) is not list or any(type(e) is not dict for e in entries):
-        raise ConfigurationError(
-            f"generators must be a list of objects, got {reprlib.repr(entries)}")
-    gens = []
-    for entry in entries:
-        if type(entry["label"]) is not str:
-            raise ConfigurationError(
-                f"generator label must be a string, got {entry['label']!r}")
-        gens.append(GroupElement(entry["label"], json_matrix(entry["matrix"], "matrix")))
-    return generate_group(gens, max_order=max_order, dim=data.get("dim"))
+    max_order = json_value(data.get("max_order", DEFAULT_MAX_ORDER), "max_order",
+                           "a positive integer")
+    gens = [GroupElement(json_value(entry["label"], "generator label", "a string"),
+                         json_matrix(entry["matrix"], "matrix"))
+            for entry in json_value(data.get("generators", []), "generators",
+                                    "a list of objects")]
+    dim = json_value(data["dim"], "dim", "a positive integer") if "dim" in data else None
+    return generate_group(gens, max_order=max_order, dim=dim)
 
 
 def save_group(group, path):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dictionaries import Dictionary, dictionary_from_spec
 from .dynamics import TIME_GRID_TOL, Trajectory
-from .errors import DegenerateDataError, InputError, json_matrix, read_json
+from .errors import DegenerateDataError, InputError, json_matrix, json_value, read_json
 
 DEFAULT_RANK_TOL = 1e-12
 _FIT_CHUNK = 1024  # snapshot columns per QR update; small blocks stay in cache
@@ -288,23 +288,14 @@ def operator_from_dict(data):
         )
     if not np.all(np.isfinite(matrix)):
         raise InputError("operator matrix contains NaN or Inf")
-    fit_residual = data["fit_residual"]
-    if type(fit_residual) not in (int, float):
-        raise TypeError(f"fit_residual must be a number, got {fit_residual!r}")
-    fit_residual = float(fit_residual)
-    if not np.isfinite(fit_residual):
-        raise InputError(f"fit_residual must be finite, got {fit_residual}")
-    set_label, rank_used = data["set_label"], data["rank_used"]
-    if not isinstance(set_label, str):
-        raise TypeError(f"set_label must be a string, got {set_label!r}")
-    if type(rank_used) is not int:
-        raise TypeError(f"rank_used must be an integer, got {rank_used!r}")
+    fit_residual = json_value(data["fit_residual"], "fit_residual", "a finite number")
+    set_label = json_value(data["set_label"], "set_label", "a string")
+    rank_used = json_value(data["rank_used"], "rank_used", "an integer")
     provenance = data.get("provenance")
-    if not isinstance(provenance, (dict, type(None))):
-        raise TypeError(f"provenance must be a JSON object, got {provenance!r}")
-    transported = (provenance or {}).get("transported", False)
-    if type(transported) is not bool:
-        raise TypeError(f"provenance transported must be true or false, got {transported!r}")
+    if provenance is not None:  # null, as no provenance, is an operator fitted from data
+        json_value(provenance, "provenance", "a JSON object")
+        json_value(provenance.get("transported", False), "provenance transported",
+                   "true or false")
     return KoopmanApprox(
         matrix=matrix,
         dictionary=dictionary,

@@ -56,6 +56,18 @@ def test_param_override():
     system = make_system("lorenz", {"rho": 10.0})
     assert system.params["rho"] == 10.0
     assert system.params["sigma"] == 10.0
+    # an int or a real numpy scalar is a number, and is stored as a float
+    for value in (10, np.float64(10.0), np.int64(10), np.float32(10.0)):
+        rho = make_system("lorenz", {"rho": value}).params["rho"]
+        assert type(rho) is float and rho == 10.0
+
+
+@pytest.mark.parametrize("value", ["10", True, np.bool_(True), None, [10.0], np.inf])
+def test_param_that_is_no_finite_number_is_refused(value):
+    # "10" and true were read as 10.0 and 1.0
+    with pytest.raises(ConfigurationError,
+                       match="parameter 'rho' for system 'lorenz' must be a finite number"):
+        make_system("lorenz", {"rho": value})
 
 
 def test_state_dimension_mismatch():

@@ -29,7 +29,7 @@ from symkoop import (
     transport_case2,
     verify_conjugation,
 )
-from symkoop.errors import write_json
+from symkoop.errors import ConfigurationError, write_json
 from symkoop.koopman import (
     _FIT_CHUNK,
     DEFAULT_RANK_TOL,
@@ -665,7 +665,8 @@ def test_operator_json_roundtrip(tmp_path):
 def test_operator_from_dict_refuses_a_transported_flag_that_is_no_json_boolean(transported):
     data = operator_to_dict(op_from_matrix(np.eye(2)))
     data["provenance"] = {"transported": transported, "method": "conjugation"}
-    with pytest.raises(TypeError, match="provenance transported must be true or false"):
+    with pytest.raises(ConfigurationError,
+                       match="provenance transported must be true or false"):
         operator_from_dict(data)
     for flag in (True, False):
         data["provenance"]["transported"] = flag
