@@ -13,7 +13,6 @@ import numpy as np
 
 from symkoop import hamiltonian_energy, make_system, save_trajectory, simulate
 from symkoop.cli import _emit_phase_portrait
-from symkoop.dynamics import builtin_system
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -41,5 +40,5 @@ save_trajectory(traj, OUT / "hamiltonian_is1_orbit.csv")
 
 # Full portraits (many trajectories, one CSV each with a traj_id column).
 for name in ("lorenz", "toggle_switch", "hamiltonian"):
-    _emit_phase_portrait(make_system(name), builtin_system(name).dt,
-                         OUT / f"{name}_portrait.csv")
+    system = make_system(name)
+    _emit_phase_portrait(system, system.dt, OUT / f"{name}_portrait.csv")

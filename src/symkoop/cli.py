@@ -118,11 +118,7 @@ def _write_json(path, payload):
 
 def cmd_simulate(args):
     system = dynamics.make_system(args.system, args.params)
-    record = dynamics.builtin_system(args.system)
-    dt = record.dt if args.dt is None else args.dt
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
+    dt = system.dt if args.dt is None else args.dt
     starts = [_parse_state(text, system.dim) for text in (args.x0 or [])]
     if args.random_starts:
         starts.extend(scenarios.sample_box(args.system, args.random_starts,
@@ -133,6 +129,8 @@ def cmd_simulate(args):
     # all starts in one block: one RK4 loop, bit for bit the per-start results
     trajs = dynamics.simulate(system, np.array(starts), dt, args.steps, args.discard) \
         if starts else []
+    outdir = Path(args.out)  # made only now, so a refused run leaves none behind
+    outdir.mkdir(parents=True, exist_ok=True)
     for i, traj in enumerate(trajs):
         path = outdir / f"{args.system}_traj{i:02d}.csv"
         dynamics.save_trajectory(traj, path)
@@ -141,9 +139,8 @@ def cmd_simulate(args):
             f"{path}: {args.steps} steps, dt={dt}, final state "
             + "(" + ", ".join(f"{v:.6g}" for v in final) + ")"
         )
-        if record.conserved is not None:
-            drift = abs(record.conserved(*traj.states[-1])
-                        - record.conserved(*traj.states[0]))
+        if system.conserved is not None:
+            drift = abs(system.conserved(*final) - system.conserved(*traj.states[0]))
             line += f", energy drift {drift:.3e}"
         print(line)
 

@@ -16,7 +16,7 @@ Runge-Kutta scheme so that snapshot spacing is exactly uniform.
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,19 +25,20 @@ from .errors import ConfigurationError, InputError, NumericalDivergenceError, js
 
 TIME_GRID_TOL = 1e-9  # relative departure of a CSV time from t0 + k*dt
 
-CONTINUOUS = "continuous"
-DISCRETE = "discrete"
-
 
 @dataclass(frozen=True)
 class SystemDef:
-    """A named dynamical system: continuous vector field or discrete map."""
+    """A named dynamical system x' = field(x, params): its vector field, the
+    sample interval it is simulated at by default, the matrices generating
+    its symmetry group, and a quantity constant along its orbits, if any."""
 
     name: str
     dim: int
     params: dict
     field: Callable[[Sequence, dict], Sequence]
-    kind: str = CONTINUOUS
+    dt: float
+    generators: tuple = ()  # of (label, state-space matrix)
+    conserved: Optional[Callable] = None  # constant along orbits, of x[0], ..., x[dim-1]
 
 
 @dataclass(frozen=True)
@@ -104,29 +105,16 @@ def hamiltonian_energy(q, p):
     return 0.25 * p**4 - 4.5 * p**2 - 0.25 * q**4 + 4.5 * q**2
 
 
-@dataclass(frozen=True)
-class BuiltinSystem:
-    """What a built-in system is: its physics, the sample interval it is
-    simulated at by default, and the matrices generating its symmetry group."""
-
-    dim: int
-    params: dict  # default parameters
-    field: Callable[[Sequence, dict], Sequence]
-    dt: float
-    generators: tuple  # of (label, state-space matrix)
-    conserved: Optional[Callable] = None  # constant along orbits, of x[0], ..., x[dim-1]
-
-
 # Toggle-switch defaults: the repression strengths must exceed the pitchfork
 # threshold alpha = 2 (at kappa=1, beta=theta=2) for two stable equilibria
 # to exist; alpha = 4 puts them at (2 + sqrt(3), 2 - sqrt(3)) and mirror.
-_BUILTINS = {
-    "lorenz": BuiltinSystem(
-        3, {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}, lorenz_field, 0.01,
+_BUILTINS = {system.name: system for system in (
+    SystemDef(
+        "lorenz", 3, {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}, lorenz_field, 0.01,
         (("rot_pi_z", np.diag([-1.0, -1.0, 1.0])),),
     ),
-    "toggle_switch": BuiltinSystem(
-        2,
+    SystemDef(
+        "toggle_switch", 2,
         {
             "alpha1": 4.0,
             "alpha2": 4.0,
@@ -138,33 +126,29 @@ _BUILTINS = {
         toggle_switch_field, 0.01,
         (("swap", np.array([[0.0, 1.0], [1.0, 0.0]])),),
     ),
-    "hamiltonian": BuiltinSystem(
-        2, {}, hamiltonian_field, 0.001,
+    SystemDef(
+        "hamiltonian", 2, {}, hamiltonian_field, 0.001,
         (
             ("swap", np.array([[0.0, 1.0], [1.0, 0.0]])),
             ("negate", np.array([[-1.0, 0.0], [0.0, -1.0]])),
         ),
         conserved=hamiltonian_energy,
     ),
-}
+)}
 
 
 def system_names():
     return sorted(_BUILTINS)
 
 
-def builtin_system(name):
-    """The record of the built-in system ``name``."""
+def make_system(name, params=None):
+    """The built-in system ``name``, optionally overriding named parameters,
+    with a params dict of its own: writing to it changes no other system."""
     if name not in _BUILTINS:
         raise ConfigurationError(
             f"unknown system {name!r}; available: {', '.join(system_names())}"
         )
-    return _BUILTINS[name]
-
-
-def make_system(name, params=None):
-    """Build a built-in system, optionally overriding named parameters."""
-    record = builtin_system(name)
+    record = _BUILTINS[name]
     params = json_value({} if params is None else params, f"params for system {name!r}",
                         "a JSON object")
     merged = dict(record.params)
@@ -175,14 +159,14 @@ def make_system(name, params=None):
             )
         merged[key] = json_value(value, f"parameter {key!r} for system {name!r}",
                                  "a finite number")
-    return SystemDef(name=name, dim=record.dim, params=merged, field=record.field)
+    return replace(record, params=merged)
 
 
 # ---------------------------------------------------------------------------
 # evaluation and integration
 #
 # Every function taking a state also takes a block of states, one per row
-# (N, dim), as in Trajectory.states. A field or map is called with the
+# (N, dim), as in Trajectory.states. A field is called with the
 # coordinates x[i] of what it steps and returns its dim coordinates, as a
 # tuple or an array. One RK4 loop, generated per dim, steps one state, of
 # shape (dim,) or a block of one row, on a tuple of Python floats, so no
@@ -223,20 +207,19 @@ def _check_state(system, x):
     return x
 
 
-def _check_dt(system, dt):
+def _check_dt(dt):
     if not np.isfinite(dt):
         raise InputError(f"dt must be finite, got {dt}")
-    if system.kind == CONTINUOUS and dt <= 0:
+    if dt <= 0:
         raise InputError(f"dt must be positive, got {dt}")
 
 
 def _field_output(system, k, shape):
-    """A field's or map's output k as a float array of ``shape``."""
+    """The field's output k as a float array of ``shape``."""
     k = np.asarray(k, dtype=float)
     if k.shape != shape:
-        what = "map" if system.kind == DISCRETE else "field"
         raise InputError(
-            f"{what} of {system.name!r} returned shape {k.shape}, expected {shape}"
+            f"field of {system.name!r} returned shape {k.shape}, expected {shape}"
         )
     return k
 
@@ -291,37 +274,23 @@ def _rk4_kernel(dim):
     return namespace["rk4"]
 
 
-def _advance_state(system, y, dt, n):
-    """The n states after y, a tuple of scalars or of (N,) rows, flat (n *
-    dim coordinates): each one step of the map or one RK4 step of the field."""
-    if system.kind != DISCRETE:
-        return _rk4_kernel(len(y))(system, y, dt, n)
-    f, p = system.field, system.params
-    shape, floats = (len(y),) + getattr(y[0], "shape", ()), type(y[0]) is float
-    states = []
-    for _ in range(n):
-        k = _field_output(system, f(y, p), shape)
-        y = tuple(k.tolist() if floats else k)
-        states.extend(y)
-    return states
-
-
 def _advance_chunk(system, x, dt, n):
-    """The n states after the states x (N, dim) as an array (n, dim, N):
-    ``_advance_state`` from one state's coordinates as Python floats, or
-    from a block's coordinate rows (N,). Where Python's float rules part
-    from numpy's (1/0 and ``**`` overflow raise, a negative base to a
+    """The n states after the states x (N, dim), one RK4 step each, as an
+    array (n, dim, N): the kernel steps one state's coordinates as Python
+    floats, or a block's coordinate rows (N,). Where Python's float rules
+    part from numpy's (1/0 and ``**`` overflow raise, a negative base to a
     fractional power is complex), the n steps are rerun from x made
     np.float64, so the states, or the error, are numpy's."""
     y = tuple(x[0].tolist()) if len(x) == 1 else tuple(x.T)
+    rk4 = _rk4_kernel(len(y))
     try:
-        states = _advance_state(system, y, dt, n)
+        states = rk4(system, y, dt, n)
         # a complex coordinate stays complex, so the last state shows it
         rerun = any(isinstance(v, complex) for v in states[-len(y):])
     except ArithmeticError:
         rerun = True
     if rerun:
-        states = _advance_state(system, tuple(map(np.float64, y)), dt, n)
+        states = rk4(system, tuple(map(np.float64, y)), dt, n)
     # a field that returns arrays for one state makes every later state one
     # of arrays, so the last state shows it
     _field_output(system, states[-len(y):], (len(y),) + getattr(y[0], "shape", ()))
@@ -341,17 +310,16 @@ def _divergence(system, y, batch, step_index=None, total=None):
 
 
 def step(system, x, dt):
-    """Advance a state (dim,) or each row of a block (N, dim) by one sample
-    interval.
+    """Advance a state (dim,) or each row of a block (N, dim) by one
+    classical RK4 step of size ``dt``.
 
-    Continuous systems take one classical RK4 step of size ``dt``; discrete
-    systems apply their map once and ignore ``dt``. RK4 commutes exactly
-    with any linear symmetry of an equivariant field, so this discretization
-    preserves the group structure the rest of the toolkit relies on. Each
-    row of a block gets bit for bit the result of stepping it alone.
+    RK4 commutes exactly with any linear symmetry of an equivariant field,
+    so this discretization preserves the group structure the rest of the
+    toolkit relies on. Each row of a block gets bit for bit the result of
+    stepping it alone.
     """
     x = _check_state(system, x)
-    _check_dt(system, dt)
+    _check_dt(dt)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = _advance_chunk(system, x.reshape(-1, system.dim), dt, 1)[0].T.reshape(x.shape)
     if not np.isfinite(out).all():
@@ -374,7 +342,7 @@ def simulate(system, x0, dt, n_steps, discard=0):
         raise InputError("n_steps must be a positive integer")
     if discard < 0:
         raise InputError("discard must be nonnegative")
-    _check_dt(system, dt)
+    _check_dt(dt)
     batch = x0.ndim == 2
     total = n_steps + discard
     states = np.empty((x0.size // system.dim, total + 1, system.dim))

@@ -416,7 +416,7 @@ def verify_invariant_set_images(system, images, samples, dt, horizon):
     image's element.
     """
     samples = np.atleast_2d(_check_state(system, samples))
-    _check_dt(system, dt)
+    _check_dt(dt)
     if not isinstance(horizon, numbers.Integral) or horizon < 0:
         raise InputError(f"horizon must be a nonnegative integer, got {horizon!r}")
     if len(images) == 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, builtin_system, step
+from .dynamics import Trajectory, make_system, step
 from .errors import (
     InputError,
     NonFiniteGroupError,
@@ -407,7 +407,7 @@ def builtin_group(system_name):
     """The declared symmetry group of a built-in system."""
     gens = [  # copies: a caller may make this group's matrices read-only
         GroupElement(label, np.array(matrix))
-        for label, matrix in builtin_system(system_name).generators
+        for label, matrix in make_system(system_name).generators
     ]
     return generate_group(gens)
 

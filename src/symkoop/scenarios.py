@@ -220,9 +220,7 @@ def check_equivariance(name):
     group = _group(name)
     samples = sample_box(name, EQUIVARIANCE_SAMPLES,
                          np.random.default_rng(EQUIVARIANCE_SEED))
-    report = groups.check_equivariance(
-        system, group, dynamics.builtin_system(name).dt, samples
-    )
+    report = groups.check_equivariance(system, group, system.dt, samples)
     worst = max((d for _, d, _ in report.entries), default=0.0)
     return CheckResult(
         name=f"equivariance:{name}",

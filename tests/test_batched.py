@@ -26,7 +26,6 @@ from symkoop import (
     verify_invariant_set_images,
 )
 from symkoop import dynamics
-from symkoop.dynamics import DISCRETE, builtin_system
 from symkoop.scenarios import sample_box
 
 SYSTEMS = ("lorenz", "toggle_switch", "hamiltonian")
@@ -49,7 +48,8 @@ def state_blocks(name, max_rows=8):
 @PROPERTY
 @given(data=st.data())
 def test_block_step_equals_per_row_step(name, data):
-    system, dt = make_system(name), builtin_system(name).dt
+    system = make_system(name)
+    dt = system.dt
     block = data.draw(state_blocks(name))
     stepped = step(system, block, dt)
     fields = np.array(system.field(block.T, system.params)).T
@@ -69,7 +69,7 @@ def test_toggle_block_step_equals_per_row_step_where_pow_differs():
         ("0x1.e2aa4375f9b00p-2", "0x1.52a60c16d1e46p+1"),
         ("0x1.f025185bd08c0p-4", "0x1.14ef180097a84p+0"),
     )])
-    dt = builtin_system("toggle_switch").dt
+    dt = make_system("toggle_switch").dt
     stepped = step(system, block, dt)
     for row, out in zip(block, stepped):
         assert np.array_equal(step(system, row, dt), out)
@@ -79,7 +79,8 @@ def test_toggle_block_step_equals_per_row_step_where_pow_differs():
 @PROPERTY
 @given(data=st.data())
 def test_block_simulate_equals_per_start_simulate(name, data):
-    system, dt = make_system(name), builtin_system(name).dt
+    system = make_system(name)
+    dt = system.dt
     starts = data.draw(state_blocks(name, max_rows=4))
     n_steps = data.draw(st.integers(1, 30))
     discard = data.draw(st.integers(0, 3))
@@ -118,7 +119,7 @@ def test_one_state_equals_block_rows_on_generated_polynomial_fields(data):
     term = st.tuples(st.floats(-1.0, 1.0), st.lists(st.integers(0, dim - 1), max_size=3))
     terms = data.draw(st.lists(st.lists(term, min_size=1, max_size=3),
                                min_size=dim, max_size=dim))
-    system = SystemDef("polynomial", dim, {}, polynomial_field(terms))
+    system = SystemDef("polynomial", dim, {}, polynomial_field(terms), 1e-3)
     block = data.draw(st.integers(2, 4).flatmap(lambda n: arrays(
         float, (n, dim), elements=st.floats(-1.0, 1.0))))
     dt = data.draw(st.floats(1e-3, 1e-2))
@@ -134,7 +135,7 @@ def test_field_returning_numpy_scalars_steps_alike_alone_and_in_a_block():
     # np.subtract and np.multiply give np.float64 on Python floats, so one
     # state's stages after the first run on numpy scalars
     system = SystemDef("scalars", 2, {}, lambda x, p: (
-        np.subtract(x[1], x[0]), np.multiply(x[0], x[1] - 1.0)))
+        np.subtract(x[1], x[0]), np.multiply(x[0], x[1] - 1.0)), 0.05)
     assert type(system.field((0.5, 0.25), {})[0]) is np.float64
     block = np.array([[0.5, 0.25], [-0.3, 0.7], [1.1, -0.4]])
     stepped = step(system, block, 0.05)
@@ -173,7 +174,8 @@ def disc(radius):
        element=st.integers(0, 3))
 def test_invariant_set_image_matches_per_sample_reference(
         name, seed, n, horizon, radius, element):
-    system, dt = make_system(name), builtin_system(name).dt
+    system = make_system(name)
+    dt = system.dt
     group = builtin_group(name)
     g = group.elements[element % group.order]
     samples = sample_box(name, n, np.random.default_rng(seed))
@@ -189,7 +191,8 @@ def test_invariant_set_image_matches_per_sample_reference(
 def test_disc_predicate_is_left_by_some_orbits(name, radius):
     # the property above is not vacuous: with these radii some seeded orbits
     # start inside the disc and leave it within 60 steps, and some stay
-    system, dt = make_system(name), builtin_system(name).dt
+    system = make_system(name)
+    dt = system.dt
     g = builtin_group(name).elements[-1]
     samples = sample_box(name, 12, np.random.default_rng(3))
     report = verify_invariant_set_image(system, g, samples, dt, 60, disc(radius))
@@ -256,7 +259,8 @@ def test_membership_must_return_one_flag_per_state():
 def test_stacked_images_match_per_sample_reference(name, seed, n, horizon, images):
     # discs of different radii make the images drop columns at different
     # steps, so the slices of the stacked block shrink unevenly
-    system, dt = make_system(name), builtin_system(name).dt
+    system = make_system(name)
+    dt = system.dt
     group = builtin_group(name)
     images = [(group.elements[e % group.order], disc(r)) for e, r in images]
     samples = sample_box(name, n, np.random.default_rng(seed))
@@ -325,7 +329,8 @@ def test_windowed_images_match_per_sample_reference_at_window_edges(
     # a small coordinate budget makes windows of W steps, W taken from the
     # budget by simulate's rule over the whole block; horizons end just
     # before, at and just after a window's end, and a few windows on
-    system, dt = make_system(name), builtin_system(name).dt
+    system = make_system(name)
+    dt = system.dt
     group = builtin_group(name)
     images = [(group.elements[e % group.order], disc(r)) for e, r in images]
     samples = sample_box(name, n, np.random.default_rng(seed))
@@ -342,9 +347,11 @@ def test_windowed_images_match_per_sample_reference_at_window_edges(
 
 
 def blowup():
-    """x -> 1e160 x: from 1 the orbit is 1e160 at step 1 and inf at step 2;
-    from 1e-200 it is 1e-40, 1e120, then inf at step 3."""
-    return SystemDef("blowup", 1, {}, lambda x, p: (x[0] * 1e160,), DISCRETE)
+    """x' = 1e40 x: an RK4 step of dt = 1 multiplies x by about
+    z^4 / 24 = 4.2e158 (z = 1e40), through a stage k4 of about 2.5e159 x.
+    From 1 the orbit is 4.2e158 at step 1 and inf at step 2; from 1e-200 it
+    is 4.2e-42, 1.7e117, 7.2e275, then inf at step 4."""
+    return SystemDef("blowup", 1, {}, lambda x, p: (x[0] * 1e40,), 1.0)
 
 
 IDENTITY_1D = GroupElement("e", np.eye(1))
@@ -368,7 +375,7 @@ def test_orbit_that_leaves_then_diverges_within_a_window_raises_nothing():
 
 
 def test_window_divergence_names_the_earliest_step_not_the_lowest_column():
-    # sample 0 overflows at step 3, sample 1 at step 2, both inside one window
+    # sample 0 overflows at step 4, sample 1 at step 2, both inside one window
     samples = np.array([[1e-200], [1.0]])
     with pytest.raises(NumericalDivergenceError) as info:
         verify_invariant_set_image(
@@ -378,15 +385,17 @@ def test_window_divergence_names_the_earliest_step_not_the_lowest_column():
 
 
 def test_orbit_that_leaves_then_diverges_in_a_later_window_raises_nothing():
-    # x -> 10 x: sample 0 leaves |x| < 1e100 at step 100, in the first
-    # window, and overflows at step 309, in the second; sample 1 stays at 0
-    # and keeps the block stepping, so the third window steps an infinite
-    # column that left long before
-    tenfold = SystemDef("tenfold", 1, {}, lambda x, p: (x[0] * 10.0,), DISCRETE)
+    # x' = x / 32 at dt = 64 (z = 2): an RK4 step multiplies x by
+    # 1 + 2 + 2 + 4/3 + 2/3 = 7, through stages of at most 7x. Sample 0
+    # leaves |x| < 1e100 at step 119 (7**118 is 5.3e99), in the first
+    # window, and overflows at step 365 (7**364 is 4.1e307), in the second;
+    # sample 1 stays at 0 and keeps the block stepping, so the third window
+    # steps an infinite column that left long before
+    sevenfold = SystemDef("sevenfold", 1, {}, lambda x, p: (x[0] / 32.0,), 64.0)
     samples = np.array([[1.0], [0.0]])
     window = dynamics._chunk_steps(samples.size)
-    assert 100 <= window < 309 <= 2 * window < 600
-    report = verify_invariant_set_image(tenfold, IDENTITY_1D, samples, 1.0, 600, below(1e100))
+    assert 119 <= window < 365 <= 2 * window < 600
+    report = verify_invariant_set_image(sevenfold, IDENTITY_1D, samples, 64.0, 600, below(1e100))
     assert report.failed_indices == (0,)
     assert report.fraction == 0.5
 
@@ -398,7 +407,7 @@ def image_check_peak_bytes(horizon):
     try:
         verify_invariant_set_image(
             system, builtin_group("hamiltonian").identity, samples,
-            builtin_system("hamiltonian").dt, horizon, lambda x: np.ones(x.shape[1], bool))
+            system.dt, horizon, lambda x: np.ones(x.shape[1], bool))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -418,7 +427,7 @@ def block_simulate_peak_over_output(n, steps=512):
     starts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
     tracemalloc.start()
     try:
-        simulate(system, starts, builtin_system("hamiltonian").dt, steps)
+        simulate(system, starts, system.dt, steps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,9 +1,10 @@
-"""The built-in systems are two tables: ``dynamics._BUILTINS`` (the physics)
-and ``scenarios._EXPERIMENTS`` (what the checks run on). Everything keyed by
-system name is read from them: the registries and predicates agree label
-for label, every registry element is in the system's group, an unknown
-name is one ConfigurationError from every accessor, and the verify rows
-are today's."""
+"""The built-in systems are two tables: ``dynamics._BUILTINS`` (one
+SystemDef each: the physics and its symmetry generators) and
+``scenarios._EXPERIMENTS`` (what the checks run on). Everything keyed by
+system name is read from them: ``make_system`` gives a table's record with
+params of its own, the registries and predicates agree label for label,
+every registry element is in the system's group, an unknown name is one
+ConfigurationError from every accessor, and the verify rows are today's."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,22 @@ PREDICATED = [name for name in SYSTEMS
 def test_both_tables_hold_the_same_systems():
     assert set(SYSTEMS) == set(dynamics.system_names())
     assert PREDICATED == ["toggle_switch", "hamiltonian"]
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_make_system_keeps_the_record_and_gives_params_of_its_own(name):
+    record = dynamics._BUILTINS[name]
+    defaults = dict(record.params)
+    overrides = [None, {}] + [{key: 0.5} for key in defaults]
+    for params in overrides:
+        system = dynamics.make_system(name, params)
+        assert system.name == name
+        for field in ("dim", "field", "dt", "generators", "conserved"):
+            assert getattr(system, field) is getattr(record, field), field
+        assert system.params == {**defaults, **(params or {})}
+        system.params.clear()
+        system.params["written"] = 1.0
+        assert dynamics.make_system(name).params == record.params == defaults
 
 
 @pytest.mark.parametrize("name", PREDICATED)
@@ -56,7 +73,6 @@ UNKNOWN = "no_such_system"
     lambda: scenarios.exact_tier_trajectory(UNKNOWN),
     lambda: scenarios.check_conjugation_statistical(UNKNOWN),
     lambda: scenarios.check_invariant_set_image(UNKNOWN),
-    lambda: dynamics.builtin_system(UNKNOWN),
     lambda: dynamics.make_system(UNKNOWN),
     lambda: builtin_group(UNKNOWN),
     # what the Lorenz experiment does not set
@@ -67,7 +83,7 @@ UNKNOWN = "no_such_system"
     lambda: scenarios.check_commutation_symmetric("lorenz"),
 ], ids=["experiment", "sample_box", "draw_base_state", "membership_predicates",
         "builtin_registry", "exact_tier_trajectory", "conjugation_statistical",
-        "invariant_set_image", "builtin_system", "make_system", "builtin_group",
+        "invariant_set_image", "make_system", "builtin_group",
         "lorenz-predicates", "lorenz-statistical", "lorenz-seed-spread",
         "lorenz-image", "lorenz-commutation"])
 def test_a_missing_entry_is_one_configuration_error(call):
@@ -76,7 +92,7 @@ def test_a_missing_entry_is_one_configuration_error(call):
 
 
 def test_phase_portrait_of_an_unknown_system_is_a_configuration_error(tmp_path):
-    system = SystemDef(name=UNKNOWN, dim=2, params={}, field=lambda x, p: x)
+    system = SystemDef(name=UNKNOWN, dim=2, params={}, field=lambda x, p: x, dt=0.01)
     path = tmp_path / "portrait.csv"
     with pytest.raises(ConfigurationError):
         cli._emit_phase_portrait(system, 0.01, path)
@@ -107,10 +123,10 @@ def test_check_names_are_pinned():
 
 def test_energy_drift_is_printed_for_systems_with_a_conserved_quantity(tmp_path, capsys):
     for name in SYSTEMS:
-        record = dynamics.builtin_system(name)
+        record = dynamics.make_system(name)
         x0 = ",".join(["1.5"] * record.dim)
         assert cli.main(["simulate", "--system", name, "--x0", x0, "--steps", "3",
                          "--out", str(tmp_path)]) == 0
         line = capsys.readouterr().out
         assert ("energy drift" in line) == (record.conserved is not None)
-    assert dynamics.builtin_system("hamiltonian").conserved is dynamics.hamiltonian_energy
+    assert dynamics.make_system("hamiltonian").conserved is dynamics.hamiltonian_energy

@@ -77,6 +77,28 @@ def test_simulate_bad_config_exit_code(tmp_path, capsys):
     assert run(["simulate", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--x0", "1,1"], cli.EXIT_CONFIG),
+    (["--x0", "1,1,1", "--dt", "0"], cli.EXIT_CONFIG),
+    (["--x0", "1,1,1", "--dt", "-0.01"], cli.EXIT_CONFIG),
+    ([], cli.EXIT_CONFIG),
+    (["--x0", "1e200,1e200,1e200"], cli.EXIT_DIVERGENCE),
+], ids=["x0-wrong-dim", "dt-zero", "dt-negative", "no-starts", "divergence"])
+def test_simulate_that_fails_makes_no_out_directory(tmp_path, capsys, flags, code):
+    out = tmp_path / "out"
+    assert run(["simulate", "--system", "lorenz", "--steps", "5", *flags,
+                "--out", str(out)]) == code
+    one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_simulate_of_a_portrait_alone_makes_the_out_directory(tmp_path):
+    out = tmp_path / "out"
+    assert run(["simulate", "--system", "toggle_switch", "--emit-phase-portrait",
+                str(tmp_path / "portrait.csv"), "--out", str(out)]) == 0
+    assert out.is_dir() and not list(out.iterdir())
+
+
 def test_config_file_fills_defaults_and_flags_win(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"system": "lorenz", "steps": 3, "out": str(tmp_path)}))

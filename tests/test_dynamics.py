@@ -18,13 +18,13 @@ from symkoop import (
     step,
     verify_invariant_set_images,
 )
-from symkoop.dynamics import DISCRETE, STATE_CHUNK, _rk4_kernel
+from symkoop.dynamics import STATE_CHUNK, _rk4_kernel
 
 
 def decay_system():
     return SystemDef(
         name="decay", dim=1, params={},
-        field=lambda x, p: (-x[0],),
+        field=lambda x, p: (-x[0],), dt=0.1,
     )
 
 
@@ -76,15 +76,15 @@ def test_state_dimension_mismatch():
 
 
 def test_misshapen_field_output_rejected():
-    broken = SystemDef("broken", 3, {}, lambda x, p: np.zeros(2))
+    broken = SystemDef("broken", 3, {}, lambda x, p: np.zeros(2), 0.1)
     with pytest.raises(InputError):
         step(broken, [1.0, 2.0, 3.0], 0.1)
-    two_coordinates = SystemDef("broken", 3, {}, lambda x, p: (x[0], x[1]))
+    two_coordinates = SystemDef("broken", 3, {}, lambda x, p: (x[0], x[1]), 0.1)
     for x in ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]):
         with pytest.raises(InputError):
             simulate(two_coordinates, x, 0.1, 3)
     # the right number of coordinates, each an array
-    arrays = SystemDef("broken", 2, {}, lambda x, p: (np.zeros(3), np.zeros(3)))
+    arrays = SystemDef("broken", 2, {}, lambda x, p: (np.zeros(3), np.zeros(3)), 0.1)
     for x, expected in (([1.0, 2.0], r"\(2,\)"), ([[1.0, 2.0]], r"\(2,\)"),
                         ([[1.0, 2.0], [3.0, 4.0]], r"\(2, 2\)")):
         shape = r"returned shape \(2, 3\), expected " + expected
@@ -99,7 +99,7 @@ def test_misshapen_field_output_rejected():
 
 
 def test_step_fixed_point_of_zero_field():
-    system = SystemDef("still", 2, {}, lambda x, p: np.zeros(2))
+    system = SystemDef("still", 2, {}, lambda x, p: np.zeros(2), 0.7)
     x = np.array([0.3, -1.2])
     assert np.array_equal(step(system, x, 0.7), x)
 
@@ -120,11 +120,6 @@ def test_step_halving_richardson():
     full = step(system, x, dt)
     halved = step(system, step(system, x, dt / 2), dt / 2)
     assert np.linalg.norm(full - halved) <= 1e-9
-
-
-def test_step_discrete_map_ignores_dt():
-    double = SystemDef("double", 1, {}, lambda x, p: (2.0 * x[0],), kind=DISCRETE)
-    assert step(double, np.array([3.0]), 123.0) == pytest.approx(6.0)
 
 
 def test_step_rejects_nonpositive_dt():
@@ -224,15 +219,23 @@ def test_fractional_power_of_negative_coordinate_diverges_at_step_one(x):
     assert (info.value.start_index, info.value.step_index) == (start, 1)
 
 
+# RK4 steps x' = c x by the factor 1 + z + z^2/2 + z^3/6 + z^4/24, z = c dt,
+# which is 2 at this z: in floating point one step of 1.0 gives exactly 2.0
+DOUBLING_Z = 0.6939031456293855
+
+
 @pytest.mark.parametrize("x0, first", [(1.0, 1024), (0.75, 1025)])
 def test_divergence_names_first_step_across_stored_chunks(x0, first):
-    # x -> 2x overflows first at step 1024 from 1.0 and 1025 from 0.75: the
-    # last row of one chunk of stored rows and the first of the next
+    # x -> 2x; the largest RK4 stage, y + dt k3, is about 2.02 y, so the
+    # step from 2**1023 overflows (step 1024 from 1.0), as does the step
+    # from about 1.5 * 2**1023 (step 1025 from 0.75): the last row of one
+    # chunk of stored rows and the first of the next
     assert 1024 % STATE_CHUNK == 0
-    double = SystemDef("double", 1, {}, lambda x, p: (2.0 * x[0],), kind=DISCRETE)
+    double = SystemDef("double", 1, {}, lambda x, p: (x[0] * (DOUBLING_Z / 64.0),), 64.0)
+    assert step(double, [1.0], 64.0).tolist() == [2.0]
     for starts, start in (([x0], None), ([[x0]], 0), ([[0.0], [x0]], 1)):
         with pytest.raises(NumericalDivergenceError) as info:
-            simulate(double, starts, 0.1, 2000)
+            simulate(double, starts, 64.0, 2000)
         assert (info.value.start_index, info.value.step_index) == (start, first)
 
 
@@ -260,7 +263,7 @@ def stepped(fn):
 ], ids=["divide-by-zero", "pow-overflow", "pow-complex", "divide-by-zero-dim3",
         "pow-overflow-dim2"])
 def test_one_state_follows_numpy_where_python_floats_raise(field, x0, expected):
-    system = SystemDef("rerun", len(x0), {}, field)
+    system = SystemDef("rerun", len(x0), {}, field, 0.1)
     alone = stepped(lambda: step(system, x0, 0.1))
     row = stepped(lambda: step(system, [x0, x0], 0.1)[0])
     trajs = [stepped(lambda: simulate(system, x, 0.1, 300)) for x in (x0, [x0, x0])]
@@ -282,7 +285,7 @@ def test_too_many_field_coordinates_raise_at_the_first_call(dim):
         calls.append(x)
         return tuple(x) + (0.0,)
 
-    system = SystemDef("long", dim, {}, field)
+    system = SystemDef("long", dim, {}, field, 0.1)
     shape = rf"returned shape \({dim + 1},\), expected \({dim},\)"
     for run in (lambda: step(system, [0.5] * dim, 0.1),
                 lambda: simulate(system, [0.5] * dim, 0.1, 5)):
@@ -295,7 +298,7 @@ def test_too_many_field_coordinates_raise_at_the_first_call(dim):
 def test_one_rk4_kernel_is_built_per_dimension():
     _rk4_kernel.cache_clear()
     for dim in (1, 2, 3):
-        system = SystemDef("decay", dim, {}, lambda x, p: tuple(-v for v in x))
+        system = SystemDef("decay", dim, {}, lambda x, p: tuple(-v for v in x), 0.1)
         for _ in range(3):
             step(system, [1.0] * dim, 0.1)
             simulate(system, [1.0] * dim, 0.1, 2 * STATE_CHUNK)
@@ -306,7 +309,7 @@ def test_one_rk4_kernel_is_built_per_dimension():
 def test_division_by_zero_in_a_field_warns_nothing():
     # numpy's 1/0 is Inf and 1/(1 + Inf) is 0: the state stays at 0, and
     # the steppers' np.errstate keeps numpy from warning on the way
-    system = SystemDef("inv", 1, {}, lambda x, p: (1.0 / (1.0 + 1.0 / x[0]),))
+    system = SystemDef("inv", 1, {}, lambda x, p: (1.0 / (1.0 + 1.0 / x[0]),), 0.1)
     at_rest = lambda x: x[0] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -321,12 +324,15 @@ def test_division_by_zero_in_a_field_warns_nothing():
 
 
 def test_rerun_starts_from_the_chunk_that_raised():
-    # x -> x - 1 passes 1/0 at x = 1 (step 299 to 300; numpy's 0 * 0 is 0),
-    # then 0 * (1/0) at x = 0 is NaN at step 301, in the second stored chunk
+    # x' = -1 at dt = 1 steps x -> x - 1 exactly, evaluating the field at x,
+    # x - 0.5 (twice) and x - 1. From 301 the last stage of step 300 passes
+    # 1/0 at x = 1 (numpy's 0 * 0 is 0), and that of step 301 0 * (1/0) at
+    # x = 0, which is NaN: both in the second stored chunk
     assert STATE_CHUNK < 300
     down = SystemDef("down", 1, {}, lambda x, p: (
-        x[0] - 1.0 + 0.0 * (1.0 / (1.0 + 1.0 / (x[0] - 1.0))),), kind=DISCRETE)
-    for starts, start in (([300.0], None), ([[300.0], [300.0]], 0)):
+        -1.0 + 0.0 * (1.0 / (1.0 + 1.0 / (x[0] - 1.0))),), 1.0)
+    assert simulate(down, [301.0], 1.0, 299).states[-1].tolist() == [2.0]
+    for starts, start in (([301.0], None), ([[301.0], [301.0]], 0)):
         with pytest.raises(NumericalDivergenceError) as info:
             simulate(down, starts, 1.0, 400)
         assert (info.value.start_index, info.value.step_index) == (start, 301)
