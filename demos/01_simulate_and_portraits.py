@@ -11,8 +11,7 @@ import pathlib
 
 import numpy as np
 
-from symkoop import hamiltonian_energy, make_system, save_trajectory, simulate
-from symkoop.cli import _emit_phase_portrait
+from symkoop import cli, hamiltonian_energy, make_system, save_trajectory, simulate
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -38,7 +37,10 @@ h = [hamiltonian_energy(q, p) for q, p in traj.states[:: 500]]
 print(f"hamiltonian: H along the orbit = {np.round(h, 9)}")
 save_trajectory(traj, OUT / "hamiltonian_is1_orbit.csv")
 
-# Full portraits (many trajectories, one CSV each with a traj_id column).
+# Full portraits (many trajectories, one CSV each with a traj_id column), as
+# `symkoop simulate --emit-phase-portrait` writes them.
 for name in ("lorenz", "toggle_switch", "hamiltonian"):
-    system = make_system(name)
-    _emit_phase_portrait(system, system.dt, OUT / f"{name}_portrait.csv")
+    code = cli.main(["simulate", "--system", name, "--out", str(OUT),
+                     "--emit-phase-portrait", str(OUT / f"{name}_portrait.csv")])
+    if code != cli.EXIT_OK:
+        raise SystemExit(code)

@@ -129,6 +129,7 @@ def cmd_simulate(args):
     # all starts in one block: one RK4 loop, bit for bit the per-start results
     trajs = dynamics.simulate(system, np.array(starts), dt, args.steps, args.discard) \
         if starts else []
+    portrait = _phase_portrait(system, dt) if args.emit_phase_portrait else None
     outdir = Path(args.out)  # made only now, so a refused run leaves none behind
     outdir.mkdir(parents=True, exist_ok=True)
     for i, traj in enumerate(trajs):
@@ -144,24 +145,20 @@ def cmd_simulate(args):
             line += f", energy drift {drift:.3e}"
         print(line)
 
-    if args.emit_phase_portrait:
-        _emit_phase_portrait(system, dt, args.emit_phase_portrait)
+    if portrait is not None:  # plot-ready CSV (traj_id,t,x1..xn), no rendering
+        path = args.emit_phase_portrait
+        with open(path, "w") as fh:
+            fh.write("traj_id,t," + ",".join(f"x{i + 1}" for i in range(system.dim)) + "\n")
+            for tid, traj in enumerate(portrait):
+                dynamics.write_trajectory_rows(fh, traj, prefix=f"{tid},")
+        print(f"wrote phase portrait data to {path}")
     return EXIT_OK
 
 
-def _emit_phase_portrait(system, dt, path):
-    """Plot-ready CSV (traj_id,t,x1..xn): a fan of trajectories covering the
-    regions of the phase portrait. No rendering happens in-process."""
-    draw_starts, steps, discard = scenarios.experiment(system.name).portrait
-    starts = draw_starts(np.random.default_rng(0))
-    trajs = dynamics.simulate(system, starts, dt, steps, discard)
-    with open(path, "w") as fh:
-        fh.write(
-            "traj_id,t," + ",".join(f"x{i + 1}" for i in range(system.dim)) + "\n"
-        )
-        for tid, traj in enumerate(trajs):
-            dynamics.write_trajectory_rows(fh, traj, prefix=f"{tid},")
-    print(f"wrote phase portrait data to {path}")
+def _phase_portrait(system, dt):
+    """A fan of trajectories covering the regions of the phase portrait."""
+    draw, n, discard = scenarios.experiment(system.name).portrait
+    return dynamics.simulate(system, draw(np.random.default_rng(0)), dt, n, discard)
 
 
 def cmd_fit(args):

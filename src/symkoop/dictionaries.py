@@ -8,9 +8,10 @@ space, the induced feature-space representation is the K x K matrix R with
 
 which exists exactly when the span of the dictionary is invariant under the
 substitution. R is what conjugation transport of a fitted operator needs;
-it has a closed form for identity and monomial dictionaries and their
-transformed wrappers, and any other dictionary is transported by its
-dictionary instead (``equivariant.transport_case2``), which needs no R.
+each dictionary's ``representation(M)`` gives it, or None where it has no
+closed form (a custom dictionary), and such a dictionary is transported by
+its dictionary instead (``equivariant.transport_case2``), which needs no R.
+The identity dictionary is the degree-1 monomials without a constant.
 
 Monomial ordering contract: graded lexicographic, i.e. ascending total
 degree, and within a degree the order produced by
@@ -55,30 +56,16 @@ class Dictionary:
     def _evaluate(self, X):
         raise NotImplementedError
 
+    def representation(self, M):
+        """R with Psi(M x) = R Psi(x) for the dim x dim linear map M, or None
+        when this dictionary has no closed form for it."""
+        return None
+
     def to_spec(self):
         raise NotImplementedError
 
     def __repr__(self):
         return f"<{type(self).__name__} dim={self.dim} size={self.size}>"
-
-
-class IdentityDictionary(Dictionary):
-    """Psi(x) = x; EDMD with this dictionary is plain DMD."""
-
-    kind = "identity"
-
-    def __init__(self, dim):
-        if dim < 1:
-            raise InputError("dim must be positive")
-        self.dim = int(dim)
-        self.size = self.dim
-        self.labels = tuple(f"x{i + 1}" for i in range(dim))
-
-    def _evaluate(self, X):
-        return X.copy()
-
-    def to_spec(self):
-        return {"kind": "identity", "dim": self.dim}
 
 
 def _monomial_label(exponents):
@@ -143,6 +130,29 @@ class MonomialDictionary(Dictionary):
                 np.multiply(out[parent], X[i], out=out[k])
         return out
 
+    def representation(self, M):
+        # psi_k(M x) is its parent's row times the linear form M[i] . x, on
+        # sparse rows {monomial index: coefficient}; the factor 1 is the
+        # constant's index, or the extra row of _times. Exact zeros of M are
+        # skipped, so a signed permutation yields exactly one +-1.0 per row.
+        forms = [[(j, c) for j, c in enumerate(row) if c != 0.0] for row in M.tolist()]
+        times = self._times
+        one = {0 if self.include_constant else self.size: 1.0}
+        rows = [one] if self.include_constant else []
+        for k, parent, i in self._products:
+            row = {}
+            for e, a in (one if parent is None else rows[parent]).items():
+                e_times = times[e]
+                for j, c in forms[i]:
+                    e_j = e_times[j]
+                    row[e_j] = row.get(e_j, 0.0) + a * c
+            rows.append(row)
+        R = np.zeros((self.size, self.size))
+        for k, row in enumerate(rows):
+            for e, v in row.items():
+                R[k, e] = v
+        return R
+
     def to_spec(self):
         return {
             "kind": "monomial",
@@ -150,6 +160,20 @@ class MonomialDictionary(Dictionary):
             "max_degree": self.max_degree,
             "include_constant": self.include_constant,
         }
+
+
+class IdentityDictionary(MonomialDictionary):
+    """Psi(x) = x, the degree-1 monomials without a constant: plain DMD."""
+
+    kind = "identity"
+
+    def __init__(self, dim):
+        if dim < 1:
+            raise InputError("dim must be positive")
+        super().__init__(dim, 1, include_constant=False)
+
+    def to_spec(self):
+        return {"kind": "identity", "dim": self.dim}
 
 
 class CustomDictionary(Dictionary):
@@ -208,6 +232,10 @@ class TransformedDictionary(Dictionary):
 
     def _evaluate(self, X):
         return self.base._evaluate(self.gamma.T @ X)
+
+    def representation(self, M):
+        # psi(T^T M x) = psi(T^T M T T^T x)
+        return self.base.representation(self.gamma.T @ M @ self.gamma)
 
     def to_spec(self):
         return {
@@ -286,56 +314,16 @@ def _is_signed_permutation(m):
                 and np.all(np.abs(m[nonzero]) == 1.0))
 
 
-def has_exact_representation(dictionary):
-    """Whether R has a closed form for ``dictionary``: identity and monomial
-    dictionaries and transformed wrappers of them, not custom ones."""
-    while dictionary.kind == "transformed":
-        dictionary = dictionary.base
-    return dictionary.kind in ("identity", "monomial")
-
-
-def _exact_representation(dictionary, M):
-    """R with Psi(M x) = R Psi(x) for a linear map M: M itself for identity
-    dictionaries, each monomial expanded in the linear forms of M, and for a
-    wrapper of matrix T its base's R at T^T M T."""
-    if dictionary.kind == "identity":
-        return M.copy()
-    if dictionary.kind == "transformed":  # psi(T^T M x) = psi(T^T M T T^T x)
-        T = dictionary.gamma
-        return _exact_representation(dictionary.base, T.T @ M @ T)
-    # psi_k(M x) is its parent's row times the linear form M[i] . x, on sparse
-    # rows {monomial index: coefficient}; the factor 1 is the constant's
-    # index, or the extra row of _times. Exact zeros of M are skipped, so a
-    # signed permutation yields exactly one +-1.0 per row.
-    forms = [[(j, c) for j, c in enumerate(row) if c != 0.0] for row in M.tolist()]
-    times = dictionary._times
-    one = {0 if dictionary.include_constant else dictionary.size: 1.0}
-    rows = [one] if dictionary.include_constant else []
-    for k, parent, i in dictionary._products:
-        row = {}
-        for e, a in (one if parent is None else rows[parent]).items():
-            e_times = times[e]
-            for j, c in forms[i]:
-                e_j = e_times[j]
-                row[e_j] = row.get(e_j, 0.0) + a * c
-        rows.append(row)
-    R = np.zeros((dictionary.size, dictionary.size))
-    for k, row in enumerate(rows):
-        for e, v in row.items():
-            R[k, e] = v
-    return R
-
-
 def induced_representation(dictionary, g):
     """The feature-space representation R of a group element, exact (see
-    ``_exact_representation``). A dictionary with no closed-form R (a custom
-    one, or a transformed wrapper of one) raises InputError: such an operator
-    is transported by its dictionary (``equivariant.transport_case2``)."""
+    ``Dictionary.representation``). A dictionary with no closed-form R (a
+    custom one, or a transformed wrapper of one) raises InputError: such an
+    operator is transported by its dictionary (``equivariant.transport_case2``)."""
     if dictionary.dim != g.dim:
         raise InputError("dictionary and element dimensions differ")
-    if not has_exact_representation(dictionary):
+    R = dictionary.representation(g.matrix)
+    if R is None:
         raise InputError(
             f"{dictionary!r} has no closed-form representation of {g.label!r}; "
             "transport it by its dictionary (transport_case2) instead")
-    return FeatureRepresentation(label=g.label,
-                                 matrix=_exact_representation(dictionary, g.matrix))
+    return FeatureRepresentation(label=g.label, matrix=R)

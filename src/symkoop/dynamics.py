@@ -105,13 +105,19 @@ def hamiltonian_energy(q, p):
     return 0.25 * p**4 - 4.5 * p**2 - 0.25 * q**4 + 4.5 * q**2
 
 
+def _read_only(array):
+    """``array``, made read-only: a constant every caller shares."""
+    array.flags.writeable = False
+    return array
+
+
 # Toggle-switch defaults: the repression strengths must exceed the pitchfork
 # threshold alpha = 2 (at kappa=1, beta=theta=2) for two stable equilibria
 # to exist; alpha = 4 puts them at (2 + sqrt(3), 2 - sqrt(3)) and mirror.
 _BUILTINS = {system.name: system for system in (
     SystemDef(
         "lorenz", 3, {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}, lorenz_field, 0.01,
-        (("rot_pi_z", np.diag([-1.0, -1.0, 1.0])),),
+        (("rot_pi_z", _read_only(np.diag([-1.0, -1.0, 1.0]))),),
     ),
     SystemDef(
         "toggle_switch", 2,
@@ -124,13 +130,13 @@ _BUILTINS = {system.name: system for system in (
             "theta": 2.0,
         },
         toggle_switch_field, 0.01,
-        (("swap", np.array([[0.0, 1.0], [1.0, 0.0]])),),
+        (("swap", _read_only(np.array([[0.0, 1.0], [1.0, 0.0]]))),),
     ),
     SystemDef(
         "hamiltonian", 2, {}, hamiltonian_field, 0.001,
         (
-            ("swap", np.array([[0.0, 1.0], [1.0, 0.0]])),
-            ("negate", np.array([[-1.0, 0.0], [0.0, -1.0]])),
+            ("swap", _read_only(np.array([[0.0, 1.0], [1.0, 0.0]]))),
+            ("negate", _read_only(np.array([[-1.0, 0.0], [0.0, -1.0]]))),
         ),
         conserved=hamiltonian_energy,
     ),

@@ -5,16 +5,16 @@ Two transport routes exist for an operator K_i fitted on an invariant set
 M_i when a group element g maps M_i into M_j:
 
 * conjugation (same dictionary on both sets):  K_j = R K_i R^-1, where R is
-  the induced feature-space representation of g, which has a closed form
-  for identity and monomial dictionaries (and transformed wrappers of them);
+  the induced feature-space representation of g, when the dictionary's
+  ``representation`` has a closed form for it;
 * dictionary transport (same matrix): keep K_j = K_i but evolve the
   transformed dictionary psi_k(gamma^-1 x), exact for any dictionary.
 
-Either way no data from M_j is needed. ``assemble_global`` conjugates where
-the base dictionary has a closed-form R and transports the dictionary
-otherwise. The global operator on the union of
-the sets is the block diagonal of the local ones, and it is stored and
-applied blockwise so cross-set entries are exactly zero.
+Either way no data from M_j is needed. ``assemble_global`` asks the base
+dictionary for each element's R, conjugates with it, and transports the
+dictionary where there is none. The global operator on the union of the
+sets is the block diagonal of the local ones, and it is stored and applied
+blockwise so cross-set entries are exactly zero.
 """
 
 import numbers
@@ -23,11 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionaries import (
-    TransformedDictionary,
-    has_exact_representation,
-    induced_representation,
-)
+from .dictionaries import FeatureRepresentation, TransformedDictionary
 from .dynamics import _advance_chunk, _check_dt, _check_state, _chunk_steps
 from .errors import (
     InputError,
@@ -181,10 +177,9 @@ def assemble_global(registry, base, reps):
 
     ``reps`` maps each non-base label to its registry element: the
     GroupElement, or its FeatureRepresentation. A FeatureRepresentation is
-    conjugated (``transport_case1``). A GroupElement is conjugated with its
-    induced representation when the base dictionary has a closed-form R
-    (``has_exact_representation``), and otherwise transported by the
-    dictionary (``transport_case2``).
+    conjugated (``transport_case1``). A GroupElement is conjugated with the
+    R the base dictionary's ``representation`` gives for it, and
+    transported by the dictionary (``transport_case2``) where that is None.
 
     Raises InputError when a label's value is not of its registry element;
     ``check_registry`` needs the group to refuse the identity.
@@ -194,7 +189,6 @@ def assemble_global(registry, base, reps):
             f"base operator is labeled {base.set_label!r}, registry expects "
             f"{registry.base_label!r}"
         )
-    exact = has_exact_representation(base.dictionary)
     blocks = []
     for label in registry.labels:
         if label == registry.base_label:
@@ -208,13 +202,14 @@ def assemble_global(registry, base, reps):
                     f"value for {label!r} is of {rep.label!r}, "
                     f"not of its registry element {element!r}"
                 )
-            if not isinstance(rep, GroupElement):
-                block = transport_case1(base, rep, label)
-            elif exact:
-                rep = induced_representation(base.dictionary, rep)
-                block = transport_case1(base, rep, label)
+            if isinstance(rep, GroupElement):
+                if rep.dim != base.dictionary.dim:
+                    raise InputError("operator dictionary and element dimensions differ")
+                R = base.dictionary.representation(rep.matrix)
+                block = (transport_case2(base, rep, label) if R is None else
+                         transport_case1(base, FeatureRepresentation(rep.label, R), label))
             else:
-                block = transport_case2(base, rep, label)
+                block = transport_case1(base, rep, label)
             blocks.append((label, block))
     return GlobalKoopman(blocks=tuple(blocks))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, make_system, step
+from .dynamics import Trajectory, _read_only, make_system, step
 from .errors import (
     InputError,
     NonFiniteGroupError,
@@ -134,8 +134,7 @@ def _sort_direction(k):
     draw, so symmetric point sets rarely tie on it. Cached, so read-only."""
     u = np.random.default_rng(0).standard_normal(k)
     u /= np.linalg.norm(u)
-    u.flags.writeable = False
-    return u
+    return _read_only(u)
 
 
 class _SortedPoints:
@@ -405,7 +404,7 @@ def check_axioms(group):
 
 def builtin_group(system_name):
     """The declared symmetry group of a built-in system."""
-    gens = [  # copies: a caller may make this group's matrices read-only
+    gens = [  # writable copies of the read-only constants
         GroupElement(label, np.array(matrix))
         for label, matrix in make_system(system_name).generators
     ]

@@ -67,7 +67,7 @@ _EXPERIMENTS = {
         box=((-20.0, 20.0), (-25.0, 25.0), (0.0, 45.0)),
         draw=lambda rng: np.array([1.0, 1.0, 1.05]) + rng.uniform(-0.5, 0.5, size=3),
         sets={"blue": ("e", None), "magenta": ("rot_pi_z", None)},
-        exact_run=(np.array([1.0, 1.0, 1.05]), 0.01, 500),
+        exact_run=(dynamics._read_only(np.array([1.0, 1.0, 1.05])), 0.01, 500),
         portrait=(lambda rng: np.array([[1.0, 1.0, 1.05], [-1.0, -1.0, 1.05]]),
                   5000, 500),
     ),
@@ -77,7 +77,7 @@ _EXPERIMENTS = {
         draw=lambda rng: np.array([rng.uniform(2.2, 3.6), rng.uniform(0.1, 1.2)]),
         sets={"right": ("e", lambda x: x[0] > x[1]),
               "left": ("swap", lambda x: x[1] > x[0])},
-        exact_run=(np.array([3.5, 1.2]), 0.05, 100),
+        exact_run=(dynamics._read_only(np.array([3.5, 1.2])), 0.05, 100),
         # box samples, then two starts on the separatrix x1 = x2
         portrait=(lambda rng: np.vstack([sample_box("toggle_switch", 14, rng),
                                          [[0.5, 0.5], [2.5, 2.5]]]), 400, 0),
@@ -97,7 +97,7 @@ _EXPERIMENTS = {
             "IS-4": ("swap*negate",
                      lambda x: (-x[1] > np.abs(x[0])) & _inside_separatrix(x)),
         },
-        exact_run=(np.array([3.4, 0.2]), 0.001, 400),
+        exact_run=(dynamics._read_only(np.array([3.4, 0.2])), 0.001, 400),
         # orbits around (3, 0) and their images under every group element
         portrait=(lambda rng: np.array([
             g.matrix @ np.array(x0)

@@ -91,12 +91,10 @@ def test_a_missing_entry_is_one_configuration_error(call):
         call()
 
 
-def test_phase_portrait_of_an_unknown_system_is_a_configuration_error(tmp_path):
+def test_phase_portrait_of_an_unknown_system_is_a_configuration_error():
     system = SystemDef(name=UNKNOWN, dim=2, params={}, field=lambda x, p: x, dt=0.01)
-    path = tmp_path / "portrait.csv"
     with pytest.raises(ConfigurationError):
-        cli._emit_phase_portrait(system, 0.01, path)
-    assert not path.exists()
+        cli._phase_portrait(system, 0.01)
 
 
 def test_check_names_are_pinned():

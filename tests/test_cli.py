@@ -83,13 +83,18 @@ def test_simulate_bad_config_exit_code(tmp_path, capsys):
     (["--x0", "1,1,1", "--dt", "-0.01"], cli.EXIT_CONFIG),
     ([], cli.EXIT_CONFIG),
     (["--x0", "1e200,1e200,1e200"], cli.EXIT_DIVERGENCE),
-], ids=["x0-wrong-dim", "dt-zero", "dt-negative", "no-starts", "divergence"])
-def test_simulate_that_fails_makes_no_out_directory(tmp_path, capsys, flags, code):
+    (["--dt", "0", "--emit-phase-portrait", "p.csv"], cli.EXIT_CONFIG),
+], ids=["x0-wrong-dim", "dt-zero", "dt-negative", "no-starts", "divergence",
+        "portrait-alone-dt-zero"])
+def test_simulate_that_fails_makes_no_out_directory(tmp_path, capsys, monkeypatch, flags,
+                                                    code):
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     assert run(["simulate", "--system", "lorenz", "--steps", "5", *flags,
                 "--out", str(out)]) == code
     one_line_error(capsys)
     assert not out.exists()
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_simulate_of_a_portrait_alone_makes_the_out_directory(tmp_path):

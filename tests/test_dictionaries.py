@@ -28,11 +28,7 @@ from symkoop import (
     snapshots,
     verify_conjugation,
 )
-from symkoop.dictionaries import (
-    _exact_representation,
-    _is_signed_permutation,
-    has_exact_representation,
-)
+from symkoop.dictionaries import _is_signed_permutation
 from symkoop.koopman import KoopmanApprox
 from symkoop.scenarios import EXACT_TIER_TOL, SPECTRUM_TOL
 
@@ -53,6 +49,9 @@ def test_identity_dictionary_evaluates_to_state():
     assert d.labels == ("x1", "x2")
     with pytest.raises(InputError):
         d.evaluate([1.0, 2.0, 3.0])
+    for dim in (0, -1):
+        with pytest.raises(InputError, match="^dim must be positive$"):
+            IdentityDictionary(dim)
 
 
 def test_monomial_ordering_and_values():
@@ -202,7 +201,7 @@ def test_incomplete_degree_dictionary_not_closed_under_rotation():
         2, [lambda x: x[0], lambda x: x[1], lambda x: x[0] ** 2],
         labels=["x1", "x2", "x1^2"],
     )
-    assert not has_exact_representation(d)
+    assert d.representation(rotation(0.7).matrix) is None
     with pytest.raises(InputError, match="no closed-form representation of 'rot'.*"
                                          "transport_case2"):
         induced_representation(d, rotation(0.7))
@@ -352,11 +351,11 @@ def test_transformed_dictionary_needs_an_orthogonal_gamma(matrix, message):
 def test_transformed_custom_dictionary_has_no_representation():
     custom = as_custom(MonomialDictionary(2, 2))
     wrapped = TransformedDictionary(custom, rotation(0.4).matrix, "w")
-    assert not has_exact_representation(wrapped)
+    assert wrapped.representation(rotation(0.7).matrix) is None
     with pytest.raises(InputError, match="no closed-form representation"):
         induced_representation(wrapped, rotation(0.7))
     exact = TransformedDictionary(MonomialDictionary(2, 2), rotation(0.4).matrix, "w")
-    assert has_exact_representation(exact)
+    assert exact.representation(rotation(0.7).matrix) is not None
     # dictionary transport is the route for the wrapper too
     registry = InvariantSetRegistry(labels=("a", "b"), base_label="a", mapping={"b": "rot"})
     gk = assemble_global(registry, custom_operator(wrapped, "a"), {"b": rotation(0.7)})
@@ -482,11 +481,9 @@ def test_a_refit_on_exactly_transformed_data_is_the_conjugate(case, data, seed):
 # the exact representation against its tuple-keyed reference
 
 def tuple_keyed_representation(dictionary, M):
-    """_exact_representation as it was with sparse rows keyed by exponent
-    tuples: each monomial's row is its parent's (one power fewer of its last
-    variable) times the linear form M[i] . x, expanded term by term."""
-    if dictionary.kind == "identity":
-        return M.copy()
+    """MonomialDictionary.representation as it was with sparse rows keyed by
+    exponent tuples: each monomial's row is its parent's (one power fewer of
+    its last variable) times the linear form M[i] . x, expanded term by term."""
     if dictionary.kind == "transformed":
         T = dictionary.gamma
         return tuple_keyed_representation(dictionary.base, T.T @ M @ T)
@@ -542,7 +539,34 @@ def test_exact_representation_equals_the_tuple_keyed_reference_bitwise(
     if wrapper is not None:
         d = TransformedDictionary(d, drawn_matrix(data.draw, wrapper, dim, rng), "w")
     M = drawn_matrix(data.draw, kind, dim, rng)
-    R = _exact_representation(d, M)
+    R = d.representation(M)
     reference = tuple_keyed_representation(d, M)
     assert np.array_equal(R, reference)
     assert R.tobytes() == reference.tobytes()  # signed zeros too
+
+
+# ---------------------------------------------------------------------------
+# each dictionary class's own representation
+
+@pytest.mark.parametrize("name", ["lorenz", "toggle_switch", "hamiltonian", "octahedral"])
+def test_identity_is_the_degree_one_monomials_and_custom_has_no_representation(name):
+    group = signed_permutation_group(name) if name == "octahedral" else builtin_group(name)
+    identity = IdentityDictionary(group.dim)
+    monomials = MonomialDictionary(group.dim, 1, include_constant=False)
+    X = np.random.default_rng(3).normal(size=(group.dim, 20))
+    X[:, 0] = -0.0  # signed zeros too
+    assert identity.evaluate_matrix(X).tobytes() == monomials.evaluate_matrix(X).tobytes()
+    assert identity.evaluate_matrix(X).tobytes() == X.tobytes()
+    for g in group.elements:
+        assert identity.representation(g.matrix).tobytes() == g.matrix.tobytes()
+    # a custom dictionary, bare or wrapped, has no R and moves by dictionary
+    custom = as_custom(identity)
+    wrapped = TransformedDictionary(custom, group.elements[-1].matrix, "w")
+    registry = InvariantSetRegistry(labels=tuple(group.labels()), base_label="e",
+                                    mapping={g.label: g.label for g in group.elements[1:]})
+    for d in (custom, wrapped):
+        assert all(d.representation(g.matrix) is None for g in group.elements)
+        gk = assemble_global(registry, custom_operator(d, registry.base_label),
+                             {g.label: g for g in group.elements[1:]})
+        assert [gk.block(g.label).provenance["method"] for g in group.elements[1:]] == \
+            ["dictionary"] * (group.order - 1)

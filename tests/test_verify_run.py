@@ -62,13 +62,14 @@ def test_shared_inputs_are_read_only_and_private_to_the_run(builds):
         assert not any(g.matrix.flags.writeable for g in group.elements)
     for _, traj in builds["exact_tier"]:
         assert not traj.states.flags.writeable
-    # outside a run every call builds afresh, writable, and the built-in
-    # generator constants were never frozen
+    # outside a run every call builds afresh, writable, from the built-in
+    # constants, which are read-only
     assert scenarios.exact_tier_trajectory("lorenz").states.flags.writeable
     assert scenarios.exact_tier_trajectory("lorenz") is not scenarios.exact_tier_trajectory("lorenz")
     assert all(g.matrix.flags.writeable for g in groups.builtin_group("hamiltonian").elements)
     for system in dynamics._BUILTINS.values():
-        assert all(m.flags.writeable for _, m in system.generators)
+        assert not any(m.flags.writeable for _, m in system.generators)
+    assert not any(e.exact_run[0].flags.writeable for e in scenarios._EXPERIMENTS.values())
 
 
 def test_memo_is_dropped_when_a_check_raises(builds, monkeypatch):
@@ -83,3 +84,16 @@ def test_memo_is_dropped_when_a_check_raises(builds, monkeypatch):
     before = counts(builds, "exact_tier")["lorenz"]
     scenarios.exact_tier_trajectory("lorenz")
     assert counts(builds, "exact_tier")["lorenz"] == before + 1
+
+
+def test_writing_to_a_builtin_constant_raises_and_changes_nothing():
+    group = groups.builtin_group("lorenz")
+    traj = scenarios.exact_tier_trajectory("lorenz")
+    with pytest.raises(ValueError, match="read-only"):
+        dynamics.make_system("lorenz").generators[0][1][0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        scenarios.experiment("lorenz").exact_run[0][0] = 5.0
+    later = groups.builtin_group("lorenz")
+    assert later.labels() == group.labels()
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(later.elements, group.elements))
+    assert np.array_equal(scenarios.exact_tier_trajectory("lorenz").states, traj.states)
