@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -131,27 +132,34 @@ def cmd_simulate(args):
         if starts else []
     portrait = _phase_portrait(system, dt) if args.emit_phase_portrait else None
     outdir = Path(args.out)  # made only now, so a refused run leaves none behind
+    # the directories mkdir makes, leaf first; a '..' names one that exists
+    made = [d for d in (outdir, *outdir.parents) if d.name != ".." and not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
-    for i, traj in enumerate(trajs):
-        path = outdir / f"{args.system}_traj{i:02d}.csv"
-        dynamics.save_trajectory(traj, path)
-        final = traj.states[-1]
-        line = (
-            f"{path}: {args.steps} steps, dt={dt}, final state "
-            + "(" + ", ".join(f"{v:.6g}" for v in final) + ")"
-        )
-        if system.conserved is not None:
-            drift = abs(system.conserved(*final) - system.conserved(*traj.states[0]))
-            line += f", energy drift {drift:.3e}"
-        print(line)
-
-    if portrait is not None:  # plot-ready CSV (traj_id,t,x1..xn), no rendering
-        path = args.emit_phase_portrait
-        with open(path, "w") as fh:
+    try:  # opened once --out exists, which may hold it, and before any output
+        fh = open(args.emit_phase_portrait, "w") if portrait is not None else nullcontext()
+    except OSError:
+        for d in made:
+            d.rmdir()
+        raise
+    with fh:
+        for i, traj in enumerate(trajs):
+            path = outdir / f"{args.system}_traj{i:02d}.csv"
+            dynamics.save_trajectory(traj, path)
+            final = traj.states[-1]
+            line = (
+                f"{path}: {args.steps} steps, dt={dt}, final state "
+                + "(" + ", ".join(f"{v:.6g}" for v in final) + ")"
+            )
+            if system.conserved is not None:
+                drift = abs(system.conserved(*final) - system.conserved(*traj.states[0]))
+                line += f", energy drift {drift:.3e}"
+            print(line)
+        if portrait is not None:  # plot-ready CSV (traj_id,t,x1..xn), no rendering
             fh.write("traj_id,t," + ",".join(f"x{i + 1}" for i in range(system.dim)) + "\n")
             for tid, traj in enumerate(portrait):
                 dynamics.write_trajectory_rows(fh, traj, prefix=f"{tid},")
-        print(f"wrote phase portrait data to {path}")
+    if portrait is not None:
+        print(f"wrote phase portrait data to {args.emit_phase_portrait}")
     return EXIT_OK
 
 

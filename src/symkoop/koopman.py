@@ -7,9 +7,10 @@ the stacked data [Yp; Yf]^T, one chunk of snapshot columns at a time. Only
 the K x 2K block [R_p, R_f] of R, the part the fit reads, is carried from
 chunk to chunk, so the memory the fit needs beyond its inputs does not grow
 with the number of snapshots; the truncation uses the singular values of
-R_p, which are those of Yp. fit_trajectory takes one trajectory or a
-sequence of them and lifts each chunk of their snapshot pairs as the fit
-reaches it, so it never holds the K x M lifted data.
+R_p, which are those of Yp. The residual comes from the same factors, so
+the data is read once. fit_trajectory takes one trajectory or a sequence of
+them and lifts each chunk of their snapshot pairs once, as the fit reaches
+it, so it never holds the K x M lifted data.
 
 The matrix advances feature vectors, Psi(x_{k+1}) ~ K Psi(x_k), so
 observables (and therefore eigenfunctions) evolve through row vectors:
@@ -73,7 +74,9 @@ def fit_edmd(Yp, Yf, rank_tol=DEFAULT_RANK_TOL, *, dictionary, set_label="fit"):
     Yp^T = Q R_p and Yf^T = Q R_f, the least-squares solution is
     K^T = pinv(R_p) R_f, and R_p has the singular values of Yp. Returns the
     operator with its relative Frobenius residual ||K Yp - Yf||_F / ||Yf||_F
-    (a second chunked pass over the data) and the retained rank. Memory
+    and the retained rank. Q is orthogonal, so the residual is
+    ||R_p K^T - R_f||_F / ||R_f||_F over every row of the factors: the last
+    one, kept whole, and the [0, R_22] rows each chunk drops. Memory
     beyond the inputs is O(K^2 + _FIT_CHUNK * K), whatever the number of
     snapshots.
     """
@@ -96,8 +99,9 @@ def fit_trajectory(trajs, dictionary, rank_tol=DEFAULT_RANK_TOL, set_label="fit"
     indexed as one column-stacked run; none joins the last state of one
     trajectory to the first of the next. A chunk inside one trajectory lifts
     states[a : b + 1] once and takes Yp_c and Yf_c as its two shifted views;
-    only a chunk across a boundary concatenates its pieces. So K, rank_used
-    and fit_residual are bit for bit those of fit_edmd on the stacked lifts."""
+    only a chunk across a boundary concatenates its pieces. Each piece is
+    lifted once. So K, rank_used and fit_residual are bit for bit those of
+    fit_edmd on the stacked lifts."""
     trajs = [trajs] if isinstance(trajs, Trajectory) else list(trajs)
     if not trajs:
         raise InputError("need at least one trajectory to fit")
@@ -135,8 +139,8 @@ def fit_trajectory(trajs, dictionary, rank_tol=DEFAULT_RANK_TOL, set_label="fit"
 def _fit_chunks(chunk, n, m, rank_tol, dictionary, set_label):
     """The fit of ``fit_edmd`` on data given as chunks: chunk(a, b) returns
     the columns a:b of Yp and Yf (n x (b - a) each), for b - a at most
-    _FIT_CHUNK. It is called twice per chunk, once in the QR pass and once
-    in the residual pass, and each input check runs on every chunk.
+    _FIT_CHUNK. It is called once per chunk, and each input check runs on
+    every chunk.
 
     Each chunk's QR factors a (K + C) x 2K matrix, for C = b - a: the K
     carried rows [R_p, R_f] over the chunk's C rows [Yp_c; Yf_c]^T. The
@@ -152,8 +156,10 @@ def _fit_chunks(chunk, n, m, rank_tol, dictionary, set_label):
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             R = np.empty((0, 2 * n))
+            dropped = 0.0  # ||R_22||_F^2 of the rows below K that factors so far dropped
             identifiable = False
             for a, b in bounds:
+                dropped += np.linalg.norm(R[n:, n:]) ** 2
                 Yp_c, Yf_c = chunk(a, b)
                 # [R[:K]; [Yp_c; Yf_c]^T] built as its transpose, so it is
                 # already column-major for LAPACK
@@ -184,14 +190,8 @@ def _fit_chunks(chunk, n, m, rank_tol, dictionary, set_label):
             raise DegenerateDataError(f"factoring the lifted data failed: {err}") from err
         rank = int(np.sum(s >= rank_tol * s[0]))
         K = ((R[:, n:].T @ U[:, :rank]) / s[:rank]) @ Vt[:rank]
-
-        res_sq = Yf_sq = 0.0
-        for a, b in bounds:
-            Yp_c, Yf_c = chunk(a, b)
-            res = K @ Yp_c
-            res -= Yf_c  # in place: one K x chunk temporary fewer
-            res_sq += np.linalg.norm(res) ** 2
-            Yf_sq += np.linalg.norm(Yf_c) ** 2
+        res_sq = np.linalg.norm(R[:, :n] @ K.T - R[:, n:]) ** 2 + dropped
+        Yf_sq = np.linalg.norm(R[:, n:]) ** 2 + dropped
         residual = float(np.sqrt(res_sq / Yf_sq)) if Yf_sq > 0 else 0.0
     if not (np.all(np.isfinite(K)) and np.isfinite(residual)):
         raise DegenerateDataError(

@@ -104,6 +104,39 @@ def test_simulate_of_a_portrait_alone_makes_the_out_directory(tmp_path):
     assert out.is_dir() and not list(out.iterdir())
 
 
+LORENZ_5_STEPS = ["simulate", "--system", "lorenz", "--x0", "1,1,1", "--steps", "5"]
+
+
+@pytest.mark.parametrize("out", ["d", "a/b/d", "a/../d"])
+def test_simulate_with_a_portrait_path_it_cannot_open_writes_nothing(tmp_path, capsys,
+                                                                     monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    assert run([*LORENZ_5_STEPS, "--emit-phase-portrait", "nodir/p.csv",
+                "--out", out]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "nodir/p.csv" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_writes_a_portrait_into_the_out_directory_it_makes(tmp_path, capsys):
+    out = tmp_path / "new"
+    assert run([*LORENZ_5_STEPS, "--emit-phase-portrait", str(out / "p.csv"),
+                "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["lorenz_traj00.csv", "p.csv"]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith(f"{out / 'lorenz_traj00.csv'}: 5 steps")
+    assert lines[1] == f"wrote phase portrait data to {out / 'p.csv'}"
+
+
+def test_simulate_whose_out_cannot_be_made_writes_no_portrait(tmp_path, capsys):
+    (tmp_path / "f").write_text("")
+    assert run([*LORENZ_5_STEPS, "--emit-phase-portrait", str(tmp_path / "p.csv"),
+                "--out", str(tmp_path / "f")]) == cli.EXIT_CONFIG
+    one_line_error(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
+
 def test_config_file_fills_defaults_and_flags_win(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"system": "lorenz", "steps": 3, "out": str(tmp_path)}))

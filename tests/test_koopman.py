@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symkoop import (
+    CustomDictionary,
     DegenerateDataError,
     IdentityDictionary,
     InputError,
@@ -59,7 +60,9 @@ def svd_pinv_fit(Yp, Yf, rank_tol=DEFAULT_RANK_TOL):
 def full_r_fit(Yp, Yf, rank_tol=DEFAULT_RANK_TOL):
     """Reference: the chunked fit carrying the whole 2K x 2K factor
     R = [[R_p, R_f], [0, R_22]] from chunk to chunk. Returns K, the retained
-    rank and the relative residual."""
+    rank and the relative residual ||R_p K^T - R_f||_F / ||R_f||_F, which is
+    ||K Yp - Yf||_F / ||Yf||_F as Q is orthogonal; exact here, as the whole
+    factor drops no rows."""
     n, m = Yp.shape
     bounds = [(a, min(a + _FIT_CHUNK, m)) for a in range(0, m, _FIT_CHUNK)]
     R = np.empty((0, 2 * n))
@@ -69,13 +72,8 @@ def full_r_fit(Yp, Yf, rank_tol=DEFAULT_RANK_TOL):
     U, s, Vt = np.linalg.svd(R[:, :n], full_matrices=False)
     rank = int(np.sum(s >= rank_tol * s[0]))
     K = ((R[:, n:].T @ U[:, :rank]) / s[:rank]) @ Vt[:rank]
-    res_sq = Yf_sq = 0.0
-    for a, b in bounds:
-        block = np.concatenate([Yp[:, a:b], Yf[:, a:b]])
-        r = K @ block[:n]
-        r -= block[n:]
-        res_sq += np.linalg.norm(r) ** 2
-        Yf_sq += np.linalg.norm(block[n:]) ** 2
+    res_sq = np.linalg.norm(R[:, :n] @ K.T - R[:, n:]) ** 2
+    Yf_sq = np.linalg.norm(R[:, n:]) ** 2
     return K, rank, float(np.sqrt(res_sq / Yf_sq)) if Yf_sq > 0 else 0.0
 
 
@@ -185,6 +183,9 @@ def test_fit_matches_svd_pseudo_inverse_reference(data):
         assert op.fit_residual == residual_full
     else:
         assert np.linalg.norm(op.matrix - K_full) <= 1e-10 * np.linalg.norm(K_full)
+        if direct > 1e-12:
+            # the dropped rows' ||R_22||^2, summed, stand in for the whole factor's
+            assert op.fit_residual == pytest.approx(residual_full, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [300, 1000, _FIT_CHUNK])
@@ -417,6 +418,39 @@ STREAMED_FITS = pytest.mark.parametrize("fit", [
 def test_lift_overflow_in_a_later_chunk_is_rejected(fit):
     with pytest.raises(InputError, match="lifted snapshot data contains NaN or Inf"):
         fit(third_chunk_overflow_trajectory(), MonomialDictionary(2, 6))
+
+
+@pytest.mark.parametrize("trajs, pieces", [
+    (lambda states: Trajectory(dim=2, dt=0.1, states=states), 4),
+    (lambda states: split_at_1500(Trajectory(dim=2, dt=0.1, states=states)), 5),
+], ids=["trajectory", "two-trajectories"])
+def test_trajectory_fit_lifts_each_chunk_once(trajs, pieces):
+    # 3 * _FIT_CHUNK + 5 pairs: four chunks; cut at state 1500, the second
+    # chunk lifts one piece on each side of the boundary
+    calls = []
+
+    def first(x):
+        calls.append(x.shape[1])
+        return x[0]
+
+    states = np.random.default_rng(11).normal(size=(3 * _FIT_CHUNK + 6, 2))
+    fit_trajectory(trajs(states), CustomDictionary(2, [first, lambda x: x[1]]))
+    assert len(calls) == pieces
+
+
+@pytest.mark.parametrize("scale, refused", [(1e150, False), (1e152, False), (1e153, True),
+                                            (1e200, True), (1e300, True)])
+@pytest.mark.parametrize("fit", [
+    lambda X: fit_edmd(X[:, :-1], X[:, 1:], dictionary=IdentityDictionary(3)),
+    lambda X: fit_trajectory(Trajectory(dim=3, dt=0.1, states=X.T), IdentityDictionary(3)),
+], ids=["fit_edmd", "fit_trajectory"])
+def test_finite_data_too_large_to_square_is_degenerate(fit, scale, refused):
+    X = np.random.default_rng(12).normal(size=(3, 3001)) * scale
+    if refused:
+        with pytest.raises(DegenerateDataError, match="too large in magnitude"):
+            fit(X)
+    else:
+        assert np.isfinite(fit(X).fit_residual)
 
 
 @STREAMED_FITS
