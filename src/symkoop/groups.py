@@ -402,13 +402,16 @@ def check_axioms(group):
     return {"order": n, **dict(zip(AXIOMS, held)), "ok": all(held)}
 
 
+@functools.cache
 def builtin_group(system_name):
-    """The declared symmetry group of a built-in system."""
-    gens = [  # writable copies of the read-only constants
-        GroupElement(label, np.array(matrix))
-        for label, matrix in make_system(system_name).generators
-    ]
-    return generate_group(gens)
+    """The declared symmetry group of a built-in system, built once per
+    process; its element matrices and Cayley table are read-only."""
+    group = generate_group(
+        GroupElement(label, matrix) for label, matrix in make_system(system_name).generators
+    )
+    for array in [g.matrix for g in group.elements] + [group.cayley]:
+        _read_only(array)
+    return group
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,9 @@ def _fit_chunks(chunk, n, m, rank_tol, dictionary, set_label):
         raise InputError(f"rank_tol must be in (0, 1], got {rank_tol}")
     bounds = [(a, min(a + _FIT_CHUNK, m)) for a in range(0, m, _FIT_CHUNK)]
     # overflow in the lift shows up as Inf, rejected per chunk, and overflow
-    # in the fit as a non-finite K or residual, rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # in the fit, or a zero singular value kept because rank_tol * s[0]
+    # underflows, as a non-finite K or residual, rejected below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             R = np.empty((0, 2 * n))
             dropped = 0.0  # ||R_22||_F^2 of the rows below K that factors so far dropped

@@ -8,14 +8,11 @@ similarity invariance of spectra, commutation on symmetric data, and
 invariance of transformed sets. The CLI ``verify`` command runs these; the
 acceptance test suite asserts them with pinned tolerances.
 
-Within one ``run_verification`` call each built-in group and each
-exact-tier trajectory is built once, made read-only and shared by the
-checks; the memo is dropped when the call returns or raises, so nothing
-carries over to the next run. A check called on its own builds its inputs
-fresh.
+Each built-in group and each exact-tier trajectory is built once per
+process, like the other built-in constants, and is read-only: every check
+and every run shares the same arrays.
 """
 
-import contextvars
 import functools
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -150,36 +147,14 @@ def builtin_registry(name):
     )
 
 
-# (kind, system) -> shared input, a dict only while run_verification runs;
-# a context variable, so runs in other threads or tasks keep their own
-_run_memo = contextvars.ContextVar("symkoop_run_memo", default=None)
-
-
-def _shared(kind, name, build, arrays):
-    """build(name), or within a run the one copy shared by its checks, whose
-    arrays(value) are made read-only."""
-    memo = _run_memo.get()
-    if memo is None:
-        return build(name)
-    if (kind, name) not in memo:
-        value = build(name)
-        for array in arrays(value):
-            array.flags.writeable = False
-        memo[(kind, name)] = value
-    return memo[(kind, name)]
-
-
-def _group(name):
-    return _shared("group", name, groups.builtin_group,
-                   lambda group: [g.matrix for g in group.elements] + [group.cayley])
-
-
+@functools.cache
 def exact_tier_trajectory(name):
-    def build(name):
-        x0, dt, n = experiment(name).exact_run
-        return dynamics.simulate(dynamics.make_system(name), x0, dt, n)
-
-    return _shared("exact_tier", name, build, lambda traj: [traj.states])
+    """The exact-tier trajectory of a built-in system, built once per
+    process; its states are read-only."""
+    x0, dt, n = experiment(name).exact_run
+    traj = dynamics.simulate(dynamics.make_system(name), x0, dt, n)
+    dynamics._read_only(traj.states)
+    return traj
 
 
 def base_dictionaries(name):
@@ -205,7 +180,7 @@ class CheckResult:
 
 
 def check_group_axioms(name):
-    group = _group(name)
+    group = groups.builtin_group(name)
     report = groups.check_axioms(group)
     return CheckResult(
         name=f"group_axioms:{name}",
@@ -217,7 +192,7 @@ def check_group_axioms(name):
 
 def check_equivariance(name):
     system = dynamics.make_system(name)
-    group = _group(name)
+    group = groups.builtin_group(name)
     samples = sample_box(name, EQUIVARIANCE_SAMPLES,
                          np.random.default_rng(EQUIVARIANCE_SEED))
     report = groups.check_equivariance(system, group, system.dt, samples)
@@ -234,7 +209,7 @@ def check_equivariance(name):
 def check_conjugation_exact(name):
     """Fit on a trajectory, refit on its exactly transformed copy, and
     compare against conjugation by the induced representation."""
-    group = _group(name)
+    group = groups.builtin_group(name)
     traj = exact_tier_trajectory(name)
     worst = 0.0
     for dictionary in base_dictionaries(name).values():
@@ -295,7 +270,7 @@ def check_conjugation_statistical(name):
     """Transported operator vs an operator fitted on independent data from
     the mirrored set, judged against 3x the frozen seed-to-seed spread."""
     record = experiment(name, needs=("stat_run", "spread"))
-    mirror = _group(name).element(record.stat_run[2])
+    mirror = groups.builtin_group(name).element(record.stat_run[2])
     (base,) = stat_tier_fits(name, [np.random.default_rng(STAT_BASE_SEED)])
     (indep,) = stat_tier_fits(name, [np.random.default_rng(STAT_INDEP_SEED)],
                               mirror=mirror)
@@ -316,7 +291,7 @@ def check_conjugation_statistical(name):
 
 
 def check_spectrum_invariance(name):
-    group = _group(name)
+    group = groups.builtin_group(name)
     traj = exact_tier_trajectory(name)
     worst = 0.0
     for dictionary in base_dictionaries(name).values():
@@ -342,7 +317,7 @@ def check_spectrum_invariance(name):
 def check_commutation_symmetric(name):
     """Fit on a trajectory united with its mirror image; the mirror element
     stabilizes that data set, so K must commute with its representation."""
-    group = _group(name)
+    group = groups.builtin_group(name)
     mirror_label = experiment(name, needs=("stat_run",)).stat_run[2]
     mirror = group.element(mirror_label)
     traj = exact_tier_trajectory(name)
@@ -368,7 +343,7 @@ def check_invariant_set_image(name):
     and integrated; every forward orbit must stay in the image set."""
     record = experiment(name, needs=("stat_run", "horizon"))
     system = dynamics.make_system(name)
-    group = _group(name)
+    group = groups.builtin_group(name)
     registry = builtin_registry(name)
     predicates = membership_predicates(name)
     rng = np.random.default_rng(IMAGE_SEED)
@@ -421,13 +396,8 @@ def check_names():
 
 
 def run_verification(names=None):
-    """Run the selected checks (all by default) and collect the results;
-    the checks share one memo of groups and exact-tier trajectories."""
+    """Run the selected checks (all by default) and collect the results."""
     selected = ALL_CHECKS if names is None else [
         (n, fn) for n, fn in ALL_CHECKS if n in set(names)
     ]
-    token = _run_memo.set({})
-    try:
-        return [fn() for _, fn in selected]
-    finally:
-        _run_memo.reset(token)
+    return [fn() for _, fn in selected]

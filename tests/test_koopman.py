@@ -453,6 +453,20 @@ def test_finite_data_too_large_to_square_is_degenerate(fit, scale, refused):
         assert np.isfinite(fit(X).fit_residual)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fit", [
+    lambda X: fit_edmd(X[:, :-1], X[:, 1:], dictionary=IdentityDictionary(2)),
+    lambda X: fit_trajectory(Trajectory(dim=2, dt=0.01, states=X.T), IdentityDictionary(2)),
+], ids=["fit_edmd", "fit_trajectory"])
+def test_subnormal_data_is_refused_without_a_warning(fit):
+    # rank_tol * s[0] underflows to 0, so the zero singular value of the
+    # all-zero x2 row passes the rank cut and K divides by it
+    k = np.arange(50)
+    X = np.vstack([(k % 7 + 1) * 1e-315, np.zeros(50)])
+    with pytest.raises(DegenerateDataError, match="too large in magnitude"):
+        fit(X)
+
+
 @STREAMED_FITS
 def test_zero_first_chunk_fits_and_all_zero_data_is_degenerate(fit):
     states = np.zeros((3 * _FIT_CHUNK, 2))

@@ -1,7 +1,7 @@
-"""One verify run shares its groups and exact-tier trajectories between the
-checks: the results equal those of each check run alone, each input is
-built once per run, the shared arrays are read-only, and nothing carries
-over from one run to the next."""
+"""The checks of a verify run share the built-in groups and exact-tier
+trajectories, which are built once per process and are read-only: the
+results equal those of each check run alone and those of the next run, and
+no check can change an input another check or run reads."""
 
 from collections import Counter
 
@@ -13,13 +13,16 @@ from symkoop import dynamics, groups, scenarios
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count (and keep) every built-in group and exact-tier trajectory."""
+    """Empty the caches of built-in groups and exact-tier trajectories, then
+    count (and keep) every one built."""
     made = {"group": [], "exact_tier": []}
-    build_group, simulate = groups.builtin_group, dynamics.simulate
+    generate, simulate = groups.generate_group, dynamics.simulate
+    systems = {tuple(label for label, _ in dynamics.make_system(name).generators): name
+               for name in dynamics.system_names()}
 
-    def counting_group(name):
-        group = build_group(name)
-        made["group"].append((name, group))
+    def counting_generate(generators, *args, **kwargs):
+        group = generate(generators, *args, **kwargs)
+        made["group"].append((systems.get(group.generator_labels), group))
         return group
 
     def counting_simulate(system, x0, dt, n_steps, discard=0):
@@ -29,13 +32,18 @@ def builds(monkeypatch):
             made["exact_tier"].append((system.name, traj))
         return traj
 
-    monkeypatch.setattr(groups, "builtin_group", counting_group)
+    groups.builtin_group.cache_clear()
+    scenarios.exact_tier_trajectory.cache_clear()
+    monkeypatch.setattr(groups, "generate_group", counting_generate)
     monkeypatch.setattr(dynamics, "simulate", counting_simulate)
     return made
 
 
 def counts(made, kind):
     return Counter(name for name, _ in made[kind])
+
+
+ONCE = Counter(lorenz=1, toggle_switch=1, hamiltonian=1)
 
 
 def test_run_results_equal_each_check_run_alone():
@@ -45,55 +53,72 @@ def test_run_results_equal_each_check_run_alone():
         assert result.to_dict() == check().to_dict()
 
 
-def test_run_builds_each_group_and_exact_tier_trajectory_once(builds):
-    once = Counter(lorenz=1, toggle_switch=1, hamiltonian=1)
-    scenarios.run_verification()
-    assert counts(builds, "group") == once
-    assert counts(builds, "exact_tier") == once
-    scenarios.run_verification()  # nothing cached across runs: all built again
-    assert counts(builds, "group") == once + once
-    assert counts(builds, "exact_tier") == once + once
+def test_two_runs_in_one_process_give_equal_results():
+    first = [r.to_dict() for r in scenarios.run_verification()]
+    assert [r.to_dict() for r in scenarios.run_verification()] == first
 
 
-def test_shared_inputs_are_read_only_and_private_to_the_run(builds):
+def test_each_group_and_exact_tier_trajectory_is_built_once_per_process(builds):
     scenarios.run_verification()
-    for _, group in builds["group"]:
+    assert counts(builds, "group") == ONCE
+    assert counts(builds, "exact_tier") == ONCE
+    scenarios.run_verification()  # the second run builds nothing
+    assert counts(builds, "group") == ONCE
+    assert counts(builds, "exact_tier") == ONCE
+
+
+def test_cached_inputs_are_read_only_wherever_they_come_from(builds):
+    scenarios.run_verification()
+    # a direct call returns the very objects the run's checks read
+    for name, group in builds["group"]:
+        assert groups.builtin_group(name) is group
         assert not group.cayley.flags.writeable
         assert not any(g.matrix.flags.writeable for g in group.elements)
-    for _, traj in builds["exact_tier"]:
+    for name, traj in builds["exact_tier"]:
+        assert scenarios.exact_tier_trajectory(name) is traj
         assert not traj.states.flags.writeable
-    # outside a run every call builds afresh, writable, from the built-in
-    # constants, which are read-only
-    assert scenarios.exact_tier_trajectory("lorenz").states.flags.writeable
-    assert scenarios.exact_tier_trajectory("lorenz") is not scenarios.exact_tier_trajectory("lorenz")
-    assert all(g.matrix.flags.writeable for g in groups.builtin_group("hamiltonian").elements)
+    # and so are the built-in constants they are built from
     for system in dynamics._BUILTINS.values():
         assert not any(m.flags.writeable for _, m in system.generators)
     assert not any(e.exact_run[0].flags.writeable for e in scenarios._EXPERIMENTS.values())
 
 
-def test_memo_is_dropped_when_a_check_raises(builds, monkeypatch):
-    def failing(name):
-        scenarios.exact_tier_trajectory(name)
-        raise RuntimeError("check failed")
+def test_a_check_that_raises_leaves_the_cached_inputs_intact_and_read_only(builds,
+                                                                          monkeypatch):
+    def writing(name):
+        scenarios.exact_tier_trajectory(name).states[0, 0] = 5.0
 
-    monkeypatch.setattr(scenarios, "check_spectrum_invariance", failing)
-    with pytest.raises(RuntimeError):
+    monkeypatch.setattr(scenarios, "check_spectrum_invariance", writing)
+    with pytest.raises(ValueError, match="read-only"):
         scenarios.run_verification()
-    assert scenarios.exact_tier_trajectory("lorenz").states.flags.writeable
-    before = counts(builds, "exact_tier")["lorenz"]
-    scenarios.exact_tier_trajectory("lorenz")
-    assert counts(builds, "exact_tier")["lorenz"] == before + 1
+    assert counts(builds, "exact_tier") == ONCE  # built by the exact tier
+    traj = scenarios.exact_tier_trajectory("lorenz")
+    assert counts(builds, "exact_tier") == ONCE  # still cached after the raise
+    assert not traj.states.flags.writeable
+    x0, dt, n = scenarios.experiment("lorenz").exact_run
+    fresh = dynamics.simulate(dynamics.make_system("lorenz"), x0, dt, n)
+    assert np.array_equal(traj.states, fresh.states)
 
 
 def test_writing_to_a_builtin_constant_raises_and_changes_nothing():
     group = groups.builtin_group("lorenz")
-    traj = scenarios.exact_tier_trajectory("lorenz")
+    matrices = [g.matrix.copy() for g in group.elements]
+    cayley = group.cayley.copy()
+    states = scenarios.exact_tier_trajectory("lorenz").states.copy()
     with pytest.raises(ValueError, match="read-only"):
         dynamics.make_system("lorenz").generators[0][1][0, 0] = 5.0
     with pytest.raises(ValueError, match="read-only"):
         scenarios.experiment("lorenz").exact_run[0][0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        groups.builtin_group("lorenz").elements[1].matrix[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        groups.builtin_group("lorenz").identity.matrix[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        groups.builtin_group("lorenz").cayley[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        scenarios.exact_tier_trajectory("lorenz").states[0, 0] = 5.0
     later = groups.builtin_group("lorenz")
     assert later.labels() == group.labels()
-    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(later.elements, group.elements))
-    assert np.array_equal(scenarios.exact_tier_trajectory("lorenz").states, traj.states)
+    assert all(np.array_equal(g.matrix, m) for g, m in zip(later.elements, matrices))
+    assert np.array_equal(later.cayley, cayley)
+    assert np.array_equal(scenarios.exact_tier_trajectory("lorenz").states, states)
