@@ -16,6 +16,7 @@ Runge-Kutta scheme so that snapshot spacing is exactly uniform.
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -174,23 +175,25 @@ def make_system(name, params=None):
 # Every function taking a state also takes a block of states, one per row
 # (N, dim), as in Trajectory.states. A field is called with the
 # coordinates x[i] of what it steps and returns its dim coordinates, as a
-# tuple or an array. One RK4 loop, generated per dim, steps one state, of
-# shape (dim,) or a block of one row, on a tuple of Python floats, so no
-# array is built per RK4 stage and no numpy scalar per operation, and a
-# block of N > 1 states on the tuple of its coordinate rows (N,), doing
-# element by element the same operations in the same order. Python's
-# + - * / on floats are the same IEEE double operations as numpy's, so a
-# row of a block gets bit for bit what stepping it alone gives. Python's
-# rules part from numpy's in three places: 1/0 and an overflowing ``**``
-# raise, and a negative base to a fractional power gives a complex number,
-# where numpy under np.errstate gives Inf or NaN. So a run of one-state
-# steps that raises an ArithmeticError or ends on a complex coordinate is
-# rerun from its start on np.float64 scalars, which follow numpy's rules. A
-# field raising to a power must call np.power: ``**`` on a scalar calls the
-# C library's pow, which can differ in the last bit from numpy's own power
+# tuple or an array. One RK4 loop, _RK4_SOURCE, steps both. One state, of
+# shape (dim,) or a block of one row, is stepped on Python floats, so no
+# array is built per RK4 stage and no numpy scalar per operation. A block
+# of N > 1 states is stepped as one C-contiguous (dim, N) array, which the
+# field gets (x[i] is the (N,) row of coordinate i); each stage input and
+# the update is one expression on the whole block, doing element by
+# element the same operations in the same order. Python's + - * / on
+# floats are the same IEEE double operations as numpy's, so a column of a
+# block gets bit for bit what stepping it alone gives. Python's rules part
+# from numpy's in three places: 1/0 and an overflowing ``**`` raise, and a
+# negative base to a fractional power gives a complex number, where numpy
+# under np.errstate gives Inf or NaN. So a run of one-state steps that
+# raises an ArithmeticError or ends on a complex coordinate is rerun from
+# its start on np.float64 scalars, which follow numpy's rules. A field
+# raising to a power must call np.power: ``**`` on a scalar calls the C
+# library's pow, which can differ in the last bit from numpy's own power
 # loop that ``**`` on an array runs, while np.power runs that loop on
-# scalars and arrays alike (and gives numpy's NaN, not a complex number, on
-# a Python float).
+# scalars and arrays alike (and gives numpy's NaN, not a complex number,
+# on a Python float).
 
 STATE_CHUNK = 256  # simulate steps, checks and stores at most this many steps at a time
 CHUNK_FLOATS = 2 ** 14  # and coordinates, at least one step; so do the image check's windows
@@ -222,85 +225,100 @@ def _check_dt(dt):
 
 def _field_output(system, k, shape):
     """The field's output k as a float array of ``shape``."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != shape:
+    try:
+        k = np.asarray(k, dtype=float)
+    except ValueError:  # coordinates of different shapes
+        returned = tuple(np.shape(v) for v in k)
+    else:
+        returned = k.shape
+    if returned != shape:
         raise InputError(
-            f"field of {system.name!r} returned shape {k.shape}, expected {shape}"
+            f"field of {system.name!r} returned shape {returned}, expected {shape}"
         )
     return k
 
 
-# The RK4 loop, written out for a given dim: the coordinates live in locals
-# y0, y1, ..., and each stage calls the field on a tuple written coordinate
-# by coordinate, so no zip, list or tuple() is built per stage. A k1 other
-# than dim values (rows of y0's shape) goes through _field_output.
+# The RK4 loop, written once. _rk4_kernel writes out each {field}: an
+# expression in the state y and the stages k1 .. k4, or one of the
+# statements {check k1} and {store y}. For a block it stays as it reads,
+# on the (dim, N) array: f checks every stage through _field_output, h, s,
+# two and dt are 0-d arrays (numpy multiplies by them faster than by
+# floats), {check k1} is empty and {store y} writes the step into states,
+# an (n, dim, N) array. For one state each expression is written out per
+# coordinate, (y0 + h * k1[0], y1 + h * k1[1],), on Python floats; {check
+# k1} sends a k1 other than a tuple of dim values through _field_output,
+# and {store y} appends the coordinates to states, a flat list.
 _RK4_SOURCE = """
-def rk4(system, y, dt, n):
-    f, p = system.field, system.params
-    ({ys}) = y
-    row = getattr(y0, "shape", ())  # () for a state's scalars, (N,) for a block's rows
-    h, s, two = 0.5 * dt, dt / 6.0, 2.0
-    if row:  # numpy multiplies a row by a 0-d array faster than by a float
-        h, s, two = asarray(h), asarray(s), asarray(two)
-    states = []
-    extend = states.extend
-    for _ in range(n):
-        k1 = f(({ys}), p)
-        if type(k1) is not tuple or len(k1) != {dim} or row and ({rows_differ}):
-            k1 = tuple(_field_output(system, k1, ({dim},) + row))
-        k2 = f(({k1_stage}), p)
-        k3 = f(({k2_stage}), p)
-        k4 = f(({k3_stage}), p)
-{update}
-        extend(({ys}))
+def rk4(system, f, y, dt, n, states):
+    p = system.params
+    {y} = y
+    h, s, two, dt = number(0.5 * dt), number(dt / 6.0), number(2.0), number(dt)
+    for i in range(n):
+        k1 = f({y}, p)
+        {check k1}
+        k2 = f({y + h * k1}, p)
+        k3 = f({y + h * k2}, p)
+        k4 = f({y + dt * k3}, p)
+        {y} = {y + s * (k1 + two * k2 + two * k3 + k4)}
+        {store y}
     return states
 """
 
 
 @functools.cache
 def _rk4_kernel(dim):
-    """The RK4 loop for states of ``dim`` coordinates, compiled once per dim
-    from source made of the integer dim alone: ``rk4(system, y, dt, n)``
-    steps y, a tuple of scalars or of (N,) rows, n times and returns the n
-    states after it, flat (n * dim coordinates)."""
-    dim = int(dim)
-    ys = " ".join(f"y{i}," for i in range(dim))
+    """The RK4 loop ``rk4(system, f, y, dt, n, states)``, which steps y n
+    times with the field f and stores the n states after it in ``states``:
+    for a block (dim None), y is a (dim, N) array; for one state of ``dim``
+    coordinates, a tuple of scalars. Compiled once per dim from source made
+    of the integer dim alone."""
+    if dim is None:
+        fields, number = {"check k1": "", "store y": "states[i] = y"}, np.asarray
+        write = lambda field: fields.get(field, field)
+    else:
+        dim, number = int(dim), float
 
-    def stage(c, k):  # the coordinates of y + c * k
-        return " ".join(f"y{i} + {c} * {k}[{i}]," for i in range(dim))
-
-    update = "\n".join(
-        f"        y{i} = y{i} + s * (k1[{i}] + two * k2[{i}] + two * k3[{i}] + k4[{i}])"
-        for i in range(dim))
-    namespace = {"_field_output": _field_output, "asarray": np.asarray}
-    rows_differ = " or ".join(f"getattr(k1[{i}], 'shape', None) != row" for i in range(dim))
-    exec(_RK4_SOURCE.format(ys=ys, dim=dim, rows_differ=rows_differ, k1_stage=stage("h", "k1"),
-                            k2_stage=stage("h", "k2"), k3_stage=stage("dt", "k3"),
-                            update=update), namespace)
+        def write(field):
+            if field == "check k1":
+                return (f"if type(k1) is not tuple or len(k1) != {dim}:\n"
+                        f"            k1 = tuple(_field_output(system, k1, ({dim},)))")
+            if field == "store y":
+                return f"states.extend({write('y')})"
+            return "(" + " ".join(
+                re.sub(r"\b(k\d)\b", rf"\1[{i}]", re.sub(r"\by\b", f"y{i}", field)) + ","
+                for i in range(dim)) + ")"
+    namespace = {"_field_output": _field_output, "number": number}
+    exec(re.sub(r"{([^}]*)}", lambda field: write(field[1]), _RK4_SOURCE), namespace)
     return namespace["rk4"]
 
 
 def _advance_chunk(system, x, dt, n):
     """The n states after the states x (N, dim), one RK4 step each, as an
-    array (n, dim, N): the kernel steps one state's coordinates as Python
-    floats, or a block's coordinate rows (N,). Where Python's float rules
-    part from numpy's (1/0 and ``**`` overflow raise, a negative base to a
-    fractional power is complex), the n steps are rerun from x made
-    np.float64, so the states, or the error, are numpy's."""
-    y = tuple(x[0].tolist()) if len(x) == 1 else tuple(x.T)
+    array (n, dim, N). A block is stepped as one (dim, N) array, its
+    field's output checked at every stage. One state is stepped as Python
+    floats; where their rules part from numpy's (1/0 and ``**`` overflow
+    raise, a negative base to a fractional power is complex), the n steps
+    are rerun from x made np.float64, so the states, or the error, are
+    numpy's."""
+    if len(x) > 1:
+        y = np.array(x.T, dtype=float, order="C")
+        field, shape = system.field, y.shape
+        checked = lambda z, p: _field_output(system, field(z, p), shape)
+        return _rk4_kernel(None)(system, checked, y, dt, n, np.empty((n,) + shape))
+    y = tuple(x[0].tolist())
     rk4 = _rk4_kernel(len(y))
     try:
-        states = rk4(system, y, dt, n)
+        states = rk4(system, system.field, y, dt, n, [])
         # a complex coordinate stays complex, so the last state shows it
         rerun = any(isinstance(v, complex) for v in states[-len(y):])
     except ArithmeticError:
         rerun = True
     if rerun:
-        states = rk4(system, tuple(map(np.float64, y)), dt, n)
+        states = rk4(system, system.field, tuple(map(np.float64, y)), dt, n, [])
     # a field that returns arrays for one state makes every later state one
     # of arrays, so the last state shows it
-    _field_output(system, states[-len(y):], (len(y),) + getattr(y[0], "shape", ()))
-    return np.array(states, dtype=float).reshape(n, len(y), -1)
+    _field_output(system, states[-len(y):], (len(y),))
+    return np.array(states, dtype=float).reshape(n, len(y), 1)
 
 
 def _divergence(system, y, batch, step_index=None, total=None):

@@ -25,7 +25,7 @@ from symkoop import (
     verify_invariant_set_image,
     verify_invariant_set_images,
 )
-from symkoop import dynamics
+from symkoop import dynamics, scenarios
 from symkoop.scenarios import sample_box
 
 SYSTEMS = ("lorenz", "toggle_switch", "hamiltonian")
@@ -113,14 +113,15 @@ def polynomial_field(terms):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_one_state_equals_block_rows_on_generated_polynomial_fields(data):
-    # dims 1 to 6, where the built-ins have 2 and 3; coefficients, states
-    # and n_steps * dt are small enough that no orbit leaves |x| < 2
+    # dims 1 to 6, where the built-ins have 2 and 3, and blocks of up to 80
+    # states, as wide as verify's image blocks; coefficients, states and
+    # n_steps * dt are small enough that no orbit leaves |x| < 2
     dim = data.draw(st.integers(1, 6))
     term = st.tuples(st.floats(-1.0, 1.0), st.lists(st.integers(0, dim - 1), max_size=3))
     terms = data.draw(st.lists(st.lists(term, min_size=1, max_size=3),
                                min_size=dim, max_size=dim))
     system = SystemDef("polynomial", dim, {}, polynomial_field(terms), 1e-3)
-    block = data.draw(st.integers(2, 4).flatmap(lambda n: arrays(
+    block = data.draw(st.integers(2, 80).flatmap(lambda n: arrays(
         float, (n, dim), elements=st.floats(-1.0, 1.0))))
     dt = data.draw(st.floats(1e-3, 1e-2))
     n_steps = data.draw(st.integers(1, 10))
@@ -129,6 +130,27 @@ def test_one_state_equals_block_rows_on_generated_polynomial_fields(data):
     for row, out, traj in zip(block, stepped, trajs):
         assert np.array_equal(step(system, row, dt), out)
         assert np.array_equal(simulate(system, row, dt, n_steps).states, traj.states)
+
+
+@pytest.mark.parametrize("name, elements", [
+    ("hamiltonian", ("swap", "negate", "swap*negate")),  # verify's image block
+    ("lorenz", ("e", "rot_pi_z")),
+])
+def test_block_window_equals_one_state_stepping_of_every_column(name, elements):
+    # IMAGE_SAMPLES seeded base samples under each element, as the image
+    # check stacks them: (2, 60) and (3, 40), each one window of 136 steps
+    system = make_system(name)
+    rng = np.random.default_rng(scenarios.IMAGE_SEED)
+    samples = np.array([scenarios.draw_base_state(name, rng)
+                        for _ in range(scenarios.IMAGE_SAMPLES)])
+    group = builtin_group(name)
+    y = np.concatenate([group.element(g).matrix @ samples.T for g in elements], axis=1)
+    window = dynamics._chunk_steps(y.size)
+    block = dynamics._advance_chunk(system, y.T, system.dt, window)
+    assert block.shape == (window, system.dim, y.shape[1]) and np.isfinite(block).all()
+    for c, x in enumerate(y.T):
+        alone = dynamics._advance_chunk(system, x[None], system.dt, window)
+        assert np.array_equal(block[:, :, c], alone[:, :, 0])
 
 
 def test_field_returning_numpy_scalars_steps_alike_alone_and_in_a_block():

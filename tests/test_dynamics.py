@@ -96,6 +96,22 @@ def test_misshapen_field_output_rejected():
         verify_invariant_set_images(
             arrays, [(GroupElement("e", np.eye(2)), lambda x: np.ones(x.shape[1], bool))],
             np.array([[1.0, 2.0], [3.0, 4.0]]), 0.1, 3)
+    # coordinates of different shapes: a float beside a block's row, or an
+    # array beside one state's float, is one line naming each shape
+    scalar = SystemDef("bad", 2, {}, lambda x, p: (x[1], 0.0), 0.01)
+    assert np.isfinite(step(scalar, [1.0, 2.0], 0.01)).all()
+    block = [[1.0, 2.0], [3.0, 4.0]]
+    shape = r"^field of 'bad' returned shape \(\(2,\), \(\)\), expected \(2, 2\)$"
+    for run in (lambda: step(scalar, block, 0.01), lambda: simulate(scalar, block, 0.01, 3),
+                lambda: verify_invariant_set_images(
+                    scalar, [(GroupElement("e", np.eye(2)), lambda x: x[0] < 9.0)],
+                    np.array(block), 0.01, 3)):
+        with pytest.raises(InputError, match=shape):
+            run()
+    ragged = SystemDef("bad", 2, {}, lambda x, p: (np.zeros(3), 0.0), 0.01)
+    for run in (lambda: step(ragged, [1.0, 2.0], 0.01), lambda: simulate(ragged, [1.0, 2.0], 0.01, 3)):
+        with pytest.raises(InputError, match=r"returned shape \(\(3,\), \(\)\), expected \(2,\)$"):
+            run()
 
 
 def test_step_fixed_point_of_zero_field():
