@@ -114,6 +114,33 @@ def test_misshapen_field_output_rejected():
             run()
 
 
+def test_a_block_field_gets_the_array_and_one_state_a_tuple_of_floats():
+    """The field of a block of N > 1 states is called with the (dim, N)
+    array, and of one state (or a block of one row) with a tuple of Python
+    floats. So a field written on the whole array, such as 2 * x, steps a
+    block and is refused on one state, whose 2 * x is four floats; written
+    coordinate by coordinate, it steps both alike."""
+    seen = []
+
+    def field(x, p):
+        seen.append(type(x))
+        return (x[1], -x[0])
+
+    recording = SystemDef("recording", 2, {}, field, 0.01)
+    step(recording, [1.0, 2.0], 0.01)
+    step(recording, [[1.0, 2.0]], 0.01)
+    step(recording, [[1.0, 2.0], [3.0, 4.0]], 0.01)
+    assert seen == [tuple] * 8 + [np.ndarray] * 4
+    whole = SystemDef("whole", 2, {}, lambda x, p: 2 * x, 0.01)
+    coordinatewise = SystemDef("coordinatewise", 2, {}, lambda x, p: (2 * x[0], 2 * x[1]), 0.01)
+    block = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(step(whole, block, 0.01), step(coordinatewise, block, 0.01))
+    assert np.array_equal(step(coordinatewise, block[0], 0.01), step(coordinatewise, block, 0.01)[0])
+    for x in (block[0], block[:1]):
+        with pytest.raises(InputError, match=r"returned shape \(4,\), expected \(2,\)$"):
+            step(whole, x, 0.01)
+
+
 def test_step_fixed_point_of_zero_field():
     system = SystemDef("still", 2, {}, lambda x, p: np.zeros(2), 0.7)
     x = np.array([0.3, -1.2])
