@@ -3,12 +3,15 @@ ever sampling it.
 
 The toggle switch is equivariant under the coordinate swap, which maps the
 x1 > x2 invariant region onto x2 > x1. Fit K_right from data of the right
-region only, conjugate it with the induced feature representation of the
-swap, and you hold K_left. An independent fit on actual left-region data
-agrees: exactly when that data is the mirrored copy, and up to sampling
-variation when it is a fresh trajectory. A dictionary with no closed-form
-representation, such as Gaussian RBFs, is carried across by the second
-route instead: the same matrix, observables composed with the inverse swap.
+region only, conjugate it with the induced feature representation R of the
+swap, K_left = R K_right R^-1, and you hold K_left. No matrix is inverted:
+R^-1 is the representation of the inverse element, and the inverse of an
+orthogonal element is its transpose. An independent fit on actual
+left-region data agrees: exactly when that data is the mirrored copy, and
+up to sampling variation when it is a fresh trajectory. A dictionary with no
+closed-form representation, such as Gaussian RBFs, is carried across by the
+second route instead: the same matrix, observables composed with the
+inverse swap.
 """
 
 import numpy as np
@@ -20,7 +23,6 @@ from symkoop import (
     assemble_global,
     builtin_group,
     fit_trajectory,
-    induced_representation,
     make_system,
     predict,
     simulate,
@@ -41,8 +43,7 @@ k_right = fit_trajectory(traj_right, dictionary, set_label="right")
 print("K_right (fitted from right-region data):")
 print(np.round(k_right.matrix, 4))
 
-rep = induced_representation(dictionary, swap)
-k_left = transport_case1(k_right, rep, target_label="left")
+k_left = transport_case1(k_right, swap, target_label="left")
 print("\nK_left = R K_right R^-1 (no left-region data used):")
 print(np.round(k_left.matrix, 4))
 
@@ -50,14 +51,14 @@ print(np.round(k_left.matrix, 4))
 k_left_mirror = fit_trajectory(
     transform_trajectory(traj_right, swap), dictionary, set_label="left"
 )
-exact = verify_conjugation(k_right, k_left_mirror, rep)
+exact = verify_conjugation(k_right, k_left_mirror, swap)
 print(f"\nrefit on exactly mirrored data: relative Frobenius error "
       f"{exact.frobenius_error:.2e} (passed: {exact.frobenius_error <= EXACT_TIER_TOL})")
 
 # statistical tier: an independent trajectory of the left region
 traj_left = simulate(system, [0.8, 3.1], dt=0.05, n_steps=100)
 k_left_indep = fit_trajectory(traj_left, dictionary, set_label="left")
-stat = verify_conjugation(k_right, k_left_indep, rep)
+stat = verify_conjugation(k_right, k_left_indep, swap)
 print(f"independent left-region fit: eigenvalue Hausdorff distance "
       f"{stat.hausdorff_distance:.4f} (passed: {stat.hausdorff_distance <= 0.14})")
 
@@ -76,13 +77,13 @@ rbf = CustomDictionary(2, [lambda x: x[0], lambda x: x[1]] + [
     lambda x, c=c: np.exp(-((x[0] - c[0]) ** 2 + (x[1] - c[1]) ** 2) / 0.5)
     for c in centres
 ])
-try:
-    induced_representation(rbf, swap)
-except InputError as err:
-    print(f"\nRBF dictionary: {err}")
 rng = np.random.default_rng(5)
 k_rbf = fit_trajectory([simulate(system, draw_base_state("toggle_switch", rng), 0.05, 100)
                         for _ in range(6)], rbf, set_label="right")
+try:
+    transport_case1(k_rbf, swap)
+except InputError as err:
+    print(f"\nRBF dictionary: {err}")
 global_rbf = assemble_global(builtin_registry("toggle_switch"), k_rbf, {"left": swap})
 left = global_rbf.block("left")
 print(f"assembled 'left' by {left.provenance['method']} transport; "

@@ -19,7 +19,6 @@ from symkoop import (
     builtin_group,
     fit_trajectory,
     global_predict,
-    induced_representation,
     make_system,
     predict,
     simulate,
@@ -35,11 +34,8 @@ base = fit_trajectory(
     simulate(system, [3.2, 0.3], dt=1e-3, n_steps=400),
     dictionary, set_label="IS-1",
 )
-reps = {
-    label: induced_representation(dictionary, group.element(element))
-    for label, element in registry.mapping.items()
-}
-gk = assemble_global(registry, base, reps)
+elements = {label: group.element(e) for label, e in registry.mapping.items()}
+gk = assemble_global(registry, base, elements)
 
 print(f"global operator: {gk.total_size}x{gk.total_size}, blocks {gk.labels}")
 for label, op in gk.blocks:

@@ -1,10 +1,11 @@
 """symkoop: Koopman operator approximation for symmetric dynamical systems.
 
 Fit a finite-dimensional Koopman operator on one invariant set from
-trajectory data, then transport it to every symmetry-related set (by
-conjugation with the induced feature-space representation of the group
-element, or by transforming the dictionary where that representation has
-no closed form), and assemble the verified global block-diagonal operator.
+trajectory data, then transport it to every symmetry-related set, and
+assemble the verified global block-diagonal operator. Transport takes the
+group element g: it conjugates with the induced feature-space
+representation, R(g) K R(g)^-1 with R(g)^-1 formed as R(g^T) (g is
+orthogonal), or transforms the dictionary where R has no closed form.
 """
 
 from .dictionaries import (

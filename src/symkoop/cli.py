@@ -191,8 +191,7 @@ def cmd_transport(args):
     op = koopman.load_operator(args.operator)
     group = groups.load_group(args.group)
     g = group.element(args.element)
-    rep = dictionaries.induced_representation(op.dictionary, g)
-    transported = equivariant.transport_case1(op, rep, target_label=args.target_label or None)
+    transported = equivariant.transport_case1(op, g, target_label=args.target_label or None)
     payload = koopman.operator_to_dict(transported)
     payload["config"] = {
         "operator": str(args.operator),

@@ -292,26 +292,15 @@ def lift(dictionary, pairs):
 
 @dataclass(frozen=True)
 class FeatureRepresentation:
-    """The exact K x K matrix R with Psi(gamma x) = R Psi(x)."""
+    """The exact K x K matrix R with Psi(gamma x) = R Psi(x), and the
+    GroupElement gamma it represents."""
 
-    label: str
+    element: GroupElement
     matrix: np.ndarray
 
     @property
-    def size(self):
-        return self.matrix.shape[0]
-
-    @property
-    def inverse_matrix(self):
-        if _is_signed_permutation(self.matrix):
-            return self.matrix.T
-        return np.linalg.inv(self.matrix)
-
-
-def _is_signed_permutation(m):
-    nonzero = m != 0.0
-    return bool(np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1)
-                and np.all(np.abs(m[nonzero]) == 1.0))
+    def label(self):
+        return self.element.label
 
 
 def induced_representation(dictionary, g):
@@ -326,4 +315,4 @@ def induced_representation(dictionary, g):
         raise InputError(
             f"{dictionary!r} has no closed-form representation of {g.label!r}; "
             "transport it by its dictionary (transport_case2) instead")
-    return FeatureRepresentation(label=g.label, matrix=R)
+    return FeatureRepresentation(element=g, matrix=R)

@@ -4,17 +4,19 @@ sets, global block-diagonal assembly, and the verification suite.
 Two transport routes exist for an operator K_i fitted on an invariant set
 M_i when a group element g maps M_i into M_j:
 
-* conjugation (same dictionary on both sets):  K_j = R K_i R^-1, where R is
-  the induced feature-space representation of g, when the dictionary's
-  ``representation`` has a closed form for it;
+* conjugation (same dictionary on both sets):  K_j = R(g) K_i R(g)^-1, where
+  R(g) is the induced feature-space representation of g, when the
+  dictionary's ``representation`` has a closed form for it. No matrix is
+  inverted: R(g)^-1 is R(g^-1), and g^-1 is g^T for an orthogonal element;
 * dictionary transport (same matrix): keep K_j = K_i but evolve the
   transformed dictionary psi_k(gamma^-1 x), exact for any dictionary.
 
-Either way no data from M_j is needed. ``assemble_global`` asks the base
-dictionary for each element's R, conjugates with it, and transports the
-dictionary where there is none. The global operator on the union of the
-sets is the block diagonal of the local ones, and it is stored and applied
-blockwise so cross-set entries are exactly zero.
+Either way no data from M_j is needed, and each takes the GroupElement g.
+``assemble_global`` conjugates where the base dictionary has an R for the
+element, and transports the dictionary where it has none. The global
+operator on the union of the sets is the block diagonal of the local ones,
+and it is stored and applied blockwise so cross-set entries are exactly
+zero.
 """
 
 import numbers
@@ -23,19 +25,22 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionaries import FeatureRepresentation, TransformedDictionary
+from .dictionaries import (
+    FeatureRepresentation,
+    TransformedDictionary,
+    induced_representation,
+)
 from .dynamics import _advance_chunk, _check_dt, _check_state, _chunk_steps
 from .errors import (
     InputError,
     IsotropyRequiredError,
     NumericalDivergenceError,
-    SymkoopError,
     json_matrix,
     json_value,
     read_json,
     write_json,
 )
-from .groups import GroupElement, _SortedPoints
+from .groups import _SortedPoints
 from .koopman import KoopmanApprox, eigenvalue_hausdorff, predict
 
 STABILIZER_TOL = 1e-8  # relative radius of a data-stabilizer match
@@ -124,26 +129,19 @@ class GlobalKoopman:
 # ---------------------------------------------------------------------------
 # transport
 
-def transport_case1(op, rep, target_label=None):
-    """Conjugate a fitted operator into the image set: K_j = R K_i R^-1.
+def transport_case1(op, g, target_label=None):
+    """Conjugate a fitted operator into the image set of the GroupElement g:
+    K_j = R(g) K_i R(g^T), where R(g^T) is R(g)^-1 because g is orthogonal.
 
     The result keeps the same dictionary and carries provenance marking it
     as transported rather than fitted; every other field is the source
-    fit's (``_transported``).
+    fit's (``_transported``). A dictionary with no closed-form R raises
+    InputError (``induced_representation``).
     """
-    if rep.size != op.size:
-        raise InputError(
-            f"representation size {rep.size} does not match operator size {op.size}"
-        )
-    try:
-        r_inv = rep.inverse_matrix
-    except np.linalg.LinAlgError as err:
-        raise SymkoopError(
-            f"representation {rep.label!r} is singular; construction should "
-            "have rejected it"
-        ) from err
-    return _transported(op, rep.label, "conjugation", target_label,
-                        matrix=rep.matrix @ op.matrix @ r_inv)
+    R = induced_representation(op.dictionary, g).matrix
+    r_inv = op.dictionary.representation(g.matrix.T)
+    return _transported(op, g.label, "conjugation", target_label,
+                        matrix=R @ op.matrix @ r_inv)
 
 
 def transport_case2(op, g, target_label=None):
@@ -172,16 +170,16 @@ def _transported(op, element, method, target_label, **changes):
     )
 
 
-def assemble_global(registry, base, reps):
+def assemble_global(registry, base, elements):
     """Build the global block-diagonal operator in registry label order.
 
-    ``reps`` maps each non-base label to its registry element: the
-    GroupElement, or its FeatureRepresentation. A FeatureRepresentation is
-    conjugated (``transport_case1``). A GroupElement is conjugated with the
-    R the base dictionary's ``representation`` gives for it, and
-    transported by the dictionary (``transport_case2``) where that is None.
+    ``elements`` maps each non-base label to the GroupElement of its
+    registry element. Each is conjugated (``transport_case1``) where the
+    base dictionary's ``representation`` has an R for it, and transported by
+    the dictionary (``transport_case2``) where it has none. A
+    FeatureRepresentation value is read as its element.
 
-    Raises InputError when a label's value is not of its registry element;
+    Raises InputError when a label's element is not its registry element;
     ``check_registry`` needs the group to refuse the identity.
     """
     if base.set_label != registry.base_label:
@@ -194,23 +192,20 @@ def assemble_global(registry, base, reps):
         if label == registry.base_label:
             blocks.append((label, base))
         else:
-            if label not in reps:
-                raise InputError(f"no element or representation supplied for {label!r}")
-            element, rep = registry.mapping[label], reps[label]
-            if rep.label != element:
+            if label not in elements:
+                raise InputError(f"no element supplied for {label!r}")
+            g = elements[label]
+            g = g.element if isinstance(g, FeatureRepresentation) else g
+            if g.label != registry.mapping[label]:
                 raise InputError(
-                    f"value for {label!r} is of {rep.label!r}, "
-                    f"not of its registry element {element!r}"
+                    f"element for {label!r} is {g.label!r}, "
+                    f"not its registry element {registry.mapping[label]!r}"
                 )
-            if isinstance(rep, GroupElement):
-                if rep.dim != base.dictionary.dim:
-                    raise InputError("operator dictionary and element dimensions differ")
-                R = base.dictionary.representation(rep.matrix)
-                block = (transport_case2(base, rep, label) if R is None else
-                         transport_case1(base, FeatureRepresentation(rep.label, R), label))
-            else:
-                block = transport_case1(base, rep, label)
-            blocks.append((label, block))
+            if g.dim != base.dictionary.dim:
+                raise InputError("operator dictionary and element dimensions differ")
+            transport = (transport_case2 if base.dictionary.representation(g.matrix) is None
+                         else transport_case1)
+            blocks.append((label, transport(base, g, label)))
     return GlobalKoopman(blocks=tuple(blocks))
 
 
@@ -240,16 +235,16 @@ class ConjugationReport:
     hausdorff_distance: float
 
 
-def verify_conjugation(op_i, op_j, rep):
-    """Compare K_j against R K_i R^-1.
+def verify_conjugation(op_i, op_j, g):
+    """Compare K_j against R(g) K_i R(g)^-1, formed by ``transport_case1``.
 
     The exact tier (K_j fitted on exactly transformed data) bounds the
     Frobenius error; the statistical tier (K_j fitted on an independent
     trajectory of the mirrored set) bounds the eigenvalue distance.
     """
-    if op_i.size != op_j.size or op_i.size != rep.size:
-        raise InputError("operator and representation sizes must match")
-    transported = transport_case1(op_i, rep).matrix
+    if op_i.size != op_j.size:
+        raise InputError("operator sizes must match")
+    transported = transport_case1(op_i, g).matrix
     error, denom = np.linalg.norm(op_j.matrix - transported), np.linalg.norm(op_j.matrix)
     frob = float(error / denom if denom else error)
     haus = eigenvalue_hausdorff(
@@ -351,23 +346,23 @@ def check_registry(registry, group):
             )
 
 
-def verify_commutation(op, rep, stabilizer_labels):
-    """Relative commutator norm ||K R - R K||_F / ||K||_F, allowed only
-    for elements stabilizing the fitted set (its isotropy, g . M = M); for
-    anything else finite-dimensional commutation is not implied and the
-    check refuses.
+def verify_commutation(op, g, stabilizer_labels):
+    """Relative commutator norm ||K R - R K||_F / ||K||_F of R = R(g),
+    allowed only for elements g stabilizing the fitted set (its isotropy,
+    g . M = M); for anything else finite-dimensional commutation is not
+    implied and the check refuses.
 
     ``stabilizer_labels`` is the caller's evidence, e.g. from
     ``data_stabilizer_labels`` on the fitted samples.
     """
-    if rep.label not in stabilizer_labels:
+    if g.label not in stabilizer_labels:
         raise IsotropyRequiredError(
-            f"element {rep.label!r} is not in the isotropy of the fitted set; "
+            f"element {g.label!r} is not in the isotropy of the fitted set; "
             "commutation with the local operator is only guaranteed for "
             "elements mapping the set to itself (use conjugation transport "
             "across sets instead)"
         )
-    K, R = op.matrix, rep.matrix
+    K, R = op.matrix, induced_representation(op.dictionary, g).matrix
     return float(np.linalg.norm(K @ R - R @ K) / np.linalg.norm(K))
 
 

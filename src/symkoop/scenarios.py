@@ -215,12 +215,11 @@ def check_conjugation_exact(name):
     for dictionary in base_dictionaries(name).values():
         base = koopman.fit_trajectory(traj, dictionary, set_label="base")
         for g in group.elements[1:]:
-            rep = dictionaries.induced_representation(dictionary, g)
             mirrored = koopman.fit_trajectory(
                 groups.transform_trajectory(traj, g), dictionary,
                 set_label=f"image:{g.label}",
             )
-            report = equivariant.verify_conjugation(base, mirrored, rep)
+            report = equivariant.verify_conjugation(base, mirrored, g)
             worst = max(worst, report.frobenius_error)
     return CheckResult(
         name=f"conjugation_exact:{name}",
@@ -274,9 +273,8 @@ def check_conjugation_statistical(name):
     (base,) = stat_tier_fits(name, [np.random.default_rng(STAT_BASE_SEED)])
     (indep,) = stat_tier_fits(name, [np.random.default_rng(STAT_INDEP_SEED)],
                               mirror=mirror)
-    rep = dictionaries.induced_representation(base.dictionary, mirror)
     tol = 3.0 * record.spread
-    report = equivariant.verify_conjugation(base, indep, rep)
+    report = equivariant.verify_conjugation(base, indep, mirror)
     passed = report.hausdorff_distance <= tol
     return CheckResult(
         name=f"conjugation_statistical:{name}",
@@ -298,8 +296,7 @@ def check_spectrum_invariance(name):
         op = koopman.fit_trajectory(traj, dictionary, set_label="base")
         ev = np.linalg.eigvals(op.matrix)
         for g in group.elements:
-            rep = dictionaries.induced_representation(dictionary, g)
-            transported = equivariant.transport_case1(op, rep)
+            transported = equivariant.transport_case1(op, g)
             worst = max(
                 worst,
                 koopman.eigenvalue_hausdorff(
@@ -326,8 +323,7 @@ def check_commutation_symmetric(name):
     op = koopman.fit_trajectory(union, dictionary, set_label="union")
     stabilizers = equivariant.data_stabilizer_labels(
         group, np.vstack([t.states[:-1] for t in union]))
-    rep = dictionaries.induced_representation(dictionary, mirror)
-    norm = equivariant.verify_commutation(op, rep, stabilizers)
+    norm = equivariant.verify_commutation(op, mirror, stabilizers)
     return CheckResult(
         name=f"commutation_symmetric:{name}",
         passed=norm <= COMMUTATION_TOL,

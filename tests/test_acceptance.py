@@ -27,7 +27,6 @@ from symkoop import (
     generate_group,
     global_predict,
     hamiltonian_energy,
-    induced_representation,
     make_system,
     predict,
     simulate,
@@ -105,9 +104,7 @@ def test_criterion_04_structural_reproduction():
     k_right = fit_trajectory(scenarios.exact_tier_trajectory("toggle_switch"), d2,
                              set_label="right")
     swap = builtin_group("toggle_switch").element("swap")
-    k_left = transport_case1(
-        k_right, induced_representation(d2, swap), target_label="left"
-    )
+    k_left = transport_case1(k_right, swap, target_label="left")
     R, L = k_right.matrix, k_left.matrix
     ok = (
         L[0, 0] == R[1, 1]
@@ -122,9 +119,7 @@ def test_criterion_04_structural_reproduction():
     k_blue = fit_trajectory(scenarios.exact_tier_trajectory("lorenz"), d3,
                             set_label="blue")
     half_turn = builtin_group("lorenz").elements[1]
-    k_magenta = transport_case1(
-        k_blue, induced_representation(d3, half_turn), target_label="magenta"
-    )
+    k_magenta = transport_case1(k_blue, half_turn, target_label="magenta")
     B, M = k_blue.matrix, k_magenta.matrix
     for i in range(3):
         for j in range(3):
@@ -143,11 +138,8 @@ def _assembled_global(name, d):
     registry = scenarios.builtin_registry(name)
     base = fit_trajectory(scenarios.exact_tier_trajectory(name), d,
                           set_label=registry.base_label)
-    reps = {
-        label: induced_representation(d, group.element(element))
-        for label, element in registry.mapping.items()
-    }
-    return assemble_global(registry, base, reps)
+    elements = {label: group.element(e) for label, e in registry.mapping.items()}
+    return assemble_global(registry, base, elements)
 
 
 def test_criterion_05_global_operator():
@@ -316,13 +308,11 @@ def test_criterion_11_induced_representation_suite():
     )
     cases.append((c8, MonomialDictionary(2, 2)))
     for group, d in cases:
-        reps = [induced_representation(d, g) for g in group.elements]
+        reps = [d.representation(g.matrix) for g in group.elements]
         for i in range(group.order):
             for j in range(group.order):
                 k = group.multiply(i, j)
-                defect = float(np.max(np.abs(
-                    reps[k].matrix - reps[i].matrix @ reps[j].matrix
-                )))
+                defect = float(np.max(np.abs(reps[k] - reps[i] @ reps[j])))
                 worst_hom = max(worst_hom, defect)
     ok &= worst_hom <= 1e-8
 
@@ -337,25 +327,26 @@ def test_criterion_11_induced_representation_suite():
             d = MonomialDictionary(group.dim, degree)
             F = d.evaluate_matrix(X)
             for g in group.elements:
-                R = induced_representation(d, g).matrix
+                R = d.representation(g.matrix)
                 defect = np.max(np.abs(d.evaluate_matrix(g.matrix @ X) - R @ F))
                 worst_def = max(worst_def, float(defect / np.max(np.abs(F))))
     ok &= worst_def <= 1e-8
 
-    # an RBF dictionary has no closed-form R: it is refused, and assembled
-    # by dictionary transport, which forecasts the mirrored start bit for bit
+    # an RBF dictionary has no closed-form R: conjugation refuses it, and it
+    # is assembled by dictionary transport, which forecasts the mirrored start
+    # bit for bit
     d = rbf_dictionary()
     swap = builtin_group("toggle_switch").element("swap")
-    try:
-        induced_representation(d, swap)
-        ok = False
-    except InputError:
-        pass
     system = make_system("toggle_switch")
     rng = np.random.default_rng(5)
     base = fit_trajectory(
         [simulate(system, scenarios.draw_base_state("toggle_switch", rng), 0.05, 100)
          for _ in range(6)], d, set_label="right")
+    try:
+        transport_case1(base, swap)
+        ok = False
+    except InputError:
+        pass
     gk = assemble_global(scenarios.builtin_registry("toggle_switch"), base, {"left": swap})
     left = gk.block("left")
     ok &= left.provenance["method"] == "dictionary"

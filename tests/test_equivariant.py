@@ -10,18 +10,18 @@ from hypothesis import strategies as st
 from symkoop import (
     ConfigurationError,
     CustomDictionary,
-    FeatureRepresentation,
+    GroupElement,
     IdentityDictionary,
     InputError,
     InvariantSetRegistry,
     IsotropyRequiredError,
     MonomialDictionary,
-    SymkoopError,
     assemble_global,
     builtin_group,
     check_registry,
     data_stabilizer_labels,
     fit_trajectory,
+    generate_group,
     global_predict,
     induced_representation,
     load_registry,
@@ -43,6 +43,7 @@ from symkoop.groups import _BLOCK
 from symkoop.koopman import KoopmanApprox, operator_from_dict
 from symkoop.scenarios import (
     EXACT_TIER_TOL,
+    base_dictionaries,
     builtin_registry,
     draw_base_state,
     experiment,
@@ -74,14 +75,12 @@ def wrap(K, label="set"):
     )
 
 
-def swap_rep(dim=2):
-    group = builtin_group("toggle_switch" if dim == 2 else "lorenz")
-    return induced_representation(IdentityDictionary(dim), group.elements[1])
+def swap_element(dim=2):
+    return builtin_group("toggle_switch" if dim == 2 else "lorenz").elements[1]
 
 
 def test_transport_reproduces_toggle_switch_example():
-    rep = swap_rep()
-    out = transport_case1(wrap(K_RIGHT, "right"), rep, target_label="left")
+    out = transport_case1(wrap(K_RIGHT, "right"), swap_element(), target_label="left")
     assert np.array_equal(out.matrix, K_LEFT)
     assert out.set_label == "left"
     assert out.is_transported
@@ -89,22 +88,19 @@ def test_transport_reproduces_toggle_switch_example():
 
 
 def test_transport_identity_representation_is_noop():
-    rep = FeatureRepresentation("e", np.eye(2))
-    out = transport_case1(wrap(K_RIGHT), rep)
+    out = transport_case1(wrap(K_RIGHT), builtin_group("toggle_switch").identity)
     assert np.array_equal(out.matrix, K_RIGHT)
 
 
 def test_transport_reproduces_lorenz_sign_pattern():
     group = builtin_group("lorenz")
-    rep = induced_representation(IdentityDictionary(3), group.elements[1])
-    out = transport_case1(wrap(K_BLUE, "blue"), rep, target_label="magenta")
+    out = transport_case1(wrap(K_BLUE, "blue"), group.elements[1], target_label="magenta")
     assert np.array_equal(out.matrix, K_MAGENTA)
 
 
 def test_transport_reproduces_hamiltonian_swap_block():
     group = builtin_group("hamiltonian")
-    rep = induced_representation(IdentityDictionary(2), group.element("swap"))
-    out = transport_case1(wrap(K_IS1, "IS-1"), rep, target_label="IS-2")
+    out = transport_case1(wrap(K_IS1, "IS-1"), group.element("swap"), target_label="IS-2")
     assert np.array_equal(out.matrix, K_IS2)
 
 
@@ -114,9 +110,8 @@ def test_transport_round_trip():
     traj = simulate(make_system("hamiltonian"), [3.2, 0.3], 1e-3, 150)
     op = fit_trajectory(traj, d, set_label="IS-1")
     for i, g in enumerate(group.elements):
-        rep = induced_representation(d, g)
-        rep_inv = induced_representation(d, group.elements[group.inverse_index(i)])
-        back = transport_case1(transport_case1(op, rep), rep_inv)
+        g_inv = group.elements[group.inverse_index(i)]
+        back = transport_case1(transport_case1(op, g), g_inv)
         assert np.max(np.abs(back.matrix - op.matrix)) <= 1e-12
 
 
@@ -125,17 +120,64 @@ def test_transport_composition_follows_group_product():
     d = MonomialDictionary(2, 2)
     traj = simulate(make_system("hamiltonian"), [3.2, 0.3], 1e-3, 150)
     op = fit_trajectory(traj, d, set_label="IS-1")
-    reps = [induced_representation(d, g) for g in group.elements]
+    g = group.elements
     for i in range(group.order):
         for j in range(group.order):
-            chained = transport_case1(transport_case1(op, reps[i]), reps[j])
-            direct = transport_case1(op, reps[group.multiply(j, i)])
+            chained = transport_case1(transport_case1(op, g[i]), g[j])
+            direct = transport_case1(op, g[group.multiply(j, i)])
             assert np.max(np.abs(chained.matrix - direct.matrix)) <= 1e-10
+
+
+def test_inverse_representation_is_the_transpose_bit_for_bit():
+    # conjugation forms R^-1 as R(g^T); for signed permutations that is R^T
+    # exactly, signs of zero included, so transported bytes do not move
+    cases = [(builtin_group(name), d) for name in ("lorenz", "toggle_switch", "hamiltonian")
+             for d in base_dictionaries(name).values()]
+    group = generate_group([  # the octahedral group: every signed permutation of 3
+        GroupElement("cycle", [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        GroupElement("swap", [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+        GroupElement("flip", [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ], max_order=48)
+    assert group.order == 48
+    cases.append((group, MonomialDictionary(3, 4)))
+    for group, d in cases:
+        for g in group.elements:
+            R, R_inv = d.representation(g.matrix), d.representation(g.matrix.T)
+            assert np.array_equal(R_inv, R.T), (g.label, d.kind)
+            assert np.array_equal(np.signbit(R_inv), np.signbit(R.T)), (g.label, d.kind)
+
+
+def dihedral_group(n):
+    """D_n in the plane: the rotation by 2 pi / n and a reflection."""
+    c, s = np.cos(2.0 * np.pi / n), np.sin(2.0 * np.pi / n)
+    return generate_group([GroupElement("rot", [[c, -s], [s, c]]),
+                           GroupElement("ref", [[1.0, 0.0], [0.0, -1.0]])])
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("degree", [3, 5])
+def test_transport_by_a_rotation_inverts_no_matrix(n, degree):
+    # R(g) of a rotation is no signed permutation; R(g^T) is its inverse to
+    # rounding, so conjugation agrees with np.linalg.inv, and transport by g
+    # and then by the table's inverse of g comes back to K
+    group = dihedral_group(n)
+    assert group.order == 2 * n
+    d = MonomialDictionary(2, degree)
+    K = np.random.default_rng(degree).normal(size=(d.size, d.size))
+    op = KoopmanApprox(matrix=K, dictionary=d, set_label="base", fit_residual=0.0,
+                       rank_used=d.size)
+    for i, g in enumerate(group.elements):
+        R = d.representation(g.matrix)
+        moved = transport_case1(op, g).matrix
+        expected = R @ K @ np.linalg.inv(R)
+        assert np.linalg.norm(moved - expected) <= 1e-13 * np.linalg.norm(expected), g.label
+        back = transport_case1(transport_case1(op, g), group.elements[group.inverse_index(i)])
+        assert np.linalg.norm(back.matrix - K) <= 1e-12 * np.linalg.norm(K), g.label
 
 
 def test_transport_dimension_mismatch():
     with pytest.raises(InputError):
-        transport_case1(wrap(K_RIGHT), FeatureRepresentation("g", np.eye(3)))
+        transport_case1(wrap(K_RIGHT), swap_element(dim=3))
 
 
 def test_case2_identity_keeps_dictionary_semantics():
@@ -156,16 +198,14 @@ def test_case2_consistent_with_case1():
     d = MonomialDictionary(2, 2)
     traj = simulate(system, [3.5, 1.2], 0.05, 100)
     op = fit_trajectory(traj, d, set_label="right")
-    rep = induced_representation(d, g)
-
-    case1 = transport_case1(op, rep, target_label="left")
+    case1 = transport_case1(op, g, target_label="left")
     case2_op = transport_case2(op, g, target_label="left")
 
     x_target = g.matrix @ np.array([2.9, 0.7])  # a state of the image set
     steps = 20
     p1 = predict(case1, x_target, steps)
     p2 = predict(case2_op, x_target, steps)
-    rinv = rep.inverse_matrix
+    rinv = d.representation(g.matrix.T)
     for k in range(steps + 1):
         assert np.max(np.abs(rinv @ p1[k] - p2[k])) <= 1e-10
     # the transformed dictionary observes the image state exactly as the
@@ -222,7 +262,7 @@ def test_case1_and_case2_agree_in_state_space(name, degree, data, seed):
     forecast = predict(base, x0, 50)
     case2 = transport_case2(base, g)
     assert np.array_equal(predict(case2, g.matrix @ x0, 50), forecast)
-    case1 = transport_case1(base, induced_representation(base.dictionary, g))
+    case1 = transport_case1(base, g)
     states = slice(1, 1 + group.dim)  # the degree-1 rows, after the constant
     expected = forecast[:, states] @ g.matrix.T
     error = np.max(np.abs(predict(case1, g.matrix @ x0, 50)[:, states] - expected))
@@ -250,8 +290,7 @@ def test_transported_blocks_inherit_every_field_transport_does_not_set():
     group = builtin_group("toggle_switch")
     swap = group.element("swap")
     base = replace(exact_run_fit("toggle_switch", 2), set_label="right")
-    rep = induced_representation(base.dictionary, swap)
-    assert_transported_from(transport_case1(base, rep), base, "right:swap", "swap",
+    assert_transported_from(transport_case1(base, swap), base, "right:swap", "swap",
                             "conjugation", changed=())
     assert_transported_from(transport_case2(base, swap, "left"), base, "left", "swap",
                             "dictionary", changed=("dictionary",))
@@ -280,11 +319,8 @@ def toggle_global():
     group = builtin_group("toggle_switch")
     d = IdentityDictionary(2)
     base = fit_trajectory(simulate(system, [3.5, 1.2], 0.05, 100), d, set_label="right")
-    reps = {
-        label: induced_representation(d, group.element(element))
-        for label, element in registry.mapping.items()
-    }
-    return registry, base, reps
+    elements = {label: group.element(e) for label, e in registry.mapping.items()}
+    return registry, base, elements
 
 
 def test_assemble_single_set():
@@ -296,13 +332,13 @@ def test_assemble_single_set():
 
 
 def test_assemble_toggle_two_blocks():
-    registry, base, reps = toggle_global()
-    gk = assemble_global(registry, base, reps)
+    registry, base, elements = toggle_global()
+    gk = assemble_global(registry, base, elements)
     assert gk.labels == ["right", "left"]
     assert gk.total_size == 4
     dense = gk.as_matrix()
     assert np.array_equal(dense[:2, :2], base.matrix)
-    swap = reps["left"].matrix
+    swap = base.dictionary.representation(elements["left"].matrix)
     assert np.array_equal(dense[2:, 2:], swap @ base.matrix @ swap)
     assert np.array_equal(dense[:2, 2:], np.zeros((2, 2)))
 
@@ -313,13 +349,10 @@ def test_assemble_hamiltonian_four_blocks():
     group = builtin_group("hamiltonian")
     d = IdentityDictionary(2)
     base = fit_trajectory(simulate(system, [3.2, 0.3], 1e-3, 200), d, set_label="IS-1")
-    reps = {
-        label: induced_representation(d, group.element(element))
-        for label, element in registry.mapping.items()
-    }
-    gk = assemble_global(registry, base, reps)
+    elements = {label: group.element(e) for label, e in registry.mapping.items()}
+    gk = assemble_global(registry, base, elements)
     assert gk.total_size == 8
-    swap_R = reps["IS-2"].matrix
+    swap_R = d.representation(elements["IS-2"].matrix)
     expected = swap_R @ base.matrix @ swap_R.T
     assert np.array_equal(gk.block("IS-2").matrix, expected)
     for label in registry.labels:
@@ -329,8 +362,9 @@ def test_assemble_hamiltonian_four_blocks():
 
 @pytest.mark.parametrize("name", ["toggle_switch", "hamiltonian", "lorenz"])
 def test_assemble_from_elements_conjugates_polynomial_dictionaries(name):
-    """Given the elements, a monomial base is conjugated: each block is bit
-    for bit the one assembled from the representations."""
+    """Given the elements, a monomial base is conjugated; each block is bit
+    for bit the one assembled from FeatureRepresentation values, which are
+    read as their elements."""
     registry, group = builtin_registry(name), builtin_group(name)
     base = replace(exact_run_fit(name, 2), set_label=registry.base_label)
     elements = {label: group.element(e) for label, e in registry.mapping.items()}
@@ -345,20 +379,22 @@ def test_assemble_from_elements_conjugates_polynomial_dictionaries(name):
 
 
 def test_assemble_validates_inputs():
-    registry, base, reps = toggle_global()
+    registry, base, elements = toggle_global()
     with pytest.raises(InputError):
-        assemble_global(registry, base, {})  # missing representation
+        assemble_global(registry, base, {})  # missing element
     with pytest.raises(InputError):
-        assemble_global(registry, replace(base, set_label="elsewhere"), reps)
+        assemble_global(registry, replace(base, set_label="elsewhere"), elements)
 
 
-def test_assemble_checks_reps_against_registry():
+def test_assemble_checks_elements_against_registry():
     registry, base, _ = toggle_global()
     identity = builtin_group("toggle_switch").identity
-    reps = {"left": induced_representation(IdentityDictionary(2), identity)}
-    with pytest.raises(InputError, match="value for 'left' is of 'e', "
-                                         "not of its registry element 'swap'"):
-        assemble_global(registry, base, reps)
+    message = "element for 'left' is 'e', not its registry element 'swap'"
+    with pytest.raises(InputError, match=message):
+        assemble_global(registry, base, {"left": identity})
+    with pytest.raises(InputError, match=message):
+        assemble_global(registry, base,
+                        {"left": induced_representation(IdentityDictionary(2), identity)})
 
 
 def test_registry_refuses_two_labels_through_one_element(tmp_path):
@@ -375,8 +411,8 @@ def test_registry_refuses_two_labels_through_one_element(tmp_path):
 
 
 def test_global_predict_matches_block_predict_bitwise():
-    registry, base, reps = toggle_global()
-    gk = assemble_global(registry, base, reps)
+    registry, base, elements = toggle_global()
+    gk = assemble_global(registry, base, elements)
     rng = np.random.default_rng(8)
     for label in gk.labels:
         op = gk.block(label)
@@ -388,8 +424,8 @@ def test_global_predict_matches_block_predict_bitwise():
 
 
 def test_global_predict_off_block_exactly_zero():
-    registry, base, reps = toggle_global()
-    gk = assemble_global(registry, base, reps)
+    registry, base, elements = toggle_global()
+    gk = assemble_global(registry, base, elements)
     # Psi_left(x0) embedded with zeros elsewhere, evolved by the dense
     # block-diagonal matrix: the right block stays exactly zero, and the
     # left one is global_predict's up to the rounding of the dense products
@@ -425,15 +461,13 @@ def test_verify_conjugation_exact_mirror_all_systems():
                 mirrored = fit_trajectory(
                     transform_trajectory(traj, g), d, set_label="image"
                 )
-                rep = induced_representation(d, g)
-                report = verify_conjugation(base, mirrored, rep)
+                report = verify_conjugation(base, mirrored, g)
                 assert report.frobenius_error <= EXACT_TIER_TOL, (name, d.kind, g.label, report)
 
 
 def test_verify_conjugation_identity_is_zero():
     op = wrap(K_RIGHT)
-    rep = FeatureRepresentation("e", np.eye(2))
-    report = verify_conjugation(op, op, rep)
+    report = verify_conjugation(op, op, builtin_group("toggle_switch").identity)
     assert report.frobenius_error == 0.0
     assert report.hausdorff_distance == 0.0
 
@@ -442,22 +476,23 @@ def test_verify_conjugation_of_a_zero_K_j_is_the_absolute_error():
     # a zero refit is no image of a nonzero K_i, so the exact tier must fail it
     op = wrap(np.array([[0.9, 0.1], [0.0, 0.5]]))
     zero = wrap(np.zeros((2, 2)))
-    report = verify_conjugation(op, zero, swap_rep())
+    report = verify_conjugation(op, zero, swap_element())
     assert report.frobenius_error == np.linalg.norm(op.matrix) > EXACT_TIER_TOL
-    assert verify_conjugation(zero, zero, swap_rep()).frobenius_error == 0.0
+    assert verify_conjugation(zero, zero, swap_element()).frobenius_error == 0.0
 
 
 def test_verify_conjugation_compares_against_transport_case1():
-    # R is no signed permutation, so R^-1 comes from the solver: the
+    # under a rotation by 2 pi / 3, R is no signed permutation; the
     # transported matrix is transport_case1's, bit for bit
-    op = wrap(K_RIGHT)
-    rep = FeatureRepresentation("r", np.array([[2.0, 1.0], [0.5, 1.5]]))
-    report = verify_conjugation(op, transport_case1(op, rep), rep)
+    c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)
+    rot = GroupElement("rot", [[c, -s], [s, c]])
+    op = KoopmanApprox(matrix=np.arange(36.0).reshape(6, 6) / 36.0,
+                       dictionary=MonomialDictionary(2, 2), set_label="set",
+                       fit_residual=0.0, rank_used=6)
+    moved = transport_case1(op, rot)
+    assert np.linalg.norm(moved.matrix - op.matrix) > 0.1 * np.linalg.norm(op.matrix)
+    report = verify_conjugation(op, moved, rot)
     assert report.frobenius_error == report.hausdorff_distance == 0.0
-    singular = FeatureRepresentation("s", np.array([[1.0, 2.0], [2.0, 4.0]]))
-    for call in (transport_case1, lambda op, rep: verify_conjugation(op, op, rep)):
-        with pytest.raises(SymkoopError, match="representation 's' is singular"):
-            call(op, singular)
 
 
 def test_commutation_on_symmetric_union_data():
@@ -470,8 +505,7 @@ def test_commutation_on_symmetric_union_data():
     op = fit_trajectory(union, d, set_label="union")
     stabilizers = data_stabilizer_labels(group, np.vstack([t.states[:-1] for t in union]))
     assert "swap" in stabilizers
-    rep = induced_representation(d, swap)
-    assert verify_commutation(op, rep, stabilizers) <= 1e-8
+    assert verify_commutation(op, swap, stabilizers) <= 1e-8
 
 
 def test_commutation_refuses_outside_isotropy():
@@ -483,9 +517,8 @@ def test_commutation_refuses_outside_isotropy():
     op = fit_trajectory(traj, d, set_label="right")
     stabilizers = data_stabilizer_labels(group, traj.states[:-1])
     assert stabilizers == ("e",)  # one branch is not swap-invariant
-    rep = induced_representation(d, swap)
     with pytest.raises(IsotropyRequiredError):
-        verify_commutation(op, rep, stabilizers)
+        verify_commutation(op, swap, stabilizers)
 
 
 def test_stabilizer_checks_every_block():
@@ -588,13 +621,13 @@ def test_commutator_large_across_lorenz_wings():
     d = IdentityDictionary(3)
     traj = simulate(system, [8.0, 8.5, 27.0], 0.01, 120)
     op = fit_trajectory(traj, d, set_label="one-wing")
-    rep = induced_representation(d, group.elements[1])
+    half_turn = group.elements[1]
     stabilizers = data_stabilizer_labels(group, traj.states[:-1])
     assert stabilizers == ("e",)
     with pytest.raises(IsotropyRequiredError):
-        verify_commutation(op, rep, stabilizers)
+        verify_commutation(op, half_turn, stabilizers)
     # taking the half-turn as isotropy anyway shows why the check refuses
-    assert verify_commutation(op, rep, (rep.label,)) > 0.1
+    assert verify_commutation(op, half_turn, (half_turn.label,)) > 0.1
 
 
 def test_invariant_set_image_toggle():
@@ -654,8 +687,8 @@ def test_registry_base_defaults_to_first_label():
 
 
 def test_global_json_roundtrip(tmp_path):
-    registry, base, reps = toggle_global()
-    gk = assemble_global(registry, base, reps)
+    registry, base, elements = toggle_global()
+    gk = assemble_global(registry, base, elements)
     path = tmp_path / "global.json"
     write_json(path, global_to_dict(gk))
     data = json.loads(path.read_text())

@@ -22,7 +22,6 @@ from symkoop import (
     check_equivariance,
     data_stabilizer_labels,
     generate_group,
-    induced_representation,
     load_group,
     make_system,
     save_group,
@@ -146,8 +145,8 @@ def test_transformed_dictionary_is_a_group_action(which, octahedral_group):
             direct = TransformedDictionary(d, g12.matrix, g12.label)
             assert np.array_equal(nested.evaluate_matrix(X), direct.evaluate_matrix(X))
             for h in generators:
-                assert np.array_equal(induced_representation(nested, h).matrix,
-                                      induced_representation(direct, h).matrix)
+                assert np.array_equal(nested.representation(h.matrix),
+                                      direct.representation(h.matrix))
 
 
 def test_element_and_its_inverse_index_round_trip_states():

@@ -17,7 +17,6 @@ from symkoop import (
     eigenvalue_hausdorff,
     fit_edmd,
     fit_trajectory,
-    induced_representation,
     lift,
     load_operator,
     make_system,
@@ -219,13 +218,12 @@ def test_fits_on_exactly_transformed_data_are_conjugate():
     # g-transformed data is R(g) K R(g)^-1 within the exact tier
     system, g = make_system("hamiltonian"), builtin_group("hamiltonian").element("swap")
     dictionary = MonomialDictionary(2, 2)
-    rep = induced_representation(dictionary, g)
     rng = np.random.default_rng(11)
     x0 = np.array([draw_base_state("hamiltonian", rng) for _ in range(20)])
     worst = 0.0
     for traj in simulate(system, x0, 0.001, 400):
         mirrored = fit_trajectory(transform_trajectory(traj, g), dictionary)
-        report = verify_conjugation(fit_trajectory(traj, dictionary), mirrored, rep)
+        report = verify_conjugation(fit_trajectory(traj, dictionary), mirrored, g)
         worst = max(worst, report.frobenius_error)
     assert worst <= EXACT_TIER_TOL
 
@@ -234,8 +232,7 @@ def test_fits_on_exactly_transformed_data_are_conjugate():
     traj = simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, 3077)
     assert traj.n_states - 1 > 3 * _FIT_CHUNK
     mirrored = fit_trajectory(transform_trajectory(traj, g), dictionary)
-    report = verify_conjugation(fit_trajectory(traj, dictionary), mirrored,
-                                induced_representation(dictionary, g))
+    report = verify_conjugation(fit_trajectory(traj, dictionary), mirrored, g)
     assert report.frobenius_error <= EXACT_TIER_TOL
 
 
@@ -627,8 +624,8 @@ def test_spectrum_similarity_invariance_for_builtin_fits():
         traj = simulate(system, np.full(system.dim, 0.8), 0.01, 120)
         op = fit_trajectory(traj, IdentityDictionary(system.dim))
         for g in group.elements:
-            rep = induced_representation(op.dictionary, g)
-            conj = rep.matrix @ op.matrix @ rep.inverse_matrix
+            R, R_inv = (op.dictionary.representation(m) for m in (g.matrix, g.matrix.T))
+            conj = R @ op.matrix @ R_inv
             dist = eigenvalue_hausdorff(
                 np.linalg.eigvals(op.matrix), np.linalg.eigvals(conj)
             )
@@ -660,7 +657,7 @@ def test_transported_eigenfunctions_are_transformed_dictionary_evaluations(name)
     for dictionary in base_dictionaries(name).values():
         op = fit_trajectory(traj, dictionary, set_label="base")
         for g in builtin_group(name).elements:
-            conjugated = transport_case1(op, induced_representation(dictionary, g))
+            conjugated = transport_case1(op, g)
             moved = transport_case2(op, g)
             spec_c, spec_m = spectrum(conjugated), spectrum(moved)
             gx = x @ g.matrix.T
@@ -679,12 +676,12 @@ def test_group_action_preserves_eigenfunctions_when_commuting():
     group = builtin_group("toggle_switch")
     swap = group.element("swap")
     d = IdentityDictionary(2)
-    rep = induced_representation(d, swap)
+    R, R_inv = d.representation(swap.matrix), d.representation(swap.matrix.T)
     K = np.array([[0.8, 0.1], [0.1, 0.8]])  # commutes with swap
-    assert np.max(np.abs(K @ rep.matrix - rep.matrix @ K)) == 0.0
+    assert np.max(np.abs(K @ R - R @ K)) == 0.0
     spec = spectrum(op_from_matrix(K))
     for i, lam in enumerate(spec.eigenvalues):
-        w = spec.coefficients[i] @ rep.inverse_matrix
+        w = spec.coefficients[i] @ R_inv
         assert np.linalg.norm(w @ K - lam * w) <= 1e-10
 
 
