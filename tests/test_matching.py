@@ -134,9 +134,9 @@ def breadth_first_generate_group(generators, max_order=64, dim=None):
                     continue
                 if len(elements) >= max_order:
                     raise NonFiniteGroupError(
-                        f"closure exceeded max_order={max_order}; "
-                        "generators may not generate a finite group "
-                        "at this matching tolerance"
+                        f"generators close into no group of at most max_order={max_order} "
+                        "elements at this matching tolerance; they may not generate a "
+                        "finite group"
                     )
                 a, b = (i, m // 2) if m % 2 == 0 else (m // 2, i)
                 label = f"{elements[a].label}*{elements[b].label}"
@@ -447,16 +447,43 @@ def closure_outcome(generate, generators, **kwargs):
 @given(gens=generator_sets(), max_order=st.sampled_from([64, 47, 12]))
 def test_closure_matches_the_breadth_first_closure(gens, max_order):
     """Labels, element order, matrices bit for bit and the Cayley table, or
-    the same NonFiniteGroupError when the group is larger than max_order."""
+    the same NonFiniteGroupError when the generators close into no group of
+    at most max_order elements, as on a near-group whose words drift past
+    the tolerance."""
     assert closure_outcome(generate_group, gens, max_order=max_order) \
         == closure_outcome(breadth_first_generate_group, gens, max_order=max_order)
+
+
+def turned_rotation(n, angle):
+    """The rotation by 2 pi / n + angle."""
+    c, s = np.cos(2 * np.pi / n + angle), np.sin(2 * np.pi / n + angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def turned_octahedral(seed):
+    """The octahedral generators, each times an orthogonal turn (a Cayley
+    transform) whose largest entry off I is about 2e-11."""
+    rng = np.random.default_rng(seed)
+    gens = []
+    for g in octahedral():
+        a = rng.standard_normal((3, 3))
+        a = 1e-11 * (a - a.T) / np.abs(a - a.T).max()
+        turn = np.linalg.solve(np.eye(3) - a, np.eye(3) + a)
+        gens.append(GroupElement(g.label, g.matrix @ turn))
+    return gens
 
 
 @pytest.mark.parametrize("gens, max_order", [
     ([GroupElement("r", np.array([[np.cos(1.0), -np.sin(1.0)],
                                   [np.sin(1.0), np.cos(1.0)]]))], 64),
     (octahedral(), 47),
-], ids=["irrational-rotation", "octahedral-47"])
+    # its 19th power is a new element, its 20th matches the generator: the
+    # words alone stop at 20 elements in a table with no inverses
+    ([GroupElement("r", turned_rotation(19, 5.6e-12))], 64),
+    # the words alone close at order 48, with products of two long words
+    # off their table entries by more than the tolerance
+    (turned_octahedral(seed=1), 64),
+], ids=["irrational-rotation", "octahedral-47", "near-C19", "near-octahedral"])
 def test_closure_raises_what_the_breadth_first_closure_raises(gens, max_order):
     outcome = closure_outcome(generate_group, gens, max_order=max_order)
     assert outcome[0] is NonFiniteGroupError
@@ -499,8 +526,15 @@ def relabelled(group, perm):
 def test_check_axioms_reports_what_the_test_of_every_triple_reports(gens, data):
     """On a drawn group's table, perhaps relabelled so that the identity is
     not first, perhaps with one entry changed (to any index, or out of
-    range), perhaps with other generator labels."""
-    group = generate_group(gens)
+    range), perhaps with other generator labels. A near-group whose words
+    drift past the tolerance has no table: generate_group refuses it with
+    the NonFiniteGroupError the breadth-first closure raises."""
+    try:
+        group = generate_group(gens)
+    except NonFiniteGroupError as err:
+        assert closure_outcome(breadth_first_generate_group, gens) \
+            == (NonFiniteGroupError, str(err))
+        return
     if data.draw(st.booleans()):
         group = relabelled(group, np.array(data.draw(st.permutations(range(group.order)))))
     cayley = group.cayley.copy()
