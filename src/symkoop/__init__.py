@@ -10,16 +10,12 @@ orthogonal), or transforms the dictionary where R has no closed form.
 
 from .dictionaries import (
     CustomDictionary,
-    FeatureRepresentation,
     IdentityDictionary,
     MonomialDictionary,
     TransformedDictionary,
     dictionary_from_spec,
-    induced_representation,
-    lift,
 )
 from .dynamics import (
-    SnapshotPairs,
     SystemDef,
     Trajectory,
     hamiltonian_energy,
@@ -27,7 +23,6 @@ from .dynamics import (
     make_system,
     save_trajectory,
     simulate,
-    snapshots,
     step,
 )
 from .equivariant import (
@@ -43,7 +38,6 @@ from .equivariant import (
     transport_case2,
     verify_commutation,
     verify_conjugation,
-    verify_invariant_set_image,
     verify_invariant_set_images,
 )
 from .errors import (
@@ -64,7 +58,6 @@ from .groups import (
     generate_group,
     load_group,
     save_group,
-    transform_snapshots,
     transform_trajectory,
 )
 from .koopman import (

@@ -281,7 +281,8 @@ def dictionary_from_spec(spec, dim=None):
 
 
 def lift(dictionary, pairs):
-    """Lift snapshot pairs into feature space: Yp = Psi(Xp), Yf = Psi(Xf)."""
+    """Lift snapshot pairs into feature space: Yp = Psi(Xp), Yf = Psi(Xf).
+    Kept only because ``perfbench/`` binds it; ROADMAP items 6 and 23 delete it."""
     if pairs.dim != dictionary.dim:
         raise InputError("snapshot dimension does not match dictionary")
     return dictionary.evaluate_matrix(pairs.Xp), dictionary.evaluate_matrix(pairs.Xf)
@@ -293,7 +294,8 @@ def lift(dictionary, pairs):
 @dataclass(frozen=True)
 class FeatureRepresentation:
     """The exact K x K matrix R with Psi(gamma x) = R Psi(x), and the
-    GroupElement gamma it represents."""
+    GroupElement gamma it represents.
+    Not exported: only ``induced_representation`` makes it; ROADMAP item 23 deletes it."""
 
     element: GroupElement
     matrix: np.ndarray
@@ -307,7 +309,8 @@ def induced_representation(dictionary, g):
     """The feature-space representation R of a group element, exact (see
     ``Dictionary.representation``). A dictionary with no closed-form R (a
     custom one, or a transformed wrapper of one) raises InputError: such an
-    operator is transported by its dictionary (``equivariant.transport_case2``)."""
+    operator is transported by its dictionary (``equivariant.transport_case2``).
+    Not exported: ``perfbench/`` binds it; ROADMAP item 23 inlines and deletes it."""
     if dictionary.dim != g.dim:
         raise InputError("dictionary and element dimensions differ")
     R = dictionary.representation(g.matrix)

@@ -57,7 +57,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SnapshotPairs:
-    """Paired data matrices of consecutive states, one column per pair."""
+    """Paired data matrices of consecutive states, one column per pair.
+    Kept only because ``perfbench/`` binds it; ROADMAP items 6 and 23 delete it."""
 
     dim: int
     Xp: np.ndarray  # dim x M
@@ -388,7 +389,8 @@ def simulate(system, x0, dt, n_steps, discard=0):
 
 def snapshots(traj):
     """Split a trajectory into consecutive-state pairs: Xf[:, k] is the
-    successor of Xp[:, k]."""
+    successor of Xp[:, k].
+    Kept only because ``perfbench/`` binds it; ROADMAP items 6 and 23 delete it."""
     if traj.n_states < 2:
         raise InputError("need at least 2 states to form snapshot pairs")
     Xp = np.ascontiguousarray(traj.states[:-1].T)

@@ -378,7 +378,8 @@ class InvariantImageReport:
 
 
 def verify_invariant_set_image(system, g, samples, dt, horizon, membership):
-    """``verify_invariant_set_images`` for the single image (g, membership)."""
+    """``verify_invariant_set_images`` for the single image (g, membership).
+    Kept only because ``perfbench/`` binds it; ROADMAP items 6 and 23 delete it."""
     return verify_invariant_set_images(system, [(g, membership)], samples, dt, horizon)[0]
 
 

@@ -460,7 +460,8 @@ def transform_trajectory(traj, g):
 
 
 def transform_snapshots(pairs, g):
-    """Apply a group element to both snapshot matrices."""
+    """Apply a group element to both snapshot matrices.
+    Kept only because ``perfbench/`` binds it; ROADMAP items 6 and 23 delete it."""
     if pairs.dim != g.dim:
         raise InputError("snapshot and element dimensions differ")
     from .dynamics import SnapshotPairs

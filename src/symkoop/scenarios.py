@@ -295,7 +295,7 @@ def check_spectrum_invariance(name):
     for dictionary in base_dictionaries(name).values():
         op = koopman.fit_trajectory(traj, dictionary, set_label="base")
         ev = np.linalg.eigvals(op.matrix)
-        for g in group.elements:
+        for g in group.elements[1:]:
             transported = equivariant.transport_case1(op, g)
             worst = max(
                 worst,

@@ -22,7 +22,6 @@ from symkoop import (
     make_system,
     simulate,
     step,
-    verify_invariant_set_image,
     verify_invariant_set_images,
 )
 from symkoop import dynamics, scenarios
@@ -168,7 +167,8 @@ def test_field_returning_numpy_scalars_steps_alike_alone_and_in_a_block():
 
 
 def per_sample_failed(system, g, samples, dt, horizon, membership):
-    """The one-sample-at-a-time reference for verify_invariant_set_image."""
+    """The one-sample-at-a-time reference for one image of
+    verify_invariant_set_images."""
     inside = lambda y: bool(membership(y[:, None])[0])
     failed = []
     for idx, x in enumerate(samples):
@@ -201,7 +201,8 @@ def test_invariant_set_image_matches_per_sample_reference(
     group = builtin_group(name)
     g = group.elements[element % group.order]
     samples = sample_box(name, n, np.random.default_rng(seed))
-    report = verify_invariant_set_image(system, g, samples, dt, horizon, disc(radius))
+    report = verify_invariant_set_images(
+        system, [(g, disc(radius))], samples, dt, horizon)[0]
     expected = per_sample_failed(system, g, samples, dt, horizon, disc(radius))
     assert report.failed_indices == expected
     assert report.fraction == (n - len(expected)) / n
@@ -217,7 +218,7 @@ def test_disc_predicate_is_left_by_some_orbits(name, radius):
     dt = system.dt
     g = builtin_group(name).elements[-1]
     samples = sample_box(name, 12, np.random.default_rng(3))
-    report = verify_invariant_set_image(system, g, samples, dt, 60, disc(radius))
+    report = verify_invariant_set_images(system, [(g, disc(radius))], samples, dt, 60)[0]
     started_inside = disc(radius)(g.matrix @ samples.T)
     assert any(started_inside[i] for i in report.failed_indices)
     assert len(report.failed_indices) < 12
@@ -246,7 +247,7 @@ def test_sample_that_leaves_then_would_diverge_raises_nothing(name, seed, n):
             simulate(system, x, dt, horizon)
     in_box = lambda x: np.all(np.abs(x) < 100.0, axis=0)
     g = builtin_group(name).identity
-    report = verify_invariant_set_image(system, g, samples, dt, horizon, in_box)
+    report = verify_invariant_set_images(system, [(g, in_box)], samples, dt, horizon)[0]
     assert report.failed_indices == tuple(range(n))
 
 
@@ -268,8 +269,8 @@ def test_membership_must_return_one_flag_per_state():
     system = make_system("toggle_switch")
     g = builtin_group("toggle_switch").identity
     with pytest.raises(ValueError):
-        verify_invariant_set_image(
-            system, g, np.array([[3.0, 1.0], [2.5, 0.5]]), 0.05, 5, lambda x: True)
+        verify_invariant_set_images(
+            system, [(g, lambda x: True)], np.array([[3.0, 1.0], [2.5, 0.5]]), 0.05, 5)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -314,7 +315,7 @@ def test_image_divergence_names_sample_step_and_element():
     samples = np.array([[1.0, 1.0, 1.05], [1.0, 1.0, 1.05], [2e6, 2e6, 2e6]])
     g = builtin_group("lorenz").identity
     with pytest.raises(NumericalDivergenceError, match="'e'") as info:
-        verify_invariant_set_image(system, g, samples, 1.0, 50, drops_first_sample_once())
+        verify_invariant_set_images(system, [(g, drops_first_sample_once())], samples, 1.0, 50)
     assert (info.value.start_index, info.value.step_index) == (2, 2)
     assert "step 2 of 50 from start 2" in str(info.value)
 
@@ -387,12 +388,12 @@ def test_orbit_that_leaves_then_diverges_within_a_window_raises_nothing():
     # sample 1 leaves |x| < 1e100 at step 1 and overflows at step 2, in the
     # same window; only a divergence at or before the exit step counts
     samples = np.array([[1e-200], [1.0]])
-    report = verify_invariant_set_image(
-        blowup(), IDENTITY_1D, samples, 1.0, 50, below(1e100))
+    report = verify_invariant_set_images(
+        blowup(), [(IDENTITY_1D, below(1e100))], samples, 1.0, 50)[0]
     assert report.failed_indices == (0, 1)
     # with |x| < 1e300 sample 1 leaves at the step it overflows, which counts
     with pytest.raises(NumericalDivergenceError) as info:
-        verify_invariant_set_image(blowup(), IDENTITY_1D, samples, 1.0, 50, below(1e300))
+        verify_invariant_set_images(blowup(), [(IDENTITY_1D, below(1e300))], samples, 1.0, 50)
     assert (info.value.start_index, info.value.step_index) == (1, 2)
 
 
@@ -400,8 +401,8 @@ def test_window_divergence_names_the_earliest_step_not_the_lowest_column():
     # sample 0 overflows at step 4, sample 1 at step 2, both inside one window
     samples = np.array([[1e-200], [1.0]])
     with pytest.raises(NumericalDivergenceError) as info:
-        verify_invariant_set_image(
-            blowup(), IDENTITY_1D, samples, 1.0, 50, lambda x: np.ones(x.shape[1], bool))
+        verify_invariant_set_images(
+            blowup(), [(IDENTITY_1D, lambda x: np.ones(x.shape[1], bool))], samples, 1.0, 50)
     assert (info.value.start_index, info.value.step_index) == (1, 2)
     assert "at step 2 of 50 from start 1 under element 'e'" in str(info.value)
 
@@ -417,7 +418,8 @@ def test_orbit_that_leaves_then_diverges_in_a_later_window_raises_nothing():
     samples = np.array([[1.0], [0.0]])
     window = dynamics._chunk_steps(samples.size)
     assert 119 <= window < 365 <= 2 * window < 600
-    report = verify_invariant_set_image(sevenfold, IDENTITY_1D, samples, 64.0, 600, below(1e100))
+    report = verify_invariant_set_images(
+        sevenfold, [(IDENTITY_1D, below(1e100))], samples, 64.0, 600)[0]
     assert report.failed_indices == (0,)
     assert report.fraction == 0.5
 
@@ -427,9 +429,9 @@ def image_check_peak_bytes(horizon):
     samples = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2000, 2))
     tracemalloc.start()
     try:
-        verify_invariant_set_image(
-            system, builtin_group("hamiltonian").identity, samples,
-            system.dt, horizon, lambda x: np.ones(x.shape[1], bool))
+        verify_invariant_set_images(
+            system, [(builtin_group("hamiltonian").identity, lambda x: np.ones(x.shape[1], bool))],
+            samples, system.dt, horizon)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -469,9 +471,9 @@ def test_block_simulate_memory_does_not_grow_with_the_number_of_starts():
 def test_image_check_rejects_a_horizon_that_is_not_a_nonnegative_integer(horizon):
     group = builtin_group("hamiltonian")
     with pytest.raises(InputError, match="horizon must be a nonnegative integer") as info:
-        verify_invariant_set_image(
-            make_system("hamiltonian"), group.identity, np.array([[1.0, 0.5]]),
-            0.05, horizon, lambda x: np.zeros(x.shape[1], bool))
+        verify_invariant_set_images(
+            make_system("hamiltonian"), [(group.identity, lambda x: np.zeros(x.shape[1], bool))],
+            np.array([[1.0, 0.5]]), 0.05, horizon)
     assert "\n" not in str(info.value)
 
 
@@ -485,7 +487,7 @@ def test_image_check_rejects_an_empty_image_list():
 def test_image_check_rejects_zero_samples():
     group = builtin_group("hamiltonian")
     with pytest.raises(InputError, match="at least one sample") as info:
-        verify_invariant_set_image(
-            make_system("hamiltonian"), group.identity, np.empty((0, 2)), 0.05, 5,
-            lambda x: np.ones(x.shape[1], bool))
+        verify_invariant_set_images(
+            make_system("hamiltonian"), [(group.identity, lambda x: np.ones(x.shape[1], bool))],
+            np.empty((0, 2)), 0.05, 5)
     assert "\n" not in str(info.value)

@@ -21,11 +21,9 @@ from symkoop import (
     eigenvalue_hausdorff,
     fit_edmd,
     generate_group,
-    induced_representation,
-    lift,
     make_system,
     simulate,
-    snapshots,
+    transport_case1,
     verify_conjugation,
 )
 from symkoop.koopman import KoopmanApprox
@@ -151,6 +149,9 @@ def test_transformed_evaluate_matrix_checks_shape():
 
 
 def test_lift_identity_is_bitwise_copy():
+    from symkoop.dictionaries import lift
+    from symkoop.dynamics import snapshots
+
     pairs = snapshots(simulate(make_system("toggle_switch"), [2.0, 1.0], 0.05, 10))
     Yp, Yf = lift(IdentityDictionary(2), pairs)
     assert np.array_equal(Yp, pairs.Xp)
@@ -158,12 +159,18 @@ def test_lift_identity_is_bitwise_copy():
 
 
 def test_lift_single_pair():
+    from symkoop.dictionaries import lift
+    from symkoop.dynamics import snapshots
+
     pairs = snapshots(simulate(make_system("toggle_switch"), [2.0, 1.0], 0.05, 1))
     Yp, Yf = lift(MonomialDictionary(2, 2), pairs)
     assert Yp.shape == Yf.shape == (6, 1)
 
 
 def test_lift_dimension_mismatch():
+    from symkoop.dictionaries import lift
+    from symkoop.dynamics import snapshots
+
     pairs = snapshots(simulate(make_system("lorenz"), [1.0, 1.0, 1.0], 0.01, 3))
     with pytest.raises(InputError):
         lift(IdentityDictionary(2), pairs)
@@ -171,32 +178,32 @@ def test_lift_dimension_mismatch():
 
 def test_induced_identity_dictionary_is_gamma():
     gamma = builtin_group("lorenz").elements[1]
-    rep = induced_representation(IdentityDictionary(3), gamma)
-    assert np.array_equal(rep.matrix, gamma.matrix)
-    assert rep.element is gamma and rep.label == gamma.label
+    d = IdentityDictionary(3)
+    assert np.array_equal(d.representation(gamma.matrix), gamma.matrix)
+    # conjugation by R(gamma) records gamma's label
+    assert transport_case1(custom_operator(d), gamma).provenance["element"] == gamma.label
 
 
 def test_induced_swap_on_monomials_is_permutation():
     d = MonomialDictionary(2, 2, include_constant=False)
-    rep = induced_representation(d, SWAP)
+    R = d.representation(SWAP.matrix)
     expected = np.zeros((5, 5))
     order = {"x1": "x2", "x2": "x1", "x1^2": "x2^2", "x1*x2": "x1*x2", "x2^2": "x1^2"}
     for i, lbl in enumerate(d.labels):
         expected[i, d.labels.index(order[lbl])] = 1.0
-    assert np.array_equal(rep.matrix, expected)
+    assert np.array_equal(R, expected)
 
 
 def test_induced_half_turn_on_monomials_is_degree_parity():
     d = MonomialDictionary(2, 2, include_constant=False)
-    rep = induced_representation(d, HALF_TURN)
-    assert np.array_equal(rep.matrix, np.diag([-1.0, -1.0, 1.0, 1.0, 1.0]))
+    R = d.representation(HALF_TURN.matrix)
+    assert np.array_equal(R, np.diag([-1.0, -1.0, 1.0, 1.0, 1.0]))
 
 
 def test_induced_rotation_on_linear_monomials():
     d = MonomialDictionary(2, 1, include_constant=False)
     g = rotation(0.7)
-    rep = induced_representation(d, g)
-    assert np.array_equal(rep.matrix, g.matrix)
+    assert np.array_equal(d.representation(g.matrix), g.matrix)
 
 
 def test_incomplete_degree_dictionary_not_closed_under_rotation():
@@ -209,26 +216,24 @@ def test_incomplete_degree_dictionary_not_closed_under_rotation():
     assert d.representation(rotation(0.7).matrix) is None
     with pytest.raises(InputError, match="no closed-form representation of 'rot'.*"
                                          "transport_case2"):
-        induced_representation(d, rotation(0.7))
+        transport_case1(custom_operator(d), rotation(0.7))
 
 
 def test_representation_identity_element_is_exact():
     group = builtin_group("hamiltonian")
     d = MonomialDictionary(2, 3)
-    rep = induced_representation(d, group.identity)
-    assert np.array_equal(rep.matrix, np.eye(d.size))
+    R = d.representation(group.identity.matrix)
+    assert np.array_equal(R, np.eye(d.size))
 
 
 def test_representation_homomorphism_exact_path():
     group = builtin_group("hamiltonian")
     d = MonomialDictionary(2, 2)
-    reps = [induced_representation(d, g) for g in group.elements]
+    reps = [d.representation(g.matrix) for g in group.elements]
     for i in range(group.order):
         for j in range(group.order):
             k = group.multiply(i, j)
-            defect = np.max(
-                np.abs(reps[k].matrix - reps[i].matrix @ reps[j].matrix)
-            )
+            defect = np.max(np.abs(reps[k] - reps[i] @ reps[j]))
             assert defect <= 1e-8
 
 
@@ -254,13 +259,13 @@ def test_custom_span_of_monomials_transports_by_dictionary():
     group = generate_group([rotation(math.pi / 4.0, "r8")], max_order=16)
     assert group.order == 8
     d = as_custom(MonomialDictionary(2, 2))
+    base = custom_operator(d, "e")
     for g in group.elements:
         with pytest.raises(InputError, match="no closed-form representation"):
-            induced_representation(d, g)
+            transport_case1(base, g)
     labels = tuple(g.label for g in group.elements)
     registry = InvariantSetRegistry(labels=labels, base_label="e",
                                     mapping={g.label: g.label for g in group.elements[1:]})
-    base = custom_operator(d, "e")
     gk = assemble_global(registry, base, {g.label: g for g in group.elements[1:]})
     X = np.random.default_rng(9).uniform(-1.0, 1.0, size=(2, 20))
     for g in group.elements[1:]:
@@ -281,11 +286,11 @@ def test_representation_homomorphism_nonabelian_group():
     i, j = group.index_of("swap"), group.index_of("rot90")
     assert group.multiply(i, j) != group.multiply(j, i)
     d = MonomialDictionary(2, 3)
-    reps = [induced_representation(d, g) for g in group.elements]
+    reps = [d.representation(g.matrix) for g in group.elements]
     for a in range(group.order):
         for b in range(group.order):
             prod = group.multiply(a, b)
-            defect = np.max(np.abs(reps[prod].matrix - reps[a].matrix @ reps[b].matrix))
+            defect = np.max(np.abs(reps[prod] - reps[a] @ reps[b]))
             assert defect <= 1e-12
 
 
@@ -297,21 +302,21 @@ def test_monomial_dictionaries_closed_for_builtin_groups_degrees_1_to_4():
             X = np.random.default_rng(degree).uniform(-2.0, 2.0, size=(group.dim, 20))
             F = d.evaluate_matrix(X)
             for g in group.elements:
-                rep = induced_representation(d, g)
+                R = d.representation(g.matrix)
                 # the built-in elements are signed permutations, and so is R
-                assert is_signed_permutation(rep.matrix)
-                defect = np.max(np.abs(d.evaluate_matrix(g.matrix @ X) - rep.matrix @ F))
+                assert is_signed_permutation(R)
+                defect = np.max(np.abs(d.evaluate_matrix(g.matrix @ X) - R @ F))
                 assert defect <= 1e-14 * np.max(np.abs(F))
 
 
 def test_representation_defining_identity_out_of_sample():
     d = MonomialDictionary(2, 2)
     g = rotation(1.1)
-    rep = induced_representation(d, g)
+    R = d.representation(g.matrix)
     rng = np.random.default_rng(99)
     for x in rng.uniform(-1, 1, size=(50, 2)):
         lhs = d.evaluate(g.matrix @ x)
-        rhs = rep.matrix @ d.evaluate(x)
+        rhs = R @ d.evaluate(x)
         assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
@@ -358,7 +363,7 @@ def test_transformed_custom_dictionary_has_no_representation():
     wrapped = TransformedDictionary(custom, rotation(0.4).matrix, "w")
     assert wrapped.representation(rotation(0.7).matrix) is None
     with pytest.raises(InputError, match="no closed-form representation"):
-        induced_representation(wrapped, rotation(0.7))
+        transport_case1(custom_operator(wrapped), rotation(0.7))
     exact = TransformedDictionary(MonomialDictionary(2, 2), rotation(0.4).matrix, "w")
     assert exact.representation(rotation(0.7).matrix) is not None
     # dictionary transport is the route for the wrapper too
@@ -432,7 +437,7 @@ def test_exact_representation_is_a_homomorphism(case, data):
     group, d, signed = case
     i = data.draw(st.integers(0, group.order - 1))
     j = data.draw(st.integers(0, group.order - 1))
-    r_i, r_j, r_ij = (induced_representation(d, group.elements[k]).matrix
+    r_i, r_j, r_ij = (d.representation(group.elements[k].matrix)
                       for k in (i, j, group.multiply(i, j)))
     if signed:
         assert np.array_equal(r_i @ r_j, r_ij)
@@ -445,13 +450,13 @@ def test_exact_representation_is_a_homomorphism(case, data):
 def test_exact_representation_holds_out_of_sample(case, data, seed):
     group, d, signed = case
     g = group.elements[data.draw(st.integers(0, group.order - 1))]
-    rep = induced_representation(d, g)
+    R = d.representation(g.matrix)
     X = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(d.dim, 20))
     F = d.evaluate_matrix(X)
-    defect = np.max(np.abs(d.evaluate_matrix(g.matrix @ X) - rep.matrix @ F))
+    defect = np.max(np.abs(d.evaluate_matrix(g.matrix @ X) - R @ F))
     assert defect <= 1e-12 * max(1.0, np.max(np.abs(F)))
     if signed:
-        assert is_signed_permutation(rep.matrix)
+        assert is_signed_permutation(R)
 
 
 def polynomial_map(X):

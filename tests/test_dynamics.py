@@ -14,7 +14,6 @@ from symkoop import (
     make_system,
     save_trajectory,
     simulate,
-    snapshots,
     step,
     verify_invariant_set_images,
 )
@@ -214,6 +213,7 @@ def test_snapshots_shift_structure():
     a, b, c = np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])
     traj_states = np.vstack([a, b, c])
     from symkoop import Trajectory
+    from symkoop.dynamics import snapshots
 
     pairs = snapshots(Trajectory(dim=2, dt=0.1, states=traj_states))
     assert np.array_equal(pairs.Xp, np.column_stack([a, b]))
@@ -226,12 +226,15 @@ def test_snapshots_shift_structure():
 
 def test_snapshots_needs_two_states():
     from symkoop import Trajectory
+    from symkoop.dynamics import snapshots
 
     with pytest.raises(InputError):
         snapshots(Trajectory(dim=1, dt=0.1, states=np.array([[1.0]])))
 
 
 def test_snapshots_reintegration_roundtrip():
+    from symkoop.dynamics import snapshots
+
     system = make_system("toggle_switch")
     traj = simulate(system, [2.0, 1.0], 0.05, 30)
     pairs = snapshots(traj)

@@ -23,20 +23,19 @@ from symkoop import (
     fit_trajectory,
     generate_group,
     global_predict,
-    induced_representation,
     load_registry,
     make_system,
     predict,
     save_registry,
     simulate,
-    snapshots,
     transform_trajectory,
     transport_case1,
     transport_case2,
     verify_commutation,
     verify_conjugation,
-    verify_invariant_set_image,
+    verify_invariant_set_images,
 )
+from symkoop import equivariant, scenarios
 from symkoop.equivariant import global_to_dict
 from symkoop.errors import write_json
 from symkoop.groups import _BLOCK
@@ -220,12 +219,12 @@ def test_case2_one_step_residual_matches_fit():
     g = group.element("swap")
     d = MonomialDictionary(2, 2)
     traj = simulate(system, [3.5, 1.2], 0.05, 100)
-    pairs = snapshots(traj)
     op = fit_trajectory(traj, d, set_label="right")
     case2_op = transport_case2(op, g, target_label="left")
     # transformed data x' = g x with the transformed dictionary reproduces
     # exactly the original lifted data, hence the original residual
-    Xp_t, Xf_t = g.matrix @ pairs.Xp, g.matrix @ pairs.Xf
+    moved = g.matrix @ traj.states.T
+    Xp_t, Xf_t = moved[:, :-1], moved[:, 1:]
     Yp = case2_op.dictionary.evaluate_matrix(Xp_t)
     Yf = case2_op.dictionary.evaluate_matrix(Xf_t)
     residual = np.linalg.norm(case2_op.matrix @ Yp - Yf) / np.linalg.norm(Yf)
@@ -364,7 +363,9 @@ def test_assemble_hamiltonian_four_blocks():
 def test_assemble_from_elements_conjugates_polynomial_dictionaries(name):
     """Given the elements, a monomial base is conjugated; each block is bit
     for bit the one assembled from FeatureRepresentation values, which are
-    read as their elements."""
+    read as their elements, and checked against the registry as elements."""
+    from symkoop.dictionaries import induced_representation
+
     registry, group = builtin_registry(name), builtin_group(name)
     base = replace(exact_run_fit(name, 2), set_label=registry.base_label)
     elements = {label: group.element(e) for label, e in registry.mapping.items()}
@@ -376,6 +377,11 @@ def test_assemble_from_elements_conjugates_polynomial_dictionaries(name):
         assert block.provenance == {"transported": True, "method": "conjugation",
                                     "base_label": registry.base_label, "element": g.label}
         assert np.array_equal(block.matrix, from_reps.block(label).matrix)
+    label = next(iter(registry.mapping))
+    identity = induced_representation(base.dictionary, group.identity)
+    with pytest.raises(InputError, match=f"element for {label!r} is 'e', not its registry "
+                                         f"element {registry.mapping[label]!r}"):
+        assemble_global(registry, base, {**reps, label: identity})
 
 
 def test_assemble_validates_inputs():
@@ -392,9 +398,6 @@ def test_assemble_checks_elements_against_registry():
     message = "element for 'left' is 'e', not its registry element 'swap'"
     with pytest.raises(InputError, match=message):
         assemble_global(registry, base, {"left": identity})
-    with pytest.raises(InputError, match=message):
-        assemble_global(registry, base,
-                        {"left": induced_representation(IdentityDictionary(2), identity)})
 
 
 def test_registry_refuses_two_labels_through_one_element(tmp_path):
@@ -493,6 +496,23 @@ def test_verify_conjugation_compares_against_transport_case1():
     assert np.linalg.norm(moved.matrix - op.matrix) > 0.1 * np.linalg.norm(op.matrix)
     report = verify_conjugation(op, moved, rot)
     assert report.frobenius_error == report.hausdorff_distance == 0.0
+
+
+def test_spectrum_check_conjugates_by_every_element_but_the_identity(monkeypatch):
+    # R(e) K R(e^T) is K exactly, so e moves no eigenvalue; the Hamiltonian
+    # check conjugates each of its two base fits by the three other elements
+    elements = []
+    transport = equivariant.transport_case1
+
+    def counting_transport(op, g, target_label=None):
+        elements.append(g.label)
+        return transport(op, g, target_label)
+
+    monkeypatch.setattr(equivariant, "transport_case1", counting_transport)
+    assert scenarios.check_spectrum_invariance("hamiltonian").passed
+    others = [g.label for g in builtin_group("hamiltonian").elements[1:]]
+    assert len(elements) == 6
+    assert sorted(elements) == sorted(2 * others)
 
 
 def test_commutation_on_symmetric_union_data():
@@ -638,14 +658,14 @@ def test_invariant_set_image_toggle():
     samples = np.column_stack(
         [rng.uniform(2.0, 3.5, size=15), rng.uniform(0.1, 1.2, size=15)]
     )
-    report = verify_invariant_set_image(
-        system, group.element("swap"), samples, 0.05, 200, predicates["left"]
-    )
+    report = verify_invariant_set_images(
+        system, [(group.element("swap"), predicates["left"])], samples, 0.05, 200
+    )[0]
     assert report.fraction == 1.0
     assert (report.n_samples, report.horizon, report.failed_indices) == (15, 200, ())
-    identity_report = verify_invariant_set_image(
-        system, group.identity, samples, 0.05, 200, predicates["right"]
-    )
+    identity_report = verify_invariant_set_images(
+        system, [(group.identity, predicates["right"])], samples, 0.05, 200
+    )[0]
     assert identity_report.fraction == 1.0
 
 
@@ -655,9 +675,9 @@ def test_separatrix_is_flow_invariant():
     group = builtin_group("toggle_switch")
     on_diagonal = lambda x: abs(x[0] - x[1]) <= 1e-9 * (1.0 + abs(x[0]))
     samples = np.array([[0.5, 0.5], [1.5, 1.5], [3.0, 3.0]])
-    report = verify_invariant_set_image(
-        system, group.element("swap"), samples, 0.05, 200, on_diagonal
-    )
+    report = verify_invariant_set_images(
+        system, [(group.element("swap"), on_diagonal)], samples, 0.05, 200
+    )[0]
     assert report.fraction == 1.0
 
 

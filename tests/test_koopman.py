@@ -17,12 +17,10 @@ from symkoop import (
     eigenvalue_hausdorff,
     fit_edmd,
     fit_trajectory,
-    lift,
     load_operator,
     make_system,
     predict,
     simulate,
-    snapshots,
     spectrum,
     transform_trajectory,
     transport_case1,
@@ -45,6 +43,13 @@ from symkoop.scenarios import (
     draw_base_state,
     exact_tier_trajectory,
 )
+
+
+def lifted_pairs(dictionary, traj):
+    """(Yp, Yf): the trajectory's states lifted once, without its last and
+    without its first state."""
+    Y = dictionary.evaluate_matrix(traj.states.T)
+    return Y[:, :-1], Y[:, 1:]
 
 
 def svd_pinv_fit(Yp, Yf, rank_tol=DEFAULT_RANK_TOL):
@@ -192,8 +197,8 @@ def test_fit_matches_svd_pseudo_inverse_reference(data):
                                         MonomialDictionary(3, 4), MonomialDictionary(3, 6)],
                          ids=["identity", "monomial2", "monomial4", "monomial6"])
 def test_one_chunk_fits_equal_the_full_factor_fit_bitwise(m, dictionary):
-    Yp, Yf = lift(dictionary, snapshots(
-        simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, m)))
+    Yp, Yf = lifted_pairs(dictionary,
+                          simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, m))
     K, rank, residual = full_r_fit(Yp, Yf)
     op = fit_edmd(Yp, Yf, dictionary=dictionary)
     assert np.array_equal(op.matrix, K)
@@ -264,7 +269,7 @@ def test_fit_memory_does_not_grow_with_snapshots():
                          ids=["identity", "monomial"])
 def test_streamed_fits_equal_the_matrix_fit_bitwise(m, dictionary):
     traj = simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, m)
-    ref = fit_edmd(*lift(dictionary, snapshots(traj)), dictionary=dictionary)
+    ref = fit_edmd(*lifted_pairs(dictionary, traj), dictionary=dictionary)
     op = fit_trajectory(traj, dictionary)
     assert np.array_equal(op.matrix, ref.matrix)
     assert op.fit_residual == ref.fit_residual
@@ -274,7 +279,7 @@ def test_streamed_fits_equal_the_matrix_fit_bitwise(m, dictionary):
 def stacked_fit(trajs, dictionary):
     """Reference: fit_edmd on the column-stacked lifts of each trajectory's
     own snapshot pairs."""
-    lifts = [lift(dictionary, snapshots(t)) for t in trajs]
+    lifts = [lifted_pairs(dictionary, t) for t in trajs]
     return fit_edmd(np.hstack([Yp for Yp, _ in lifts]), np.hstack([Yf for _, Yf in lifts]),
                     dictionary=dictionary)
 
@@ -535,7 +540,7 @@ def test_predict_matches_linear_truth():
 def test_training_one_step_error_equals_fit_residual():
     traj = simulate(make_system("lorenz"), [1.0, 1.0, 1.05], 0.01, 300, discard=200)
     op = fit_trajectory(traj, IdentityDictionary(3))
-    Yp, Yf = lift(op.dictionary, snapshots(traj))
+    Yp, Yf = lifted_pairs(op.dictionary, traj)
     assert np.linalg.norm(op.matrix @ Yp - Yf) / np.linalg.norm(Yf) == pytest.approx(
         op.fit_residual, rel=1e-12
     )
