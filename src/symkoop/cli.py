@@ -97,12 +97,12 @@ def _resolve_file(args, config, key, what):
     return Path(path)
 
 
-def _parse_state(text, dim=None):
+def _parse_state(text, dim):
     try:
         x = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as err:
         raise ConfigurationError(f"invalid state {text!r}: {err}") from err
-    if dim is not None and x.shape != (dim,):
+    if x.shape != (dim,):
         raise ConfigurationError(
             f"state {text!r} has {len(x)} components, system expects {dim}"
         )

@@ -300,10 +300,6 @@ class FeatureRepresentation:
     element: GroupElement
     matrix: np.ndarray
 
-    @property
-    def label(self):
-        return self.element.label
-
 
 def induced_representation(dictionary, g):
     """The feature-space representation R of a group element, exact (see

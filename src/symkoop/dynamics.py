@@ -189,12 +189,12 @@ def make_system(name, params=None):
 # negative base to a fractional power gives a complex number, where numpy
 # under np.errstate gives Inf or NaN. So a run of one-state steps that
 # raises an ArithmeticError or ends on a complex coordinate is rerun from
-# its start on np.float64 scalars, which follow numpy's rules. A field
-# raising to a power must call np.power: ``**`` on a scalar calls the C
-# library's pow, which can differ in the last bit from numpy's own power
-# loop that ``**`` on an array runs, while np.power runs that loop on
-# scalars and arrays alike (and gives numpy's NaN, not a complex number,
-# on a Python float).
+# its start as a block of one, the (dim, 1) array, which follows numpy's
+# rules. A field raising to a power must call np.power: ``**`` on a scalar
+# calls the C library's pow, which can differ in the last bit from numpy's
+# own power loop that ``**`` on an array runs, while np.power runs that
+# loop on scalars and arrays alike (and gives numpy's NaN, not a complex
+# number, on a Python float).
 
 STATE_CHUNK = 256  # simulate steps, checks and stores at most this many steps at a time
 CHUNK_FLOATS = 2 ** 14  # and coordinates, at least one step; so do the image check's windows
@@ -295,31 +295,29 @@ def _rk4_kernel(dim):
 
 def _advance_chunk(system, x, dt, n):
     """The n states after the states x (N, dim), one RK4 step each, as an
-    array (n, dim, N). A block is stepped as one (dim, N) array, its
-    field's output checked at every stage. One state is stepped as Python
-    floats; where their rules part from numpy's (1/0 and ``**`` overflow
-    raise, a negative base to a fractional power is complex), the n steps
-    are rerun from x made np.float64, so the states, or the error, are
-    numpy's."""
-    if len(x) > 1:
-        y = np.array(x.T, dtype=float, order="C")
-        field, shape = system.field, y.shape
-        checked = lambda z, p: _field_output(system, field(z, p), shape)
-        return _rk4_kernel(None)(system, checked, y, dt, n, np.empty((n,) + shape))
-    y = tuple(x[0].tolist())
-    rk4 = _rk4_kernel(len(y))
-    try:
-        states = rk4(system, system.field, y, dt, n, [])
-        # a complex coordinate stays complex, so the last state shows it
-        rerun = any(isinstance(v, complex) for v in states[-len(y):])
-    except ArithmeticError:
-        rerun = True
-    if rerun:
-        states = rk4(system, system.field, tuple(map(np.float64, y)), dt, n, [])
-    # a field that returns arrays for one state makes every later state one
-    # of arrays, so the last state shows it
-    _field_output(system, states[-len(y):], (len(y),))
-    return np.array(states, dtype=float).reshape(n, len(y), 1)
+    array (n, dim, N). One state is stepped as Python floats; where their
+    rules part from numpy's (1/0 and ``**`` overflow raise, a negative base
+    to a fractional power is complex), the n steps are rerun from x as a
+    block of one, so the states, or the error, are numpy's. A block is
+    stepped as one (dim, N) array, its field's output checked at every
+    stage."""
+    if len(x) == 1:
+        dim = x.shape[1]
+        try:
+            states = _rk4_kernel(dim)(system, system.field, tuple(x[0].tolist()), dt, n, [])
+        except ArithmeticError:
+            pass
+        else:
+            # a complex coordinate stays complex, so the last state shows it
+            if not any(isinstance(v, complex) for v in states[-dim:]):
+                # a field that returns arrays for one state makes every
+                # later state one of arrays, so the last state shows it
+                _field_output(system, states[-dim:], (dim,))
+                return np.array(states, dtype=float).reshape(n, dim, 1)
+    y = np.array(x.T, dtype=float, order="C")
+    field, shape = system.field, y.shape
+    checked = lambda z, p: _field_output(system, field(z, p), shape)
+    return _rk4_kernel(None)(system, checked, y, dt, n, np.empty((n,) + shape))
 
 
 def _divergence(system, y, batch, step_index=None, total=None):

@@ -298,7 +298,7 @@ def generate_group(generators, max_order=DEFAULT_MAX_ORDER, dim=None):
     # is dropped): the same as matching it against those kept before it.
     eye = np.eye(dim)
     given = np.concatenate([eye[None]] + [g.matrix[None] for g in generators])
-    first = _first_matches(given, given) if generators else np.zeros(1, int)
+    first = _first_matches(given, given)
     elements, named = [GroupElement("e", eye)], [None]
     for k, g in enumerate(generators, 1):
         if first[k] == k:
@@ -355,15 +355,13 @@ def generate_group(generators, max_order=DEFAULT_MAX_ORDER, dim=None):
 
     labels = [g.label for g in elements]
     matrices = [g.matrix for g in elements]
-    cayley = table  # the generators alone are in discovery order
-    if order > n_gen:
-        replay = _replay_discovery(table, n_gen)
-        if replay is None:
-            raise _no_group(max_order)
-        factors, cayley = replay
-        for a, b in factors:
-            labels.append(f"{labels[a]}*{labels[b]}")
-            matrices.append(matrices[a] @ matrices[b])
+    replay = _replay_discovery(table, n_gen)
+    if replay is None:
+        raise _no_group(max_order)
+    factors, cayley = replay
+    for a, b in factors:
+        labels.append(f"{labels[a]}*{labels[b]}")
+        matrices.append(matrices[a] @ matrices[b])
     # the table came from products with a generator; on a near-group a
     # product of two long words can drift from its entry
     stack = np.array(matrices)
@@ -372,10 +370,9 @@ def generate_group(generators, max_order=DEFAULT_MAX_ORDER, dim=None):
     if len(set(labels)) < len(labels):
         twice = next(lbl for k, lbl in enumerate(labels) if lbl in labels[:k])
         raise InputError(f"label {twice!r} names more than one group element")
-    if order > n_gen:
-        _check_elements(labels[n_gen:], stack[n_gen:])
-        elements += [GroupElement._checked(lbl, m)
-                     for lbl, m in zip(labels[n_gen:], matrices[n_gen:])]
+    _check_elements(labels[n_gen:], stack[n_gen:])
+    elements += [GroupElement._checked(lbl, m)
+                 for lbl, m in zip(labels[n_gen:], matrices[n_gen:])]
 
     group = FiniteMatrixGroup(
         elements=tuple(elements),

@@ -17,6 +17,7 @@ observables (and therefore eigenfunctions) evolve through row vectors:
 eigenfunctions are built from left eigenvectors, phi(x) = w^T Psi(x).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,6 +137,14 @@ def fit_trajectory(trajs, dictionary, rank_tol=DEFAULT_RANK_TOL, set_label="fit"
                        dictionary, set_label)
 
 
+def _norm_sq(X, e):
+    """||X||_F^2 / 4**e, taken on X scaled by 2**-e. For 2**e near the
+    largest entry the square neither overflows nor underflows, and the
+    scaling is exact, so a ratio of such sums is that of the unscaled sums
+    to the bit wherever those stay in the normal range."""
+    return np.linalg.norm(np.ldexp(X, -e)) ** 2
+
+
 def _fit_chunks(chunk, n, m, rank_tol, dictionary, set_label):
     """The fit of ``fit_edmd`` on data given as chunks: chunk(a, b) returns
     the columns a:b of Yp and Yf (n x (b - a) each), for b - a at most
@@ -145,22 +154,23 @@ def _fit_chunks(chunk, n, m, rank_tol, dictionary, set_label):
     Each chunk's QR factors a (K + C) x 2K matrix, for C = b - a: the K
     carried rows [R_p, R_f] over the chunk's C rows [Yp_c; Yf_c]^T. The
     last factor is kept whole for the SVD, so a one-chunk fit is the SVD of
-    the R of one QR of all the data."""
+    the R of one QR of all the data; Yp is all zero exactly when s[0], its
+    largest singular value, is 0. The residual's sums of squares are taken in
+    units of 4**e, for 2**e just above the largest datum so far (_norm_sq),
+    so they neither overflow nor underflow anywhere in the double range."""
     if m < 1:
         raise InputError("need at least one snapshot pair")
     if not 0 < rank_tol <= 1:  # also rejects NaN
         raise InputError(f"rank_tol must be in (0, 1], got {rank_tol}")
     bounds = [(a, min(a + _FIT_CHUNK, m)) for a in range(0, m, _FIT_CHUNK)]
     # overflow in the lift shows up as Inf, rejected per chunk, and overflow
-    # in the fit, or a zero singular value kept because rank_tol * s[0]
-    # underflows, as a non-finite K or residual, rejected below
+    # in the fit as a non-finite K or residual, rejected below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             R = np.empty((0, 2 * n))
-            dropped = 0.0  # ||R_22||_F^2 of the rows below K that factors so far dropped
-            identifiable = False
+            peak, e = 0.0, 0  # the largest |datum| so far, and its power of two
+            dropped = 0.0  # ||R_22||_F^2 / 4**e of the rows below K that factors so far dropped
             for a, b in bounds:
-                dropped += np.linalg.norm(R[n:, n:]) ** 2
                 Yp_c, Yf_c = chunk(a, b)
                 # [R[:K]; [Yp_c; Yf_c]^T] built as its transpose, so it is
                 # already column-major for LAPACK
@@ -172,9 +182,14 @@ def _fit_chunks(chunk, n, m, rank_tol, dictionary, set_label):
                 stack[n:, r:] = Yf_c
                 data = stack[:, r:]
                 # min and max carry any NaN or Inf, without a mask
-                if not np.isfinite([data.min(), data.max()]).all():
+                lo, hi = data.min(), data.max()
+                if not np.isfinite([lo, hi]).all():
                     raise InputError("lifted snapshot data contains NaN or Inf")
-                identifiable = identifiable or bool(np.any(Yp_c))
+                # e grows with the data; it falls only from an all-zero
+                # start, where dropped is 0
+                peak = max(peak, -lo, hi)
+                e, e_old = math.frexp(peak)[1], e
+                dropped = math.ldexp(dropped, 2 * (e_old - e)) + _norm_sq(R[n:, n:], e)
                 # R_f comes out of the same Householder sweep as R_p on
                 # purpose: the reflectors reach the nearly equal Yp and Yf
                 # columns one at a time, so both take the same rounding
@@ -184,15 +199,18 @@ def _fit_chunks(chunk, n, m, rank_tol, dictionary, set_label):
                 # degree-2 exact-tier refit went from 1.3e-11 to 7.8e-10,
                 # over the 1e-10 tier.
                 R = np.linalg.qr(stack.T, mode="r")
-            if not identifiable:
-                raise DegenerateDataError("Yp is all zero; no operator is identifiable")
             U, s, Vt = np.linalg.svd(R[:, :n], full_matrices=False)
         except np.linalg.LinAlgError as err:
             raise DegenerateDataError(f"factoring the lifted data failed: {err}") from err
-        rank = int(np.sum(s >= rank_tol * s[0]))
+        if s[0] == 0:
+            raise DegenerateDataError("Yp is all zero; no operator is identifiable")
+        # the cut is taken on s scaled to s[0] in [0.5, 1): the same cut, and
+        # rank_tol * s[0] cannot underflow and keep a zero singular value
+        t = np.ldexp(s, -math.frexp(s[0])[1])
+        rank = int(np.sum(t >= rank_tol * t[0]))
         K = ((R[:, n:].T @ U[:, :rank]) / s[:rank]) @ Vt[:rank]
-        res_sq = np.linalg.norm(R[:, :n] @ K.T - R[:, n:]) ** 2 + dropped
-        Yf_sq = np.linalg.norm(R[:, n:]) ** 2 + dropped
+        res_sq = _norm_sq(R[:, :n] @ K.T - R[:, n:], e) + dropped
+        Yf_sq = _norm_sq(R[:, n:], e) + dropped
         residual = float(np.sqrt(res_sq / Yf_sq)) if Yf_sq > 0 else 0.0
     if not (np.all(np.isfinite(K)) and np.isfinite(residual)):
         raise DegenerateDataError(

@@ -77,6 +77,13 @@ def test_simulate_bad_config_exit_code(tmp_path, capsys):
     assert run(["simulate", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+def test_simulate_names_a_start_that_is_no_numbers(tmp_path, capsys):
+    assert run(["simulate", "--system", "lorenz", "--x0", "1,abc",
+                "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert one_line_error(capsys).startswith("error: invalid state '1,abc': could not convert")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags, code", [
     (["--x0", "1,1"], cli.EXIT_CONFIG),
     (["--x0", "1,1,1", "--dt", "0"], cli.EXIT_CONFIG),

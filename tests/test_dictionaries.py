@@ -58,6 +58,22 @@ def test_identity_dictionary_evaluates_to_state():
             IdentityDictionary(dim)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: MonomialDictionary(0, 2), "dim and max_degree must be positive"),
+    (lambda: CustomDictionary(2, []), "need at least one observable"),
+    (lambda: CustomDictionary(2, [lambda x: x[0]], labels=["a", "b"]),
+     "labels and observables must have equal length"),
+], ids=["monomial-dim-zero", "custom-no-observables", "custom-labels-mismatch"])
+def test_dictionary_constructors_refuse_bad_arguments(make, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        make()
+
+
+def test_custom_spec_records_the_shape_and_labels():
+    d = CustomDictionary(2, [lambda x: x[0] * x[1], lambda x: x[1]], labels=["xy", "y"])
+    assert d.to_spec() == {"kind": "custom", "dim": 2, "size": 2, "labels": ["xy", "y"]}
+
+
 def test_monomial_ordering_and_values():
     d = MonomialDictionary(2, 2, include_constant=False)
     assert d.labels == ("x1", "x2", "x1^2", "x1*x2", "x2^2")

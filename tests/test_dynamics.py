@@ -116,7 +116,8 @@ def test_misshapen_field_output_rejected():
 def test_a_block_field_gets_the_array_and_one_state_a_tuple_of_floats():
     """The field of a block of N > 1 states is called with the (dim, N)
     array, and of one state (or a block of one row) with a tuple of Python
-    floats. So a field written on the whole array, such as 2 * x, steps a
+    floats; where those raise, the state is stepped again as the (dim, 1)
+    array. So a field written on the whole array, such as 2 * x, steps a
     block and is refused on one state, whose 2 * x is four floats; written
     coordinate by coordinate, it steps both alike."""
     seen = []
@@ -130,6 +131,15 @@ def test_a_block_field_gets_the_array_and_one_state_a_tuple_of_floats():
     step(recording, [[1.0, 2.0]], 0.01)
     step(recording, [[1.0, 2.0], [3.0, 4.0]], 0.01)
     assert seen == [tuple] * 8 + [np.ndarray] * 4
+    seen.clear()
+
+    def dividing(x, p):
+        seen.append((type(x), np.shape(x)))
+        return (1.0 / (1.0 + 1.0 / x[0]), -x[1])
+
+    # 1/0 raises on the first call, on Python floats; numpy's 1/(1 + Inf) is 0
+    assert step(SystemDef("dividing", 2, {}, dividing, 0.01), [0.0, 1.0], 0.01)[0] == 0.0
+    assert seen == [(tuple, (2,))] + [(np.ndarray, (2, 1))] * 4
     whole = SystemDef("whole", 2, {}, lambda x, p: 2 * x, 0.01)
     coordinatewise = SystemDef("coordinatewise", 2, {}, lambda x, p: (2 * x[0], 2 * x[1]), 0.01)
     block = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -242,6 +252,16 @@ def test_snapshots_reintegration_roundtrip():
         assert np.array_equal(pairs.Xf[:, k], step(system, pairs.Xp[:, k], 0.05))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0.01, 0), "n_steps must be a positive integer"),
+    ((0.01, 5, -1), "discard must be nonnegative"),
+    ((float("nan"), 5), "dt must be finite, got nan"),
+], ids=["zero-steps", "negative-discard", "dt-nan"])
+def test_simulate_refuses_a_run_it_cannot_make(args, message):
+    with pytest.raises(InputError, match=message):
+        simulate(make_system("lorenz"), [1.0, 1.0, 1.05], *args)
+
+
 def test_lorenz_divergence_detected():
     system = make_system("lorenz")
     with pytest.raises(NumericalDivergenceError) as info:
@@ -254,7 +274,7 @@ def test_lorenz_divergence_detected():
                          ids=["state", "one-row-block", "block"])
 def test_fractional_power_of_negative_coordinate_diverges_at_step_one(x):
     # numpy gives NaN for (-0.5)**2.5 where a Python float gives a complex
-    # number, so a state must be stepped on np.float64 scalars
+    # number, so a state must be stepped again as a block of one
     system = make_system("toggle_switch", {"beta": 2.5})
     start = None if np.ndim(x) == 1 else len(x) - 1
     with pytest.raises(NumericalDivergenceError) as info:

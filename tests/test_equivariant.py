@@ -697,6 +697,37 @@ def test_registry_validation_and_roundtrip(tmp_path):
     assert loaded.mapping == registry.mapping
 
 
+def test_registry_samples_round_trip(tmp_path):
+    samples = {"IS-1": np.array([[3.0, 0.1], [2.9, -0.2]]), "IS-2": np.array([[0.1, 3.0]])}
+    registry = replace(builtin_registry("hamiltonian"), samples=samples)
+    path = tmp_path / "registry.json"
+    save_registry(registry, path)
+    loaded = load_registry(path)
+    assert loaded.samples.keys() == samples.keys()
+    for label, states in samples.items():
+        assert np.array_equal(loaded.samples[label], states)
+
+
+TWO_D = KoopmanApprox(matrix=np.eye(2), dictionary=IdentityDictionary(2), set_label="a",
+                      fit_residual=0.0, rank_used=2)
+HALF_TURN = GroupElement("rot", np.diag([-1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: transport_case2(TWO_D, HALF_TURN), "operator dictionary and element dimensions differ"),
+    (lambda: assemble_global(InvariantSetRegistry(labels=("a", "b"), base_label="a",
+                                                  mapping={"b": "rot"}),
+                             TWO_D, {"b": HALF_TURN}),
+     "operator dictionary and element dimensions differ"),
+    (lambda: verify_conjugation(TWO_D, replace(TWO_D, matrix=np.eye(3)),
+                                GroupElement("swap", [[0.0, 1.0], [1.0, 0.0]])),
+     "operator sizes must match"),
+], ids=["transport_case2", "assemble_global", "verify_conjugation"])
+def test_operators_and_elements_of_other_sizes_are_refused(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def test_registry_base_defaults_to_first_label():
     from symkoop.equivariant import registry_from_dict
 

@@ -440,33 +440,58 @@ def test_trajectory_fit_lifts_each_chunk_once(trajs, pieces):
     assert len(calls) == pieces
 
 
-@pytest.mark.parametrize("scale, refused", [(1e150, False), (1e152, False), (1e153, True),
-                                            (1e200, True), (1e300, True)])
-@pytest.mark.parametrize("fit", [
-    lambda X: fit_edmd(X[:, :-1], X[:, 1:], dictionary=IdentityDictionary(3)),
-    lambda X: fit_trajectory(Trajectory(dim=3, dt=0.1, states=X.T), IdentityDictionary(3)),
+TWO_FITS = pytest.mark.parametrize("fit", [
+    lambda X: fit_edmd(X[:, :-1], X[:, 1:], dictionary=IdentityDictionary(len(X))),
+    lambda X: fit_trajectory(Trajectory(dim=len(X), dt=0.1, states=X.T),
+                             IdentityDictionary(len(X))),
 ], ids=["fit_edmd", "fit_trajectory"])
-def test_finite_data_too_large_to_square_is_degenerate(fit, scale, refused):
-    X = np.random.default_rng(12).normal(size=(3, 3001)) * scale
-    if refused:
-        with pytest.raises(DegenerateDataError, match="too large in magnitude"):
-            fit(X)
-    else:
-        assert np.isfinite(fit(X).fit_residual)
+
+
+@pytest.mark.parametrize("e", [-900, -600, 0, 510, 900])
+@TWO_FITS
+def test_fit_keeps_residual_and_operator_over_the_double_range(fit, e):
+    # 3001 columns: three chunks, so the rows each factor drops count too;
+    # squared unscaled, the residual's norms overflow or underflow for |e|
+    # above about 510
+    X = np.random.default_rng(12).normal(size=(3, 3001))
+    base, scaled = fit(X), fit(np.ldexp(X, e))
+    assert scaled.rank_used == base.rank_used == 3
+    assert scaled.fit_residual == pytest.approx(base.fit_residual, rel=1e-12, abs=0)
+    np.testing.assert_allclose(scaled.matrix, base.matrix, rtol=0,
+                               atol=1e-12 * np.abs(base.matrix).max())
+
+
+@pytest.mark.parametrize("e", [-900, 0, 900])
+@TWO_FITS
+def test_fit_residual_sums_chunks_whose_magnitude_grows(fit, e):
+    # each chunk is 32 times the one before it, so the sum of what earlier
+    # factors dropped is carried to each larger scale, where it still counts
+    X = np.random.default_rng(13).normal(size=(2, 3001))
+    X *= 32.0 ** (np.arange(3001) // _FIT_CHUNK)
+    op = fit(np.ldexp(X, e))
+    direct = np.linalg.norm(op.matrix @ X[:, :-1] - X[:, 1:]) / np.linalg.norm(X[:, 1:])
+    assert op.fit_residual == pytest.approx(direct, rel=1e-12)
+
+
+def test_operator_too_large_for_double_precision_is_degenerate():
+    # data in range, but K = Yf pinv(Yp) is about 1e400
+    X = np.random.default_rng(12).normal(size=(3, 3001))
+    with pytest.raises(DegenerateDataError, match="too large in magnitude"):
+        fit_edmd(X[:, :-1] * 1e-200, X[:, 1:] * 1e200, dictionary=IdentityDictionary(3))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("fit", [
-    lambda X: fit_edmd(X[:, :-1], X[:, 1:], dictionary=IdentityDictionary(2)),
-    lambda X: fit_trajectory(Trajectory(dim=2, dt=0.01, states=X.T), IdentityDictionary(2)),
-], ids=["fit_edmd", "fit_trajectory"])
-def test_subnormal_data_is_refused_without_a_warning(fit):
-    # rank_tol * s[0] underflows to 0, so the zero singular value of the
-    # all-zero x2 row passes the rank cut and K divides by it
+@TWO_FITS
+def test_subnormal_data_keeps_its_zero_singular_value_out_of_the_rank(fit):
+    # rank_tol * s[0] underflows to 0 here; the zero singular value of the
+    # all-zero x2 row must not pass the cut, or K divides by it
     k = np.arange(50)
     X = np.vstack([(k % 7 + 1) * 1e-315, np.zeros(50)])
-    with pytest.raises(DegenerateDataError, match="too large in magnitude"):
-        fit(X)
+    tiny, normal = fit(X), fit(np.ldexp(X, 1100))  # the same data, scaled exactly
+    assert tiny.rank_used == normal.rank_used == 1
+    # the fit's own arithmetic on subnormal numbers keeps about 30 bits
+    np.testing.assert_allclose(tiny.matrix, normal.matrix, rtol=1e-8, atol=0)
+    assert tiny.fit_residual == pytest.approx(normal.fit_residual, rel=1e-8)
 
 
 @STREAMED_FITS
@@ -693,6 +718,25 @@ def test_group_action_preserves_eigenfunctions_when_commuting():
 def test_eigenvalue_hausdorff():
     assert eigenvalue_hausdorff([1.0, 2.0], [2.0, 1.0]) == 0.0
     assert eigenvalue_hausdorff([1.0], [1.0 + 0.5j]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda path: predict(load_operator(path / "op.json"), [0.5, 0.5], -1), InputError,
+     "^steps must be nonnegative$"),
+    (lambda path: load_operator(path / "short.json"), ConfigurationError,
+     r"short.json: operator matrix shape \(1, 2\) does not match dictionary size 2$"),
+    # json reads 1e400 as Inf
+    (lambda path: load_operator(path / "inf.json"), ConfigurationError,
+     "inf.json: operator matrix contains NaN or Inf$"),
+], ids=["predict-negative-steps", "K-of-another-size", "K-of-1e400"])
+def test_operator_use_refuses_what_does_not_fit(tmp_path, call, error, message):
+    operator = ('{"set_label": "a", "K": %s, "dictionary": {"kind": "identity", "dim": 2}, '
+                '"fit_residual": 0.0, "rank_used": 2}')
+    for name, K in (("op", "[[1.0, 0.0], [0.0, 1.0]]"), ("short", "[[1.0, 0.0]]"),
+                    ("inf", "[[1e400, 0.0], [0.0, 1.0]]")):
+        (tmp_path / f"{name}.json").write_text(operator % K)
+    with pytest.raises(error, match=message):
+        call(tmp_path)
 
 
 def test_operator_json_roundtrip(tmp_path):
